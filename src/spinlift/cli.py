@@ -50,8 +50,6 @@ def _build_parser() -> _Parser:
                         help="config file overriding the built-in defaults")
     common.add_argument("--out", metavar="DIR", default=".",
                         help="output directory for CSV/SVG files (default: .)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="reserved; all defaults are deterministic")
 
     parser = _Parser(prog="spinlift",
                      description="Dual-quadrotor tethered transport: simulation "

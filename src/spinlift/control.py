@@ -16,16 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Trajectory
+from .equilibrium import DEFAULT_PAYLOAD_POSITION, stretched_length, thrust_components
 from .lqr import GainSet, equilibrium_c_state
 from .model import (ControlCommand, EquilibriumSpec, SystemParams, SystemState,
-                    rotation_c_to_e, vec3)
+                    default_thrust_limit, rotation_c_to_e, vec3)
 
 __all__ = [
     "SpinProfile",
-    "spin_profile",
     "ControllerConfig",
     "control_step",
-    "make_controller",
     "command_log_to_csv",
 ]
 
@@ -91,15 +90,6 @@ class SpinProfile:
                 - 0.5 * w * remaining * remaining / self.t_ramp_down
         return total + 0.5 * w * self.t_ramp_down
 
-    @property
-    def end_of_spin(self) -> float:
-        return self.t_static + self.t_ramp_up + self.t_hover + self.t_ramp_down
-
-
-def spin_profile(t: float, profile: SpinProfile) -> tuple[float, float]:
-    """(omega_C, theta) of the schedule at time t."""
-    return profile.omega(t), profile.theta(t)
-
 
 @dataclass(frozen=True, eq=False)
 class ControllerConfig:
@@ -109,32 +99,20 @@ class ControllerConfig:
     eq: EquilibriumSpec
     params: SystemParams
     profile: SpinProfile
-    origin: np.ndarray = field(default_factory=lambda: vec3(0.0, 0.0, 1.5))
-    T_max: float | None = None   # [N]; default 4*m_q*g
-    hold: float | None = None    # [s]; default 1/f_ctrl
+    origin: np.ndarray = field(default_factory=lambda: vec3(*DEFAULT_PAYLOAD_POSITION))
+    T_max: float | None = None   # [N]; default model.default_thrust_limit
 
     def __post_init__(self):
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
         if self.T_max is None:
-            object.__setattr__(self, "T_max", 4.0 * self.params.m_q * self.params.g)
-        if self.hold is None:
-            object.__setattr__(self, "hold", self.params.ctrl_period)
-        if not self.hold > 0.0:
-            raise ValueError("hold period must be positive")
+            object.__setattr__(self, "T_max", default_thrust_limit(self.params))
         if self.T_max <= self.eq.thrust_magnitude:
             raise ValueError(
                 f"T_max={self.T_max:.3f} N does not exceed the equilibrium "
                 f"thrust {self.eq.thrust_magnitude:.3f} N; operating point unreachable")
-        s_bar, u_bar = equilibrium_c_state(self.eq, self.params)
+        s_bar, _ = equilibrium_c_state(self.eq)
         object.__setattr__(self, "_s_bar", s_bar)
-        object.__setattr__(self, "_u_bar", u_bar)
-        # feedforward pieces as a function of the instantaneous spin rate:
-        # horizontal component = h0 - h2 * omega^2 (outward positive, vehicle 1)
-        ell_s = self.params.ell + self.eq.F_bar / self.params.k_T
-        sin_b = math.sin(self.eq.beta)
-        object.__setattr__(self, "_ff_h0", sin_b * self.eq.F_bar)
-        object.__setattr__(self, "_ff_h2", self.params.m_q * ell_s * sin_b)
-        object.__setattr__(self, "_ff_vertical", float(self.eq.T_bar_1[2]))
+        object.__setattr__(self, "_length", stretched_length(self.eq.beta, self.params))
 
     def feedforward(self, omega_c: float) -> np.ndarray:
         """Equilibrium thrust pair (C frame) holding the formation at the
@@ -145,8 +123,7 @@ class ControllerConfig:
         analyzed equilibrium branch through ramps; at the operating point's
         own rate this reduces exactly to the stored equilibrium thrusts.
         """
-        horizontal = self._ff_h0 - self._ff_h2 * omega_c * omega_c
-        v = self._ff_vertical
+        horizontal, v = thrust_components(self.eq.beta, omega_c, self.params, self._length)
         return np.array([horizontal, 0.0, v, -horizontal, 0.0, v])
 
 
@@ -184,13 +161,6 @@ def control_step(state: SystemState, cfg: ControllerConfig, t: float) -> Control
     T1 = _saturate(R @ u[0:3], cfg.T_max)
     T2 = _saturate(R @ u[3:6], cfg.T_max)
     return ControlCommand(T_cmd_1=T1, T_cmd_2=T2)
-
-
-def make_controller(cfg: ControllerConfig):
-    """Callback for :func:`spinlift.dynamics.simulate` bound to one config."""
-    def controller(state: SystemState) -> ControlCommand:
-        return control_step(state, cfg, state.t)
-    return controller
 
 
 _LOG_HEADER = ("t,T_cmd_1_x,T_cmd_1_y,T_cmd_1_z,"

@@ -4,8 +4,9 @@ Earth-frame equations of motion:
 
 * vehicle i:  m_q * a_i = T_act_i + m_q * g_vec + f_drag_i - F_i * r_hat_i
 * payload:    m_p * a_p = m_p * g_vec + f_drag_p + sum_i F_i * r_hat_i
-* tethers:    F_i = k_T * (|r_i| - ell) + c_T * d|r_i|/dt, clamped to >= 0
-              when slack clamping is on (ropes pull, never push)
+* tethers:    F_i = k_T * (|r_i| - ell) + c_T * d|r_i|/dt; with slack
+              clamping on, F_i = 0 while |r_i| < ell and F_i is floored at 0
+              (unilateral ropes: they pull, never push)
 * thrust lag: dT_act_i/dt = (T_cmd_i - T_act_i) / tau_att
 * frame:      dtheta/dt = omega_C
 
@@ -29,11 +30,9 @@ __all__ = [
     "DegenerateGeometryError",
     "IntegrationBlowupError",
     "TetherForces",
-    "StateDerivative",
     "Trajectory",
     "tether_force",
     "tether_forces",
-    "derivative",
     "step",
     "simulate",
     "mechanical_energy",
@@ -65,41 +64,14 @@ class TetherForces:
     r_hat_2: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class StateDerivative:
-    """Time derivative of every SystemState field."""
-
-    d_x_p: np.ndarray   # = v_p [m/s]
-    d_v_p: np.ndarray   # payload acceleration [m/s^2]
-    d_x_1: np.ndarray
-    d_v_1: np.ndarray
-    d_x_2: np.ndarray
-    d_v_2: np.ndarray
-    d_T_act_1: np.ndarray  # thrust-lag rate [N/s]
-    d_T_act_2: np.ndarray
-    d_theta: float         # = omega_C [rad/s]
-
-    def as_vector(self) -> np.ndarray:
-        out = np.empty(STATE_DIM)
-        out[0:3] = self.d_x_p
-        out[3:6] = self.d_v_p
-        out[6:9] = self.d_x_1
-        out[9:12] = self.d_v_1
-        out[12:15] = self.d_x_2
-        out[15:18] = self.d_v_2
-        out[18:21] = self.d_T_act_1
-        out[21:24] = self.d_T_act_2
-        out[24] = self.d_theta
-        return out
-
-
 def tether_force(x_i, v_i, x_p, v_p, params: SystemParams,
                  clamp_slack: bool = True) -> tuple[float, np.ndarray]:
     """Tension magnitude and unit vector (payload -> vehicle) for one tether.
 
     Returns ``(F, r_hat)`` with F = k_T*(|r| - ell) + c_T * d|r|/dt, where the
     length rate is the relative velocity projected on r_hat. With slack
-    clamping the total force is floored at zero.
+    clamping the rope is unilateral: no force while |r| < ell, and the total
+    force is floored at zero.
     """
     x_i = np.asarray(x_i, dtype=float)
     x_p = np.asarray(x_p, dtype=float)
@@ -111,7 +83,7 @@ def tether_force(x_i, v_i, x_p, v_p, params: SystemParams,
     r_hat = r / dist
     length_rate = float(np.dot(np.asarray(v_i, dtype=float) - np.asarray(v_p, dtype=float), r_hat))
     force = params.k_T * (dist - params.ell) + params.c_T * length_rate
-    if clamp_slack and force < 0.0:
+    if clamp_slack and (dist < params.ell or force < 0.0):
         force = 0.0
     return force, r_hat
 
@@ -130,7 +102,9 @@ def _make_rhs(params: SystemParams, clamp_slack: bool):
     """Build the scalarized right-hand side over flat 25-element float lists.
 
     Closure captures parameters as local floats; this is the integrator's hot
-    path and avoids small-array overhead on purpose.
+    path and avoids small-array overhead on purpose. For the same reason it
+    writes the tether law of :func:`tether_force` inline instead of calling a
+    shared helper; a property test keeps the two in agreement.
     """
     m_q = params.m_q
     m_p = params.m_p
@@ -164,7 +138,7 @@ def _make_rhs(params: SystemParams, clamp_slack: bool):
         h1z = r1z * inv_d1
         rate1 = (v1x - vpx) * h1x + (v1y - vpy) * h1y + (v1z - vpz) * h1z
         F1 = k_T * (d1 - ell) + c_T * rate1
-        if clamp_slack and F1 < 0.0:
+        if clamp_slack and (d1 < ell or F1 < 0.0):
             F1 = 0.0
 
         # tether 2
@@ -180,7 +154,7 @@ def _make_rhs(params: SystemParams, clamp_slack: bool):
         h2z = r2z * inv_d2
         rate2 = (v2x - vpx) * h2x + (v2y - vpy) * h2y + (v2z - vpz) * h2z
         F2 = k_T * (d2 - ell) + c_T * rate2
-        if clamp_slack and F2 < 0.0:
+        if clamp_slack and (d2 < ell or F2 < 0.0):
             F2 = 0.0
 
         if drag:
@@ -230,21 +204,6 @@ def _rk4(rhs, y: list, u: tuple, omega_c: float, dt: float) -> list:
     k4 = rhs([a + dt * b for a, b in zip(y, k3)], u, omega_c)
     return [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-
-
-def derivative(state: SystemState, cmd: ControlCommand, omega_c: float,
-               params: SystemParams, clamp_slack: bool = True) -> StateDerivative:
-    """Evaluate the equations of motion at one state."""
-    rhs = _make_rhs(params, clamp_slack)
-    dy = rhs(state.as_vector().tolist(), tuple(cmd.as_vector().tolist()), float(omega_c))
-    dy = np.asarray(dy)
-    if not np.all(np.isfinite(dy)):
-        raise IntegrationBlowupError(state.t)
-    return StateDerivative(
-        d_x_p=dy[0:3], d_v_p=dy[3:6], d_x_1=dy[6:9], d_v_1=dy[9:12],
-        d_x_2=dy[12:15], d_v_2=dy[15:18], d_T_act_1=dy[18:21],
-        d_T_act_2=dy[21:24], d_theta=float(dy[24]),
-    )
 
 
 def step(state: SystemState, cmd: ControlCommand, omega_c: float,

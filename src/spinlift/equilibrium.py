@@ -8,7 +8,10 @@ tilt phi from vertical, circular motion at radius ell*sin(beta)) gives
     T cos phi = m_p * g / 2 + m_q * g
     T sin phi = sin(beta) * (F - m_q * omega_C^2 * ell)
 
-The spin rate that zeroes the horizontal thrust component is
+The analytic power model uses the rest length ell; the simulated operating
+point (``build_equilibrium``) uses the stretched length ell + F/k_T at which
+the spring carries F. Both come from ``thrust_components``. The spin rate
+that zeroes the horizontal thrust component is
 
     omega_star = sqrt(m_p * g / (2 m_q * ell * cos beta))
 
@@ -31,6 +34,8 @@ __all__ = [
     "PowerReport",
     "SweepResult",
     "tension_at_equilibrium",
+    "stretched_length",
+    "thrust_components",
     "thrust_magnitude",
     "omega_star",
     "tilt_angle",
@@ -73,27 +78,35 @@ def omega_star(beta: float, params: SystemParams) -> float:
     return math.sqrt(params.m_p * params.g / (2.0 * params.m_q * params.ell * math.cos(beta)))
 
 
-def _thrust_components(beta: float, omega_c: float, params: SystemParams) -> tuple[float, float]:
-    """(horizontal, vertical) components of the required thrust [N]."""
-    beta = _check_beta(beta)
+def stretched_length(beta: float, params: SystemParams) -> float:
+    """Tether length ell + F/k_T at which the spring carries the equilibrium
+    tension [m]."""
+    return params.ell + tension_at_equilibrium(beta, params) / params.k_T
+
+
+def thrust_components(beta: float, omega_c: float, params: SystemParams,
+                      length: float) -> tuple[float, float]:
+    """(horizontal, vertical) components of the thrust per vehicle [N] that
+    holds tether angle ``beta`` at spin rate ``omega_c`` with the vehicles
+    ``length`` from the payload; horizontal is positive outward."""
     if omega_c < 0.0:
         raise ValueError(f"omega_C must be nonnegative, got {omega_c}")
-    tension = params.m_p * params.g / (2.0 * math.cos(beta))
-    horizontal = math.sin(beta) * (tension - params.m_q * omega_c ** 2 * params.ell)
+    tension = tension_at_equilibrium(beta, params)
+    horizontal = math.sin(beta) * (tension - params.m_q * omega_c ** 2 * length)
     vertical = params.m_p * params.g / 2.0 + params.m_q * params.g
     return horizontal, vertical
 
 
 def thrust_magnitude(beta: float, omega_c: float, params: SystemParams) -> float:
     """Thrust magnitude per vehicle required to hold the operating point [N]."""
-    horizontal, vertical = _thrust_components(beta, omega_c, params)
+    horizontal, vertical = thrust_components(beta, omega_c, params, params.ell)
     return math.hypot(vertical, horizontal)
 
 
 def tilt_angle(beta: float, omega_c: float, params: SystemParams) -> float:
     """Thrust tilt from vertical [rad]; positive tilts outward, away from the
     spin axis. Zero at omega_star, negative (inward) beyond it."""
-    horizontal, vertical = _thrust_components(beta, omega_c, params)
+    horizontal, vertical = thrust_components(beta, omega_c, params, params.ell)
     return math.atan2(horizontal, vertical)
 
 
@@ -138,29 +151,24 @@ def build_equilibrium(beta: float, omega_c: float, params: SystemParams,
     control-frame and earth-frame components coincide.
     """
     beta = _check_beta(beta)
-    if omega_c < 0.0:
-        raise ValueError(f"omega_C must be nonnegative, got {omega_c}")
-    tension = params.m_p * params.g / (2.0 * math.cos(beta))
-    ell_stretched = params.ell + tension / params.k_T
-    sin_b, cos_b = math.sin(beta), math.cos(beta)
-
-    horizontal = sin_b * (tension - params.m_q * omega_c ** 2 * ell_stretched)
-    vertical = params.m_p * params.g / 2.0 + params.m_q * params.g
+    length = stretched_length(beta, params)
+    horizontal, vertical = thrust_components(beta, omega_c, params, length)
     T1 = vec3(horizontal, 0.0, vertical)
     T2 = vec3(-horizontal, 0.0, vertical)
+    offset = vec3(length * math.sin(beta), 0.0, length * math.cos(beta))
 
     spec = EquilibriumSpec(
         beta=beta,
         omega_C=float(omega_c),
-        F_bar=tension,
+        F_bar=tension_at_equilibrium(beta, params),
         T_bar_1=T1,
         T_bar_2=T2,
+        offset=offset,
         tilt=tilt_angle(beta, omega_c, params),
-        v_tangential=omega_c * params.ell * sin_b,
+        v_tangential=omega_c * params.ell * math.sin(beta),
     )
 
     origin = vec3(*payload_position)
-    offset = vec3(ell_stretched * sin_b, 0.0, ell_stretched * cos_b)
     x_1 = origin + offset
     x_2 = origin + vec3(-offset[0], 0.0, offset[2])
     # circular motion about the vertical axis: v = omega x r

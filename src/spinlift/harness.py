@@ -18,7 +18,7 @@ import numpy as np
 from . import equilibrium as eqm
 from .control import ControllerConfig, SpinProfile, control_step
 from .dynamics import IntegrationBlowupError, Trajectory, simulate
-from .lqr import LinearizationError, SynthesisError, synthesize
+from .lqr import LinearizationError, SynthesisError, gain_cache_key, synthesize
 from .model import SystemParams, SystemState, vec3
 from .svgplot import grouped_bar_chart, line_chart
 
@@ -145,9 +145,10 @@ def run_scenario(spec: ScenarioSpec, params: SystemParams, eta: float = 1.0,
 
     ``eta`` optionally rescales reported power (an overall powertrain
     efficiency factor for comparison against real hardware; the default 1.0
-    reports the bare aerodynamic model). ``gain_cache`` maps (beta, omega) to
-    a GainSet and is filled on demand, letting comparison grids reuse
-    synthesis work.
+    reports the bare aerodynamic model). ``gain_cache`` maps
+    :func:`spinlift.lqr.gain_cache_key` of (beta, omega, params) to the
+    operating point and its GainSet and is filled on demand, letting
+    comparison grids reuse synthesis work.
     """
     omega_target = spec.omega
     if omega_target is None:
@@ -163,7 +164,7 @@ def run_scenario(spec: ScenarioSpec, params: SystemParams, eta: float = 1.0,
     cache = gain_cache if gain_cache is not None else {}
 
     def operating_point(omega_value: float) -> tuple:
-        key = (spec.beta, omega_value)
+        key = gain_cache_key(spec.beta, omega_value, params)
         if key not in cache:
             eq_spec, eq_state, _ = eqm.build_equilibrium(spec.beta, omega_value, params)
             try:

@@ -7,29 +7,29 @@ The regulator model lives in the rotating control frame C with state
                                                    frame origin on the axis)
     u = [T_1, T_2]                      in R^6    (thrust vectors, C frame)
 
-Commanded thrust is applied directly (the actuation lag is an inner-loop
-detail excluded from the design model), and the tether spring is evaluated
-unclamped since it is taut in a neighborhood of the equilibrium. Earth-frame
-accelerations a_E are mapped into the frame rotating at constant omega via
+The earth-frame accelerations a_E come from the truth model's right-hand side
+(:mod:`spinlift.dynamics`) with three simplifications: commanded thrust is
+applied directly (the actuation lag is an inner-loop detail excluded from the
+design model), drag is left out, and the tether spring is evaluated unclamped
+since it is taut in a neighborhood of the equilibrium. They are mapped into
+the frame rotating at constant omega via
 
     a_C = a_E - 2 w x v_C - w x (w x x_C),        w = omega_C * z_hat.
 
 A and B come from central finite differences of this model; the gain solves
 the continuous-time LQR problem with position-only state weights
 Q_x = diag(5,5,5), Q_v = 0 per body and R = diag(1.2, 1.2, 1) per vehicle.
-The Riccati equation is solved by Newton iteration on Lyapunov equations,
-bootstrapped with a pole-shifted Lyapunov stabilizer when the open loop is
-not already Hurwitz.
+The Riccati equation is solved by scipy's Schur method (Arnold & Laub 1984).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
+from .dynamics import _make_rhs
 from .model import EquilibriumSpec, SystemParams, params_fingerprint
 
 __all__ = [
@@ -60,11 +60,7 @@ class LinearizationError(RuntimeError):
 
 
 class SynthesisError(RuntimeError):
-    """Riccati solve failed; carries the residual history."""
-
-    def __init__(self, message: str, residual_history=()):
-        super().__init__(message)
-        self.residual_history = list(residual_history)
+    """Riccati solve failed or its solution does not stabilize the loop."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,62 +85,39 @@ class GainSet:
     care_residual: float     # Frobenius norm of the Riccati defect
 
 
-def _cross_z(omega: float, v: np.ndarray) -> np.ndarray:
-    """w x v for w = omega * z_hat."""
-    return np.array([-omega * v[1], omega * v[0], 0.0])
-
-
-def c_frame_derivative(s: np.ndarray, u: np.ndarray, omega_c: float,
-                       params: SystemParams) -> np.ndarray:
-    """Control-frame dynamics of the 18-state design model.
+def _c_frame_model(params: SystemParams):
+    """Control-frame dynamics f(s, u, omega_c) of the 18-state design model.
 
     Evaluated at theta = 0 (frame axes aligned with E), which is general
     because the physics is invariant under rotation about the vertical axis.
     """
-    s = np.asarray(s, dtype=float)
-    u = np.asarray(u, dtype=float)
-    x_p, v_p = s[0:3], s[3:6]
-    x_1, v_1 = s[6:9], s[9:12]
-    x_2, v_2 = s[12:15], s[15:18]
+    rhs = _make_rhs(replace(params, drag_enabled=False), clamp_slack=False)
 
-    # earth-frame velocities of the same material points
-    ve_p = v_p + _cross_z(omega_c, x_p)
-    ve_1 = v_1 + _cross_z(omega_c, x_1)
-    ve_2 = v_2 + _cross_z(omega_c, x_2)
+    def f(s, u, omega_c: float) -> np.ndarray:
+        bodies = np.asarray(s, dtype=float).reshape(3, 2, 3)  # (p, 1, 2) x (x, v)
+        x_c, v_c = bodies[:, 0], bodies[:, 1]
+        W_t = np.array([[0.0, omega_c, 0.0], [-omega_c, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        v_e = v_c + x_c @ W_t  # earth-frame velocity v_C + w x x_C, one body per row
+        y = np.concatenate([np.stack([x_c, v_e], axis=1).ravel(),
+                            np.asarray(u, dtype=float), [0.0]])
+        a_e = np.reshape(rhs(y.tolist(), (0.0,) * 6, omega_c)[:18], (3, 2, 3))[:, 1]
+        a_c = a_e - 2.0 * v_c @ W_t - x_c @ W_t @ W_t
+        return np.stack([v_c, a_c], axis=1).ravel()
 
-    g_vec = np.array([0.0, 0.0, -params.g])
-    accel_e = []
-    tether_sum = np.zeros(3)
-    for x_i, ve_i, thrust in ((x_1, ve_1, u[0:3]), (x_2, ve_2, u[3:6])):
-        r = x_i - x_p
-        dist = float(np.linalg.norm(r))
-        r_hat = r / dist
-        rate = float(np.dot(ve_i - ve_p, r_hat))
-        force = params.k_T * (dist - params.ell) + params.c_T * rate
-        tether_sum += force * r_hat
-        accel_e.append((thrust - force * r_hat) / params.m_q + g_vec)
-    ap_e = g_vec + tether_sum / params.m_p
-
-    def to_frame(a_e, v_c, x_c):
-        return a_e - 2.0 * _cross_z(omega_c, v_c) - _cross_z(omega_c, _cross_z(omega_c, x_c))
-
-    out = np.empty(N_STATE)
-    out[0:3] = v_p
-    out[3:6] = to_frame(ap_e, v_p, x_p)
-    out[6:9] = v_1
-    out[9:12] = to_frame(accel_e[0], v_1, x_1)
-    out[12:15] = v_2
-    out[15:18] = to_frame(accel_e[1], v_2, x_2)
-    return out
+    return f
 
 
-def equilibrium_c_state(eq: EquilibriumSpec, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+def c_frame_derivative(s: np.ndarray, u: np.ndarray, omega_c: float,
+                       params: SystemParams) -> np.ndarray:
+    """Time derivative of the design-model state s under thrust pair u."""
+    return _c_frame_model(params)(s, u, omega_c)
+
+
+def equilibrium_c_state(eq: EquilibriumSpec) -> tuple[np.ndarray, np.ndarray]:
     """(s_bar, u_bar) for the operating point, payload at the frame origin."""
-    ell_s = params.ell + eq.F_bar / params.k_T
-    sin_b, cos_b = math.sin(eq.beta), math.cos(eq.beta)
     s_bar = np.zeros(N_STATE)
-    s_bar[6:9] = [ell_s * sin_b, 0.0, ell_s * cos_b]
-    s_bar[12:15] = [-ell_s * sin_b, 0.0, ell_s * cos_b]
+    s_bar[6:9] = eq.offset
+    s_bar[12:15] = eq.offset * (-1.0, 1.0, 1.0)  # mirror image across the y-z plane
     u_bar = np.concatenate([eq.T_bar_1, eq.T_bar_2])
     return s_bar, u_bar
 
@@ -156,9 +129,10 @@ def linearize(eq: EquilibriumSpec, params: SystemParams,
     Refuses to linearize if the supplied point is not a fixed point of the
     model (residual above 1e-6).
     """
-    s_bar, u_bar = equilibrium_c_state(eq, params)
+    s_bar, u_bar = equilibrium_c_state(eq)
     w = eq.omega_C
-    residual = float(np.linalg.norm(c_frame_derivative(s_bar, u_bar, w, params)))
+    f = _c_frame_model(params)
+    residual = float(np.linalg.norm(f(s_bar, u_bar, w)))
     if residual > _EQ_RESIDUAL_TOL:
         raise LinearizationError(
             f"operating point is not an equilibrium: derivative norm "
@@ -171,16 +145,14 @@ def linearize(eq: EquilibriumSpec, params: SystemParams,
         sm = s_bar.copy()
         sp[j] += h
         sm[j] -= h
-        A[:, j] = (c_frame_derivative(sp, u_bar, w, params)
-                   - c_frame_derivative(sm, u_bar, w, params)) / (2.0 * h)
+        A[:, j] = (f(sp, u_bar, w) - f(sm, u_bar, w)) / (2.0 * h)
     B = np.empty((N_STATE, N_INPUT))
     for j in range(N_INPUT):
         up = u_bar.copy()
         um = u_bar.copy()
         up[j] += h
         um[j] -= h
-        B[:, j] = (c_frame_derivative(s_bar, up, w, params)
-                   - c_frame_derivative(s_bar, um, w, params)) / (2.0 * h)
+        B[:, j] = (f(s_bar, up, w) - f(s_bar, um, w)) / (2.0 * h)
     return LinearModel(A=A, B=B, s_bar=s_bar, u_bar=u_bar)
 
 
@@ -195,83 +167,18 @@ def care_residual_norm(A, B, Q, R, P) -> float:
     return float(np.linalg.norm(defect, "fro"))
 
 
-def _bootstrap_gain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Stabilizing initial gain via the pole-shifted Lyapunov construction.
+def solve_care(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
+               R: np.ndarray) -> np.ndarray:
+    """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0, symmetrized.
 
-    For any sigma exceeding the negated leftmost eigenvalue real part of A,
-    the shifted Lyapunov equation (A + sigma I) Z + Z (A + sigma I)' = 2 B B'
-    has a PSD solution (positive definite when (A, B) is controllable), and
-    K0 = B' Z^-1 renders A - B K0 Hurwitz: substituting gives
-    (A - B K0) Z + Z (A - B K0)' = -2 sigma Z. The smallest admissible shift
-    is preferred because large shifts make Z numerically singular along
-    weakly actuated directions; the shift escalates if inversion fails.
+    Uses scipy's Schur method; a pair (A, B) that is not stabilizable, or
+    malformed input, raises :class:`SynthesisError`.
     """
-    n = A.shape[0]
-    min_real = float(np.min(np.real(np.linalg.eigvals(A))))
-    sigma0 = max(1.0, 1.05 * (-min_real) + 1.0)
-    candidates = [sigma0, 10.0 * sigma0, 100.0 * sigma0,
-                  float(np.linalg.norm(A, 2)) + 1.0]
-    for sigma in candidates:
-        shifted = A + sigma * np.eye(n)
-        Z = scipy.linalg.solve_continuous_lyapunov(shifted, 2.0 * B @ B.T)
-        Z = 0.5 * (Z + Z.T)
-        try:
-            K0 = np.linalg.solve(Z, B).T
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(K0)) and _spectral_abscissa(A - B @ K0) < 0.0:
-            return K0
-    raise SynthesisError(
-        "stabilizing bootstrap failed: (A, B) appears not to be stabilizable")
-
-
-def solve_care(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
-               tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
-    """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0.
-
-    Newton iteration: starting from a stabilizing gain, each step solves the
-    closed-loop Lyapunov equation
-
-        (A - B K_j)' P + P (A - B K_j) = -(Q + K_j' R K_j)
-
-    and updates K_{j+1} = R^-1 B' P, until the Riccati defect drops below
-    ``tol`` (Frobenius norm) or ``max_iter`` is exhausted. The tolerance is
-    floored at 1e-12 * ||Q||_F so heavily weighted problems whose rounding
-    floor sits above ``tol`` still terminate.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    n = A.shape[0]
-    if A.shape != (n, n) or B.shape[0] != n:
-        raise ValueError("A must be square and B row-compatible with A")
-
-    if _spectral_abscissa(A) < -1e-12:
-        K = np.zeros((B.shape[1], n))
-    else:
-        K = _bootstrap_gain(A, B)
-
-    tol = max(tol, 1e-12 * float(np.linalg.norm(Q, "fro")))
-    history: list[float] = []
-    P = np.zeros((n, n))
-    for _ in range(max_iter):
-        Acl = A - B @ K
-        rhs = -(Q + K.T @ R @ K)
-        P = scipy.linalg.solve_continuous_lyapunov(Acl.T, rhs)
-        P = 0.5 * (P + P.T)
-        K = np.linalg.solve(R, B.T @ P)
-        residual = care_residual_norm(A, B, Q, R, P)
-        history.append(residual)
-        if not math.isfinite(residual):
-            raise SynthesisError("Newton iteration diverged", history)
-        if residual < tol:
-            return P
-    raise SynthesisError(
-        f"Newton iteration did not reach residual {tol:g} in {max_iter} steps "
-        f"(last {history[-1]:.3e})", history)
+    try:
+        P = scipy.linalg.solve_continuous_are(A, B, Q, R)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SynthesisError(f"Riccati solve failed: {exc}") from exc
+    return 0.5 * (P + P.T)
 
 
 def default_weights(eps_velocity: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,6 @@ __all__ = [
     "load_params",
     "params_to_text",
     "params_fingerprint",
-    "DEFAULT_CONFIG_TEXT",
 ]
 
 
@@ -221,18 +220,17 @@ def params_fingerprint(params: SystemParams) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-DEFAULT_CONFIG_TEXT = params_to_text(SystemParams())
-
-
 @dataclass(frozen=True)
 class EquilibriumSpec:
     """One operating point: tether angle, spin rate, and derived quantities.
 
     ``T_bar_1``/``T_bar_2`` are the exact feedforward thrust vectors in the
     control frame (vehicle 1 on the +x side); they mirror each other across
-    the y-z plane. ``tilt`` is the thrust tilt from vertical of the ideal
-    rigid-tether force balance (positive = outward); ``v_tangential`` is the
-    vehicle speed along its circular path at rest tether length.
+    the y-z plane. ``offset`` is vehicle 1's position relative to the payload
+    at the stretched tether length (vehicle 2 mirrors it). ``tilt`` is the
+    thrust tilt from vertical of the ideal rigid-tether force balance
+    (positive = outward); ``v_tangential`` is the vehicle speed along its
+    circular path at rest tether length.
     """
 
     beta: float               # tether angle from vertical [rad]
@@ -240,12 +238,14 @@ class EquilibriumSpec:
     F_bar: float              # equilibrium tether tension [N]
     T_bar_1: np.ndarray       # feedforward thrust, vehicle 1, C frame [N]
     T_bar_2: np.ndarray       # feedforward thrust, vehicle 2, C frame [N]
+    offset: np.ndarray        # vehicle 1 minus payload position, C frame [m]
     tilt: float               # thrust tilt from vertical [rad]
     v_tangential: float       # omega_C * ell * sin(beta) [m/s]
 
     def __post_init__(self):
         object.__setattr__(self, "T_bar_1", _as_vec3(self.T_bar_1, "T_bar_1"))
         object.__setattr__(self, "T_bar_2", _as_vec3(self.T_bar_2, "T_bar_2"))
+        object.__setattr__(self, "offset", _as_vec3(self.offset, "offset"))
         if not 0.0 <= self.beta < math.pi / 2:
             raise ValueError(f"beta must be in [0, pi/2), got {self.beta}")
 

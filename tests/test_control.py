@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinlift.control import (ControllerConfig, SpinProfile, command_log_to_csv,
-                              control_step, make_controller, spin_profile)
+                              control_step)
 from spinlift.dynamics import simulate
 from spinlift.equilibrium import build_equilibrium, omega_star
 from spinlift.lqr import synthesize
@@ -49,20 +49,20 @@ def orbit_state(state0, w, t):
 class TestSpinProfile:
     def test_static_phase(self):
         prof = SpinProfile(omega_target=2.9, t_static=3.0, t_ramp_up=5.0, t_hover=40.0)
-        assert spin_profile(1.0, prof) == (0.0, 0.0)
+        assert (prof.omega(1.0), prof.theta(1.0)) == (0.0, 0.0)
 
     def test_ramp_midpoint(self):
         # oracle: theta = 0.5 * (2.9 / 5) * t^2 on the ramp
         prof = SpinProfile(omega_target=2.9, t_ramp_up=5.0, t_hover=40.0)
-        w, theta = spin_profile(2.5, prof)
+        w, theta = prof.omega(2.5), prof.theta(2.5)
         assert w == pytest.approx(1.45, rel=1e-12)
         assert theta == pytest.approx(0.5 * (2.9 / 5.0) * 2.5 ** 2, rel=1e-12)
         assert theta == pytest.approx(1.8125, rel=1e-12)
 
     def test_hover_advance(self):
         prof = SpinProfile(omega_target=2.9, t_ramp_up=5.0, t_hover=40.0)
-        _, theta_start = spin_profile(5.0, prof)
-        _, theta_end = spin_profile(45.0, prof)
+        theta_start = prof.theta(5.0)
+        theta_end = prof.theta(45.0)
         assert theta_end - theta_start == pytest.approx(116.0, rel=1e-12)
 
     def test_ramp_down_and_rest(self):
@@ -173,8 +173,8 @@ class TestControlStep:
 class TestClosedLoopPlumbing:
     def test_zero_order_hold_bit_identical(self):
         cfg, spec, state0, _ = make_cfg(45.0, spin=True, hover=100.0)
-        traj = simulate(state0, make_controller(cfg), cfg.profile.omega, P,
-                        duration=0.2, output_decimation=1)
+        traj = simulate(state0, lambda s: control_step(s, cfg, s.t),
+                        cfg.profile.omega, P, duration=0.2, output_decimation=1)
         steps_per_tick = int(round(1.0 / (P.f_ctrl * P.dt_physics)))
         for tick_start in range(1, len(traj) - steps_per_tick, steps_per_tick):
             block = traj.commands[tick_start:tick_start + steps_per_tick]
@@ -182,8 +182,8 @@ class TestClosedLoopPlumbing:
 
     def test_command_log_csv(self):
         cfg, spec, state0, _ = make_cfg(30.0, spin=False)
-        traj = simulate(state0, make_controller(cfg), cfg.profile.omega, P,
-                        duration=0.1)
+        traj = simulate(state0, lambda s: control_step(s, cfg, s.t),
+                        cfg.profile.omega, P, duration=0.1)
         csv = command_log_to_csv(traj, cfg.T_max)
         lines = csv.strip().split("\n")
         assert lines[0] == ("t,T_cmd_1_x,T_cmd_1_y,T_cmd_1_z,"
@@ -194,7 +194,7 @@ class TestClosedLoopPlumbing:
     def test_command_log_flags_saturation(self):
         cfg, spec, state0, _ = make_cfg(45.0, spin=False)
         far = state0.replace(x_p=state0.x_p + vec3(0, 0, -30.0))
-        traj = simulate(far, make_controller(cfg), cfg.profile.omega, P,
-                        duration=0.02)
+        traj = simulate(far, lambda s: control_step(s, cfg, s.t),
+                        cfg.profile.omega, P, duration=0.02)
         csv = command_log_to_csv(traj, cfg.T_max)
         assert csv.strip().split("\n")[1].endswith(",1")

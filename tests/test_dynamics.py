@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
 from spinlift.dynamics import (DegenerateGeometryError, IntegrationBlowupError,
-                               derivative, mechanical_energy, simulate, step,
+                               _make_rhs, mechanical_energy, simulate, step,
                                tether_force, tether_forces, trajectory_to_csv)
 from spinlift.equilibrium import build_equilibrium, omega_star
+from spinlift.lqr import c_frame_derivative
 from spinlift.model import ControlCommand, SystemParams, SystemState, vec3
 
 ORIGIN = vec3(0.0, 0.0, 1.5)
@@ -19,6 +22,13 @@ def zero_cmd():
     return ControlCommand(T_cmd_1=vec3(0, 0, 0), T_cmd_2=vec3(0, 0, 0))
 
 
+def rhs_at(state, cmd, omega_c, params):
+    """The integrator's right-hand side at one state, in the flat layout."""
+    rhs = _make_rhs(params, clamp_slack=True)
+    return np.asarray(rhs(state.as_vector().tolist(),
+                          tuple(cmd.as_vector().tolist()), omega_c))
+
+
 def slack_state(params, t=0.0):
     """Vehicles closer than the rest length on both sides: no tether force."""
     return SystemState(
@@ -27,6 +37,25 @@ def slack_state(params, t=0.0):
         x_2=ORIGIN + vec3(-0.3, 0.0, 0.4), v_2=vec3(0, 0, 0),
         T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0), theta=0.0, t=t,
     )
+
+
+@st.composite
+def near_formation_states(draw):
+    """States near the two-tether formation; each tether 2% slack to 1% taut,
+    bodies moving at up to 1 m/s, so every branch of the rope law occurs."""
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=3, max_size=3)))
+
+    x_p = ORIGIN + vec(-0.1, 0.1)
+    vehicles = []
+    for side in (1.0, -1.0):
+        direction = vec3(0.7 * side, 0.0, 0.7) + vec(-0.3, 0.3)
+        length = draw(st.floats(0.98, 1.01))  # rest length ell = 1 m
+        vehicles.append(x_p + length * direction / np.linalg.norm(direction))
+    return SystemState(x_p=x_p, v_p=vec(-1.0, 1.0),
+                       x_1=vehicles[0], v_1=vec(-1.0, 1.0),
+                       x_2=vehicles[1], v_2=vec(-1.0, 1.0),
+                       T_act_1=vec(-5.0, 20.0), T_act_2=vec(-5.0, 20.0))
 
 
 class TestTetherForce:
@@ -56,6 +85,41 @@ class TestTetherForce:
                                       clamp_slack=False)
         assert F_unclamped == pytest.approx(-0.01 * p.k_T, rel=1e-9)
 
+    def test_slack_rope_does_not_pull(self):
+        # 1 mm short of the rest length and extending at 0.5 m/s: the
+        # spring-damper sum is +3 N, but a slack rope carries no tension
+        p = SystemParams()
+        F, _ = tether_force(vec3(0, 0, 0.999), vec3(0, 0, 0.5),
+                            vec3(0, 0, 0), vec3(0, 0, 0), p)
+        assert F == 0.0
+        state = slack_state(p).replace(
+            x_1=ORIGIN + vec3(0, 0, 0.999), v_1=vec3(0, 0, 0.5),
+            x_2=ORIGIN + vec3(0, 0.999, 0), v_2=vec3(0, 0.5, 0))
+        assert_allclose(rhs_at(state, zero_cmd(), 0.0, p)[3:6], [0, 0, -p.g], atol=0)
+
+    @given(state=near_formation_states())
+    def test_rhs_copy_matches_tether_forces(self, state):
+        # the integrator's inline tether law, and the design model built on
+        # it, agree with tether_forces on taut and slack tethers alike
+        p = SystemParams()
+        g = vec3(0, 0, -p.g)
+
+        def accelerations(pair):
+            pull_1, pull_2 = pair.F_1 * pair.r_hat_1, pair.F_2 * pair.r_hat_2
+            return np.concatenate([(pull_1 + pull_2) / p.m_p + g,
+                                   (state.T_act_1 - pull_1) / p.m_q + g,
+                                   (state.T_act_2 - pull_2) / p.m_q + g])
+
+        accel = [3, 4, 5, 9, 10, 11, 15, 16, 17]
+        d = rhs_at(state, zero_cmd(), 0.0, p)
+        assert_allclose(d[accel], accelerations(tether_forces(state, p)),
+                        rtol=1e-12, atol=1e-12)
+        u = np.concatenate([state.T_act_1, state.T_act_2])
+        d_c = c_frame_derivative(state.as_vector()[:18], u, 0.0, p)
+        assert_allclose(d_c[accel],
+                        accelerations(tether_forces(state, p, clamp_slack=False)),
+                        rtol=1e-12, atol=1e-12)
+
     def test_damping_term(self):
         p = SystemParams()
         F, _ = tether_force(vec3(0, 0, 1.0), vec3(0, 0, 0.2),
@@ -82,8 +146,8 @@ class TestTetherForce:
 class TestDerivative:
     def test_free_fall(self):
         p = SystemParams()
-        d = derivative(slack_state(p), zero_cmd(), 0.0, p)
-        for accel in (d.d_v_p, d.d_v_1, d.d_v_2):
+        d = rhs_at(slack_state(p), zero_cmd(), 0.0, p)
+        for accel in (d[3:6], d[9:12], d[15:18]):
             assert_allclose(accel, [0, 0, -9.81], atol=1e-12)
 
     def test_rotating_equilibrium_is_balanced(self):
@@ -91,30 +155,30 @@ class TestDerivative:
         beta = math.radians(60)
         w = omega_star(beta, p)
         spec, state, cmd = build_equilibrium(beta, w, p)
-        d = derivative(state, cmd, w, p)
-        assert np.linalg.norm(d.d_v_p) < 1e-9
+        d = rhs_at(state, cmd, w, p)
+        assert np.linalg.norm(d[3:6]) < 1e-9
         # vehicles accelerate centripetally at the stretched radius
         ell_s = p.ell + spec.F_bar / p.k_T
-        a_mag = np.linalg.norm(d.d_v_1)
+        a_mag = np.linalg.norm(d[9:12])
         assert a_mag == pytest.approx(w * w * ell_s * math.sin(beta), rel=1e-9)
         # within half a percent of the rigid rest-length value 7.28 m/s^2
         assert a_mag == pytest.approx(w * w * p.ell * math.sin(beta), rel=5e-3)
-        direction = d.d_v_1 / a_mag
+        direction = d[9:12] / a_mag
         assert_allclose(direction, [-1.0, 0.0, 0.0], atol=1e-9)  # toward the axis
 
     def test_static_equilibrium_fixed_point(self):
         p = SystemParams()
         _, state, cmd = build_equilibrium(math.radians(60), 0.0, p)
-        d = derivative(state, cmd, 0.0, p)
-        for accel in (d.d_v_p, d.d_v_1, d.d_v_2):
+        d = rhs_at(state, cmd, 0.0, p)
+        for accel in (d[3:6], d[9:12], d[15:18]):
             assert np.linalg.norm(accel) < 1e-9
 
     def test_thrust_lag_rate(self):
         p = SystemParams()
         state = slack_state(p)
         cmd = ControlCommand(T_cmd_1=vec3(0, 0, 2.0), T_cmd_2=vec3(0, 0, 0))
-        d = derivative(state, cmd, 0.0, p)
-        assert_allclose(d.d_T_act_1, [0, 0, 2.0 / p.tau_att], rtol=1e-12)
+        d = rhs_at(state, cmd, 0.0, p)
+        assert_allclose(d[18:21], [0, 0, 2.0 / p.tau_att], rtol=1e-12)
 
     def test_internal_forces_cancel(self):
         # tether forces are internal: total force equals externals exactly
@@ -130,8 +194,8 @@ class TestDerivative:
             y[15:18] = rng.normal(0, 0.5, 3)
             y[18:24] = rng.normal(0, 2.0, 6)
             state = SystemState.from_vector(y)
-            d = derivative(state, zero_cmd(), 0.0, p)
-            total = p.m_p * d.d_v_p + p.m_q * (d.d_v_1 + d.d_v_2)
+            d = rhs_at(state, zero_cmd(), 0.0, p)
+            total = p.m_p * d[3:6] + p.m_q * (d[9:12] + d[15:18])
             external = (state.T_act_1 + state.T_act_2
                         + vec3(0, 0, -(p.m_p + 2 * p.m_q) * p.g))
             assert_allclose(total, external, atol=1e-12)
@@ -139,9 +203,9 @@ class TestDerivative:
     def test_drag_toggle(self):
         p = SystemParams(drag_enabled=True, c_d_quad=0.05, c_d_payload=0.02)
         state = slack_state(p).replace(v_p=vec3(2.0, 0, 0))
-        d = derivative(state, zero_cmd(), 0.0, p)
+        d = rhs_at(state, zero_cmd(), 0.0, p)
         expected = -0.02 * 2.0 * 2.0 / p.m_p
-        assert d.d_v_p[0] == pytest.approx(expected, rel=1e-12)
+        assert d[3] == pytest.approx(expected, rel=1e-12)
 
 
 class TestStep:

@@ -9,6 +9,7 @@ from spinlift.equilibrium import (omega_star, power, sweep_beta, sweep_omega,
 from spinlift.harness import (ScenarioSpec, compare_modes, comparison_svg,
                               comparison_to_csv, run_scenario, sweep_beta_svg,
                               sweep_omega_svg)
+from spinlift.lqr import gain_cache_key
 from spinlift.model import SystemParams
 from spinlift.svgplot import grouped_bar_chart, line_chart
 from spinlift.dynamics import trajectory_to_csv
@@ -96,11 +97,20 @@ class TestRunScenario:
         cache = {}
         run_scenario(short_spec("static", 30.0, hover=2.0, metering_window=1.0),
                      P, gain_cache=cache)
-        assert (DEG(30.0), 0.0) in cache
+        assert gain_cache_key(DEG(30.0), 0.0, P) in cache
         n_entries = len(cache)
         run_scenario(short_spec("static", 30.0, hover=2.0, metering_window=1.0),
                      P, gain_cache=cache)
         assert len(cache) == n_entries
+
+    def test_gain_cache_separates_parameter_sets(self):
+        spec = short_spec("static", 30.0, hover=2.0, metering_window=1.0)
+        heavy = SystemParams(m_p=0.7)
+        cache = {}
+        run_scenario(spec, P, gain_cache=cache)
+        shared = trajectory_to_csv(run_scenario(spec, heavy, gain_cache=cache)[0])
+        fresh = trajectory_to_csv(run_scenario(spec, heavy)[0])
+        assert shared == fresh
 
 
 @pytest.fixture(scope="module")

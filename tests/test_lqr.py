@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinlift.equilibrium import build_equilibrium, omega_star
@@ -119,7 +121,7 @@ class TestLinearize:
             beta = DEG(beta_deg)
             w = w_scale * omega_star(beta, P)
             spec, _, _ = build_equilibrium(beta, w, P)
-            s_bar, u_bar = equilibrium_c_state(spec, P)
+            s_bar, u_bar = equilibrium_c_state(spec)
             assert np.linalg.norm(c_frame_derivative(s_bar, u_bar, w, P)) < 1e-6
 
     def test_linearization_consistency_second_order(self):
@@ -199,6 +201,15 @@ class TestSynthesize:
         spec, _, _ = build_equilibrium(beta, omega_star(beta, P), P)
         g = synthesize(spec, P)
         assert np.linalg.norm(g.K @ Pi_s - Pi_u @ g.K) < 1e-8 * np.linalg.norm(g.K)
+
+    @given(beta_deg=st.floats(0.0, 89.0), spin=st.floats(0.0, 1.5))
+    def test_envelope_closed_loop_hurwitz(self, beta_deg, spin):
+        beta = DEG(beta_deg)
+        spec, _, _ = build_equilibrium(beta, spin * omega_star(beta, P), P)
+        g = synthesize(spec, P)
+        model = linearize(spec, P)
+        assert abscissa(model.A - model.B @ g.K) < 0.0
+        assert g.care_residual < 1e-8
 
     def test_velocity_weight_regularization_option(self):
         spec, _, _ = build_equilibrium(DEG(30), 0.0, P)
