@@ -12,15 +12,22 @@ Earth-frame equations of motion:
 
 r_i points from the payload to vehicle i. Integration happens in the inertial
 frame; the rotating control frame only appears in the controller and the
-linearized model. The inner loop works on plain float lists for speed (the
-comparison harness integrates ~1e6 RK4 steps per run set).
+linearized model.
+
+The comparison harness integrates ~1e6 RK4 steps per run set, so the hot path
+is scalar Python: one acceleration closure over the state's float scalars,
+and a stepper that integrates a whole segment between control ticks and
+stored samples with every RK4 stage held in local variables (see
+:func:`_make_rhs`). :func:`simulate` stores states and commands as it goes
+and fills the tether-tension column afterwards, with one array evaluation of
+:func:`tether_force` over all samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -65,26 +72,33 @@ class TetherForces:
 
 
 def tether_force(x_i, v_i, x_p, v_p, params: SystemParams,
-                 clamp_slack: bool = True) -> tuple[float, np.ndarray]:
+                 clamp_slack: bool = True) -> tuple[float | np.ndarray, np.ndarray]:
     """Tension magnitude and unit vector (payload -> vehicle) for one tether.
 
     Returns ``(F, r_hat)`` with F = k_T*(|r| - ell) + c_T * d|r|/dt, where the
     length rate is the relative velocity projected on r_hat. With slack
     clamping the rope is unilateral: no force while |r| < ell, and the total
     force is floored at zero.
+
+    The inputs may be stacks of 3-vectors, shape ``(..., 3)``: F then has
+    shape ``(...)`` and r_hat ``(..., 3)``. For single ``(3,)`` vectors F is a
+    Python float.
     """
-    x_i = np.asarray(x_i, dtype=float)
     x_p = np.asarray(x_p, dtype=float)
-    r = x_i - x_p
-    dist = float(np.linalg.norm(r))
-    if dist < _COINCIDENT_TOL:
+    r = np.asarray(x_i, dtype=float) - x_p
+    dist = np.linalg.norm(r, axis=-1)
+    if np.any(dist < _COINCIDENT_TOL):
         raise DegenerateGeometryError(
-            f"vehicle and payload positions coincide (separation {dist:.3e} m)")
-    r_hat = r / dist
-    length_rate = float(np.dot(np.asarray(v_i, dtype=float) - np.asarray(v_p, dtype=float), r_hat))
+            "vehicle and payload positions coincide "
+            f"(separation {np.min(dist):.3e} m)")
+    r_hat = r / dist[..., np.newaxis]
+    rel_v = np.asarray(v_i, dtype=float) - np.asarray(v_p, dtype=float)
+    length_rate = np.sum(rel_v * r_hat, axis=-1)
     force = params.k_T * (dist - params.ell) + params.c_T * length_rate
-    if clamp_slack and (dist < params.ell or force < 0.0):
-        force = 0.0
+    if clamp_slack:
+        force = np.where((dist < params.ell) | (force < 0.0), 0.0, force)
+    if np.ndim(force) == 0:
+        return float(force), r_hat
     return force, r_hat
 
 
@@ -99,32 +113,46 @@ def tether_forces(state: SystemState, params: SystemParams,
 
 
 def _make_rhs(params: SystemParams, clamp_slack: bool):
-    """Build the scalarized right-hand side over flat 25-element float lists.
+    """Build ``(rhs, advance)``, the scalarized model and its RK4 stepper.
 
-    Closure captures parameters as local floats; this is the integrator's hot
-    path and avoids small-array overhead on purpose. For the same reason it
-    writes the tether law of :func:`tether_force` inline instead of calling a
-    shared helper; a property test keeps the two in agreement.
+    Both rest on one acceleration closure over the 24 physical state scalars
+    (positions, velocities, actual thrusts) that returns the nine body
+    accelerations. It captures the parameters as local floats and writes the
+    tether law of :func:`tether_force` inline instead of calling a shared
+    helper, because it runs four times per physics step; a property test
+    keeps the two copies in agreement.
+
+    * ``rhs(y, u, omega_c)`` is the full 25-element derivative over a flat
+      float list, for the design model and the tests.
+    * ``advance(y, u, omega_profile, t0, i_first, n, dt)`` integrates physics
+      steps ``i_first .. i_first + n - 1`` of a run starting at ``t0`` under
+      the held command ``u``, with omega_C sampled at each step midpoint. The
+      RK4 stages live in local variables and a list is built only on return;
+      the float operations are those of a textbook RK4 over ``rhs``, in the
+      same order. Raises :class:`IntegrationBlowupError` with the time of the
+      first step whose result is not finite.
+
+    The tension column of a :class:`Trajectory` is not taken from here:
+    :func:`simulate` evaluates :func:`tether_force` once over all samples
+    after the run.
     """
-    m_q = params.m_q
-    m_p = params.m_p
     ell = params.ell
     g = params.g
     k_T = params.k_T
     c_T = params.c_T
     inv_tau = 1.0 / params.tau_att
+    inv_mq = 1.0 / params.m_q
+    inv_mp = 1.0 / params.m_p
     drag = params.drag_enabled
     c_dq = params.c_d_quad
     c_dp = params.c_d_payload
     sqrt = math.sqrt
+    isfinite = math.isfinite
 
-    def rhs(y: list, u: tuple, omega_c: float) -> list:
-        (xpx, xpy, xpz, vpx, vpy, vpz,
-         x1x, x1y, x1z, v1x, v1y, v1z,
-         x2x, x2y, x2z, v2x, v2y, v2z,
-         a1x_t, a1y_t, a1z_t, a2x_t, a2y_t, a2z_t, _theta) = y
-        u1x, u1y, u1z, u2x, u2y, u2z = u
-
+    def accel(xpx, xpy, xpz, vpx, vpy, vpz,
+              x1x, x1y, x1z, v1x, v1y, v1z,
+              x2x, x2y, x2z, v2x, v2y, v2z,
+              T1x, T1y, T1z, T2x, T2y, T2z):
         # tether 1
         r1x = x1x - xpx
         r1y = x1y - xpy
@@ -167,43 +195,134 @@ def _make_rhs(params: SystemParams, clamp_slack: bool):
         else:
             fd1x = fd1y = fd1z = fd2x = fd2y = fd2z = fdpx = fdpy = fdpz = 0.0
 
-        inv_mq = 1.0 / m_q
-        inv_mp = 1.0 / m_p
-        return [
-            vpx, vpy, vpz,
-            (fdpx + F1 * h1x + F2 * h2x) * inv_mp,
-            (fdpy + F1 * h1y + F2 * h2y) * inv_mp,
-            (fdpz + F1 * h1z + F2 * h2z) * inv_mp - g,
-            v1x, v1y, v1z,
-            (a1x_t + fd1x - F1 * h1x) * inv_mq,
-            (a1y_t + fd1y - F1 * h1y) * inv_mq,
-            (a1z_t + fd1z - F1 * h1z) * inv_mq - g,
-            v2x, v2y, v2z,
-            (a2x_t + fd2x - F2 * h2x) * inv_mq,
-            (a2y_t + fd2y - F2 * h2y) * inv_mq,
-            (a2z_t + fd2z - F2 * h2z) * inv_mq - g,
-            (u1x - a1x_t) * inv_tau,
-            (u1y - a1y_t) * inv_tau,
-            (u1z - a1z_t) * inv_tau,
-            (u2x - a2x_t) * inv_tau,
-            (u2y - a2y_t) * inv_tau,
-            (u2z - a2z_t) * inv_tau,
-            omega_c,
-        ]
+        return ((fdpx + F1 * h1x + F2 * h2x) * inv_mp,
+                (fdpy + F1 * h1y + F2 * h2y) * inv_mp,
+                (fdpz + F1 * h1z + F2 * h2z) * inv_mp - g,
+                (T1x + fd1x - F1 * h1x) * inv_mq,
+                (T1y + fd1y - F1 * h1y) * inv_mq,
+                (T1z + fd1z - F1 * h1z) * inv_mq - g,
+                (T2x + fd2x - F2 * h2x) * inv_mq,
+                (T2y + fd2y - F2 * h2y) * inv_mq,
+                (T2z + fd2z - F2 * h2z) * inv_mq - g)
 
-    return rhs
+    def rhs(y: list, u: tuple, omega_c: float) -> list:
+        (xpx, xpy, xpz, vpx, vpy, vpz,
+         x1x, x1y, x1z, v1x, v1y, v1z,
+         x2x, x2y, x2z, v2x, v2y, v2z,
+         T1x, T1y, T1z, T2x, T2y, T2z, _theta) = y
+        u1x, u1y, u1z, u2x, u2y, u2z = u
+        apx, apy, apz, a1x, a1y, a1z, a2x, a2y, a2z = accel(
+            xpx, xpy, xpz, vpx, vpy, vpz, x1x, x1y, x1z, v1x, v1y, v1z,
+            x2x, x2y, x2z, v2x, v2y, v2z, T1x, T1y, T1z, T2x, T2y, T2z)
+        return [vpx, vpy, vpz, apx, apy, apz, v1x, v1y, v1z, a1x, a1y, a1z,
+                v2x, v2y, v2z, a2x, a2y, a2z,
+                (u1x - T1x) * inv_tau, (u1y - T1y) * inv_tau, (u1z - T1z) * inv_tau,
+                (u2x - T2x) * inv_tau, (u2y - T2y) * inv_tau, (u2z - T2z) * inv_tau,
+                omega_c]
 
+    def advance(y: list, u: tuple, omega_profile: Callable[[float], float],
+                t0: float, i_first: int, n: int, dt: float) -> list:
+        # Names: a body-axis suffix (px = payload x, 1y = vehicle 1 y, ...)
+        # and, after an underscore, the RK4 stage. Stage k evaluates the
+        # derivative at y + c_k * dt * (stage k-1 derivative); positions step
+        # with the stage velocities v*_k, velocities with the accelerations
+        # a*_k, actual thrusts with the lag rates r*_k.
+        (xpx, xpy, xpz, vpx, vpy, vpz,
+         x1x, x1y, x1z, v1x, v1y, v1z,
+         x2x, x2y, x2z, v2x, v2y, v2z,
+         T1x, T1y, T1z, T2x, T2y, T2z, th) = y
+        u1x, u1y, u1z, u2x, u2y, u2z = u
+        half = 0.5 * dt
+        sixth = dt / 6.0
+        for i in range(i_first, i_first + n):
+            w = float(omega_profile(t0 + (i + 0.5) * dt))
 
-def _rk4(rhs, y: list, u: tuple, omega_c: float, dt: float) -> list:
-    """One classical RK4 step with omega_C held constant over the step."""
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    k1 = rhs(y, u, omega_c)
-    k2 = rhs([a + half * b for a, b in zip(y, k1)], u, omega_c)
-    k3 = rhs([a + half * b for a, b in zip(y, k2)], u, omega_c)
-    k4 = rhs([a + dt * b for a, b in zip(y, k3)], u, omega_c)
-    return [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            apx_1, apy_1, apz_1, a1x_1, a1y_1, a1z_1, a2x_1, a2y_1, a2z_1 = accel(
+                xpx, xpy, xpz, vpx, vpy, vpz, x1x, x1y, x1z, v1x, v1y, v1z,
+                x2x, x2y, x2z, v2x, v2y, v2z, T1x, T1y, T1z, T2x, T2y, T2z)
+            r1x_1, r1y_1, r1z_1 = ((u1x - T1x) * inv_tau, (u1y - T1y) * inv_tau,
+                                   (u1z - T1z) * inv_tau)
+            r2x_1, r2y_1, r2z_1 = ((u2x - T2x) * inv_tau, (u2y - T2y) * inv_tau,
+                                   (u2z - T2z) * inv_tau)
+
+            vpx_2, vpy_2, vpz_2 = vpx + half * apx_1, vpy + half * apy_1, vpz + half * apz_1
+            v1x_2, v1y_2, v1z_2 = v1x + half * a1x_1, v1y + half * a1y_1, v1z + half * a1z_1
+            v2x_2, v2y_2, v2z_2 = v2x + half * a2x_1, v2y + half * a2y_1, v2z + half * a2z_1
+            T1x_2, T1y_2, T1z_2 = T1x + half * r1x_1, T1y + half * r1y_1, T1z + half * r1z_1
+            T2x_2, T2y_2, T2z_2 = T2x + half * r2x_1, T2y + half * r2y_1, T2z + half * r2z_1
+            apx_2, apy_2, apz_2, a1x_2, a1y_2, a1z_2, a2x_2, a2y_2, a2z_2 = accel(
+                xpx + half * vpx, xpy + half * vpy, xpz + half * vpz, vpx_2, vpy_2, vpz_2,
+                x1x + half * v1x, x1y + half * v1y, x1z + half * v1z, v1x_2, v1y_2, v1z_2,
+                x2x + half * v2x, x2y + half * v2y, x2z + half * v2z, v2x_2, v2y_2, v2z_2,
+                T1x_2, T1y_2, T1z_2, T2x_2, T2y_2, T2z_2)
+            r1x_2, r1y_2, r1z_2 = ((u1x - T1x_2) * inv_tau, (u1y - T1y_2) * inv_tau,
+                                   (u1z - T1z_2) * inv_tau)
+            r2x_2, r2y_2, r2z_2 = ((u2x - T2x_2) * inv_tau, (u2y - T2y_2) * inv_tau,
+                                   (u2z - T2z_2) * inv_tau)
+
+            vpx_3, vpy_3, vpz_3 = vpx + half * apx_2, vpy + half * apy_2, vpz + half * apz_2
+            v1x_3, v1y_3, v1z_3 = v1x + half * a1x_2, v1y + half * a1y_2, v1z + half * a1z_2
+            v2x_3, v2y_3, v2z_3 = v2x + half * a2x_2, v2y + half * a2y_2, v2z + half * a2z_2
+            T1x_3, T1y_3, T1z_3 = T1x + half * r1x_2, T1y + half * r1y_2, T1z + half * r1z_2
+            T2x_3, T2y_3, T2z_3 = T2x + half * r2x_2, T2y + half * r2y_2, T2z + half * r2z_2
+            apx_3, apy_3, apz_3, a1x_3, a1y_3, a1z_3, a2x_3, a2y_3, a2z_3 = accel(
+                xpx + half * vpx_2, xpy + half * vpy_2, xpz + half * vpz_2, vpx_3, vpy_3, vpz_3,
+                x1x + half * v1x_2, x1y + half * v1y_2, x1z + half * v1z_2, v1x_3, v1y_3, v1z_3,
+                x2x + half * v2x_2, x2y + half * v2y_2, x2z + half * v2z_2, v2x_3, v2y_3, v2z_3,
+                T1x_3, T1y_3, T1z_3, T2x_3, T2y_3, T2z_3)
+            r1x_3, r1y_3, r1z_3 = ((u1x - T1x_3) * inv_tau, (u1y - T1y_3) * inv_tau,
+                                   (u1z - T1z_3) * inv_tau)
+            r2x_3, r2y_3, r2z_3 = ((u2x - T2x_3) * inv_tau, (u2y - T2y_3) * inv_tau,
+                                   (u2z - T2z_3) * inv_tau)
+
+            vpx_4, vpy_4, vpz_4 = vpx + dt * apx_3, vpy + dt * apy_3, vpz + dt * apz_3
+            v1x_4, v1y_4, v1z_4 = v1x + dt * a1x_3, v1y + dt * a1y_3, v1z + dt * a1z_3
+            v2x_4, v2y_4, v2z_4 = v2x + dt * a2x_3, v2y + dt * a2y_3, v2z + dt * a2z_3
+            T1x_4, T1y_4, T1z_4 = T1x + dt * r1x_3, T1y + dt * r1y_3, T1z + dt * r1z_3
+            T2x_4, T2y_4, T2z_4 = T2x + dt * r2x_3, T2y + dt * r2y_3, T2z + dt * r2z_3
+            apx_4, apy_4, apz_4, a1x_4, a1y_4, a1z_4, a2x_4, a2y_4, a2z_4 = accel(
+                xpx + dt * vpx_3, xpy + dt * vpy_3, xpz + dt * vpz_3, vpx_4, vpy_4, vpz_4,
+                x1x + dt * v1x_3, x1y + dt * v1y_3, x1z + dt * v1z_3, v1x_4, v1y_4, v1z_4,
+                x2x + dt * v2x_3, x2y + dt * v2y_3, x2z + dt * v2z_3, v2x_4, v2y_4, v2z_4,
+                T1x_4, T1y_4, T1z_4, T2x_4, T2y_4, T2z_4)
+
+            # y + dt/6 * (k1 + 2 (k2 + k3) + k4); positions first, while
+            # vpx.. still hold the stage-1 velocities
+            xpx += sixth * (vpx + 2.0 * (vpx_2 + vpx_3) + vpx_4)
+            xpy += sixth * (vpy + 2.0 * (vpy_2 + vpy_3) + vpy_4)
+            xpz += sixth * (vpz + 2.0 * (vpz_2 + vpz_3) + vpz_4)
+            x1x += sixth * (v1x + 2.0 * (v1x_2 + v1x_3) + v1x_4)
+            x1y += sixth * (v1y + 2.0 * (v1y_2 + v1y_3) + v1y_4)
+            x1z += sixth * (v1z + 2.0 * (v1z_2 + v1z_3) + v1z_4)
+            x2x += sixth * (v2x + 2.0 * (v2x_2 + v2x_3) + v2x_4)
+            x2y += sixth * (v2y + 2.0 * (v2y_2 + v2y_3) + v2y_4)
+            x2z += sixth * (v2z + 2.0 * (v2z_2 + v2z_3) + v2z_4)
+            vpx += sixth * (apx_1 + 2.0 * (apx_2 + apx_3) + apx_4)
+            vpy += sixth * (apy_1 + 2.0 * (apy_2 + apy_3) + apy_4)
+            vpz += sixth * (apz_1 + 2.0 * (apz_2 + apz_3) + apz_4)
+            v1x += sixth * (a1x_1 + 2.0 * (a1x_2 + a1x_3) + a1x_4)
+            v1y += sixth * (a1y_1 + 2.0 * (a1y_2 + a1y_3) + a1y_4)
+            v1z += sixth * (a1z_1 + 2.0 * (a1z_2 + a1z_3) + a1z_4)
+            v2x += sixth * (a2x_1 + 2.0 * (a2x_2 + a2x_3) + a2x_4)
+            v2y += sixth * (a2y_1 + 2.0 * (a2y_2 + a2y_3) + a2y_4)
+            v2z += sixth * (a2z_1 + 2.0 * (a2z_2 + a2z_3) + a2z_4)
+            T1x += sixth * (r1x_1 + 2.0 * (r1x_2 + r1x_3) + (u1x - T1x_4) * inv_tau)
+            T1y += sixth * (r1y_1 + 2.0 * (r1y_2 + r1y_3) + (u1y - T1y_4) * inv_tau)
+            T1z += sixth * (r1z_1 + 2.0 * (r1z_2 + r1z_3) + (u1z - T1z_4) * inv_tau)
+            T2x += sixth * (r2x_1 + 2.0 * (r2x_2 + r2x_3) + (u2x - T2x_4) * inv_tau)
+            T2y += sixth * (r2y_1 + 2.0 * (r2y_2 + r2y_3) + (u2y - T2y_4) * inv_tau)
+            T2z += sixth * (r2z_1 + 2.0 * (r2z_2 + r2z_3) + (u2z - T2z_4) * inv_tau)
+            th += sixth * (w + 2.0 * (w + w) + w)
+
+            if not isfinite(sum((xpx, xpy, xpz, vpx, vpy, vpz,
+                                 x1x, x1y, x1z, v1x, v1y, v1z,
+                                 x2x, x2y, x2z, v2x, v2y, v2z,
+                                 T1x, T1y, T1z, T2x, T2y, T2z, th))):
+                raise IntegrationBlowupError(t0 + (i + 1) * dt)
+        return [xpx, xpy, xpz, vpx, vpy, vpz, x1x, x1y, x1z, v1x, v1y, v1z,
+                x2x, x2y, x2z, v2x, v2y, v2z, T1x, T1y, T1z, T2x, T2y, T2z, th]
+
+    return rhs, advance
 
 
 def step(state: SystemState, cmd: ControlCommand, omega_c: float,
@@ -214,11 +333,10 @@ def step(state: SystemState, cmd: ControlCommand, omega_c: float,
     if not dt < params.dt_stability_limit:
         raise ValueError(
             f"dt={dt} exceeds the stability guard {params.dt_stability_limit:.6g} s")
-    rhs = _make_rhs(params, clamp_slack)
-    y = _rk4(rhs, state.as_vector().tolist(), tuple(cmd.as_vector().tolist()),
-             float(omega_c), dt)
-    if not math.isfinite(sum(y)):
-        raise IntegrationBlowupError(state.t + dt)
+    _, advance = _make_rhs(params, clamp_slack)
+    omega_c = float(omega_c)
+    y = advance(state.as_vector().tolist(), tuple(cmd.as_vector().tolist()),
+                lambda t: omega_c, state.t, 0, 1, dt)
     return SystemState.from_vector(y, t=state.t + dt)
 
 
@@ -308,47 +426,41 @@ def simulate(initial: SystemState,
     if dec < 1:
         raise ValueError("output_decimation must be >= 1")
 
-    rhs = _make_rhs(params, clamp_slack)
+    _, advance = _make_rhs(params, clamp_slack)
     n_samples = n_steps // dec + 1
     t_out = np.empty(n_samples)
     states_out = np.empty((n_samples, STATE_DIM))
     commands_out = np.empty((n_samples, 6))
-    tether_out = np.empty((n_samples, 2))
 
     y = initial.as_vector().tolist()
     t0 = initial.t
-    u: tuple = (0.0,) * 6
-    sample = 0
 
-    def record(idx_sample: int, i_step: int):
-        t_out[idx_sample] = t0 + i_step * dt
-        states_out[idx_sample] = y
-        commands_out[idx_sample] = u
-        tether_out[idx_sample] = _tether_pair(y, params, clamp_slack)
+    def record(i_step: int):
+        t_out[i_step // dec] = t0 + i_step * dt
+        states_out[i_step // dec] = y
+        commands_out[i_step // dec] = u
 
-    for i in range(n_steps):
+    i = 0
+    while i < n_steps:
         if i % steps_per_tick == 0:
-            state = SystemState.from_vector(y, t=t0 + i * dt)
-            cmd = controller(state)
+            cmd = controller(SystemState.from_vector(y, t=t0 + i * dt))
             u = tuple(cmd.as_vector().tolist())
-        if i == 0:
-            record(0, 0)
-            sample = 1
-        t_mid = t0 + (i + 0.5) * dt
-        y = _rk4(rhs, y, u, float(omega_profile(t_mid)), dt)
-        if not math.isfinite(sum(y)):
-            raise IntegrationBlowupError(t0 + (i + 1) * dt)
-        if (i + 1) % dec == 0:
-            record(sample, i + 1)
-            sample += 1
+            if i == 0:
+                record(0)
+        # integrate up to the next control tick or stored sample
+        stop = min(n_steps, (i // steps_per_tick + 1) * steps_per_tick, (i // dec + 1) * dec)
+        y = advance(y, u, omega_profile, t0, i, stop - i, dt)
+        i = stop
+        if i % dec == 0:
+            record(i)
 
-    return Trajectory(t=t_out[:sample], states=states_out[:sample],
-                      commands=commands_out[:sample], tether=tether_out[:sample])
-
-
-def _tether_pair(y: Sequence[float], params: SystemParams, clamp_slack: bool) -> tuple[float, float]:
-    pair = tether_forces(SystemState.from_vector(np.asarray(y)), params, clamp_slack)
-    return pair.F_1, pair.F_2
+    x_p, v_p = states_out[:, 0:3], states_out[:, 3:6]
+    F_1, _ = tether_force(states_out[:, 6:9], states_out[:, 9:12], x_p, v_p,
+                          params, clamp_slack)
+    F_2, _ = tether_force(states_out[:, 12:15], states_out[:, 15:18], x_p, v_p,
+                          params, clamp_slack)
+    return Trajectory(t=t_out, states=states_out, commands=commands_out,
+                      tether=np.column_stack([F_1, F_2]))
 
 
 def mechanical_energy(state: SystemState, params: SystemParams) -> dict:

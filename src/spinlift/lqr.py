@@ -91,7 +91,7 @@ def _c_frame_model(params: SystemParams):
     Evaluated at theta = 0 (frame axes aligned with E), which is general
     because the physics is invariant under rotation about the vertical axis.
     """
-    rhs = _make_rhs(replace(params, drag_enabled=False), clamp_slack=False)
+    rhs, _ = _make_rhs(replace(params, drag_enabled=False), clamp_slack=False)
 
     def f(s, u, omega_c: float) -> np.ndarray:
         bodies = np.asarray(s, dtype=float).reshape(3, 2, 3)  # (p, 1, 2) x (x, v)

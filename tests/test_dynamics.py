@@ -24,7 +24,7 @@ def zero_cmd():
 
 def rhs_at(state, cmd, omega_c, params):
     """The integrator's right-hand side at one state, in the flat layout."""
-    rhs = _make_rhs(params, clamp_slack=True)
+    rhs, _ = _make_rhs(params, clamp_slack=True)
     return np.asarray(rhs(state.as_vector().tolist(),
                           tuple(cmd.as_vector().tolist()), omega_c))
 
@@ -56,6 +56,44 @@ def near_formation_states(draw):
                        x_1=vehicles[0], v_1=vec(-1.0, 1.0),
                        x_2=vehicles[1], v_2=vec(-1.0, 1.0),
                        T_act_1=vec(-5.0, 20.0), T_act_2=vec(-5.0, 20.0))
+
+
+def rk4_reference(rhs, y, u, omega_c, dt):
+    """Textbook RK4 over the flat right-hand side, omega_C held over the step:
+    the arithmetic the fused stepper in simulate must reproduce bit for bit."""
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    k1 = rhs(y, u, omega_c)
+    k2 = rhs([a + half * b for a, b in zip(y, k1)], u, omega_c)
+    k3 = rhs([a + half * b for a, b in zip(y, k2)], u, omega_c)
+    k4 = rhs([a + dt * b for a, b in zip(y, k3)], u, omega_c)
+    return [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+def reference_simulate(initial, controller, omega_profile, params, duration,
+                       clamp_slack=True):
+    """simulate's closed loop taken one reference RK4 step at a time. Returns
+    the time, state and held command after every step (row 0: the start)."""
+    rhs, _ = _make_rhs(params, clamp_slack)
+    dt = params.dt_physics
+    hold = round(1.0 / (params.f_ctrl * dt))
+    t0 = initial.t
+    y = initial.as_vector().tolist()
+    t, states, commands = [t0], [y], []
+    for i in range(round(duration / dt)):
+        if i % hold == 0:
+            cmd = controller(SystemState.from_vector(y, t=t0 + i * dt))
+            u = tuple(cmd.as_vector().tolist())
+            if i == 0:
+                commands.append(u)
+        y = rk4_reference(rhs, y, u, float(omega_profile(t0 + (i + 0.5) * dt)), dt)
+        if not math.isfinite(sum(y)):
+            raise IntegrationBlowupError(t0 + (i + 1) * dt)
+        t.append(t0 + (i + 1) * dt)
+        states.append(y)
+        commands.append(u)
+    return np.array(t), np.array(states), np.array(commands)
 
 
 class TestTetherForce:
@@ -119,6 +157,27 @@ class TestTetherForce:
         assert_allclose(d_c[accel],
                         accelerations(tether_forces(state, p, clamp_slack=False)),
                         rtol=1e-12, atol=1e-12)
+
+    def test_stacked_vectors(self):
+        # (3,) input keeps the scalar contract; (n, 3) gives one force per row
+        p = SystemParams()
+        F, r_hat = tether_force(vec3(0, 0, 1.001), vec3(0, 0, 0),
+                                vec3(0, 0, 0), vec3(0, 0, 0), p)
+        assert type(F) is float
+        assert r_hat.shape == (3,)
+        x_i = np.array([[0, 0, 1.001], [0, 0, 0.9], [0, 1.002, 0]])
+        v_i = np.array([[0, 0, 0], [0, 0, 0], [0, 0.1, 0]])
+        F, r_hat = tether_force(x_i, v_i, np.zeros(3), np.zeros(3), p)
+        assert F.shape == (3,) and r_hat.shape == (3, 3)
+        for row in range(3):
+            F_row, r_row = tether_force(x_i[row], v_i[row], vec3(0, 0, 0),
+                                        vec3(0, 0, 0), p)
+            assert F[row] == pytest.approx(F_row, rel=1e-15)
+            assert_allclose(r_hat[row], r_row, rtol=1e-15)
+        assert F[1] == 0.0
+        x_i[2] = 0.0
+        with pytest.raises(DegenerateGeometryError):
+            tether_force(x_i, v_i, np.zeros(3), np.zeros(3), p)
 
     def test_damping_term(self):
         p = SystemParams()
@@ -360,6 +419,68 @@ class TestSimulate:
         defect = (energies[-1] - energies[0]) - work
         scale = max(abs(energies[0]), 1.0)
         assert abs(defect) < 1e-6 * scale
+
+    @given(state=near_formation_states(),
+           thrusts=st.lists(st.lists(st.floats(-5.0, 20.0), min_size=6, max_size=6),
+                            min_size=4, max_size=4),
+           w=st.floats(0.0, 4.0), drag=st.booleans(), clamp_slack=st.booleans())
+    def test_matches_reference_integrator(self, state, thrusts, w, drag, clamp_slack):
+        # 62 steps at 20 steps per hold: three command changes, and a
+        # decimation of 7 that puts stored samples inside holds
+        p = SystemParams(f_ctrl=100.0, drag_enabled=drag)
+        commands = [ControlCommand(T_cmd_1=np.array(c[:3]), T_cmd_2=np.array(c[3:]))
+                    for c in thrusts]
+
+        def controller(s):
+            return commands[round(s.t * p.f_ctrl)]
+
+        def profile(t):
+            return w * (1.0 + 10.0 * t)
+
+        t, states, cmds = reference_simulate(state, controller, profile, p, 0.031,
+                                             clamp_slack)
+        for dec in (1, 7, 20):
+            traj = simulate(state, controller, profile, p, 0.031,
+                            output_decimation=dec, clamp_slack=clamp_slack)
+            assert np.array_equal(traj.t, t[::dec])
+            assert np.array_equal(traj.states, states[::dec])
+            assert np.array_equal(traj.commands, cmds[::dec])
+
+    @pytest.mark.parametrize("thrust", [1e300, 1e160])
+    def test_blowup_time_matches_reference(self, thrust):
+        # the bomb is issued at the 0.04 s tick; 1e300 N blows up in the
+        # next step, 1e160 N fourteen steps later, both inside the hold
+        p = SystemParams()
+        _, state, cmd = build_equilibrium(0.5, 0.0, p)
+        bomb = ControlCommand(T_cmd_1=vec3(0, 0, thrust), T_cmd_2=vec3(0, 0, 0))
+
+        def controller(s):
+            return bomb if s.t >= 0.03 else cmd
+
+        with pytest.raises(IntegrationBlowupError) as expected:
+            reference_simulate(state, controller, lambda t: 0.0, p, 0.2)
+        with pytest.raises(IntegrationBlowupError) as excinfo:
+            simulate(state, controller, lambda t: 0.0, p, 0.2, output_decimation=7)
+        assert excinfo.value.t == expected.value.t
+        ticks = expected.value.t * p.f_ctrl
+        assert abs(ticks - round(ticks)) > 1e-6  # not a hold boundary
+
+    def test_tension_column_matches_tether_forces(self):
+        # slack vehicles thrust upward away from the falling payload until
+        # the ropes snap taut and throw them back: slack, taut, slack again
+        p = SystemParams()
+        up = vec3(0, 0, 2.0 * p.m_q * p.g)
+        lift = ControlCommand(T_cmd_1=up, T_cmd_2=up)
+        traj = simulate(slack_state(p), lambda s: lift, lambda t: 0.0, p,
+                        duration=0.5, output_decimation=5)
+        for i in range(len(traj)):
+            pair = tether_forces(traj.state_at(i), p)
+            assert_allclose(traj.tether[i], [pair.F_1, pair.F_2], rtol=1e-12, atol=1e-9)
+        slack = np.stack([np.linalg.norm(traj.x_1 - traj.x_p, axis=1) < p.ell,
+                          np.linalg.norm(traj.x_2 - traj.x_p, axis=1) < p.ell], axis=1)
+        assert slack[0].all() and slack[-1].all() and not slack.all()
+        assert np.all(traj.tether[slack] == 0.0)
+        assert np.any(traj.tether[~slack] > 0.0)
 
     def test_zero_order_hold_alignment_required(self):
         p = SystemParams(dt_physics=3e-4, f_ctrl=50.0)  # 1/(50*3e-4) = 66.67

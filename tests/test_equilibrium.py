@@ -187,8 +187,8 @@ class TestBuildEquilibrium:
             beta = DEG(beta_deg)
             w = scale * omega_star(beta, P)
             spec, state, cmd = build_equilibrium(beta, w, P)
-            d = _make_rhs(P, clamp_slack=True)(
-                state.as_vector().tolist(), tuple(cmd.as_vector().tolist()), w)
+            rhs, _ = _make_rhs(P, clamp_slack=True)
+            d = rhs(state.as_vector().tolist(), tuple(cmd.as_vector().tolist()), w)
             assert np.linalg.norm(d[3:6]) < 1e-6
             ell_s = P.ell + spec.F_bar / P.k_T
             expected = w * w * ell_s * math.sin(beta)
