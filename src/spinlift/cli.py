@@ -160,10 +160,7 @@ def _cmd_sweep_omega(args, params: SystemParams) -> int:
 def _cmd_fly(args, params: SystemParams) -> int:
     spec = harness.ScenarioSpec(
         mode=args.mode, beta=math.radians(args.beta), hover=args.duration,
-        metering_window=min(20.0, args.duration),
-        spin_up=8.0 if args.mode == "rotating" else 0.0,
-        spin_down=8.0 if args.mode == "rotating" else 0.0,
-        perturb_payload=args.perturb,
+        metering_window=min(20.0, args.duration), perturb_payload=args.perturb,
     )
     traj, summary = harness.run_scenario(spec, params)
     tag = f"{args.mode}_beta{args.beta:g}"

@@ -33,20 +33,19 @@ __all__ = [
 class SpinProfile:
     """Piecewise-linear spin-rate schedule with an exact analytic angle.
 
-    Phases in order: static hold (omega = 0), linear ramp up to
-    ``omega_target``, constant hover, linear ramp down, then zero again.
+    Phases in order from t = 0: linear ramp up to ``omega_target``,
+    constant hover, linear ramp down, then zero again.
     ``theta`` integrates the profile in closed form (piecewise quadratic)
     rather than accumulating numerically.
     """
 
     omega_target: float      # [rad/s]
-    t_static: float = 0.0    # [s] pre-spin hold
     t_ramp_up: float = 0.0   # [s]
     t_hover: float = 0.0     # [s] at omega_target
     t_ramp_down: float = 0.0  # [s]
 
     def __post_init__(self):
-        for name in ("t_static", "t_ramp_up", "t_hover", "t_ramp_down"):
+        for name in ("t_ramp_up", "t_hover", "t_ramp_down"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.omega_target < 0.0:
@@ -54,14 +53,13 @@ class SpinProfile:
 
     def omega(self, t: float) -> float:
         w = self.omega_target
-        t1 = self.t_static
-        t2 = t1 + self.t_ramp_up
+        t2 = self.t_ramp_up
         t3 = t2 + self.t_hover
         t4 = t3 + self.t_ramp_down
-        if t < t1:
+        if t < 0.0:
             return 0.0
         if t < t2:
-            return w * (t - t1) / self.t_ramp_up
+            return w * t / self.t_ramp_up
         if t < t3:
             return w
         if t < t4:
@@ -70,16 +68,14 @@ class SpinProfile:
 
     def theta(self, t: float) -> float:
         w = self.omega_target
-        t1 = self.t_static
-        t2 = t1 + self.t_ramp_up
+        t2 = self.t_ramp_up
         t3 = t2 + self.t_hover
         t4 = t3 + self.t_ramp_down
-        if t <= t1:
+        if t <= 0.0:
             return 0.0
         # area under the ramp-up triangle, hover rectangle, ramp-down triangle
         if t <= t2:
-            dt = t - t1
-            return 0.5 * w * dt * dt / self.t_ramp_up
+            return 0.5 * w * t * t / self.t_ramp_up
         total = 0.5 * w * self.t_ramp_up
         if t <= t3:
             return total + w * (t - t2)
@@ -93,7 +89,12 @@ class SpinProfile:
 
 @dataclass(frozen=True, eq=False)
 class ControllerConfig:
-    """Everything one control loop needs for a fixed operating point."""
+    """Everything one control loop needs for a fixed operating point.
+
+    Refuses a ``T_max`` that does not exceed the feedforward thrust at rest
+    or at ``profile.omega_target``. The horizontal thrust is linear in
+    omega^2, so these two rates bound the thrust over the whole schedule.
+    """
 
     gain: GainSet
     eq: EquilibriumSpec
@@ -106,13 +107,15 @@ class ControllerConfig:
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
         if self.T_max is None:
             object.__setattr__(self, "T_max", default_thrust_limit(self.params))
-        if self.T_max <= self.eq.thrust_magnitude:
-            raise ValueError(
-                f"T_max={self.T_max:.3f} N does not exceed the equilibrium "
-                f"thrust {self.eq.thrust_magnitude:.3f} N; operating point unreachable")
+        object.__setattr__(self, "_length", stretched_length(self.eq.beta, self.params))
+        for omega_c in (0.0, self.profile.omega_target):
+            thrust = float(np.linalg.norm(self.feedforward(omega_c)[0:3]))
+            if self.T_max <= thrust:
+                raise ValueError(
+                    f"T_max={self.T_max:.3f} N does not exceed the thrust {thrust:.3f} N "
+                    f"at omega={omega_c:.4g} rad/s; operating point unreachable")
         s_bar, _ = equilibrium_c_state(self.eq)
         object.__setattr__(self, "_s_bar", s_bar)
-        object.__setattr__(self, "_length", stretched_length(self.eq.beta, self.params))
 
     def feedforward(self, omega_c: float) -> np.ndarray:
         """Equilibrium thrust pair (C frame) holding the formation at the

@@ -1,8 +1,9 @@
 """Scenario runner: flight phases, power metering, and mode comparison.
 
-A run executes takeoff (simplified to spawning at the non-spinning
-equilibrium), an optional spin-up ramp, a hover at the target operating
-point, an optional spin-down ramp, and landing (a trailing static hold).
+A flight has one operating point (omega = 0 for a static run, omega* for a
+rotating one) and one controller. It spawns at the equilibrium matching the
+initial spin rate and runs an optional spin-up ramp, a hover at the target
+operating point and an optional spin-down ramp; static runs have no ramps.
 Instantaneous aerodynamic power is metered from the actual (lagged) thrust
 magnitudes, and summary statistics are computed over the final part of the
 hover to exclude transients (20 s of a 40 s hover by default).
@@ -59,12 +60,9 @@ class ScenarioSpec:
 
     mode: str                      # "static" | "rotating"
     beta: float                    # [rad]
-    omega: float | None = None     # [rad/s]; None = omega_star(beta)
-    takeoff: float = 0.0           # [s] static hold before spinning
     spin_up: float = 8.0           # [s] ramp duration (rotating mode)
     hover: float = 40.0            # [s]
-    spin_down: float = 8.0         # [s]
-    land: float = 0.0              # [s] trailing static hold
+    spin_down: float = 8.0         # [s] (rotating mode)
     metering_window: float = 20.0  # [s], taken from the end of the hover
     perturb_payload: float = 0.0   # [m] initial horizontal payload offset
     output_decimation: int | None = None
@@ -72,9 +70,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.mode not in ("static", "rotating"):
             raise ValueError(f"mode must be 'static' or 'rotating', got {self.mode!r}")
-        for name in ("takeoff", "spin_up", "hover", "spin_down", "land"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+        for name in ("spin_up", "hover", "spin_down"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if not 0.0 < self.metering_window <= self.hover:
             raise ValueError("metering window must be positive and at most the hover duration")
 
@@ -94,28 +93,12 @@ class RunSummary:
     n_samples: int = 0
 
 
-def _phase_plan(spec: ScenarioSpec, omega_target: float) -> tuple[SpinProfile, dict]:
-    if spec.mode == "static":
-        profile = SpinProfile(omega_target=0.0, t_static=0.0, t_ramp_up=0.0,
-                              t_hover=0.0, t_ramp_down=0.0)
-        durations = {"takeoff": spec.takeoff, "spin_up": 0.0, "hover": spec.hover,
-                     "spin_down": 0.0, "land": spec.land}
-    else:
-        profile = SpinProfile(omega_target=omega_target, t_static=spec.takeoff,
-                              t_ramp_up=spec.spin_up, t_hover=spec.hover,
-                              t_ramp_down=spec.spin_down)
-        durations = {"takeoff": spec.takeoff, "spin_up": spec.spin_up,
-                     "hover": spec.hover, "spin_down": spec.spin_down,
-                     "land": spec.land}
-    return profile, durations
-
-
-def _power_series(traj: Trajectory, params: SystemParams, eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _power_series(traj: Trajectory, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     denom = params.r_p * math.sqrt(2.0 * math.pi * params.rho * params.N_p)
     n1 = np.linalg.norm(traj.T_act_1, axis=1)
     n2 = np.linalg.norm(traj.T_act_2, axis=1)
-    p1 = n1 ** 1.5 / denom / eta
-    p2 = n2 ** 1.5 / denom / eta
+    p1 = n1 ** 1.5 / denom
+    p2 = n2 ** 1.5 / denom
     return p1, p2, p1 + p2
 
 
@@ -139,51 +122,34 @@ def _beta_series(traj: Trajectory) -> np.ndarray:
     return np.arccos(cosines)
 
 
-def run_scenario(spec: ScenarioSpec, params: SystemParams, eta: float = 1.0,
+def run_scenario(spec: ScenarioSpec, params: SystemParams,
                  gain_cache: dict | None = None) -> tuple[Trajectory, RunSummary]:
     """Execute one flight and meter it.
 
-    ``eta`` optionally rescales reported power (an overall powertrain
-    efficiency factor for comparison against real hardware; the default 1.0
-    reports the bare aerodynamic model). ``gain_cache`` maps
-    :func:`spinlift.lqr.gain_cache_key` of (beta, omega, params) to the
-    operating point and its GainSet and is filled on demand, letting
-    comparison grids reuse synthesis work.
+    ``gain_cache`` maps :func:`spinlift.lqr.gain_cache_key` of (beta, omega,
+    params) to the operating point and its GainSet and is filled on demand,
+    letting comparison grids reuse synthesis work.
     """
-    omega_target = spec.omega
-    if omega_target is None:
-        omega_target = eqm.omega_star(spec.beta, params) if spec.mode == "rotating" else 0.0
-    if spec.mode == "static":
-        omega_target = 0.0
-
-    profile, durations = _phase_plan(spec, omega_target)
-    duration = sum(durations.values())
-    if duration <= 0.0:
-        raise ScenarioError("scenario has zero total duration")
+    rotating = spec.mode == "rotating"
+    omega_target = eqm.omega_star(spec.beta, params) if rotating else 0.0
+    durations = {"spin_up": spec.spin_up if rotating else 0.0, "hover": spec.hover,
+                 "spin_down": spec.spin_down if rotating else 0.0}
+    profile = SpinProfile(omega_target=omega_target, t_ramp_up=durations["spin_up"],
+                          t_hover=spec.hover, t_ramp_down=durations["spin_down"])
 
     cache = gain_cache if gain_cache is not None else {}
-
-    def operating_point(omega_value: float) -> tuple:
-        key = gain_cache_key(spec.beta, omega_value, params)
-        if key not in cache:
-            eq_spec, eq_state, _ = eqm.build_equilibrium(spec.beta, omega_value, params)
-            try:
-                gains = synthesize(eq_spec, params)
-            except (SynthesisError, LinearizationError) as exc:
-                raise ScenarioError(f"gain synthesis failed at beta={spec.beta:.4f}, "
-                                    f"omega={omega_value:.4f}: {exc}") from exc
-            cache[key] = (eq_spec, eq_state, gains)
-        return cache[key]
-
-    eq_s, state_s, g_s = operating_point(0.0)
-    cfg_static = ControllerConfig(gain=g_s, eq=eq_s, params=params, profile=profile)
-    if spec.mode == "rotating":
-        eq_r, state_r, g_r = operating_point(omega_target)
-        cfg_spin = ControllerConfig(gain=g_r, eq=eq_r, params=params, profile=profile)
-    else:
-        cfg_spin = cfg_static
-    # spawn at the equilibrium matching the initial spin rate
-    initial_state = state_s if profile.omega(0.0) == 0.0 else state_r
+    key = gain_cache_key(spec.beta, omega_target, params)
+    if key not in cache:
+        eq_spec, _, _ = eqm.build_equilibrium(spec.beta, omega_target, params)
+        try:
+            gains = synthesize(eq_spec, params)
+        except (SynthesisError, LinearizationError) as exc:
+            raise ScenarioError(f"gain synthesis failed at beta={spec.beta:.4f}, "
+                                f"omega={omega_target:.4f}: {exc}") from exc
+        cache[key] = (eq_spec, gains)
+    eq_spec, gains = cache[key]
+    cfg = ControllerConfig(gain=gains, eq=eq_spec, params=params, profile=profile)
+    _, initial_state, _ = eqm.build_equilibrium(spec.beta, profile.omega(0.0), params)
 
     if spec.perturb_payload != 0.0:
         # rigid horizontal offset of the whole formation: displaces the
@@ -196,46 +162,40 @@ def run_scenario(spec: ScenarioSpec, params: SystemParams, eta: float = 1.0,
             x_1=initial_state.x_1 + offset,
             x_2=initial_state.x_2 + offset)
 
-    spin_start = durations["takeoff"]
-    spin_end = spin_start + durations["spin_up"] + durations["hover"] + durations["spin_down"]
-
     def controller(state: SystemState):
-        cfg = cfg_spin if spin_start <= state.t < spin_end else cfg_static
         return control_step(state, cfg, state.t)
 
     try:
         traj = simulate(initial_state, controller, profile.omega, params,
-                        duration, output_decimation=spec.output_decimation)
+                        sum(durations.values()), output_decimation=spec.output_decimation)
     except IntegrationBlowupError as exc:
         phase = _phase_at(exc.t, durations)
         raise SimulationFailed(f"integration blew up at t={exc.t:.3f} s "
                                f"(phase: {phase})", exc.t) from exc
 
-    hover_end = spin_start + durations["spin_up"] + durations["hover"]
+    hover_end = durations["spin_up"] + durations["hover"]
     window = (hover_end - spec.metering_window, hover_end)
-    summary = summarize(traj, params, window, durations, eta=eta)
-    return traj, summary
+    return traj, summarize(traj, params, window, durations)
 
 
 def _phase_at(t: float, durations: dict) -> str:
     edge = 0.0
-    for name in ("takeoff", "spin_up", "hover", "spin_down", "land"):
-        edge += durations[name]
+    for name, length in durations.items():
+        edge += length
         if t <= edge:
             return name
-    return "land"
+    return name  # past the last edge by rounding
 
 
 def summarize(traj: Trajectory, params: SystemParams, window: tuple[float, float],
-              durations: dict, eta: float = 1.0,
-              origin=eqm.DEFAULT_PAYLOAD_POSITION) -> RunSummary:
+              durations: dict) -> RunSummary:
     """Metering-window statistics for a finished trajectory."""
     t0, t1 = window
     mask = (traj.t >= t0 - 1e-9) & (traj.t <= t1 + 1e-9)
     if not np.any(mask):
         raise ValueError("metering window contains no samples")
-    _, _, p_tot = _power_series(traj, params, eta)
-    origin = np.asarray(origin, dtype=float)
+    _, _, p_tot = _power_series(traj, params)
+    origin = np.asarray(eqm.DEFAULT_PAYLOAD_POSITION, dtype=float)
 
     tilt1 = _tilt_series(traj.T_act_1)[mask]
     tilt2 = _tilt_series(traj.T_act_2)[mask]
@@ -275,11 +235,11 @@ class ComparisonTable:
 
 def compare_modes(beta_grid, params: SystemParams, hover: float = 40.0,
                   metering_window: float = 20.0, spin_up: float = 8.0,
-                  spin_down: float = 8.0, eta: float = 1.0) -> ComparisonTable:
+                  spin_down: float = 8.0) -> ComparisonTable:
     """Static vs rotating-at-omega_star power over a tether-angle grid.
 
     Each grid cell runs independently; failures are recorded in the row and
-    the table completes.
+    the table completes. Static flights have no ramps.
     """
     rows: list[ComparisonRow] = []
     cache: dict = {}
@@ -289,13 +249,10 @@ def compare_modes(beta_grid, params: SystemParams, hover: float = 40.0,
         errors: dict[str, str | None] = {"static": None, "rotating": None}
         for mode in ("static", "rotating"):
             try:
-                spec = ScenarioSpec(
-                    mode=mode, beta=float(beta), hover=hover,
-                    metering_window=metering_window,
-                    spin_up=spin_up if mode == "rotating" else 0.0,
-                    spin_down=spin_down if mode == "rotating" else 0.0,
-                )
-                _, summary = run_scenario(spec, params, eta=eta, gain_cache=cache)
+                spec = ScenarioSpec(mode=mode, beta=float(beta), spin_up=spin_up,
+                                    hover=hover, spin_down=spin_down,
+                                    metering_window=metering_window)
+                _, summary = run_scenario(spec, params, gain_cache=cache)
                 means[mode] = summary.mean_P_total
                 stds[mode] = summary.std_P_total
             except (ScenarioError, eqm.SingularityError, ValueError) as exc:

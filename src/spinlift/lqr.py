@@ -181,24 +181,19 @@ def solve_care(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
     return 0.5 * (P + P.T)
 
 
-def default_weights(eps_velocity: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """State and input weights: 5 on every position, ``eps_velocity`` on every
-    velocity, and diag(1.2, 1.2, 1) per vehicle thrust vector."""
-    Q = np.diag([5.0, 5.0, 5.0, eps_velocity, eps_velocity, eps_velocity] * 3)
+def default_weights() -> tuple[np.ndarray, np.ndarray]:
+    """State and input weights: 5 on every position, 0 on every velocity, and
+    diag(1.2, 1.2, 1) per vehicle thrust vector."""
+    Q = np.diag([5.0, 5.0, 5.0, 0.0, 0.0, 0.0] * 3)
     R = np.diag([1.2, 1.2, 1.0, 1.2, 1.2, 1.0])
     return Q, R
 
 
-def synthesize(eq: EquilibriumSpec, params: SystemParams,
-               eps_velocity: float = 0.0) -> GainSet:
-    """Linearize at the operating point and solve for the LQR gain.
-
-    ``eps_velocity`` optionally regularizes the (positive semidefinite)
-    velocity weights if a user's parameters break the semidefinite solve;
-    the default keeps them exactly zero.
-    """
+def synthesize(eq: EquilibriumSpec, params: SystemParams) -> GainSet:
+    """Linearize at the operating point and solve for the LQR gain with the
+    :func:`default_weights` (velocity weights exactly zero)."""
     model = linearize(eq, params)
-    Q, R = default_weights(eps_velocity)
+    Q, R = default_weights()
     P = solve_care(model.A, model.B, Q, R)
     K = np.linalg.solve(R, model.B.T @ P)
     residual = care_residual_norm(model.A, model.B, Q, R, P)

@@ -188,9 +188,8 @@ def test_criterion_7_dynamics_oracles():
 def test_criterion_8_regulation():
     results = []
     for mode in ("static", "rotating"):
-        spec = ScenarioSpec(mode=mode, beta=DEG(45), takeoff=0.0, spin_up=0.0,
-                            hover=15.0, spin_down=0.0, land=0.0,
-                            metering_window=5.0, perturb_payload=0.2)
+        spec = ScenarioSpec(mode=mode, beta=DEG(45), spin_up=0.0, hover=15.0,
+                            spin_down=0.0, metering_window=5.0, perturb_payload=0.2)
         traj, _ = run_scenario(spec, P)
         dev = np.linalg.norm(traj.x_p - ORIGIN, axis=1)
         settled = bool(np.all(dev[traj.t >= 10.0] < 0.02))

@@ -1,5 +1,6 @@
+from spinlift import harness
 from spinlift.cli import main
-from spinlift.model import SystemParams, params_to_text
+from spinlift.model import ControlCommand, SystemParams, params_to_text, vec3
 
 
 def test_equilibrium_prints_operating_point(capsys, tmp_path):
@@ -84,6 +85,34 @@ def test_fly_rotating_writes_outputs(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "trajectory_rotating_beta45.csv").exists()
     assert "mean_omega_achieved_rad_s" in out
+
+
+def test_fly_nonfinite_duration_is_model_error(tmp_path, capsys):
+    code = main(["fly", "--mode", "static", "--beta", "30",
+                 "--duration", "inf", "--out", str(tmp_path)])
+    assert code == 2
+    assert "hover must be finite" in capsys.readouterr().err
+
+
+def test_fly_steep_rotating_refused(tmp_path, capsys):
+    code = main(["fly", "--mode", "rotating", "--beta", "84", "--out", str(tmp_path)])
+    assert code == 2
+    assert "T_max" in capsys.readouterr().err
+
+
+def test_fly_blowup_is_integration_failure(tmp_path, capsys, monkeypatch):
+    real_step = harness.control_step
+
+    def bomb(state, cfg, t):
+        if t < 0.5:
+            return real_step(state, cfg, t)
+        return ControlCommand(T_cmd_1=vec3(0.0, 0.0, 1e300), T_cmd_2=vec3(0.0, 0.0, 1e300))
+
+    monkeypatch.setattr(harness, "control_step", bomb)
+    code = main(["fly", "--mode", "static", "--beta", "30",
+                 "--duration", "2", "--out", str(tmp_path)])
+    assert code == 3
+    assert "phase: hover" in capsys.readouterr().err
 
 
 def test_compare_single_angle(tmp_path, capsys):

@@ -47,10 +47,6 @@ def orbit_state(state0, w, t):
 
 
 class TestSpinProfile:
-    def test_static_phase(self):
-        prof = SpinProfile(omega_target=2.9, t_static=3.0, t_ramp_up=5.0, t_hover=40.0)
-        assert (prof.omega(1.0), prof.theta(1.0)) == (0.0, 0.0)
-
     def test_ramp_midpoint(self):
         # oracle: theta = 0.5 * (2.9 / 5) * t^2 on the ramp
         prof = SpinProfile(omega_target=2.9, t_ramp_up=5.0, t_hover=40.0)
@@ -75,9 +71,8 @@ class TestSpinProfile:
         assert prof.theta(1e6) == prof.theta(30.0)
 
     def test_continuity_at_phase_edges(self):
-        prof = SpinProfile(omega_target=2.9, t_static=2.0, t_ramp_up=5.0,
-                           t_hover=7.0, t_ramp_down=3.0)
-        for edge in (2.0, 7.0, 14.0, 17.0):
+        prof = SpinProfile(omega_target=2.9, t_ramp_up=5.0, t_hover=7.0, t_ramp_down=3.0)
+        for edge in (0.0, 5.0, 12.0, 15.0):
             below = prof.theta(edge - 1e-9)
             above = prof.theta(edge + 1e-9)
             assert above - below == pytest.approx(0.0, abs=1e-7)
@@ -168,6 +163,25 @@ class TestControlStep:
         with pytest.raises(ValueError, match="T_max"):
             ControllerConfig(gain=gains, eq=spec, params=P,
                              profile=SpinProfile(omega_target=0.0), T_max=5.0)
+
+    @pytest.mark.parametrize("spin, T_max, refused", [
+        # 60 deg feedforward thrust: 11.055 N at rest, 9.810 N at omega*,
+        # 11.716 N at 1.5 omega*
+        (1.5, 11.4, True),    # refused at the target rate
+        (1.0, 10.5, True),    # refused at rest
+        (0.0, 11.4, False),
+    ])
+    def test_thrust_limit_checked_at_both_ends_of_schedule(self, spin, T_max, refused):
+        beta = DEG(60)
+        w = spin * omega_star(beta, P)
+        spec, _, _ = build_equilibrium(beta, w, P)
+        gains = synthesize(spec, P)
+        profile = SpinProfile(omega_target=w, t_ramp_up=8.0, t_hover=40.0, t_ramp_down=8.0)
+        if refused:
+            with pytest.raises(ValueError, match="T_max"):
+                ControllerConfig(gain=gains, eq=spec, params=P, profile=profile, T_max=T_max)
+        else:
+            ControllerConfig(gain=gains, eq=spec, params=P, profile=profile, T_max=T_max)
 
 
 class TestClosedLoopPlumbing:

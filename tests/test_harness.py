@@ -4,13 +4,14 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from spinlift import harness
 from spinlift.equilibrium import (omega_star, power, sweep_beta, sweep_omega,
                                   thrust_magnitude)
-from spinlift.harness import (ScenarioSpec, compare_modes, comparison_svg,
-                              comparison_to_csv, run_scenario, sweep_beta_svg,
-                              sweep_omega_svg)
+from spinlift.harness import (ScenarioSpec, SimulationFailed, compare_modes,
+                              comparison_svg, comparison_to_csv, run_scenario,
+                              sweep_beta_svg, sweep_omega_svg)
 from spinlift.lqr import gain_cache_key
-from spinlift.model import SystemParams
+from spinlift.model import ControlCommand, SystemParams, vec3
 from spinlift.svgplot import grouped_bar_chart, line_chart
 from spinlift.dynamics import trajectory_to_csv
 
@@ -36,7 +37,13 @@ class TestScenarioSpec:
 
     def test_negative_phase_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioSpec(mode="static", beta=0.5, takeoff=-1.0)
+            ScenarioSpec(mode="static", beta=0.5, spin_up=-1.0)
+
+    @pytest.mark.parametrize("name", ["spin_up", "hover", "spin_down"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_phase_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ScenarioSpec(mode="rotating", beta=0.5, **{name: value})
 
 
 class TestRunScenario:
@@ -73,11 +80,28 @@ class TestRunScenario:
         assert summary.n_samples > 0
         assert summary.phase_durations["hover"] == 12.0
 
-    def test_power_rescaling_factor(self):
-        spec = short_spec("static", 30.0)
-        _, bare = run_scenario(spec, P)
-        _, scaled = run_scenario(spec, P, eta=0.7)
-        assert scaled.mean_P_total == pytest.approx(bare.mean_P_total / 0.7, rel=1e-12)
+    @pytest.mark.parametrize("ramp", [8.0, 0.0])
+    def test_steep_rotating_flight_refused(self, ramp):
+        # the 9.8 N spinning thrust fits under T_max = 27.5 N, but the
+        # 29.7 N static thrust at the rest end of the schedule does not
+        spec = short_spec("rotating", 84.0, spin_up=ramp, spin_down=ramp)
+        with pytest.raises(ValueError, match="T_max"):
+            run_scenario(spec, P)
+
+    def test_blowup_names_the_hover_phase(self, monkeypatch):
+        real_step = harness.control_step
+
+        def bomb(state, cfg, t):
+            if t < 1.5:
+                return real_step(state, cfg, t)
+            return ControlCommand(T_cmd_1=vec3(0.0, 0.0, 1e300), T_cmd_2=vec3(0.0, 0.0, 1e300))
+
+        monkeypatch.setattr(harness, "control_step", bomb)
+        spec = short_spec("rotating", 60.0, spin_up=1.0, hover=2.0, spin_down=1.0,
+                          metering_window=1.0)
+        with pytest.raises(SimulationFailed, match=r"\(phase: hover\)") as info:
+            run_scenario(spec, P)
+        assert 1.5 < info.value.t <= 3.0
 
     def test_determinism_identical_csv(self):
         spec = short_spec("static", 35.0, hover=2.0, metering_window=1.0)
@@ -142,6 +166,13 @@ class TestCompareModes:
         assert table.rows[0].saving is not None
         assert table.rows[1].static_error is not None
         assert table.rows[1].saving is None
+
+    def test_nonfinite_hover_recorded_in_rows(self):
+        table = compare_modes([DEG(30)], P, hover=math.inf)
+        row = table.rows[0]
+        assert row.saving is None
+        assert "hover must be finite" in row.static_error
+        assert "hover must be finite" in row.rotating_error
 
     def test_csv_rendering(self, table):
         csv = comparison_to_csv(table)

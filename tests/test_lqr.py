@@ -211,12 +211,6 @@ class TestSynthesize:
         assert abscissa(model.A - model.B @ g.K) < 0.0
         assert g.care_residual < 1e-8
 
-    def test_velocity_weight_regularization_option(self):
-        spec, _, _ = build_equilibrium(DEG(30), 0.0, P)
-        g = synthesize(spec, P, eps_velocity=0.1)
-        assert np.diag(g.Q)[3] == 0.1
-        assert g.care_residual < 1e-8
-
 
 class TestSerialization:
     def test_round_trip_exact(self):
