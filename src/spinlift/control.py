@@ -11,7 +11,7 @@ responsibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .dynamics import Trajectory
 from .equilibrium import DEFAULT_PAYLOAD_POSITION, stretched_length, thrust_components
 from .lqr import GainSet, equilibrium_c_state
 from .model import (ControlCommand, EquilibriumSpec, SystemParams, SystemState,
-                    default_thrust_limit, rotation_c_to_e, vec3)
+                    default_thrust_limit, rotation_c_to_e, table_text)
 
 __all__ = [
     "SpinProfile",
@@ -45,11 +45,10 @@ class SpinProfile:
     t_ramp_down: float = 0.0  # [s]
 
     def __post_init__(self):
-        for name in ("t_ramp_up", "t_hover", "t_ramp_down"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.omega_target < 0.0:
-            raise ValueError("omega_target must be nonnegative")
+        for name in ("omega_target", "t_ramp_up", "t_hover", "t_ramp_down"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
     def omega(self, t: float) -> float:
         w = self.omega_target
@@ -100,11 +99,9 @@ class ControllerConfig:
     eq: EquilibriumSpec
     params: SystemParams
     profile: SpinProfile
-    origin: np.ndarray = field(default_factory=lambda: vec3(*DEFAULT_PAYLOAD_POSITION))
     T_max: float | None = None   # [N]; default model.default_thrust_limit
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
         if self.T_max is None:
             object.__setattr__(self, "T_max", default_thrust_limit(self.params))
         object.__setattr__(self, "_length", stretched_length(self.eq.beta, self.params))
@@ -130,11 +127,14 @@ class ControllerConfig:
         return np.array([horizontal, 0.0, v, -horizontal, 0.0, v])
 
 
-def _to_frame(R_t: np.ndarray, omega_c: float, x_e: np.ndarray, v_e: np.ndarray,
-              origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+_ORIGIN = np.array(DEFAULT_PAYLOAD_POSITION)  # converted once, not on every tick
+
+
+def _to_frame(R_t: np.ndarray, omega_c: float, x_e: np.ndarray,
+              v_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inertial position/velocity -> control-frame components relative to the
     frame origin, with the rotating-frame velocity correction."""
-    x_c = R_t @ (x_e - origin)
+    x_c = R_t @ (x_e - _ORIGIN)
     v_c = R_t @ v_e - np.array([-omega_c * x_c[1], omega_c * x_c[0], 0.0])
     return x_c, v_c
 
@@ -155,9 +155,9 @@ def control_step(state: SystemState, cfg: ControllerConfig, t: float) -> Control
     R = rotation_c_to_e(theta)
     R_t = R.T
 
-    xp_c, vp_c = _to_frame(R_t, omega_c, state.x_p, state.v_p, cfg.origin)
-    x1_c, v1_c = _to_frame(R_t, omega_c, state.x_1, state.v_1, cfg.origin)
-    x2_c, v2_c = _to_frame(R_t, omega_c, state.x_2, state.v_2, cfg.origin)
+    xp_c, vp_c = _to_frame(R_t, omega_c, state.x_p, state.v_p)
+    x1_c, v1_c = _to_frame(R_t, omega_c, state.x_1, state.v_1)
+    x2_c, v2_c = _to_frame(R_t, omega_c, state.x_2, state.v_2)
     s = np.concatenate([xp_c, vp_c, x1_c, v1_c, x2_c, v2_c])
 
     u = cfg.feedforward(omega_c) - cfg.gain.K @ (s - cfg._s_bar)
@@ -173,12 +173,10 @@ _LOG_HEADER = ("t,T_cmd_1_x,T_cmd_1_y,T_cmd_1_z,"
 def command_log_to_csv(traj: Trajectory, T_max: float) -> str:
     """Command log aligned with trajectory samples; ``saturated`` flags ticks
     whose commanded magnitude sits at the saturation limit."""
-    lines = [_LOG_HEADER]
-    for i in range(len(traj)):
-        u = traj.commands[i]
+    def row(t, u):
+        u = u.tolist()
         n1 = math.hypot(u[0], u[1], u[2])
         n2 = math.hypot(u[3], u[4], u[5])
-        saturated = int(n1 >= T_max - 1e-9 or n2 >= T_max - 1e-9)
-        vals = ",".join(repr(float(v)) for v in (traj.t[i], *u))
-        lines.append(f"{vals},{saturated}")
-    return "\n".join(lines) + "\n"
+        return [t, *u, int(n1 >= T_max - 1e-9 or n2 >= T_max - 1e-9)]
+
+    return table_text(_LOG_HEADER, map(row, traj.t.tolist(), traj.commands))

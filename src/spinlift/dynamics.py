@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import STATE_DIM, ControlCommand, SystemParams, SystemState
+from .model import STATE_DIM, ControlCommand, SystemParams, SystemState, table_text
 
 __all__ = [
     "DegenerateGeometryError",
@@ -493,11 +493,6 @@ _CSV_HEADER = (
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Render the trajectory as CSV at full double precision (repr floats)."""
-    lines = [_CSV_HEADER]
-    for i in range(len(traj)):
-        row = [traj.t[i]]
-        row.extend(traj.states[i, 0:24])
-        row.extend(traj.tether[i])
-        row.append(traj.states[i, 24])
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    rows = (np.concatenate(([t], y[0:24], f, y[24:])).tolist()
+            for t, y, f in zip(traj.t, traj.states, traj.tether))
+    return table_text(_CSV_HEADER, rows)

@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ControlCommand, EquilibriumSpec, SystemParams, SystemState, vec3
+from .model import (ControlCommand, EquilibriumSpec, SystemParams, SystemState,
+                    table_text, vec3)
 
 __all__ = [
     "SingularityError",
@@ -39,6 +40,7 @@ __all__ = [
     "thrust_magnitude",
     "omega_star",
     "tilt_angle",
+    "rotor_power",
     "power",
     "build_equilibrium",
     "sweep_beta",
@@ -89,8 +91,8 @@ def thrust_components(beta: float, omega_c: float, params: SystemParams,
     """(horizontal, vertical) components of the thrust per vehicle [N] that
     holds tether angle ``beta`` at spin rate ``omega_c`` with the vehicles
     ``length`` from the payload; horizontal is positive outward."""
-    if omega_c < 0.0:
-        raise ValueError(f"omega_C must be nonnegative, got {omega_c}")
+    if not 0.0 <= omega_c < math.inf:
+        raise ValueError(f"omega_C must be finite and nonnegative, got {omega_c}")
     tension = tension_at_equilibrium(beta, params)
     horizontal = math.sin(beta) * (tension - params.m_q * omega_c ** 2 * length)
     vertical = params.m_p * params.g / 2.0 + params.m_q * params.g
@@ -121,6 +123,12 @@ class PowerReport:
     omega_C: float        # [rad/s]
 
 
+def rotor_power(T, params: SystemParams):
+    """Actuator-disk power [W] of one vehicle producing thrust magnitude T
+    [N]; T may be a scalar or an array."""
+    return T ** 1.5 / (params.r_p * math.sqrt(2.0 * math.pi * params.rho * params.N_p))
+
+
 def power(T_per_vehicle: float, params: SystemParams,
           beta: float = math.nan, omega_c: float = math.nan) -> PowerReport:
     """Actuator-disk hover power for one vehicle's thrust, and the pair total.
@@ -131,24 +139,22 @@ def power(T_per_vehicle: float, params: SystemParams,
     T = float(T_per_vehicle)
     if not T >= 0.0:
         raise ValueError(f"thrust must be nonnegative, got {T}")
-    denom = params.r_p * math.sqrt(2.0 * math.pi * params.rho * params.N_p)
-    p_vehicle = T ** 1.5 / denom
+    p_vehicle = rotor_power(T, params)
     return PowerReport(T_per_vehicle=T, P_per_vehicle=p_vehicle,
                        P_total=2.0 * p_vehicle, beta=beta, omega_C=omega_c)
 
 
-def build_equilibrium(beta: float, omega_c: float, params: SystemParams,
-                      payload_position=DEFAULT_PAYLOAD_POSITION,
+def build_equilibrium(beta: float, omega_c: float, params: SystemParams
                       ) -> tuple[EquilibriumSpec, SystemState, ControlCommand]:
     """Construct the full equilibrium triple for one operating point.
 
-    The spin axis is vertical through ``payload_position`` (the control-frame
-    origin). Vehicles sit at the stretched tether length ell + F/k_T so the
-    spring carries exactly the equilibrium tension, and the feedforward
-    thrust uses the centripetal term at that stretched radius, making the
-    returned state an exact fixed point of the truth dynamics (the rigid
-    rest-length value differs by ~0.15% at default stiffness). theta = 0, so
-    control-frame and earth-frame components coincide.
+    The spin axis is vertical through ``DEFAULT_PAYLOAD_POSITION`` (the
+    control-frame origin). Vehicles sit at the stretched tether length
+    ell + F/k_T so the spring carries exactly the equilibrium tension, and the
+    feedforward thrust uses the centripetal term at that stretched radius,
+    making the returned state an exact fixed point of the truth dynamics (the
+    rigid rest-length value differs by ~0.15% at default stiffness). theta =
+    0, so control-frame and earth-frame components coincide.
     """
     beta = _check_beta(beta)
     length = stretched_length(beta, params)
@@ -168,7 +174,7 @@ def build_equilibrium(beta: float, omega_c: float, params: SystemParams,
         v_tangential=omega_c * params.ell * math.sin(beta),
     )
 
-    origin = vec3(*payload_position)
+    origin = vec3(*DEFAULT_PAYLOAD_POSITION)
     x_1 = origin + offset
     x_2 = origin + vec3(-offset[0], 0.0, offset[2])
     # circular motion about the vertical axis: v = omega x r
@@ -232,11 +238,8 @@ _SWEEP_HEADER = "beta_deg,omega_rad_s,T_vehicle_N,P_vehicle_W,P_total_W,tilt_deg
 
 def sweep_to_csv(result: SweepResult, params: SystemParams) -> str:
     """CSV for sweep output, one row per successful grid point."""
-    lines = [_SWEEP_HEADER]
-    for rep in result.reports:
-        tilt = tilt_angle(rep.beta, rep.omega_C, params)
-        tension = tension_at_equilibrium(rep.beta, params)
-        row = (math.degrees(rep.beta), rep.omega_C, rep.T_per_vehicle,
-               rep.P_per_vehicle, rep.P_total, math.degrees(tilt), tension)
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    rows = ((math.degrees(rep.beta), rep.omega_C, rep.T_per_vehicle, rep.P_per_vehicle,
+             rep.P_total, math.degrees(tilt_angle(rep.beta, rep.omega_C, params)),
+             tension_at_equilibrium(rep.beta, params))
+            for rep in result.reports)
+    return table_text(_SWEEP_HEADER, rows)

@@ -93,18 +93,10 @@ class RunSummary:
     n_samples: int = 0
 
 
-def _power_series(traj: Trajectory, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    denom = params.r_p * math.sqrt(2.0 * math.pi * params.rho * params.N_p)
-    n1 = np.linalg.norm(traj.T_act_1, axis=1)
-    n2 = np.linalg.norm(traj.T_act_2, axis=1)
-    p1 = n1 ** 1.5 / denom
-    p2 = n2 ** 1.5 / denom
-    return p1, p2, p1 + p2
-
-
-def _tilt_series(T: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(T, axis=1)
-    cosines = np.clip(T[:, 2] / np.maximum(norms, 1e-12), -1.0, 1.0)
+def _angle_from_vertical(vectors: np.ndarray) -> np.ndarray:
+    """Angle [rad] between each row of an (n, 3) array and the +z axis."""
+    norms = np.linalg.norm(vectors, axis=1)
+    cosines = np.clip(vectors[:, 2] / np.maximum(norms, 1e-12), -1.0, 1.0)
     return np.arccos(cosines)
 
 
@@ -113,13 +105,6 @@ def _omega_series(traj: Trajectory, origin: np.ndarray) -> np.ndarray:
     r_sq = rel[:, 0] ** 2 + rel[:, 1] ** 2
     num = rel[:, 0] * traj.v_1[:, 1] - rel[:, 1] * traj.v_1[:, 0]
     return np.where(r_sq > 1e-12, num / np.maximum(r_sq, 1e-12), 0.0)
-
-
-def _beta_series(traj: Trajectory) -> np.ndarray:
-    rel = traj.x_1 - traj.x_p
-    norms = np.linalg.norm(rel, axis=1)
-    cosines = np.clip(rel[:, 2] / np.maximum(norms, 1e-12), -1.0, 1.0)
-    return np.arccos(cosines)
 
 
 def run_scenario(spec: ScenarioSpec, params: SystemParams,
@@ -194,14 +179,15 @@ def summarize(traj: Trajectory, params: SystemParams, window: tuple[float, float
     mask = (traj.t >= t0 - 1e-9) & (traj.t <= t1 + 1e-9)
     if not np.any(mask):
         raise ValueError("metering window contains no samples")
-    _, _, p_tot = _power_series(traj, params)
+    p_tot = (eqm.rotor_power(np.linalg.norm(traj.T_act_1, axis=1), params)
+             + eqm.rotor_power(np.linalg.norm(traj.T_act_2, axis=1), params))
     origin = np.asarray(eqm.DEFAULT_PAYLOAD_POSITION, dtype=float)
 
-    tilt1 = _tilt_series(traj.T_act_1)[mask]
-    tilt2 = _tilt_series(traj.T_act_2)[mask]
+    tilt1 = _angle_from_vertical(traj.T_act_1)[mask]
+    tilt2 = _angle_from_vertical(traj.T_act_2)[mask]
     deviation = np.linalg.norm(traj.x_p - origin, axis=1)[mask]
     omega_meas = _omega_series(traj, origin)[mask]
-    beta_meas = _beta_series(traj)[mask]
+    beta_meas = _angle_from_vertical(traj.x_1 - traj.x_p)[mask]
 
     return RunSummary(
         mean_P_total=float(np.mean(p_tot[mask])),

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import _make_rhs
-from .model import EquilibriumSpec, SystemParams, params_fingerprint
+from .model import EquilibriumSpec, SystemParams, params_fingerprint, table_text
 
 __all__ = [
     "LinearizationError",
@@ -138,22 +138,17 @@ def linearize(eq: EquilibriumSpec, params: SystemParams,
             f"operating point is not an equilibrium: derivative norm "
             f"{residual:.3e} exceeds {_EQ_RESIDUAL_TOL:.0e}")
 
-    h = fd_step
-    A = np.empty((N_STATE, N_STATE))
-    for j in range(N_STATE):
-        sp = s_bar.copy()
-        sm = s_bar.copy()
-        sp[j] += h
-        sm[j] -= h
-        A[:, j] = (f(sp, u_bar, w) - f(sm, u_bar, w)) / (2.0 * h)
-    B = np.empty((N_STATE, N_INPUT))
-    for j in range(N_INPUT):
-        up = u_bar.copy()
-        um = u_bar.copy()
-        up[j] += h
-        um[j] -= h
-        B[:, j] = (f(s_bar, up, w) - f(s_bar, um, w)) / (2.0 * h)
-    return LinearModel(A=A, B=B, s_bar=s_bar, u_bar=u_bar)
+    z_bar = np.concatenate([s_bar, u_bar])
+    J = np.empty((N_STATE, N_STATE + N_INPUT))
+    for j in range(N_STATE + N_INPUT):
+        zp = z_bar.copy()
+        zm = z_bar.copy()
+        zp[j] += fd_step
+        zm[j] -= fd_step
+        J[:, j] = (f(zp[:N_STATE], zp[N_STATE:], w)
+                   - f(zm[:N_STATE], zm[N_STATE:], w)) / (2.0 * fd_step)
+    return LinearModel(A=J[:, :N_STATE].copy(), B=J[:, N_STATE:].copy(),
+                       s_bar=s_bar, u_bar=u_bar)
 
 
 def _spectral_abscissa(M: np.ndarray) -> float:
@@ -207,21 +202,11 @@ def synthesize(eq: EquilibriumSpec, params: SystemParams) -> GainSet:
     return GainSet(K=K, P=P, Q=Q, R=R, care_residual=residual)
 
 
-def _matrix_lines(name: str, M: np.ndarray) -> list[str]:
-    rows, cols = M.shape
-    lines = [f"{name} {rows} {cols}"]
-    for i in range(rows):
-        lines.append(" ".join(repr(float(v)) for v in M[i]))
-    return lines
-
-
 def gainset_to_text(gains: GainSet) -> str:
     """Serialize a GainSet as structured text (row-major, full precision)."""
-    lines = ["spinlift-gainset 1"]
-    for name, M in (("K", gains.K), ("P", gains.P), ("Q", gains.Q), ("R", gains.R)):
-        lines.extend(_matrix_lines(name, M))
-    lines.append(f"care_residual {gains.care_residual!r}")
-    return "\n".join(lines) + "\n"
+    blocks = [table_text(f"{name} {M.shape[0]} {M.shape[1]}", M.tolist(), sep=" ")
+              for name, M in (("K", gains.K), ("P", gains.P), ("Q", gains.Q), ("R", gains.R))]
+    return "".join(["spinlift-gainset 1\n", *blocks, f"care_residual {gains.care_residual!r}\n"])
 
 
 def gainset_from_text(text: str) -> GainSet:

@@ -30,6 +30,7 @@ __all__ = [
     "load_params",
     "params_to_text",
     "params_fingerprint",
+    "table_text",
 ]
 
 
@@ -127,10 +128,6 @@ class SystemParams:
     def dt_stability_limit(self) -> float:
         """Upper bound on dt_physics from the stiff tether stretch mode [s]."""
         return 2.0 / math.sqrt(self.k_T / self.m_red)
-
-    @property
-    def ctrl_period(self) -> float:
-        return 1.0 / self.f_ctrl
 
 
 # Config keys, their python types, and one-line documentation (SI units).
@@ -249,10 +246,6 @@ class EquilibriumSpec:
         if not 0.0 <= self.beta < math.pi / 2:
             raise ValueError(f"beta must be in [0, pi/2), got {self.beta}")
 
-    @property
-    def thrust_magnitude(self) -> float:
-        return float(np.linalg.norm(self.T_bar_1))
-
 
 # Flat state-vector layout used by the integrator and trajectory storage:
 #   [0:3]   x_p   payload position, E frame [m]
@@ -340,3 +333,12 @@ class ControlCommand:
 def default_thrust_limit(params: SystemParams) -> float:
     """Default command saturation: four times a vehicle's own weight [N]."""
     return 4.0 * params.m_q * params.g
+
+
+def table_text(header: str, rows, sep: str = ",") -> str:
+    """Header line plus one line per row, cells written with ``repr`` (full
+    precision for Python floats), newline-terminated.
+
+    Rows must hold Python numbers: under numpy 2 the ``repr`` of a numpy
+    scalar names its type (``np.float64(0.5)``)."""
+    return "\n".join([header, *(sep.join(map(repr, row)) for row in rows), ""])

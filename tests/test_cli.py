@@ -1,3 +1,5 @@
+import pytest
+
 from spinlift import harness
 from spinlift.cli import main
 from spinlift.model import ControlCommand, SystemParams, params_to_text, vec3
@@ -29,6 +31,12 @@ def test_usage_error_exit_code(capsys):
 def test_singular_angle_is_model_error(capsys):
     assert main(["equilibrium", "--beta", "90"]) == 2
     assert "model error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omega", ["inf", "nan"])
+def test_nonfinite_spin_rate_is_model_error(omega, capsys):
+    assert main(["equilibrium", "--beta", "60", "--omega", omega]) == 2
+    assert "omega_C" in capsys.readouterr().err
 
 
 def test_bad_params_file(tmp_path, capsys):

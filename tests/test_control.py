@@ -82,6 +82,11 @@ class TestSpinProfile:
             SpinProfile(omega_target=1.0, t_ramp_up=-1.0)
         with pytest.raises(ValueError):
             SpinProfile(omega_target=-1.0)
+        for name in ("omega_target", "t_ramp_up", "t_hover", "t_ramp_down"):
+            for value in (math.inf, math.nan):
+                fields = {"omega_target": 1.0, name: value}
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    SpinProfile(**fields)
 
 
 class TestFrameTransforms:

@@ -8,7 +8,7 @@ from spinlift.dynamics import _make_rhs
 from spinlift.equilibrium import (SingularityError, build_equilibrium,
                                   omega_star, power, sweep_beta, sweep_omega,
                                   sweep_to_csv, tension_at_equilibrium,
-                                  thrust_magnitude, tilt_angle)
+                                  thrust_components, thrust_magnitude, tilt_angle)
 from spinlift.model import SystemParams
 
 P = SystemParams()
@@ -54,6 +54,11 @@ class TestThrustMagnitude:
         oracle = math.hypot(P.m_p * P.g / 2 + P.m_q * P.g,
                             (P.m_p * P.g / 2) * math.tan(DEG(60)))
         assert thrust_magnitude(DEG(60), 0.0, P) == pytest.approx(oracle, rel=1e-14)
+
+    @pytest.mark.parametrize("omega", [-1.0, math.inf, math.nan])
+    def test_invalid_spin_rate_rejected(self, omega):
+        with pytest.raises(ValueError, match="omega_C must be finite and nonnegative"):
+            thrust_components(DEG(60), omega, P, P.ell)
 
     def test_beta_zero_any_spin(self):
         for w in (0.0, 1.0, 5.0):
@@ -198,11 +203,6 @@ class TestBuildEquilibrium:
         spec, state, _ = build_equilibrium(DEG(60), 0.0, P)
         dist = np.linalg.norm(state.x_1 - state.x_p)
         assert P.k_T * (dist - P.ell) == pytest.approx(spec.F_bar, rel=1e-12)
-
-    def test_payload_position_honored(self):
-        _, state, _ = build_equilibrium(DEG(30), 0.0, P,
-                                        payload_position=(1.0, -2.0, 3.0))
-        assert_allclose(state.x_p, [1.0, -2.0, 3.0], atol=0)
 
 
 class TestSweeps:
