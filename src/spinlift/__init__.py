@@ -1,18 +1,17 @@
 """Dual-quadrotor tethered payload transport: dynamics, rotating-equilibrium
 control, and hover-power analysis."""
 
-from .model import (ConfigError, ControlCommand, EquilibriumSpec, ParamError,
-                    SystemParams, SystemState, load_params, params_to_text,
-                    rotation_c_to_e, vec3)
+from .model import (ConfigError, EquilibriumSpec, ParamError, SystemParams,
+                    SystemState, load_params, params_to_text, rotation_c_to_e,
+                    vec3)
 from .dynamics import (DegenerateGeometryError, IntegrationBlowupError,
-                       TetherForces, Trajectory, mechanical_energy, simulate,
-                       step, tether_force, tether_forces, trajectory_to_csv)
+                       TetherForces, Trajectory, simulate, tether_force,
+                       tether_forces, trajectory_to_csv)
 from .equilibrium import (PowerReport, SingularityError, SweepResult,
                           build_equilibrium, omega_star, power, sweep_beta,
                           sweep_omega, sweep_to_csv, tension_at_equilibrium,
                           thrust_magnitude, tilt_angle)
 from .lqr import (GainSet, LinearizationError, LinearModel, SynthesisError,
-                  c_frame_derivative, gainset_from_text, gainset_to_text,
                   linearize, solve_care, synthesize)
 from .control import (ControllerConfig, SpinProfile, command_log_to_csv,
                       control_step)

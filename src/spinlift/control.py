@@ -18,8 +18,8 @@ import numpy as np
 from .dynamics import Trajectory
 from .equilibrium import DEFAULT_PAYLOAD_POSITION, stretched_length, thrust_components
 from .lqr import GainSet, equilibrium_c_state
-from .model import (ControlCommand, EquilibriumSpec, SystemParams, SystemState,
-                    default_thrust_limit, rotation_c_to_e, table_text)
+from .model import (EquilibriumSpec, SystemParams, default_thrust_limit,
+                    rotation_c_to_e, table_text)
 
 __all__ = [
     "SpinProfile",
@@ -149,21 +149,26 @@ def _saturate(T: np.ndarray, T_max: float) -> np.ndarray:
     return T
 
 
-def control_step(state: SystemState, cfg: ControllerConfig, t: float) -> ControlCommand:
-    """One outer-loop evaluation at time ``t``."""
+def control_step(y, cfg: ControllerConfig, t: float) -> list:
+    """One outer-loop evaluation at time ``t``.
+
+    ``y`` is the flat 25-element state and the result the six commanded
+    thrusts [T_cmd_1, T_cmd_2] (E frame) as Python floats, both in the flat
+    layouts of :mod:`spinlift.model`."""
     omega_c, theta = cfg.profile.omega(t), cfg.profile.theta(t)
     R = rotation_c_to_e(theta)
     R_t = R.T
 
-    xp_c, vp_c = _to_frame(R_t, omega_c, state.x_p, state.v_p)
-    x1_c, v1_c = _to_frame(R_t, omega_c, state.x_1, state.v_1)
-    x2_c, v2_c = _to_frame(R_t, omega_c, state.x_2, state.v_2)
+    y = np.asarray(y, dtype=float)
+    xp_c, vp_c = _to_frame(R_t, omega_c, y[0:3], y[3:6])
+    x1_c, v1_c = _to_frame(R_t, omega_c, y[6:9], y[9:12])
+    x2_c, v2_c = _to_frame(R_t, omega_c, y[12:15], y[15:18])
     s = np.concatenate([xp_c, vp_c, x1_c, v1_c, x2_c, v2_c])
 
     u = cfg.feedforward(omega_c) - cfg.gain.K @ (s - cfg._s_bar)
     T1 = _saturate(R @ u[0:3], cfg.T_max)
     T2 = _saturate(R @ u[3:6], cfg.T_max)
-    return ControlCommand(T_cmd_1=T1, T_cmd_2=T2)
+    return np.concatenate([T1, T2]).tolist()
 
 
 _LOG_HEADER = ("t,T_cmd_1_x,T_cmd_1_y,T_cmd_1_z,"

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import STATE_DIM, ControlCommand, SystemParams, SystemState, table_text
+from .model import STATE_DIM, SystemParams, SystemState, table_text
 
 __all__ = [
     "DegenerateGeometryError",
@@ -40,9 +40,7 @@ __all__ = [
     "Trajectory",
     "tether_force",
     "tether_forces",
-    "step",
     "simulate",
-    "mechanical_energy",
     "trajectory_to_csv",
 ]
 
@@ -325,21 +323,6 @@ def _make_rhs(params: SystemParams, clamp_slack: bool):
     return rhs, advance
 
 
-def step(state: SystemState, cmd: ControlCommand, omega_c: float,
-         params: SystemParams, dt: float, clamp_slack: bool = True) -> SystemState:
-    """Advance one RK4 step of size ``dt``; deterministic for fixed inputs."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not dt < params.dt_stability_limit:
-        raise ValueError(
-            f"dt={dt} exceeds the stability guard {params.dt_stability_limit:.6g} s")
-    _, advance = _make_rhs(params, clamp_slack)
-    omega_c = float(omega_c)
-    y = advance(state.as_vector().tolist(), tuple(cmd.as_vector().tolist()),
-                lambda t: omega_c, state.t, 0, 1, dt)
-    return SystemState.from_vector(y, t=state.t + dt)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Uniformly sampled simulation output.
@@ -355,9 +338,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def state_at(self, i: int) -> SystemState:
-        return SystemState.from_vector(self.states[i], t=float(self.t[i]))
 
     @property
     def x_p(self) -> np.ndarray:
@@ -397,7 +377,7 @@ class Trajectory:
 
 
 def simulate(initial: SystemState,
-             controller: Callable[[SystemState], ControlCommand],
+             controller: Callable[[list, float], list],
              omega_profile: Callable[[float], float],
              params: SystemParams,
              duration: float,
@@ -405,6 +385,13 @@ def simulate(initial: SystemState,
              clamp_slack: bool = True) -> Trajectory:
     """Run the closed loop: controller at f_ctrl with zero-order hold, physics
     stepped at dt_physics, omega_C sampled at step midpoints.
+
+    At each control tick ``controller(y, t)`` receives the flat 25-element
+    state (a list of floats in the layout of :mod:`spinlift.model`) and the
+    tick time, and returns the six commanded thrusts [T_cmd_1, T_cmd_2] as
+    floats, held until the next tick. A non-finite command is not refused
+    here: it makes the state non-finite in the first step of its hold, which
+    raises :class:`IntegrationBlowupError` with that step's end time.
 
     ``output_decimation`` is the number of physics steps between stored
     samples (default: one sample per control tick). Requires 1/(f_ctrl *
@@ -443,8 +430,7 @@ def simulate(initial: SystemState,
     i = 0
     while i < n_steps:
         if i % steps_per_tick == 0:
-            cmd = controller(SystemState.from_vector(y, t=t0 + i * dt))
-            u = tuple(cmd.as_vector().tolist())
+            u = tuple(controller(y, t0 + i * dt))
             if i == 0:
                 record(0)
         # integrate up to the next control tick or stored sample
@@ -461,25 +447,6 @@ def simulate(initial: SystemState,
                           params, clamp_slack)
     return Trajectory(t=t_out, states=states_out, commands=commands_out,
                       tether=np.column_stack([F_1, F_2]))
-
-
-def mechanical_energy(state: SystemState, params: SystemParams) -> dict:
-    """Kinetic, gravitational (z datum at 0), and tether spring energy [J].
-
-    Spring energy uses the unclamped spring law, so the breakdown is only an
-    exact audit when slack clamping is disabled.
-    """
-    kinetic = 0.5 * params.m_p * float(np.dot(state.v_p, state.v_p))
-    kinetic += 0.5 * params.m_q * float(np.dot(state.v_1, state.v_1))
-    kinetic += 0.5 * params.m_q * float(np.dot(state.v_2, state.v_2))
-    grav = params.g * (params.m_p * state.x_p[2]
-                       + params.m_q * state.x_1[2] + params.m_q * state.x_2[2])
-    spring = 0.0
-    for x_i in (state.x_1, state.x_2):
-        stretch = float(np.linalg.norm(x_i - state.x_p)) - params.ell
-        spring += 0.5 * params.k_T * stretch * stretch
-    total = kinetic + grav + spring
-    return {"kinetic": kinetic, "gravitational": grav, "spring": spring, "total": total}
 
 
 _CSV_HEADER = (

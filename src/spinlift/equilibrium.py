@@ -27,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (ControlCommand, EquilibriumSpec, SystemParams, SystemState,
-                    table_text, vec3)
+from .model import EquilibriumSpec, SystemParams, SystemState, table_text, vec3
 
 __all__ = [
     "SingularityError",
@@ -91,10 +90,15 @@ def thrust_components(beta: float, omega_c: float, params: SystemParams,
     """(horizontal, vertical) components of the thrust per vehicle [N] that
     holds tether angle ``beta`` at spin rate ``omega_c`` with the vehicles
     ``length`` from the payload; horizontal is positive outward."""
-    if not 0.0 <= omega_c < math.inf:
-        raise ValueError(f"omega_C must be finite and nonnegative, got {omega_c}")
+    try:
+        centripetal = params.m_q * omega_c ** 2 * length
+    except OverflowError:
+        centripetal = math.inf
+    if not (omega_c >= 0.0 and centripetal < math.inf):
+        raise ValueError(f"omega_C must be finite and nonnegative, with a finite "
+                         f"centripetal force m_q * omega_C^2 * length; got {omega_c}")
     tension = tension_at_equilibrium(beta, params)
-    horizontal = math.sin(beta) * (tension - params.m_q * omega_c ** 2 * length)
+    horizontal = math.sin(beta) * (tension - centripetal)
     vertical = params.m_p * params.g / 2.0 + params.m_q * params.g
     return horizontal, vertical
 
@@ -139,14 +143,19 @@ def power(T_per_vehicle: float, params: SystemParams,
     T = float(T_per_vehicle)
     if not T >= 0.0:
         raise ValueError(f"thrust must be nonnegative, got {T}")
-    p_vehicle = rotor_power(T, params)
+    try:
+        p_vehicle = rotor_power(T, params)
+    except OverflowError:
+        raise ValueError(f"thrust {T!r} N overflows the power law T^1.5") from None
     return PowerReport(T_per_vehicle=T, P_per_vehicle=p_vehicle,
                        P_total=2.0 * p_vehicle, beta=beta, omega_C=omega_c)
 
 
 def build_equilibrium(beta: float, omega_c: float, params: SystemParams
-                      ) -> tuple[EquilibriumSpec, SystemState, ControlCommand]:
-    """Construct the full equilibrium triple for one operating point.
+                      ) -> tuple[EquilibriumSpec, SystemState, list]:
+    """Construct the full equilibrium triple for one operating point: the
+    spec, the state, and the feedforward command as six floats [T_cmd_1,
+    T_cmd_2] (the flat command layout of :mod:`spinlift.model`).
 
     The spin axis is vertical through ``DEFAULT_PAYLOAD_POSITION`` (the
     control-frame origin). Vehicles sit at the stretched tether length
@@ -187,8 +196,7 @@ def build_equilibrium(beta: float, omega_c: float, params: SystemParams
         T_act_1=T1.copy(), T_act_2=T2.copy(),
         theta=0.0, t=0.0,
     )
-    cmd = ControlCommand(T_cmd_1=T1.copy(), T_cmd_2=T2.copy())
-    return spec, state, cmd
+    return spec, state, [horizontal, 0.0, vertical, -horizontal, 0.0, vertical]
 
 
 @dataclass(frozen=True)

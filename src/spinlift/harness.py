@@ -20,7 +20,7 @@ from . import equilibrium as eqm
 from .control import ControllerConfig, SpinProfile, control_step
 from .dynamics import IntegrationBlowupError, Trajectory, simulate
 from .lqr import LinearizationError, SynthesisError, gain_cache_key, synthesize
-from .model import SystemParams, SystemState, vec3
+from .model import SystemParams, vec3
 from .svgplot import grouped_bar_chart, line_chart
 
 __all__ = [
@@ -147,12 +147,10 @@ def run_scenario(spec: ScenarioSpec, params: SystemParams,
             x_1=initial_state.x_1 + offset,
             x_2=initial_state.x_2 + offset)
 
-    def controller(state: SystemState):
-        return control_step(state, cfg, state.t)
-
     try:
-        traj = simulate(initial_state, controller, profile.omega, params,
-                        sum(durations.values()), output_decimation=spec.output_decimation)
+        traj = simulate(initial_state, lambda y, t: control_step(y, cfg, t),
+                        profile.omega, params, sum(durations.values()),
+                        output_decimation=spec.output_decimation)
     except IntegrationBlowupError as exc:
         phase = _phase_at(exc.t, durations)
         raise SimulationFailed(f"integration blew up at t={exc.t:.3f} s "

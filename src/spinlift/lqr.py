@@ -30,21 +30,18 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import _make_rhs
-from .model import EquilibriumSpec, SystemParams, params_fingerprint, table_text
+from .model import EquilibriumSpec, SystemParams, params_fingerprint
 
 __all__ = [
     "LinearizationError",
     "SynthesisError",
     "LinearModel",
     "GainSet",
-    "c_frame_derivative",
     "equilibrium_c_state",
     "linearize",
     "solve_care",
     "default_weights",
     "synthesize",
-    "gainset_to_text",
-    "gainset_from_text",
     "gain_cache_key",
 ]
 
@@ -105,12 +102,6 @@ def _c_frame_model(params: SystemParams):
         return np.stack([v_c, a_c], axis=1).ravel()
 
     return f
-
-
-def c_frame_derivative(s: np.ndarray, u: np.ndarray, omega_c: float,
-                       params: SystemParams) -> np.ndarray:
-    """Time derivative of the design-model state s under thrust pair u."""
-    return _c_frame_model(params)(s, u, omega_c)
 
 
 def equilibrium_c_state(eq: EquilibriumSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -200,40 +191,6 @@ def synthesize(eq: EquilibriumSpec, params: SystemParams) -> GainSet:
     if abscissa >= 0.0:
         raise SynthesisError(f"closed loop not Hurwitz (abscissa {abscissa:.3e})")
     return GainSet(K=K, P=P, Q=Q, R=R, care_residual=residual)
-
-
-def gainset_to_text(gains: GainSet) -> str:
-    """Serialize a GainSet as structured text (row-major, full precision)."""
-    blocks = [table_text(f"{name} {M.shape[0]} {M.shape[1]}", M.tolist(), sep=" ")
-              for name, M in (("K", gains.K), ("P", gains.P), ("Q", gains.Q), ("R", gains.R))]
-    return "".join(["spinlift-gainset 1\n", *blocks, f"care_residual {gains.care_residual!r}\n"])
-
-
-def gainset_from_text(text: str) -> GainSet:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split() != ["spinlift-gainset", "1"]:
-        raise ValueError("not a spinlift gainset dump")
-    matrices: dict[str, np.ndarray] = {}
-    residual = None
-    i = 1
-    while i < len(lines):
-        head = lines[i].split()
-        if head[0] == "care_residual":
-            residual = float(head[1])
-            i += 1
-            continue
-        name, rows, cols = head[0], int(head[1]), int(head[2])
-        data = [[float(v) for v in lines[i + 1 + r].split()] for r in range(rows)]
-        M = np.array(data)
-        if M.shape != (rows, cols):
-            raise ValueError(f"matrix {name} has inconsistent shape")
-        matrices[name] = M
-        i += 1 + rows
-    missing = {"K", "P", "Q", "R"} - matrices.keys()
-    if missing or residual is None:
-        raise ValueError(f"gainset dump incomplete (missing {sorted(missing)})")
-    return GainSet(K=matrices["K"], P=matrices["P"], Q=matrices["Q"],
-                   R=matrices["R"], care_residual=residual)
 
 
 def gain_cache_key(beta: float, omega_c: float, params: SystemParams) -> str:

@@ -1,4 +1,4 @@
-"""Shared domain types: physical parameters, states, commands, frame rotation.
+"""Shared domain types: physical parameters, states, frame rotation.
 
 Conventions used throughout the package:
 
@@ -24,7 +24,6 @@ __all__ = [
     "SystemParams",
     "EquilibriumSpec",
     "SystemState",
-    "ControlCommand",
     "vec3",
     "rotation_c_to_e",
     "load_params",
@@ -257,12 +256,18 @@ class EquilibriumSpec:
 #   [18:21] T_act_1  actual (lagged) thrust vector, vehicle 1, E frame [N]
 #   [21:24] T_act_2  actual thrust vector, vehicle 2 [N]
 #   [24]    theta    accumulated control-frame angle [rad]
+# Flat command layout, held by the simulator between control ticks:
+#   [0:3]   T_cmd_1  commanded thrust vector, vehicle 1, E frame [N]
+#   [3:6]   T_cmd_2  commanded thrust vector, vehicle 2, E frame [N]
 STATE_DIM = 25
 
 
 @dataclass(frozen=True, eq=False)
 class SystemState:
-    """Positions/velocities of payload and both vehicles plus thrust states."""
+    """Positions/velocities of payload and both vehicles plus thrust states.
+
+    The validated form of a state at the API edges (a flight's initial
+    state); the closed loop itself passes the flat vector."""
 
     x_p: np.ndarray
     v_p: np.ndarray
@@ -310,35 +315,15 @@ class SystemState:
         return replace(self, **changes)
 
 
-@dataclass(frozen=True, eq=False)
-class ControlCommand:
-    """Commanded thrust vectors for both vehicles, E frame.
-
-    The controller guarantees the runtime invariants (magnitude at most the
-    configured saturation, nonnegative vertical component); construction only
-    requires finiteness.
-    """
-
-    T_cmd_1: np.ndarray
-    T_cmd_2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "T_cmd_1", _as_vec3(self.T_cmd_1, "T_cmd_1"))
-        object.__setattr__(self, "T_cmd_2", _as_vec3(self.T_cmd_2, "T_cmd_2"))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.T_cmd_1, self.T_cmd_2])
-
-
 def default_thrust_limit(params: SystemParams) -> float:
     """Default command saturation: four times a vehicle's own weight [N]."""
     return 4.0 * params.m_q * params.g
 
 
-def table_text(header: str, rows, sep: str = ",") -> str:
-    """Header line plus one line per row, cells written with ``repr`` (full
-    precision for Python floats), newline-terminated.
+def table_text(header: str, rows) -> str:
+    """CSV text: header line plus one line per row, cells written with
+    ``repr`` (full precision for Python floats), newline-terminated.
 
     Rows must hold Python numbers: under numpy 2 the ``repr`` of a numpy
     scalar names its type (``np.float64(0.5)``)."""
-    return "\n".join([header, *(sep.join(map(repr, row)) for row in rows), ""])
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows), ""])

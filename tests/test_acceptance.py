@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from spinlift.dynamics import simulate, step
+from spinlift.dynamics import _make_rhs, simulate
 from spinlift.equilibrium import (build_equilibrium, omega_star, power,
                                   sweep_beta, sweep_omega, thrust_magnitude)
 from spinlift.harness import ScenarioSpec, run_scenario
 from spinlift.lqr import linearize, solve_care, synthesize
-from spinlift.model import ControlCommand, SystemParams, SystemState, vec3
+from spinlift.model import SystemParams, SystemState, vec3
 
 P = SystemParams()
 DEG = math.radians
@@ -142,24 +142,27 @@ def test_criterion_6_care_correctness():
 
 
 def test_criterion_7_dynamics_oracles():
+    _, advance = _make_rhs(P, clamp_slack=True)
+
+    def no_spin(t):
+        return 0.0
+
     # free fall: slack tethers, zero thrust, 1 s from rest
     state = SystemState(
         x_p=vec3(0, 0, 1.5), v_p=vec3(0, 0, 0),
         x_1=vec3(0.3, 0, 1.9), v_1=vec3(0, 0, 0),
         x_2=vec3(-0.3, 0, 1.9), v_2=vec3(0, 0, 0),
         T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0))
-    cmd = ControlCommand(T_cmd_1=vec3(0, 0, 0), T_cmd_2=vec3(0, 0, 0))
-    s = state
-    for _ in range(2000):
-        s = step(s, cmd, 0.0, P, 5e-4)
-    fall_err = abs((s.x_p[2] - 1.5) - (-0.5 * P.g))
+    cmd = [0.0] * 6
+    y = advance(state.as_vector().tolist(), cmd, no_spin, 0.0, 0, 2000, 5e-4)
+    fall_err = abs((y[2] - 1.5) - (-0.5 * P.g))
 
     # momentum conservation with gravity and thrust removed
     p0 = SystemParams(g=0.0)
     _, eq_state, _ = build_equilibrium(DEG(45), 0.0, P)
     drift_state = eq_state.replace(v_p=vec3(0.3, -0.2, 0.1),
                                    T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0))
-    traj = simulate(drift_state, lambda st: cmd, lambda t: 0.0, p0,
+    traj = simulate(drift_state, lambda y, t: cmd, no_spin, p0,
                     duration=1.0, output_decimation=100)
     momentum = p0.m_p * traj.v_p + p0.m_q * traj.v_1 + p0.m_q * traj.v_2
     mom_drift = float(np.linalg.norm(momentum - momentum[0], axis=1).max())
@@ -169,10 +172,8 @@ def test_criterion_7_dynamics_oracles():
     st45 = st45.replace(x_p=st45.x_p + vec3(0, 0, -0.005))
 
     def integrate(dt):
-        s = st45
-        for _ in range(int(round(0.25 / dt))):
-            s = step(s, cmd45, 0.0, P, dt)
-        return s.as_vector()
+        return np.array(advance(st45.as_vector().tolist(), cmd45, no_spin, 0.0, 0,
+                                int(round(0.25 / dt)), dt))
 
     ref = integrate(1.25e-4)
     e1 = np.linalg.norm(integrate(1e-3) - ref)

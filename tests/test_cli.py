@@ -2,7 +2,7 @@ import pytest
 
 from spinlift import harness
 from spinlift.cli import main
-from spinlift.model import ControlCommand, SystemParams, params_to_text, vec3
+from spinlift.model import SystemParams, params_to_text
 
 
 def test_equilibrium_prints_operating_point(capsys, tmp_path):
@@ -33,7 +33,7 @@ def test_singular_angle_is_model_error(capsys):
     assert "model error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("omega", ["inf", "nan"])
+@pytest.mark.parametrize("omega", ["inf", "nan", "1e160"])
 def test_nonfinite_spin_rate_is_model_error(omega, capsys):
     assert main(["equilibrium", "--beta", "60", "--omega", omega]) == 2
     assert "omega_C" in capsys.readouterr().err
@@ -76,6 +76,20 @@ def test_sweep_omega_csv(tmp_path):
     assert len(lines) == 12
 
 
+@pytest.mark.parametrize("max_omega", ["1e120", "1e200"])
+def test_sweep_omega_skips_overflowing_points(max_omega, tmp_path, capsys):
+    # on the grid 0, max/2, max the last two points overflow: at 1e200 rad/s
+    # the spin rate squared, at 1e120 rad/s the power of the thrust
+    code = main(["sweep-omega", "--beta", "45", "--max-omega", max_omega,
+                 "--n", "3", "--out", str(tmp_path)])
+    assert code == 0
+    skipped = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("skipped grid point")]
+    assert len(skipped) == 2
+    lines = (tmp_path / "sweep_omega.csv").read_text().strip().split("\n")
+    assert len(lines) == 2
+
+
 def test_fly_short_static(tmp_path, capsys):
     code = main(["fly", "--mode", "static", "--beta", "30",
                  "--duration", "2", "--out", str(tmp_path)])
@@ -111,10 +125,10 @@ def test_fly_steep_rotating_refused(tmp_path, capsys):
 def test_fly_blowup_is_integration_failure(tmp_path, capsys, monkeypatch):
     real_step = harness.control_step
 
-    def bomb(state, cfg, t):
+    def bomb(y, cfg, t):
         if t < 0.5:
-            return real_step(state, cfg, t)
-        return ControlCommand(T_cmd_1=vec3(0.0, 0.0, 1e300), T_cmd_2=vec3(0.0, 0.0, 1e300))
+            return real_step(y, cfg, t)
+        return [0.0, 0.0, 1e300, 0.0, 0.0, 1e300]
 
     monkeypatch.setattr(harness, "control_step", bomb)
     code = main(["fly", "--mode", "static", "--beta", "30",

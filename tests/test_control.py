@@ -26,6 +26,11 @@ def make_cfg(beta_deg=45.0, spin=True, hover=100.0, **kwargs):
     return cfg, spec, state, cmd
 
 
+def command(state, cfg, t):
+    """control_step on a validated state: the six thrusts as an array."""
+    return np.array(control_step(state.as_vector().tolist(), cfg, t))
+
+
 def orbit_state(state0, w, t):
     """Equilibrium state carried around the circle to time t."""
     R = rotation_c_to_e(w * t)
@@ -113,43 +118,43 @@ class TestControlStep:
         rng = np.random.default_rng(1)
         for t in rng.uniform(0.0, 30.0, size=100):
             state = orbit_state(state0, w, t)
-            cmd = control_step(state, cfg, t)
+            cmd = command(state, cfg, t)
             R = rotation_c_to_e(cfg.profile.theta(t))
-            assert_allclose(cmd.T_cmd_1, R @ spec.T_bar_1, atol=1e-9)
-            assert_allclose(cmd.T_cmd_2, R @ spec.T_bar_2, atol=1e-9)
+            assert_allclose(cmd[0:3], R @ spec.T_bar_1, atol=1e-9)
+            assert_allclose(cmd[3:6], R @ spec.T_bar_2, atol=1e-9)
 
     def test_payload_sag_raises_thrust_symmetrically(self):
         # altitude feedback: payload below setpoint -> more vertical thrust
         cfg, spec, state0, _ = make_cfg(45.0, spin=False)
         sagged = state0.replace(x_p=state0.x_p + vec3(0, 0, -0.1))
-        cmd = control_step(sagged, cfg, 0.0)
-        assert cmd.T_cmd_1[2] > spec.T_bar_1[2]
-        assert cmd.T_cmd_2[2] > spec.T_bar_2[2]
-        assert cmd.T_cmd_1[2] == pytest.approx(cmd.T_cmd_2[2], rel=1e-9)
+        cmd = command(sagged, cfg, 0.0)
+        assert cmd[2] > spec.T_bar_1[2]
+        assert cmd[5] > spec.T_bar_2[2]
+        assert cmd[2] == pytest.approx(cmd[5], rel=1e-9)
         lifted = state0.replace(x_p=state0.x_p + vec3(0, 0, 0.1))
-        cmd_up = control_step(lifted, cfg, 0.0)
-        assert cmd_up.T_cmd_1[2] < spec.T_bar_1[2]
+        cmd_up = command(lifted, cfg, 0.0)
+        assert cmd_up[2] < spec.T_bar_1[2]
 
     def test_saturation_preserves_direction(self):
         cfg, spec, state0, _ = make_cfg(45.0, spin=False)
         far = state0.replace(x_p=state0.x_p + vec3(0, 0, -30.0))
-        cmd = control_step(far, cfg, 0.0)
-        n1 = np.linalg.norm(cmd.T_cmd_1)
+        cmd = command(far, cfg, 0.0)
+        n1 = np.linalg.norm(cmd[0:3])
         assert n1 == pytest.approx(cfg.T_max, rel=1e-12)
         # direction identical to the unsaturated command
         big = ControllerConfig(gain=cfg.gain, eq=cfg.eq, params=P,
                                profile=cfg.profile, T_max=1e9)
-        raw = control_step(far, big, 0.0)
-        cosine = np.dot(cmd.T_cmd_1, raw.T_cmd_1) / (
-            np.linalg.norm(cmd.T_cmd_1) * np.linalg.norm(raw.T_cmd_1))
+        raw = command(far, big, 0.0)
+        cosine = np.dot(cmd[0:3], raw[0:3]) / (
+            np.linalg.norm(cmd[0:3]) * np.linalg.norm(raw[0:3]))
         assert cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_vertical_clamp(self):
         cfg, spec, state0, _ = make_cfg(45.0, spin=False)
         way_up = state0.replace(x_p=state0.x_p + vec3(0, 0, 40.0))
-        cmd = control_step(way_up, cfg, 0.0)
-        assert cmd.T_cmd_1[2] >= 0.0
-        assert cmd.T_cmd_2[2] >= 0.0
+        cmd = command(way_up, cfg, 0.0)
+        assert cmd[2] >= 0.0
+        assert cmd[5] >= 0.0
 
     def test_feedforward_schedule_matches_static_balance(self):
         # at zero spin the scheduled feedforward equals the static-balance
@@ -192,7 +197,7 @@ class TestControlStep:
 class TestClosedLoopPlumbing:
     def test_zero_order_hold_bit_identical(self):
         cfg, spec, state0, _ = make_cfg(45.0, spin=True, hover=100.0)
-        traj = simulate(state0, lambda s: control_step(s, cfg, s.t),
+        traj = simulate(state0, lambda y, t: control_step(y, cfg, t),
                         cfg.profile.omega, P, duration=0.2, output_decimation=1)
         steps_per_tick = int(round(1.0 / (P.f_ctrl * P.dt_physics)))
         for tick_start in range(1, len(traj) - steps_per_tick, steps_per_tick):
@@ -201,7 +206,7 @@ class TestClosedLoopPlumbing:
 
     def test_command_log_csv(self):
         cfg, spec, state0, _ = make_cfg(30.0, spin=False)
-        traj = simulate(state0, lambda s: control_step(s, cfg, s.t),
+        traj = simulate(state0, lambda y, t: control_step(y, cfg, t),
                         cfg.profile.omega, P, duration=0.1)
         csv = command_log_to_csv(traj, cfg.T_max)
         lines = csv.strip().split("\n")
@@ -213,7 +218,7 @@ class TestClosedLoopPlumbing:
     def test_command_log_flags_saturation(self):
         cfg, spec, state0, _ = make_cfg(45.0, spin=False)
         far = state0.replace(x_p=state0.x_p + vec3(0, 0, -30.0))
-        traj = simulate(far, lambda s: control_step(s, cfg, s.t),
+        traj = simulate(far, lambda y, t: control_step(y, cfg, t),
                         cfg.profile.omega, P, duration=0.02)
         csv = command_log_to_csv(traj, cfg.T_max)
         assert csv.strip().split("\n")[1].endswith(",1")

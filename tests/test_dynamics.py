@@ -8,25 +8,31 @@ from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
 from spinlift.dynamics import (DegenerateGeometryError, IntegrationBlowupError,
-                               _make_rhs, mechanical_energy, simulate, step,
-                               tether_force, tether_forces, trajectory_to_csv)
+                               _make_rhs, simulate, tether_force, tether_forces,
+                               trajectory_to_csv)
 from spinlift.equilibrium import build_equilibrium, omega_star
-from spinlift.lqr import c_frame_derivative
-from spinlift.model import ControlCommand, SystemParams, SystemState, vec3
+from spinlift.lqr import _c_frame_model
+from spinlift.model import ParamError, SystemParams, SystemState, vec3
 
 ORIGIN = vec3(0.0, 0.0, 1.5)
 DEG = math.radians
 
 
 def zero_cmd():
-    return ControlCommand(T_cmd_1=vec3(0, 0, 0), T_cmd_2=vec3(0, 0, 0))
+    return [0.0] * 6
 
 
 def rhs_at(state, cmd, omega_c, params):
     """The integrator's right-hand side at one state, in the flat layout."""
     rhs, _ = _make_rhs(params, clamp_slack=True)
-    return np.asarray(rhs(state.as_vector().tolist(),
-                          tuple(cmd.as_vector().tolist()), omega_c))
+    return np.asarray(rhs(state.as_vector().tolist(), cmd, omega_c))
+
+
+def advance_from(state, cmd, omega_c, params, dt, n):
+    """The flat state after n RK4 steps of size dt under a held command and a
+    constant spin rate."""
+    _, advance = _make_rhs(params, clamp_slack=True)
+    return advance(state.as_vector().tolist(), cmd, lambda t: omega_c, state.t, 0, n, dt)
 
 
 def slack_state(params, t=0.0):
@@ -83,8 +89,7 @@ def reference_simulate(initial, controller, omega_profile, params, duration,
     t, states, commands = [t0], [y], []
     for i in range(round(duration / dt)):
         if i % hold == 0:
-            cmd = controller(SystemState.from_vector(y, t=t0 + i * dt))
-            u = tuple(cmd.as_vector().tolist())
+            u = tuple(controller(y, t0 + i * dt))
             if i == 0:
                 commands.append(u)
         y = rk4_reference(rhs, y, u, float(omega_profile(t0 + (i + 0.5) * dt)), dt)
@@ -153,7 +158,7 @@ class TestTetherForce:
         assert_allclose(d[accel], accelerations(tether_forces(state, p)),
                         rtol=1e-12, atol=1e-12)
         u = np.concatenate([state.T_act_1, state.T_act_2])
-        d_c = c_frame_derivative(state.as_vector()[:18], u, 0.0, p)
+        d_c = _c_frame_model(p)(state.as_vector()[:18], u, 0.0)
         assert_allclose(d_c[accel],
                         accelerations(tether_forces(state, p, clamp_slack=False)),
                         rtol=1e-12, atol=1e-12)
@@ -235,7 +240,7 @@ class TestDerivative:
     def test_thrust_lag_rate(self):
         p = SystemParams()
         state = slack_state(p)
-        cmd = ControlCommand(T_cmd_1=vec3(0, 0, 2.0), T_cmd_2=vec3(0, 0, 0))
+        cmd = [0.0, 0.0, 2.0, 0.0, 0.0, 0.0]
         d = rhs_at(state, cmd, 0.0, p)
         assert_allclose(d[18:21], [0, 0, 2.0 / p.tau_att], rtol=1e-12)
 
@@ -273,17 +278,14 @@ class TestStep:
         beta = math.radians(60)
         w = omega_star(beta, p)
         _, state, cmd = build_equilibrium(beta, w, p)
-        nxt = step(state, cmd, w, p, p.dt_physics)
-        assert np.linalg.norm(nxt.x_p - state.x_p) < 1e-6
-        assert nxt.t == pytest.approx(p.dt_physics)
+        nxt = advance_from(state, cmd, w, p, p.dt_physics, 1)
+        assert np.linalg.norm(np.subtract(nxt[0:3], state.x_p)) < 1e-6
+        assert nxt[24] == pytest.approx(w * p.dt_physics)
 
     def test_ballistic_free_fall_analytic(self):
         p = SystemParams()
-        state = slack_state(p)
-        for _ in range(2000):
-            state = step(state, zero_cmd(), 0.0, p, 5e-4)
-        assert state.x_p[2] - ORIGIN[2] == pytest.approx(-0.5 * 9.81, abs=1e-9)
-        assert state.t == pytest.approx(1.0, abs=1e-9)
+        y = advance_from(slack_state(p), zero_cmd(), 0.0, p, 5e-4, 2000)
+        assert y[2] - ORIGIN[2] == pytest.approx(-0.5 * 9.81, abs=1e-9)
 
     def test_rk4_convergence_order(self):
         p = SystemParams()
@@ -292,10 +294,7 @@ class TestStep:
         state0 = state0.replace(x_p=state0.x_p + vec3(0, 0, -0.005))
 
         def integrate(dt, t_final=0.25):
-            s = state0
-            for _ in range(int(round(t_final / dt))):
-                s = step(s, cmd, 0.0, p, dt)
-            return s.as_vector()
+            return np.array(advance_from(state0, cmd, 0.0, p, dt, int(round(t_final / dt))))
 
         ref = integrate(1.25e-4)
         e1 = np.linalg.norm(integrate(1e-3) - ref)
@@ -304,21 +303,19 @@ class TestStep:
         assert 3.7 <= order <= 4.3
 
     def test_invalid_dt_rejected(self):
-        p = SystemParams()
-        _, state, cmd = build_equilibrium(0.3, 0.0, p)
-        with pytest.raises(ValueError):
-            step(state, cmd, 0.0, p, 0.0)
-        with pytest.raises(ValueError):
-            step(state, cmd, 0.0, p, 0.1)
+        # the integrator steps at params.dt_physics, which is refused when
+        # nonpositive or beyond the stiff-tether stability guard
+        with pytest.raises(ParamError, match="dt_physics"):
+            SystemParams(dt_physics=0.0)
+        with pytest.raises(ParamError, match="stability guard"):
+            SystemParams(dt_physics=0.1)
 
     def test_blowup_carries_time(self):
         p = SystemParams()
         _, state, _ = build_equilibrium(0.5, 0.0, p)
-        bomb = ControlCommand(T_cmd_1=vec3(0, 0, 1e300), T_cmd_2=vec3(0, 0, 0))
+        bomb = [0.0, 0.0, 1e300, 0.0, 0.0, 0.0]
         with pytest.raises(IntegrationBlowupError) as excinfo:
-            s = state
-            for _ in range(100):
-                s = step(s, bomb, 0.0, p, 5e-4)
+            advance_from(state, bomb, 0.0, p, 5e-4, 100)
         assert excinfo.value.t > 0.0
 
 
@@ -328,14 +325,15 @@ class TestSimulate:
         _, state, cmd = build_equilibrium(0.5, 0.0, p)
         calls = []
 
-        def controller(s):
-            calls.append(s.t)
+        def controller(y, t):
+            calls.append((y, t))
             return cmd
 
         simulate(state, controller, lambda t: 0.0, p, duration=1.0)
         assert len(calls) == 50
-        assert calls[0] == 0.0
-        assert calls[-1] == pytest.approx(0.98, abs=1e-12)
+        assert calls[0] == (state.as_vector().tolist(), 0.0)
+        assert calls[-1][1] == pytest.approx(0.98, abs=1e-12)
+        assert all(len(y) == 25 and all(type(v) is float for v in y) for y, _ in calls)
 
     def test_theta_matches_profile_integral(self):
         p = SystemParams()
@@ -346,14 +344,14 @@ class TestSimulate:
         def profile(t):
             return w_end * min(t, ramp) / ramp
 
-        traj = simulate(state, lambda s: cmd, profile, p, duration=6.0)
+        traj = simulate(state, lambda y, t: cmd, profile, p, duration=6.0)
         theta_exact = 0.5 * w_end * ramp + w_end * 1.0
         assert traj.theta[-1] == pytest.approx(theta_exact, abs=1e-6)
 
     def test_theta_nondecreasing_for_nonnegative_omega(self):
         p = SystemParams()
         _, state, cmd = build_equilibrium(0.5, 0.0, p)
-        traj = simulate(state, lambda s: cmd, lambda t: 1.3, p, duration=0.5)
+        traj = simulate(state, lambda y, t: cmd, lambda t: 1.3, p, duration=0.5)
         assert np.all(np.diff(traj.theta) >= 0.0)
 
     def test_determinism_bitwise(self):
@@ -361,7 +359,7 @@ class TestSimulate:
         beta = math.radians(45)
         w = omega_star(beta, p)
         _, state, cmd = build_equilibrium(beta, w, p)
-        runs = [simulate(state, lambda s: cmd, lambda t: w, p, duration=0.5)
+        runs = [simulate(state, lambda y, t: cmd, lambda t: w, p, duration=0.5)
                 for _ in range(2)]
         assert trajectory_to_csv(runs[0]) == trajectory_to_csv(runs[1])
         assert np.array_equal(runs[0].states, runs[1].states)
@@ -371,7 +369,7 @@ class TestSimulate:
         _, state, _ = build_equilibrium(math.radians(45), 0.0, SystemParams())
         state = state.replace(v_p=vec3(0.3, -0.2, 0.1),
                               T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0))
-        traj = simulate(state, lambda s: zero_cmd(), lambda t: 0.0, p,
+        traj = simulate(state, lambda y, t: zero_cmd(), lambda t: 0.0, p,
                         duration=1.0, output_decimation=200)
         momentum = (p.m_p * traj.v_p + p.m_q * traj.v_1 + p.m_q * traj.v_2)
         drift = np.linalg.norm(momentum - momentum[0], axis=1)
@@ -388,7 +386,7 @@ class TestSimulate:
             x_2=state.x_2 + vec3(-0.03, -0.01, -0.02),
             v_p=vec3(0, 0, 0.05),
         )
-        traj = simulate(state, lambda s: cmd, lambda t: w, p, duration=1.0,
+        traj = simulate(state, lambda y, t: cmd, lambda t: w, p, duration=1.0,
                         output_decimation=100)
         mirror = np.diag([-1.0, -1.0, 1.0])
         rel1 = traj.x_1 - ORIGIN
@@ -402,11 +400,18 @@ class TestSimulate:
         p = SystemParams()
         _, state, cmd = build_equilibrium(math.radians(45), 0.0, p)
         state = state.replace(x_p=state.x_p + vec3(0.0, 0.0, -0.004))
-        traj = simulate(state, lambda s: cmd, lambda t: 0.0, p,
+        traj = simulate(state, lambda y, t: cmd, lambda t: 0.0, p,
                         duration=1.0, output_decimation=1, clamp_slack=False)
         n = len(traj)
-        energies = np.array([
-            mechanical_energy(traj.state_at(i), p)["total"] for i in range(n)])
+        # kinetic, gravitational (z datum at 0) and unclamped spring energy
+        energies = 0.5 * (p.m_p * np.sum(traj.v_p ** 2, axis=1)
+                          + p.m_q * np.sum(traj.v_1 ** 2, axis=1)
+                          + p.m_q * np.sum(traj.v_2 ** 2, axis=1))
+        energies += p.g * (p.m_p * traj.x_p[:, 2] + p.m_q * traj.x_1[:, 2]
+                           + p.m_q * traj.x_2[:, 2])
+        for x_i in (traj.x_1, traj.x_2):
+            stretch = np.linalg.norm(x_i - traj.x_p, axis=1) - p.ell
+            energies += 0.5 * p.k_T * stretch * stretch
         thrust_power = (np.sum(traj.T_act_1 * traj.v_1, axis=1)
                         + np.sum(traj.T_act_2 * traj.v_2, axis=1))
         damping = np.zeros(n)
@@ -428,11 +433,8 @@ class TestSimulate:
         # 62 steps at 20 steps per hold: three command changes, and a
         # decimation of 7 that puts stored samples inside holds
         p = SystemParams(f_ctrl=100.0, drag_enabled=drag)
-        commands = [ControlCommand(T_cmd_1=np.array(c[:3]), T_cmd_2=np.array(c[3:]))
-                    for c in thrusts]
-
-        def controller(s):
-            return commands[round(s.t * p.f_ctrl)]
+        def controller(y, t):
+            return thrusts[round(t * p.f_ctrl)]
 
         def profile(t):
             return w * (1.0 + 10.0 * t)
@@ -446,16 +448,17 @@ class TestSimulate:
             assert np.array_equal(traj.states, states[::dec])
             assert np.array_equal(traj.commands, cmds[::dec])
 
-    @pytest.mark.parametrize("thrust", [1e300, 1e160])
+    @pytest.mark.parametrize("thrust", [1e300, 1e160, math.nan])
     def test_blowup_time_matches_reference(self, thrust):
-        # the bomb is issued at the 0.04 s tick; 1e300 N blows up in the
-        # next step, 1e160 N fourteen steps later, both inside the hold
+        # the bomb is issued at the 0.04 s tick; 1e300 N and a NaN command
+        # blow up in the next step, 1e160 N fourteen steps later, all inside
+        # the hold
         p = SystemParams()
         _, state, cmd = build_equilibrium(0.5, 0.0, p)
-        bomb = ControlCommand(T_cmd_1=vec3(0, 0, thrust), T_cmd_2=vec3(0, 0, 0))
+        bomb = [0.0, 0.0, thrust, 0.0, 0.0, 0.0]
 
-        def controller(s):
-            return bomb if s.t >= 0.03 else cmd
+        def controller(y, t):
+            return bomb if t >= 0.03 else cmd
 
         with pytest.raises(IntegrationBlowupError) as expected:
             reference_simulate(state, controller, lambda t: 0.0, p, 0.2)
@@ -464,17 +467,18 @@ class TestSimulate:
         assert excinfo.value.t == expected.value.t
         ticks = expected.value.t * p.f_ctrl
         assert abs(ticks - round(ticks)) > 1e-6  # not a hold boundary
+        if thrust != 1e160:
+            assert expected.value.t == pytest.approx(0.04 + p.dt_physics, abs=1e-12)
 
     def test_tension_column_matches_tether_forces(self):
         # slack vehicles thrust upward away from the falling payload until
         # the ropes snap taut and throw them back: slack, taut, slack again
         p = SystemParams()
-        up = vec3(0, 0, 2.0 * p.m_q * p.g)
-        lift = ControlCommand(T_cmd_1=up, T_cmd_2=up)
-        traj = simulate(slack_state(p), lambda s: lift, lambda t: 0.0, p,
+        lift = [0.0, 0.0, 2.0 * p.m_q * p.g] * 2
+        traj = simulate(slack_state(p), lambda y, t: lift, lambda t: 0.0, p,
                         duration=0.5, output_decimation=5)
         for i in range(len(traj)):
-            pair = tether_forces(traj.state_at(i), p)
+            pair = tether_forces(SystemState.from_vector(traj.states[i]), p)
             assert_allclose(traj.tether[i], [pair.F_1, pair.F_2], rtol=1e-12, atol=1e-9)
         slack = np.stack([np.linalg.norm(traj.x_1 - traj.x_p, axis=1) < p.ell,
                           np.linalg.norm(traj.x_2 - traj.x_p, axis=1) < p.ell], axis=1)
@@ -486,12 +490,12 @@ class TestSimulate:
         p = SystemParams(dt_physics=3e-4, f_ctrl=50.0)  # 1/(50*3e-4) = 66.67
         _, state, cmd = build_equilibrium(0.5, 0.0, p)
         with pytest.raises(ValueError, match="zero-order hold"):
-            simulate(state, lambda s: cmd, lambda t: 0.0, p, duration=0.1)
+            simulate(state, lambda y, t: cmd, lambda t: 0.0, p, duration=0.1)
 
     def test_csv_export(self):
         p = SystemParams()
         _, state, cmd = build_equilibrium(0.5, 0.0, p)
-        traj = simulate(state, lambda s: cmd, lambda t: 0.0, p, duration=0.1)
+        traj = simulate(state, lambda y, t: cmd, lambda t: 0.0, p, duration=0.1)
         csv = trajectory_to_csv(traj)
         lines = csv.strip().split("\n")
         assert lines[0].startswith("t,x_p_x,x_p_y,x_p_z,")

@@ -55,8 +55,9 @@ class TestThrustMagnitude:
                             (P.m_p * P.g / 2) * math.tan(DEG(60)))
         assert thrust_magnitude(DEG(60), 0.0, P) == pytest.approx(oracle, rel=1e-14)
 
-    @pytest.mark.parametrize("omega", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("omega", [-1.0, math.inf, math.nan, 1e160])
     def test_invalid_spin_rate_rejected(self, omega):
+        # 1e160 rad/s is finite, but its square overflows
         with pytest.raises(ValueError, match="omega_C must be finite and nonnegative"):
             thrust_components(DEG(60), omega, P, P.ell)
 
@@ -143,6 +144,11 @@ class TestPower:
         with pytest.raises(ValueError):
             power(-1.0, P)
 
+    def test_overflowing_thrust_rejected(self):
+        # 1e300 N is finite, but its 1.5th power is not
+        with pytest.raises(ValueError, match="overflows the power law"):
+            power(1e300, P)
+
     def test_density_scaling(self):
         dense = SystemParams(rho=2.0 * P.rho)
         assert power(9.81, dense).P_per_vehicle == pytest.approx(
@@ -193,7 +199,7 @@ class TestBuildEquilibrium:
             w = scale * omega_star(beta, P)
             spec, state, cmd = build_equilibrium(beta, w, P)
             rhs, _ = _make_rhs(P, clamp_slack=True)
-            d = rhs(state.as_vector().tolist(), tuple(cmd.as_vector().tolist()), w)
+            d = rhs(state.as_vector().tolist(), cmd, w)
             assert np.linalg.norm(d[3:6]) < 1e-6
             ell_s = P.ell + spec.F_bar / P.k_T
             expected = w * w * ell_s * math.sin(beta)

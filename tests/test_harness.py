@@ -11,7 +11,7 @@ from spinlift.harness import (ScenarioSpec, SimulationFailed, compare_modes,
                               comparison_svg, comparison_to_csv, run_scenario,
                               sweep_beta_svg, sweep_omega_svg)
 from spinlift.lqr import gain_cache_key
-from spinlift.model import ControlCommand, SystemParams, vec3
+from spinlift.model import SystemParams
 from spinlift.svgplot import grouped_bar_chart, line_chart
 from spinlift.dynamics import trajectory_to_csv
 
@@ -91,10 +91,10 @@ class TestRunScenario:
     def test_blowup_names_the_hover_phase(self, monkeypatch):
         real_step = harness.control_step
 
-        def bomb(state, cfg, t):
+        def bomb(y, cfg, t):
             if t < 1.5:
-                return real_step(state, cfg, t)
-            return ControlCommand(T_cmd_1=vec3(0.0, 0.0, 1e300), T_cmd_2=vec3(0.0, 0.0, 1e300))
+                return real_step(y, cfg, t)
+            return [0.0, 0.0, 1e300, 0.0, 0.0, 1e300]
 
         monkeypatch.setattr(harness, "control_step", bomb)
         spec = short_spec("rotating", 60.0, spin_up=1.0, hover=2.0, spin_down=1.0,

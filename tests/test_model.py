@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spinlift.model import (ConfigError, ControlCommand, ParamError,
-                            SystemParams, SystemState, load_params,
-                            params_to_text, rotation_c_to_e, vec3)
+from spinlift.model import (ConfigError, ParamError, SystemParams, SystemState,
+                            load_params, params_to_text, rotation_c_to_e, vec3)
 
 
 class TestSystemParams:
@@ -142,11 +141,6 @@ class TestStateTypes:
         SystemState.from_vector(good)
         with pytest.raises(ValueError):
             SystemState.from_vector(bad)
-
-    def test_command_requires_finite_vectors(self):
-        ControlCommand(T_cmd_1=vec3(0, 0, 1), T_cmd_2=vec3(0, 0, 1))
-        with pytest.raises(ValueError):
-            ControlCommand(T_cmd_1=vec3(0, 0, np.inf), T_cmd_2=vec3(0, 0, 1))
 
     def test_state_replace(self):
         state = SystemState.from_vector(np.zeros(25))

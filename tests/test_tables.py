@@ -16,7 +16,7 @@ from spinlift.control import (ControllerConfig, SpinProfile, _LOG_HEADER,
 from spinlift.dynamics import Trajectory, simulate, trajectory_to_csv
 from spinlift.equilibrium import (build_equilibrium, omega_star, sweep_beta,
                                   sweep_omega, sweep_to_csv)
-from spinlift.lqr import gainset_to_text, synthesize
+from spinlift.lqr import synthesize
 from spinlift.model import SystemParams, default_thrust_limit, table_text, vec3
 
 P = SystemParams()
@@ -25,8 +25,8 @@ T_MAX = default_thrust_limit(P)
 SPECIAL = (-0.0, 5e-324, 1e300, 1.0 / 3.0, -1e-300, 0.1, 2.5, -7.0)
 
 
-def reference_line(row, sep=","):
-    return sep.join(repr(float(v)) for v in row)
+def reference_line(row):
+    return ",".join(repr(float(v)) for v in row)
 
 
 def reference_trajectory_csv(traj):
@@ -59,15 +59,6 @@ def reference_sweep_csv(result, params):
     return "\n".join(lines) + "\n"
 
 
-def reference_gainset_text(gains):
-    lines = ["spinlift-gainset 1"]
-    for name, M in (("K", gains.K), ("P", gains.P), ("Q", gains.Q), ("R", gains.R)):
-        lines.append(f"{name} {M.shape[0]} {M.shape[1]}")
-        lines.extend(reference_line(M[i], sep=" ") for i in range(M.shape[0]))
-    lines.append(f"care_residual {gains.care_residual!r}")
-    return "\n".join(lines) + "\n"
-
-
 @pytest.fixture(scope="module")
 def flight():
     """0.1 s of closed-loop rotating flight at 45 deg, every step stored,
@@ -78,7 +69,7 @@ def flight():
     cfg = ControllerConfig(gain=synthesize(spec, P), eq=spec, params=P,
                            profile=SpinProfile(omega_target=w, t_hover=10.0))
     start = state.replace(x_p=state.x_p + vec3(0.05, 0.0, 0.0))
-    return simulate(start, lambda s: control_step(s, cfg, s.t), cfg.profile.omega, P,
+    return simulate(start, lambda y, t: control_step(y, cfg, t), cfg.profile.omega, P,
                     duration=0.1, output_decimation=1)
 
 
@@ -100,7 +91,7 @@ def odd_trajectory():
 
 def test_table_text_layout():
     assert table_text("a,b", []) == "a,b\n"
-    assert table_text("a b", [[1.0, -0.0], [5e-324, 2]], sep=" ") == "a b\n1.0 -0.0\n5e-324 2\n"
+    assert table_text("a,b", [[1.0, -0.0], [5e-324, 2]]) == "a,b\n1.0,-0.0\n5e-324,2\n"
 
 
 def test_trajectory_csv_of_flight(flight):
@@ -132,10 +123,3 @@ def test_sweep_csv():
     for result in results:
         assert sweep_to_csv(result, P) == reference_sweep_csv(result, P)
 
-
-@pytest.mark.parametrize("beta_deg, spin", [(37.5, 0.0), (60.0, 1.0)])
-def test_gainset_text(beta_deg, spin):
-    beta = DEG(beta_deg)
-    spec, _, _ = build_equilibrium(beta, spin * omega_star(beta, P), P)
-    gains = synthesize(spec, P)
-    assert gainset_to_text(gains) == reference_gainset_text(gains)
