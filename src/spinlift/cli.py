@@ -44,6 +44,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a grid size: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", metavar="FILE",
@@ -68,7 +79,7 @@ def _build_parser() -> _Parser:
                           help="power vs tether angle")
     p_sb.add_argument("--min", type=float, required=True, help="first angle [deg]")
     p_sb.add_argument("--max", type=float, required=True, help="last angle [deg]")
-    p_sb.add_argument("--n", type=int, required=True, help="number of grid points")
+    p_sb.add_argument("--n", type=_positive_int, required=True, help="number of grid points")
     p_sb.add_argument("--mode", choices=["static", "rotating"], required=True)
     p_sb.add_argument("--svg", metavar="PATH", help="also render a chart")
 
@@ -76,7 +87,7 @@ def _build_parser() -> _Parser:
                           help="power vs spin rate at fixed angle")
     p_so.add_argument("--beta", type=float, required=True, help="tether angle [deg]")
     p_so.add_argument("--max-omega", type=float, required=True, help="grid end [rad/s]")
-    p_so.add_argument("--n", type=int, required=True, help="number of grid points")
+    p_so.add_argument("--n", type=_positive_int, required=True, help="number of grid points")
     p_so.add_argument("--svg", metavar="PATH", help="also render a chart")
 
     p_fly = sub.add_parser("fly", parents=[common], help="run one hover scenario")

@@ -4,9 +4,9 @@ Earth-frame equations of motion:
 
 * vehicle i:  m_q * a_i = T_act_i + m_q * g_vec + f_drag_i - F_i * r_hat_i
 * payload:    m_p * a_p = m_p * g_vec + f_drag_p + sum_i F_i * r_hat_i
-* tethers:    F_i = k_T * (|r_i| - ell) + c_T * d|r_i|/dt; with slack
-              clamping on, F_i = 0 while |r_i| < ell and F_i is floored at 0
-              (unilateral ropes: they pull, never push)
+* tethers:    F_i = k_T * (|r_i| - ell) + c_T * d|r_i|/dt, F_i = 0 while
+              |r_i| < ell and F_i is floored at 0 (unilateral ropes: they
+              pull, never push)
 * thrust lag: dT_act_i/dt = (T_cmd_i - T_act_i) / tau_att
 * frame:      dtheta/dt = omega_C
 
@@ -69,14 +69,14 @@ class TetherForces:
     r_hat_2: np.ndarray
 
 
-def tether_force(x_i, v_i, x_p, v_p, params: SystemParams,
-                 clamp_slack: bool = True) -> tuple[float | np.ndarray, np.ndarray]:
+def tether_force(x_i, v_i, x_p, v_p,
+                 params: SystemParams) -> tuple[float | np.ndarray, np.ndarray]:
     """Tension magnitude and unit vector (payload -> vehicle) for one tether.
 
     Returns ``(F, r_hat)`` with F = k_T*(|r| - ell) + c_T * d|r|/dt, where the
-    length rate is the relative velocity projected on r_hat. With slack
-    clamping the rope is unilateral: no force while |r| < ell, and the total
-    force is floored at zero.
+    length rate is the relative velocity projected on r_hat. The rope is
+    unilateral: no force while |r| < ell, and the total force is floored at
+    zero.
 
     The inputs may be stacks of 3-vectors, shape ``(..., 3)``: F then has
     shape ``(...)`` and r_hat ``(..., 3)``. For single ``(3,)`` vectors F is a
@@ -93,24 +93,20 @@ def tether_force(x_i, v_i, x_p, v_p, params: SystemParams,
     rel_v = np.asarray(v_i, dtype=float) - np.asarray(v_p, dtype=float)
     length_rate = np.sum(rel_v * r_hat, axis=-1)
     force = params.k_T * (dist - params.ell) + params.c_T * length_rate
-    if clamp_slack:
-        force = np.where((dist < params.ell) | (force < 0.0), 0.0, force)
+    force = np.where((dist < params.ell) | (force < 0.0), 0.0, force)
     if np.ndim(force) == 0:
         return float(force), r_hat
     return force, r_hat
 
 
-def tether_forces(state: SystemState, params: SystemParams,
-                  clamp_slack: bool = True) -> TetherForces:
+def tether_forces(state: SystemState, params: SystemParams) -> TetherForces:
     """Both tether tensions and unit vectors for one state."""
-    f1, r1 = tether_force(state.x_1, state.v_1, state.x_p, state.v_p,
-                          params, clamp_slack)
-    f2, r2 = tether_force(state.x_2, state.v_2, state.x_p, state.v_p,
-                          params, clamp_slack)
+    f1, r1 = tether_force(state.x_1, state.v_1, state.x_p, state.v_p, params)
+    f2, r2 = tether_force(state.x_2, state.v_2, state.x_p, state.v_p, params)
     return TetherForces(F_1=f1, F_2=f2, r_hat_1=r1, r_hat_2=r2)
 
 
-def _make_rhs(params: SystemParams, clamp_slack: bool):
+def _make_rhs(params: SystemParams):
     """Build ``(rhs, advance)``, the scalarized model and its RK4 stepper.
 
     Both rest on one acceleration closure over the 24 physical state scalars
@@ -164,7 +160,7 @@ def _make_rhs(params: SystemParams, clamp_slack: bool):
         h1z = r1z * inv_d1
         rate1 = (v1x - vpx) * h1x + (v1y - vpy) * h1y + (v1z - vpz) * h1z
         F1 = k_T * (d1 - ell) + c_T * rate1
-        if clamp_slack and (d1 < ell or F1 < 0.0):
+        if d1 < ell or F1 < 0.0:
             F1 = 0.0
 
         # tether 2
@@ -180,7 +176,7 @@ def _make_rhs(params: SystemParams, clamp_slack: bool):
         h2z = r2z * inv_d2
         rate2 = (v2x - vpx) * h2x + (v2y - vpy) * h2y + (v2z - vpz) * h2z
         F2 = k_T * (d2 - ell) + c_T * rate2
-        if clamp_slack and (d2 < ell or F2 < 0.0):
+        if d2 < ell or F2 < 0.0:
             F2 = 0.0
 
         if drag:
@@ -381,8 +377,7 @@ def simulate(initial: SystemState,
              omega_profile: Callable[[float], float],
              params: SystemParams,
              duration: float,
-             output_decimation: int | None = None,
-             clamp_slack: bool = True) -> Trajectory:
+             output_decimation: int | None = None) -> Trajectory:
     """Run the closed loop: controller at f_ctrl with zero-order hold, physics
     stepped at dt_physics, omega_C sampled at step midpoints.
 
@@ -413,7 +408,7 @@ def simulate(initial: SystemState,
     if dec < 1:
         raise ValueError("output_decimation must be >= 1")
 
-    _, advance = _make_rhs(params, clamp_slack)
+    _, advance = _make_rhs(params)
     n_samples = n_steps // dec + 1
     t_out = np.empty(n_samples)
     states_out = np.empty((n_samples, STATE_DIM))
@@ -441,10 +436,8 @@ def simulate(initial: SystemState,
             record(i)
 
     x_p, v_p = states_out[:, 0:3], states_out[:, 3:6]
-    F_1, _ = tether_force(states_out[:, 6:9], states_out[:, 9:12], x_p, v_p,
-                          params, clamp_slack)
-    F_2, _ = tether_force(states_out[:, 12:15], states_out[:, 15:18], x_p, v_p,
-                          params, clamp_slack)
+    F_1, _ = tether_force(states_out[:, 6:9], states_out[:, 9:12], x_p, v_p, params)
+    F_2, _ = tether_force(states_out[:, 12:15], states_out[:, 15:18], x_p, v_p, params)
     return Trajectory(t=t_out, states=states_out, commands=commands_out,
                       tether=np.column_stack([F_1, F_2]))
 

@@ -175,12 +175,9 @@ def build_equilibrium(beta: float, omega_c: float, params: SystemParams
     spec = EquilibriumSpec(
         beta=beta,
         omega_C=float(omega_c),
-        F_bar=tension_at_equilibrium(beta, params),
         T_bar_1=T1,
         T_bar_2=T2,
         offset=offset,
-        tilt=tilt_angle(beta, omega_c, params),
-        v_tangential=omega_c * params.ell * math.sin(beta),
     )
 
     origin = vec3(*DEFAULT_PAYLOAD_POSITION)

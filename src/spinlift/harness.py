@@ -19,7 +19,7 @@ import numpy as np
 from . import equilibrium as eqm
 from .control import ControllerConfig, SpinProfile, control_step
 from .dynamics import IntegrationBlowupError, Trajectory, simulate
-from .lqr import LinearizationError, SynthesisError, gain_cache_key, synthesize
+from .lqr import LinearizationError, SynthesisError, synthesize
 from .model import SystemParams, vec3
 from .svgplot import grouped_bar_chart, line_chart
 
@@ -107,14 +107,8 @@ def _omega_series(traj: Trajectory, origin: np.ndarray) -> np.ndarray:
     return np.where(r_sq > 1e-12, num / np.maximum(r_sq, 1e-12), 0.0)
 
 
-def run_scenario(spec: ScenarioSpec, params: SystemParams,
-                 gain_cache: dict | None = None) -> tuple[Trajectory, RunSummary]:
-    """Execute one flight and meter it.
-
-    ``gain_cache`` maps :func:`spinlift.lqr.gain_cache_key` of (beta, omega,
-    params) to the operating point and its GainSet and is filled on demand,
-    letting comparison grids reuse synthesis work.
-    """
+def run_scenario(spec: ScenarioSpec, params: SystemParams) -> tuple[Trajectory, RunSummary]:
+    """Execute one flight and meter it."""
     rotating = spec.mode == "rotating"
     omega_target = eqm.omega_star(spec.beta, params) if rotating else 0.0
     durations = {"spin_up": spec.spin_up if rotating else 0.0, "hover": spec.hover,
@@ -122,17 +116,12 @@ def run_scenario(spec: ScenarioSpec, params: SystemParams,
     profile = SpinProfile(omega_target=omega_target, t_ramp_up=durations["spin_up"],
                           t_hover=spec.hover, t_ramp_down=durations["spin_down"])
 
-    cache = gain_cache if gain_cache is not None else {}
-    key = gain_cache_key(spec.beta, omega_target, params)
-    if key not in cache:
-        eq_spec, _, _ = eqm.build_equilibrium(spec.beta, omega_target, params)
-        try:
-            gains = synthesize(eq_spec, params)
-        except (SynthesisError, LinearizationError) as exc:
-            raise ScenarioError(f"gain synthesis failed at beta={spec.beta:.4f}, "
-                                f"omega={omega_target:.4f}: {exc}") from exc
-        cache[key] = (eq_spec, gains)
-    eq_spec, gains = cache[key]
+    eq_spec, _, _ = eqm.build_equilibrium(spec.beta, omega_target, params)
+    try:
+        gains = synthesize(eq_spec, params)
+    except (SynthesisError, LinearizationError) as exc:
+        raise ScenarioError(f"gain synthesis failed at beta={spec.beta:.4f}, "
+                            f"omega={omega_target:.4f}: {exc}") from exc
     cfg = ControllerConfig(gain=gains, eq=eq_spec, params=params, profile=profile)
     _, initial_state, _ = eqm.build_equilibrium(spec.beta, profile.omega(0.0), params)
 
@@ -226,7 +215,6 @@ def compare_modes(beta_grid, params: SystemParams, hover: float = 40.0,
     the table completes. Static flights have no ramps.
     """
     rows: list[ComparisonRow] = []
-    cache: dict = {}
     for beta in beta_grid:
         means: dict[str, float | None] = {"static": None, "rotating": None}
         stds: dict[str, float | None] = {"static": None, "rotating": None}
@@ -236,7 +224,7 @@ def compare_modes(beta_grid, params: SystemParams, hover: float = 40.0,
                 spec = ScenarioSpec(mode=mode, beta=float(beta), spin_up=spin_up,
                                     hover=hover, spin_down=spin_down,
                                     metering_window=metering_window)
-                _, summary = run_scenario(spec, params, gain_cache=cache)
+                _, summary = run_scenario(spec, params)
                 means[mode] = summary.mean_P_total
                 stds[mode] = summary.std_P_total
             except (ScenarioError, eqm.SingularityError, ValueError) as exc:

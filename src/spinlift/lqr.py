@@ -8,11 +8,10 @@ The regulator model lives in the rotating control frame C with state
     u = [T_1, T_2]                      in R^6    (thrust vectors, C frame)
 
 The earth-frame accelerations a_E come from the truth model's right-hand side
-(:mod:`spinlift.dynamics`) with three simplifications: commanded thrust is
+(:mod:`spinlift.dynamics`) with two simplifications: commanded thrust is
 applied directly (the actuation lag is an inner-loop detail excluded from the
-design model), drag is left out, and the tether spring is evaluated unclamped
-since it is taut in a neighborhood of the equilibrium. They are mapped into
-the frame rotating at constant omega via
+design model) and drag is left out. They are mapped into the frame rotating
+at constant omega via
 
     a_C = a_E - 2 w x v_C - w x (w x x_C),        w = omega_C * z_hat.
 
@@ -30,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import _make_rhs
-from .model import EquilibriumSpec, SystemParams, params_fingerprint
+from .model import EquilibriumSpec, SystemParams
 
 __all__ = [
     "LinearizationError",
@@ -42,7 +41,6 @@ __all__ = [
     "solve_care",
     "default_weights",
     "synthesize",
-    "gain_cache_key",
 ]
 
 N_STATE = 18
@@ -77,8 +75,6 @@ class GainSet:
 
     K: np.ndarray            # (6, 18) feedback gain
     P: np.ndarray            # (18, 18) Riccati solution, symmetric PSD
-    Q: np.ndarray            # (18, 18) state weight
-    R: np.ndarray            # (6, 6) input weight
     care_residual: float     # Frobenius norm of the Riccati defect
 
 
@@ -88,7 +84,7 @@ def _c_frame_model(params: SystemParams):
     Evaluated at theta = 0 (frame axes aligned with E), which is general
     because the physics is invariant under rotation about the vertical axis.
     """
-    rhs, _ = _make_rhs(replace(params, drag_enabled=False), clamp_slack=False)
+    rhs, _ = _make_rhs(replace(params, drag_enabled=False))
 
     def f(s, u, omega_c: float) -> np.ndarray:
         bodies = np.asarray(s, dtype=float).reshape(3, 2, 3)  # (p, 1, 2) x (x, v)
@@ -113,8 +109,7 @@ def equilibrium_c_state(eq: EquilibriumSpec) -> tuple[np.ndarray, np.ndarray]:
     return s_bar, u_bar
 
 
-def linearize(eq: EquilibriumSpec, params: SystemParams,
-              fd_step: float = _FD_STEP) -> LinearModel:
+def linearize(eq: EquilibriumSpec, params: SystemParams) -> LinearModel:
     """Central-difference A, B of the control-frame model at the equilibrium.
 
     Refuses to linearize if the supplied point is not a fixed point of the
@@ -134,10 +129,10 @@ def linearize(eq: EquilibriumSpec, params: SystemParams,
     for j in range(N_STATE + N_INPUT):
         zp = z_bar.copy()
         zm = z_bar.copy()
-        zp[j] += fd_step
-        zm[j] -= fd_step
+        zp[j] += _FD_STEP
+        zm[j] -= _FD_STEP
         J[:, j] = (f(zp[:N_STATE], zp[N_STATE:], w)
-                   - f(zm[:N_STATE], zm[N_STATE:], w)) / (2.0 * fd_step)
+                   - f(zm[:N_STATE], zm[N_STATE:], w)) / (2.0 * _FD_STEP)
     return LinearModel(A=J[:, :N_STATE].copy(), B=J[:, N_STATE:].copy(),
                        s_bar=s_bar, u_bar=u_bar)
 
@@ -190,9 +185,4 @@ def synthesize(eq: EquilibriumSpec, params: SystemParams) -> GainSet:
     abscissa = _spectral_abscissa(model.A - model.B @ K)
     if abscissa >= 0.0:
         raise SynthesisError(f"closed loop not Hurwitz (abscissa {abscissa:.3e})")
-    return GainSet(K=K, P=P, Q=Q, R=R, care_residual=residual)
-
-
-def gain_cache_key(beta: float, omega_c: float, params: SystemParams) -> str:
-    """Cache key for a synthesized gain: operating point plus parameter hash."""
-    return f"beta{beta!r}_omega{omega_c!r}_{params_fingerprint(params)}"
+    return GainSet(K=K, P=P, care_residual=residual)

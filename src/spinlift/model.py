@@ -12,7 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -28,7 +27,6 @@ __all__ = [
     "rotation_c_to_e",
     "load_params",
     "params_to_text",
-    "params_fingerprint",
     "table_text",
 ]
 
@@ -210,12 +208,6 @@ def params_to_text(params: SystemParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-def params_fingerprint(params: SystemParams) -> str:
-    """Short stable hash of the parameter values, used for gain-cache keys."""
-    canon = ";".join(f"{k}={getattr(params, k)!r}" for k in _CONFIG_FIELDS)
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
 @dataclass(frozen=True)
 class EquilibriumSpec:
     """One operating point: tether angle, spin rate, and derived quantities.
@@ -223,20 +215,14 @@ class EquilibriumSpec:
     ``T_bar_1``/``T_bar_2`` are the exact feedforward thrust vectors in the
     control frame (vehicle 1 on the +x side); they mirror each other across
     the y-z plane. ``offset`` is vehicle 1's position relative to the payload
-    at the stretched tether length (vehicle 2 mirrors it). ``tilt`` is the
-    thrust tilt from vertical of the ideal rigid-tether force balance
-    (positive = outward); ``v_tangential`` is the vehicle speed along its
-    circular path at rest tether length.
+    at the stretched tether length (vehicle 2 mirrors it).
     """
 
     beta: float               # tether angle from vertical [rad]
     omega_C: float            # control-frame spin rate [rad/s]
-    F_bar: float              # equilibrium tether tension [N]
     T_bar_1: np.ndarray       # feedforward thrust, vehicle 1, C frame [N]
     T_bar_2: np.ndarray       # feedforward thrust, vehicle 2, C frame [N]
     offset: np.ndarray        # vehicle 1 minus payload position, C frame [m]
-    tilt: float               # thrust tilt from vertical [rad]
-    v_tangential: float       # omega_C * ell * sin(beta) [m/s]
 
     def __post_init__(self):
         object.__setattr__(self, "T_bar_1", _as_vec3(self.T_bar_1, "T_bar_1"))

@@ -33,7 +33,6 @@ def report(criterion: int, passed: bool, detail: str):
 @pytest.fixture(scope="module")
 def hover_grid():
     """All ten (mode, beta) hover runs at the official protocol settings."""
-    cache = {}
     summaries = {}
     for beta_deg in BETA_GRID_DEG:
         for mode in ("static", "rotating"):
@@ -42,7 +41,7 @@ def hover_grid():
                 spin_up=8.0 if mode == "rotating" else 0.0,
                 spin_down=8.0 if mode == "rotating" else 0.0,
             )
-            _, summary = run_scenario(spec, P, gain_cache=cache)
+            _, summary = run_scenario(spec, P)
             summaries[(mode, beta_deg)] = summary
     return summaries
 
@@ -142,7 +141,7 @@ def test_criterion_6_care_correctness():
 
 
 def test_criterion_7_dynamics_oracles():
-    _, advance = _make_rhs(P, clamp_slack=True)
+    _, advance = _make_rhs(P)
 
     def no_spin(t):
         return 0.0

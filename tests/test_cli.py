@@ -137,6 +137,19 @@ def test_fly_blowup_is_integration_failure(tmp_path, capsys, monkeypatch):
     assert "phase: hover" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep-beta", "--min", "0", "--max", "75", "--mode", "static"],
+    ["sweep-omega", "--beta", "45", "--max-omega", "5"],
+], ids=["sweep-beta", "sweep-omega"])
+@pytest.mark.parametrize("n", ["0", "-1", "2.5", "abc"])
+def test_sweep_grid_size_must_be_positive(command, n, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main([*command, "--n", n, "--out", str(tmp_path / "out"), "--svg", "chart.svg"])
+    assert code == 1
+    assert "--n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_single_angle(tmp_path, capsys):
     svg_path = tmp_path / "bars.svg"
     code = main(["compare", "--betas", "45", "--out", str(tmp_path),

@@ -10,7 +10,7 @@ from scipy.integrate import simpson
 from spinlift.dynamics import (DegenerateGeometryError, IntegrationBlowupError,
                                _make_rhs, simulate, tether_force, tether_forces,
                                trajectory_to_csv)
-from spinlift.equilibrium import build_equilibrium, omega_star
+from spinlift.equilibrium import build_equilibrium, omega_star, tension_at_equilibrium
 from spinlift.lqr import _c_frame_model
 from spinlift.model import ParamError, SystemParams, SystemState, vec3
 
@@ -24,14 +24,14 @@ def zero_cmd():
 
 def rhs_at(state, cmd, omega_c, params):
     """The integrator's right-hand side at one state, in the flat layout."""
-    rhs, _ = _make_rhs(params, clamp_slack=True)
+    rhs, _ = _make_rhs(params)
     return np.asarray(rhs(state.as_vector().tolist(), cmd, omega_c))
 
 
 def advance_from(state, cmd, omega_c, params, dt, n):
     """The flat state after n RK4 steps of size dt under a held command and a
     constant spin rate."""
-    _, advance = _make_rhs(params, clamp_slack=True)
+    _, advance = _make_rhs(params)
     return advance(state.as_vector().tolist(), cmd, lambda t: omega_c, state.t, 0, n, dt)
 
 
@@ -77,11 +77,10 @@ def rk4_reference(rhs, y, u, omega_c, dt):
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def reference_simulate(initial, controller, omega_profile, params, duration,
-                       clamp_slack=True):
+def reference_simulate(initial, controller, omega_profile, params, duration):
     """simulate's closed loop taken one reference RK4 step at a time. Returns
     the time, state and held command after every step (row 0: the start)."""
-    rhs, _ = _make_rhs(params, clamp_slack)
+    rhs, _ = _make_rhs(params)
     dt = params.dt_physics
     hold = round(1.0 / (params.f_ctrl * dt))
     t0 = initial.t
@@ -123,10 +122,6 @@ class TestTetherForce:
         F, _ = tether_force(vec3(0, 0, 0.99), vec3(0, 0, 0),
                             vec3(0, 0, 0), vec3(0, 0, 0), p)
         assert F == 0.0
-        F_unclamped, _ = tether_force(vec3(0, 0, 0.99), vec3(0, 0, 0),
-                                      vec3(0, 0, 0), vec3(0, 0, 0), p,
-                                      clamp_slack=False)
-        assert F_unclamped == pytest.approx(-0.01 * p.k_T, rel=1e-9)
 
     def test_slack_rope_does_not_pull(self):
         # 1 mm short of the rest length and extending at 0.5 m/s: the
@@ -159,8 +154,7 @@ class TestTetherForce:
                         rtol=1e-12, atol=1e-12)
         u = np.concatenate([state.T_act_1, state.T_act_2])
         d_c = _c_frame_model(p)(state.as_vector()[:18], u, 0.0)
-        assert_allclose(d_c[accel],
-                        accelerations(tether_forces(state, p, clamp_slack=False)),
+        assert_allclose(d_c[accel], accelerations(tether_forces(state, p)),
                         rtol=1e-12, atol=1e-12)
 
     def test_stacked_vectors(self):
@@ -218,11 +212,11 @@ class TestDerivative:
         p = SystemParams()
         beta = math.radians(60)
         w = omega_star(beta, p)
-        spec, state, cmd = build_equilibrium(beta, w, p)
+        _, state, cmd = build_equilibrium(beta, w, p)
         d = rhs_at(state, cmd, w, p)
         assert np.linalg.norm(d[3:6]) < 1e-9
         # vehicles accelerate centripetally at the stretched radius
-        ell_s = p.ell + spec.F_bar / p.k_T
+        ell_s = p.ell + tension_at_equilibrium(beta, p) / p.k_T
         a_mag = np.linalg.norm(d[9:12])
         assert a_mag == pytest.approx(w * w * ell_s * math.sin(beta), rel=1e-9)
         # within half a percent of the rigid rest-length value 7.28 m/s^2
@@ -396,14 +390,16 @@ class TestSimulate:
         assert_allclose(traj.x_p[:, 0:2], np.zeros_like(traj.x_p[:, 0:2]), atol=1e-10)
 
     def test_energy_audit(self):
-        # drag off, clamping off: d/dt(E) = thrust power - damping dissipation
+        # drag off, both ropes taut throughout: d/dt(E) = thrust power -
+        # damping dissipation
         p = SystemParams()
         _, state, cmd = build_equilibrium(math.radians(45), 0.0, p)
         state = state.replace(x_p=state.x_p + vec3(0.0, 0.0, -0.004))
         traj = simulate(state, lambda y, t: cmd, lambda t: 0.0, p,
-                        duration=1.0, output_decimation=1, clamp_slack=False)
+                        duration=1.0, output_decimation=1)
+        assert traj.tether.min() > 0.0
         n = len(traj)
-        # kinetic, gravitational (z datum at 0) and unclamped spring energy
+        # kinetic, gravitational (z datum at 0) and spring energy
         energies = 0.5 * (p.m_p * np.sum(traj.v_p ** 2, axis=1)
                           + p.m_q * np.sum(traj.v_1 ** 2, axis=1)
                           + p.m_q * np.sum(traj.v_2 ** 2, axis=1))
@@ -428,8 +424,8 @@ class TestSimulate:
     @given(state=near_formation_states(),
            thrusts=st.lists(st.lists(st.floats(-5.0, 20.0), min_size=6, max_size=6),
                             min_size=4, max_size=4),
-           w=st.floats(0.0, 4.0), drag=st.booleans(), clamp_slack=st.booleans())
-    def test_matches_reference_integrator(self, state, thrusts, w, drag, clamp_slack):
+           w=st.floats(0.0, 4.0), drag=st.booleans())
+    def test_matches_reference_integrator(self, state, thrusts, w, drag):
         # 62 steps at 20 steps per hold: three command changes, and a
         # decimation of 7 that puts stored samples inside holds
         p = SystemParams(f_ctrl=100.0, drag_enabled=drag)
@@ -439,11 +435,10 @@ class TestSimulate:
         def profile(t):
             return w * (1.0 + 10.0 * t)
 
-        t, states, cmds = reference_simulate(state, controller, profile, p, 0.031,
-                                             clamp_slack)
+        t, states, cmds = reference_simulate(state, controller, profile, p, 0.031)
         for dec in (1, 7, 20):
             traj = simulate(state, controller, profile, p, 0.031,
-                            output_decimation=dec, clamp_slack=clamp_slack)
+                            output_decimation=dec)
             assert np.array_equal(traj.t, t[::dec])
             assert np.array_equal(traj.states, states[::dec])
             assert np.array_equal(traj.commands, cmds[::dec])

@@ -164,18 +164,18 @@ class TestBuildEquilibrium:
     def test_rotating_velocities(self):
         beta = DEG(60)
         w = omega_star(beta, P)
-        spec, state, cmd = build_equilibrium(beta, w, P)
+        _, state, _ = build_equilibrium(beta, w, P)
         assert state.v_1[0] == 0.0
         assert state.v_1[2] == 0.0
         assert state.v_1[1] == pytest.approx(2.5, abs=0.05)
         assert_allclose(state.v_2, -state.v_1, atol=1e-15)
-        assert spec.v_tangential == pytest.approx(2.5, abs=0.05)
+        assert w * P.ell * math.sin(beta) == pytest.approx(2.5, abs=0.05)
 
     def test_static_case(self):
-        spec, state, cmd = build_equilibrium(DEG(60), 0.0, P)
+        _, state, _ = build_equilibrium(DEG(60), 0.0, P)
         for v in (state.v_p, state.v_1, state.v_2):
             assert_allclose(v, np.zeros(3), atol=0)
-        assert math.degrees(spec.tilt) == pytest.approx(27.46, abs=0.01)
+        assert math.degrees(tilt_angle(DEG(60), 0.0, P)) == pytest.approx(27.46, abs=0.01)
 
     def test_thrust_mirror_symmetry(self):
         spec, _, _ = build_equilibrium(DEG(50), 1.7, P)
@@ -185,30 +185,30 @@ class TestBuildEquilibrium:
 
     def test_tension_floor(self):
         for beta in np.linspace(0.0, 1.5, 20):
-            spec, _, _ = build_equilibrium(beta, 0.0, P)
             floor = P.m_p * P.g / 2.0
             if beta == 0.0:
-                assert spec.F_bar == pytest.approx(floor, rel=1e-15)
+                assert tension_at_equilibrium(beta, P) == pytest.approx(floor, rel=1e-15)
             else:
-                assert spec.F_bar > floor
+                assert tension_at_equilibrium(beta, P) > floor
 
     def test_fixed_point_of_dynamics(self):
         # cross-module check: the triple balances the truth model
         for beta_deg, scale in ((30, 1.0), (60, 1.0), (60, 0.0)):
             beta = DEG(beta_deg)
             w = scale * omega_star(beta, P)
-            spec, state, cmd = build_equilibrium(beta, w, P)
-            rhs, _ = _make_rhs(P, clamp_slack=True)
+            _, state, cmd = build_equilibrium(beta, w, P)
+            rhs, _ = _make_rhs(P)
             d = rhs(state.as_vector().tolist(), cmd, w)
             assert np.linalg.norm(d[3:6]) < 1e-6
-            ell_s = P.ell + spec.F_bar / P.k_T
+            ell_s = P.ell + tension_at_equilibrium(beta, P) / P.k_T
             expected = w * w * ell_s * math.sin(beta)
             assert np.linalg.norm(d[9:12]) == pytest.approx(expected, abs=1e-6)
 
     def test_spring_carries_exact_tension(self):
-        spec, state, _ = build_equilibrium(DEG(60), 0.0, P)
+        _, state, _ = build_equilibrium(DEG(60), 0.0, P)
         dist = np.linalg.norm(state.x_1 - state.x_p)
-        assert P.k_T * (dist - P.ell) == pytest.approx(spec.F_bar, rel=1e-12)
+        assert P.k_T * (dist - P.ell) == pytest.approx(tension_at_equilibrium(DEG(60), P),
+                                                       rel=1e-12)
 
 
 class TestSweeps:

@@ -10,7 +10,6 @@ from spinlift.equilibrium import (omega_star, power, sweep_beta, sweep_omega,
 from spinlift.harness import (ScenarioSpec, SimulationFailed, compare_modes,
                               comparison_svg, comparison_to_csv, run_scenario,
                               sweep_beta_svg, sweep_omega_svg)
-from spinlift.lqr import gain_cache_key
 from spinlift.model import SystemParams
 from spinlift.svgplot import grouped_bar_chart, line_chart
 from spinlift.dynamics import trajectory_to_csv
@@ -117,25 +116,6 @@ class TestRunScenario:
         assert dev[0] == pytest.approx(0.2, abs=1e-12)
         assert dev[-1] < 0.02
 
-    def test_gain_cache_reused(self):
-        cache = {}
-        run_scenario(short_spec("static", 30.0, hover=2.0, metering_window=1.0),
-                     P, gain_cache=cache)
-        assert gain_cache_key(DEG(30.0), 0.0, P) in cache
-        n_entries = len(cache)
-        run_scenario(short_spec("static", 30.0, hover=2.0, metering_window=1.0),
-                     P, gain_cache=cache)
-        assert len(cache) == n_entries
-
-    def test_gain_cache_separates_parameter_sets(self):
-        spec = short_spec("static", 30.0, hover=2.0, metering_window=1.0)
-        heavy = SystemParams(m_p=0.7)
-        cache = {}
-        run_scenario(spec, P, gain_cache=cache)
-        shared = trajectory_to_csv(run_scenario(spec, heavy, gain_cache=cache)[0])
-        fresh = trajectory_to_csv(run_scenario(spec, heavy)[0])
-        assert shared == fresh
-
 
 @pytest.fixture(scope="module")
 def table():
@@ -191,9 +171,8 @@ class TestMeteringWindow:
                               metering_window=20.0, spin_up=8.0, spin_down=0.0)
         spec80 = ScenarioSpec(mode="rotating", beta=DEG(45), hover=80.0,
                               metering_window=20.0, spin_up=8.0, spin_down=0.0)
-        cache = {}
-        _, s40 = run_scenario(spec40, P, gain_cache=cache)
-        _, s80 = run_scenario(spec80, P, gain_cache=cache)
+        _, s40 = run_scenario(spec40, P)
+        _, s80 = run_scenario(spec80, P)
         assert abs(s80.mean_P_total / s40.mean_P_total - 1.0) < 1e-3
 
 

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinlift.equilibrium import build_equilibrium, omega_star
+from spinlift import lqr
 from spinlift.lqr import (LinearizationError, SynthesisError, _c_frame_model,
                           care_residual_norm, default_weights,
-                          equilibrium_c_state, gain_cache_key, linearize,
-                          solve_care, synthesize)
+                          equilibrium_c_state, linearize, solve_care,
+                          synthesize)
 from spinlift.model import SystemParams, vec3
 
 P = SystemParams()
@@ -101,10 +102,11 @@ class TestLinearize:
         assert_allclose(model.B[15:18, 3:6], np.eye(3) / P.m_q, atol=1e-8)
         assert_allclose(model.B[0:9, :], np.zeros((9, 6)), atol=1e-9)
 
-    def test_step_size_robustness(self):
+    def test_step_size_robustness(self, monkeypatch):
         spec, _, _ = build_equilibrium(DEG(40), 1.5, P)
-        A1 = linearize(spec, P, fd_step=1e-6).A
-        A2 = linearize(spec, P, fd_step=2e-6).A
+        A1 = linearize(spec, P).A
+        monkeypatch.setattr(lqr, "_FD_STEP", 2e-6)
+        A2 = linearize(spec, P).A
         assert np.linalg.norm(A2 - A1) / np.linalg.norm(A1) < 1e-6
 
     def test_refuses_non_equilibrium(self):
@@ -209,11 +211,3 @@ class TestSynthesize:
         model = linearize(spec, P)
         assert abscissa(model.A - model.B @ g.K) < 0.0
         assert g.care_residual < 1e-8
-
-
-class TestSerialization:
-    def test_cache_key_separates_operating_points(self):
-        k1 = gain_cache_key(0.5, 1.0, P)
-        k2 = gain_cache_key(0.5, 2.0, P)
-        k3 = gain_cache_key(0.5, 1.0, SystemParams(m_p=0.7))
-        assert len({k1, k2, k3}) == 3
