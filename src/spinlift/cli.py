@@ -139,16 +139,21 @@ def _cmd_equilibrium(args, params: SystemParams) -> int:
     return EXIT_OK
 
 
-def _report_failures(result: eqm.SweepResult) -> None:
+def _report_failures(result: eqm.SweepResult, unit=float) -> None:
+    """List skipped grid points in the option's unit (``unit`` converts);
+    refuse, before anything is written, a grid with no point left."""
     for value, message in result.failures:
-        print(f"skipped grid point {value:.6g}: {message}", file=sys.stderr)
+        print(f"skipped grid point {unit(value):.6g}: {message}", file=sys.stderr)
+    if not result.reports:
+        raise ValueError(f"all {len(result.failures)} grid points were skipped; "
+                         "nothing written")
 
 
 def _cmd_sweep_beta(args, params: SystemParams) -> int:
     grid = np.radians(np.linspace(args.min, args.max, args.n))
     mode = "static" if args.mode == "static" else "rotating_opt"
     result = eqm.sweep_beta(grid, mode, params)
-    _report_failures(result)
+    _report_failures(result, math.degrees)
     _write(args.out, f"sweep_beta_{args.mode}.csv", eqm.sweep_to_csv(result, params))
     if args.svg:
         other = eqm.sweep_beta(grid, "rotating_opt" if mode == "static" else "static", params)

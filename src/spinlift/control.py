@@ -90,20 +90,18 @@ class SpinProfile:
 class ControllerConfig:
     """Everything one control loop needs for a fixed operating point.
 
-    Refuses a ``T_max`` that does not exceed the feedforward thrust at rest
-    or at ``profile.omega_target``. The horizontal thrust is linear in
-    omega^2, so these two rates bound the thrust over the whole schedule.
+    Refuses an operating point whose feedforward thrust at rest or at
+    ``profile.omega_target`` does not stay below ``T_max``. The horizontal
+    thrust is linear in omega^2, so these two rates bound the thrust over the
+    whole schedule.
     """
 
     gain: GainSet
     eq: EquilibriumSpec
     params: SystemParams
     profile: SpinProfile
-    T_max: float | None = None   # [N]; default model.default_thrust_limit
 
     def __post_init__(self):
-        if self.T_max is None:
-            object.__setattr__(self, "T_max", default_thrust_limit(self.params))
         object.__setattr__(self, "_length", stretched_length(self.eq.beta, self.params))
         for omega_c in (0.0, self.profile.omega_target):
             thrust = float(np.linalg.norm(self.feedforward(omega_c)[0:3]))
@@ -113,6 +111,11 @@ class ControllerConfig:
                     f"at omega={omega_c:.4g} rad/s; operating point unreachable")
         s_bar, _ = equilibrium_c_state(self.eq)
         object.__setattr__(self, "_s_bar", s_bar)
+
+    @property
+    def T_max(self) -> float:
+        """Command saturation [N]: :func:`model.default_thrust_limit`."""
+        return default_thrust_limit(self.params)
 
     def feedforward(self, omega_c: float) -> np.ndarray:
         """Equilibrium thrust pair (C frame) holding the formation at the
@@ -152,9 +155,10 @@ def _saturate(T: np.ndarray, T_max: float) -> np.ndarray:
 def control_step(y, cfg: ControllerConfig, t: float) -> list:
     """One outer-loop evaluation at time ``t``.
 
-    ``y`` is the flat 25-element state and the result the six commanded
+    ``y`` is the flat 24-element state and the result the six commanded
     thrusts [T_cmd_1, T_cmd_2] (E frame) as Python floats, both in the flat
-    layouts of :mod:`spinlift.model`."""
+    layouts of :mod:`spinlift.model`. The frame angle is the schedule's
+    closed form ``cfg.profile.theta(t)``."""
     omega_c, theta = cfg.profile.omega(t), cfg.profile.theta(t)
     R = rotation_c_to_e(theta)
     R_t = R.T

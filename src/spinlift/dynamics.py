@@ -8,11 +8,11 @@ Earth-frame equations of motion:
               |r_i| < ell and F_i is floored at 0 (unilateral ropes: they
               pull, never push)
 * thrust lag: dT_act_i/dt = (T_cmd_i - T_act_i) / tau_att
-* frame:      dtheta/dt = omega_C
 
 r_i points from the payload to vehicle i. Integration happens in the inertial
-frame; the rotating control frame only appears in the controller and the
-linearized model.
+frame over these 24 physical scalars; the rotating control frame only appears
+in the controller and the linearized model, and its angle is the spin
+schedule's closed form, not an integrated state.
 
 The comparison harness integrates ~1e6 RK4 steps per run set, so the hot path
 is scalar Python: one acceleration closure over the state's float scalars,
@@ -116,15 +116,15 @@ def _make_rhs(params: SystemParams):
     helper, because it runs four times per physics step; a property test
     keeps the two copies in agreement.
 
-    * ``rhs(y, u, omega_c)`` is the full 25-element derivative over a flat
-      float list, for the design model and the tests.
-    * ``advance(y, u, omega_profile, t0, i_first, n, dt)`` integrates physics
-      steps ``i_first .. i_first + n - 1`` of a run starting at ``t0`` under
-      the held command ``u``, with omega_C sampled at each step midpoint. The
-      RK4 stages live in local variables and a list is built only on return;
-      the float operations are those of a textbook RK4 over ``rhs``, in the
-      same order. Raises :class:`IntegrationBlowupError` with the time of the
-      first step whose result is not finite.
+    * ``rhs(y, u)`` is the full 24-element derivative over a flat float
+      list, for the design model and the tests.
+    * ``advance(y, u, i_first, n, dt)`` integrates physics steps
+      ``i_first .. i_first + n - 1`` of a run starting at t = 0 under the
+      held command ``u``. The RK4 stages live in local variables and a list
+      is built only on return; the float operations are those of a textbook
+      RK4 over ``rhs``, in the same order. Raises
+      :class:`IntegrationBlowupError` with the time of the first step whose
+      result is not finite.
 
     The tension column of a :class:`Trajectory` is not taken from here:
     :func:`simulate` evaluates :func:`tether_force` once over all samples
@@ -199,11 +199,11 @@ def _make_rhs(params: SystemParams):
                 (T2y + fd2y - F2 * h2y) * inv_mq,
                 (T2z + fd2z - F2 * h2z) * inv_mq - g)
 
-    def rhs(y: list, u: tuple, omega_c: float) -> list:
+    def rhs(y: list, u: tuple) -> list:
         (xpx, xpy, xpz, vpx, vpy, vpz,
          x1x, x1y, x1z, v1x, v1y, v1z,
          x2x, x2y, x2z, v2x, v2y, v2z,
-         T1x, T1y, T1z, T2x, T2y, T2z, _theta) = y
+         T1x, T1y, T1z, T2x, T2y, T2z) = y
         u1x, u1y, u1z, u2x, u2y, u2z = u
         apx, apy, apz, a1x, a1y, a1z, a2x, a2y, a2z = accel(
             xpx, xpy, xpz, vpx, vpy, vpz, x1x, x1y, x1z, v1x, v1y, v1z,
@@ -211,11 +211,9 @@ def _make_rhs(params: SystemParams):
         return [vpx, vpy, vpz, apx, apy, apz, v1x, v1y, v1z, a1x, a1y, a1z,
                 v2x, v2y, v2z, a2x, a2y, a2z,
                 (u1x - T1x) * inv_tau, (u1y - T1y) * inv_tau, (u1z - T1z) * inv_tau,
-                (u2x - T2x) * inv_tau, (u2y - T2y) * inv_tau, (u2z - T2z) * inv_tau,
-                omega_c]
+                (u2x - T2x) * inv_tau, (u2y - T2y) * inv_tau, (u2z - T2z) * inv_tau]
 
-    def advance(y: list, u: tuple, omega_profile: Callable[[float], float],
-                t0: float, i_first: int, n: int, dt: float) -> list:
+    def advance(y: list, u: tuple, i_first: int, n: int, dt: float) -> list:
         # Names: a body-axis suffix (px = payload x, 1y = vehicle 1 y, ...)
         # and, after an underscore, the RK4 stage. Stage k evaluates the
         # derivative at y + c_k * dt * (stage k-1 derivative); positions step
@@ -224,13 +222,11 @@ def _make_rhs(params: SystemParams):
         (xpx, xpy, xpz, vpx, vpy, vpz,
          x1x, x1y, x1z, v1x, v1y, v1z,
          x2x, x2y, x2z, v2x, v2y, v2z,
-         T1x, T1y, T1z, T2x, T2y, T2z, th) = y
+         T1x, T1y, T1z, T2x, T2y, T2z) = y
         u1x, u1y, u1z, u2x, u2y, u2z = u
         half = 0.5 * dt
         sixth = dt / 6.0
         for i in range(i_first, i_first + n):
-            w = float(omega_profile(t0 + (i + 0.5) * dt))
-
             apx_1, apy_1, apz_1, a1x_1, a1y_1, a1z_1, a2x_1, a2y_1, a2z_1 = accel(
                 xpx, xpy, xpz, vpx, vpy, vpz, x1x, x1y, x1z, v1x, v1y, v1z,
                 x2x, x2y, x2z, v2x, v2y, v2z, T1x, T1y, T1z, T2x, T2y, T2z)
@@ -306,15 +302,14 @@ def _make_rhs(params: SystemParams):
             T2x += sixth * (r2x_1 + 2.0 * (r2x_2 + r2x_3) + (u2x - T2x_4) * inv_tau)
             T2y += sixth * (r2y_1 + 2.0 * (r2y_2 + r2y_3) + (u2y - T2y_4) * inv_tau)
             T2z += sixth * (r2z_1 + 2.0 * (r2z_2 + r2z_3) + (u2z - T2z_4) * inv_tau)
-            th += sixth * (w + 2.0 * (w + w) + w)
 
             if not isfinite(sum((xpx, xpy, xpz, vpx, vpy, vpz,
                                  x1x, x1y, x1z, v1x, v1y, v1z,
                                  x2x, x2y, x2z, v2x, v2y, v2z,
-                                 T1x, T1y, T1z, T2x, T2y, T2z, th))):
-                raise IntegrationBlowupError(t0 + (i + 1) * dt)
+                                 T1x, T1y, T1z, T2x, T2y, T2z))):
+                raise IntegrationBlowupError((i + 1) * dt)
         return [xpx, xpy, xpz, vpx, vpy, vpz, x1x, x1y, x1z, v1x, v1y, v1z,
-                x2x, x2y, x2z, v2x, v2y, v2z, T1x, T1y, T1z, T2x, T2y, T2z, th]
+                x2x, x2y, x2z, v2x, v2y, v2z, T1x, T1y, T1z, T2x, T2y, T2z]
 
     return rhs, advance
 
@@ -324,13 +319,15 @@ class Trajectory:
     """Uniformly sampled simulation output.
 
     ``states`` rows follow the flat layout in :mod:`spinlift.model`;
-    ``commands`` rows are [T_cmd_1, T_cmd_2]; ``tether`` rows are [F_1, F_2].
+    ``commands`` rows are [T_cmd_1, T_cmd_2]; ``tether`` rows are [F_1, F_2];
+    ``theta`` is the control-frame angle schedule at each sample time.
     """
 
     t: np.ndarray         # (n,) sample times [s]
-    states: np.ndarray    # (n, 25)
+    states: np.ndarray    # (n, 24)
     commands: np.ndarray  # (n, 6)
     tether: np.ndarray    # (n, 2)
+    theta: np.ndarray     # (n,) control-frame angle [rad]
 
     def __len__(self) -> int:
         return len(self.t)
@@ -367,26 +364,26 @@ class Trajectory:
     def T_act_2(self) -> np.ndarray:
         return self.states[:, 21:24]
 
-    @property
-    def theta(self) -> np.ndarray:
-        return self.states[:, 24]
-
 
 def simulate(initial: SystemState,
              controller: Callable[[list, float], list],
-             omega_profile: Callable[[float], float],
+             frame_angle: Callable[[float], float],
              params: SystemParams,
              duration: float,
              output_decimation: int | None = None) -> Trajectory:
-    """Run the closed loop: controller at f_ctrl with zero-order hold, physics
-    stepped at dt_physics, omega_C sampled at step midpoints.
+    """Run the closed loop from t = 0: controller at f_ctrl with zero-order
+    hold, physics stepped at dt_physics.
 
-    At each control tick ``controller(y, t)`` receives the flat 25-element
+    At each control tick ``controller(y, t)`` receives the flat 24-element
     state (a list of floats in the layout of :mod:`spinlift.model`) and the
     tick time, and returns the six commanded thrusts [T_cmd_1, T_cmd_2] as
     floats, held until the next tick. A non-finite command is not refused
     here: it makes the state non-finite in the first step of its hold, which
     raises :class:`IntegrationBlowupError` with that step's end time.
+
+    ``frame_angle(t)`` is the control-frame angle schedule. It does not enter
+    the physics; it is evaluated once per stored sample to fill the
+    trajectory's ``theta`` column.
 
     ``output_decimation`` is the number of physics steps between stored
     samples (default: one sample per control tick). Requires 1/(f_ctrl *
@@ -413,24 +410,26 @@ def simulate(initial: SystemState,
     t_out = np.empty(n_samples)
     states_out = np.empty((n_samples, STATE_DIM))
     commands_out = np.empty((n_samples, 6))
+    theta_out = np.empty(n_samples)
 
     y = initial.as_vector().tolist()
-    t0 = initial.t
 
     def record(i_step: int):
-        t_out[i_step // dec] = t0 + i_step * dt
+        t = i_step * dt
+        t_out[i_step // dec] = t
+        theta_out[i_step // dec] = frame_angle(t)
         states_out[i_step // dec] = y
         commands_out[i_step // dec] = u
 
     i = 0
     while i < n_steps:
         if i % steps_per_tick == 0:
-            u = tuple(controller(y, t0 + i * dt))
+            u = tuple(controller(y, i * dt))
             if i == 0:
                 record(0)
         # integrate up to the next control tick or stored sample
         stop = min(n_steps, (i // steps_per_tick + 1) * steps_per_tick, (i // dec + 1) * dec)
-        y = advance(y, u, omega_profile, t0, i, stop - i, dt)
+        y = advance(y, u, i, stop - i, dt)
         i = stop
         if i % dec == 0:
             record(i)
@@ -439,7 +438,7 @@ def simulate(initial: SystemState,
     F_1, _ = tether_force(states_out[:, 6:9], states_out[:, 9:12], x_p, v_p, params)
     F_2, _ = tether_force(states_out[:, 12:15], states_out[:, 15:18], x_p, v_p, params)
     return Trajectory(t=t_out, states=states_out, commands=commands_out,
-                      tether=np.column_stack([F_1, F_2]))
+                      tether=np.column_stack([F_1, F_2]), theta=theta_out)
 
 
 _CSV_HEADER = (
@@ -453,6 +452,6 @@ _CSV_HEADER = (
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Render the trajectory as CSV at full double precision (repr floats)."""
-    rows = (np.concatenate(([t], y[0:24], f, y[24:])).tolist()
-            for t, y, f in zip(traj.t, traj.states, traj.tether))
+    rows = (np.concatenate(([t], y, f, [theta])).tolist()
+            for t, y, f, theta in zip(traj.t, traj.states, traj.tether, traj.theta))
     return table_text(_CSV_HEADER, rows)

@@ -162,8 +162,9 @@ def build_equilibrium(beta: float, omega_c: float, params: SystemParams
     ell + F/k_T so the spring carries exactly the equilibrium tension, and the
     feedforward thrust uses the centripetal term at that stretched radius,
     making the returned state an exact fixed point of the truth dynamics (the
-    rigid rest-length value differs by ~0.15% at default stiffness). theta =
-    0, so control-frame and earth-frame components coincide.
+    rigid rest-length value differs by ~0.15% at default stiffness). The
+    frame angle of a flight's start is 0, so control-frame and earth-frame
+    components coincide.
     """
     beta = _check_beta(beta)
     length = stretched_length(beta, params)
@@ -191,7 +192,6 @@ def build_equilibrium(beta: float, omega_c: float, params: SystemParams
         x_p=origin, v_p=vec3(0.0, 0.0, 0.0),
         x_1=x_1, v_1=v_1, x_2=x_2, v_2=v_2,
         T_act_1=T1.copy(), T_act_2=T2.copy(),
-        theta=0.0, t=0.0,
     )
     return spec, state, [horizontal, 0.0, vertical, -horizontal, 0.0, vertical]
 

@@ -138,7 +138,7 @@ def run_scenario(spec: ScenarioSpec, params: SystemParams) -> tuple[Trajectory, 
 
     try:
         traj = simulate(initial_state, lambda y, t: control_step(y, cfg, t),
-                        profile.omega, params, sum(durations.values()),
+                        profile.theta, params, sum(durations.values()),
                         output_decimation=spec.output_decimation)
     except IntegrationBlowupError as exc:
         phase = _phase_at(exc.t, durations)

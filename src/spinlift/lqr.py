@@ -92,8 +92,8 @@ def _c_frame_model(params: SystemParams):
         W_t = np.array([[0.0, omega_c, 0.0], [-omega_c, 0.0, 0.0], [0.0, 0.0, 0.0]])
         v_e = v_c + x_c @ W_t  # earth-frame velocity v_C + w x x_C, one body per row
         y = np.concatenate([np.stack([x_c, v_e], axis=1).ravel(),
-                            np.asarray(u, dtype=float), [0.0]])
-        a_e = np.reshape(rhs(y.tolist(), (0.0,) * 6, omega_c)[:18], (3, 2, 3))[:, 1]
+                            np.asarray(u, dtype=float)])
+        a_e = np.reshape(rhs(y.tolist(), (0.0,) * 6)[:18], (3, 2, 3))[:, 1]
         a_c = a_e - 2.0 * v_c @ W_t - x_c @ W_t @ W_t
         return np.stack([v_c, a_c], axis=1).ravel()
 

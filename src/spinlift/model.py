@@ -241,11 +241,12 @@ class EquilibriumSpec:
 #   [15:18] v_2   vehicle 2 velocity [m/s]
 #   [18:21] T_act_1  actual (lagged) thrust vector, vehicle 1, E frame [N]
 #   [21:24] T_act_2  actual thrust vector, vehicle 2 [N]
-#   [24]    theta    accumulated control-frame angle [rad]
+# The control-frame angle is not a state: it is the spin schedule's closed
+# form theta(t), and every flight starts at t = 0 with theta = 0.
 # Flat command layout, held by the simulator between control ticks:
 #   [0:3]   T_cmd_1  commanded thrust vector, vehicle 1, E frame [N]
 #   [3:6]   T_cmd_2  commanded thrust vector, vehicle 2, E frame [N]
-STATE_DIM = 25
+STATE_DIM = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +254,8 @@ class SystemState:
     """Positions/velocities of payload and both vehicles plus thrust states.
 
     The validated form of a state at the API edges (a flight's initial
-    state); the closed loop itself passes the flat vector."""
+    state); the closed loop itself passes the flat vector. The fields are
+    the eight 3-vectors of the flat layout, in its order."""
 
     x_p: np.ndarray
     v_p: np.ndarray
@@ -263,39 +265,22 @@ class SystemState:
     v_2: np.ndarray
     T_act_1: np.ndarray
     T_act_2: np.ndarray
-    theta: float = 0.0
-    t: float = 0.0
 
     def __post_init__(self):
         for name in ("x_p", "v_p", "x_1", "v_1", "x_2", "v_2", "T_act_1", "T_act_2"):
             object.__setattr__(self, name, _as_vec3(getattr(self, name), name))
-        if not (math.isfinite(self.theta) and math.isfinite(self.t)):
-            raise ValueError("theta and t must be finite")
 
     def as_vector(self) -> np.ndarray:
-        """Flat length-25 copy in the layout documented above (t excluded)."""
-        out = np.empty(STATE_DIM)
-        out[0:3] = self.x_p
-        out[3:6] = self.v_p
-        out[6:9] = self.x_1
-        out[9:12] = self.v_1
-        out[12:15] = self.x_2
-        out[15:18] = self.v_2
-        out[18:21] = self.T_act_1
-        out[21:24] = self.T_act_2
-        out[24] = self.theta
-        return out
+        """Flat length-24 copy in the layout documented above."""
+        return np.concatenate([self.x_p, self.v_p, self.x_1, self.v_1,
+                               self.x_2, self.v_2, self.T_act_1, self.T_act_2])
 
     @classmethod
-    def from_vector(cls, y, t: float = 0.0) -> "SystemState":
+    def from_vector(cls, y) -> "SystemState":
         y = np.asarray(y, dtype=float)
         if y.shape != (STATE_DIM,):
             raise ValueError(f"state vector must have shape ({STATE_DIM},), got {y.shape}")
-        return cls(
-            x_p=y[0:3], v_p=y[3:6], x_1=y[6:9], v_1=y[9:12],
-            x_2=y[12:15], v_2=y[15:18], T_act_1=y[18:21], T_act_2=y[21:24],
-            theta=float(y[24]), t=float(t),
-        )
+        return cls(*y.reshape(8, 3))
 
     def replace(self, **changes) -> "SystemState":
         return replace(self, **changes)

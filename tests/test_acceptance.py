@@ -143,9 +143,6 @@ def test_criterion_6_care_correctness():
 def test_criterion_7_dynamics_oracles():
     _, advance = _make_rhs(P)
 
-    def no_spin(t):
-        return 0.0
-
     # free fall: slack tethers, zero thrust, 1 s from rest
     state = SystemState(
         x_p=vec3(0, 0, 1.5), v_p=vec3(0, 0, 0),
@@ -153,7 +150,7 @@ def test_criterion_7_dynamics_oracles():
         x_2=vec3(-0.3, 0, 1.9), v_2=vec3(0, 0, 0),
         T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0))
     cmd = [0.0] * 6
-    y = advance(state.as_vector().tolist(), cmd, no_spin, 0.0, 0, 2000, 5e-4)
+    y = advance(state.as_vector().tolist(), cmd, 0, 2000, 5e-4)
     fall_err = abs((y[2] - 1.5) - (-0.5 * P.g))
 
     # momentum conservation with gravity and thrust removed
@@ -161,7 +158,7 @@ def test_criterion_7_dynamics_oracles():
     _, eq_state, _ = build_equilibrium(DEG(45), 0.0, P)
     drift_state = eq_state.replace(v_p=vec3(0.3, -0.2, 0.1),
                                    T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0))
-    traj = simulate(drift_state, lambda y, t: cmd, no_spin, p0,
+    traj = simulate(drift_state, lambda y, t: cmd, lambda t: 0.0, p0,
                     duration=1.0, output_decimation=100)
     momentum = p0.m_p * traj.v_p + p0.m_q * traj.v_1 + p0.m_q * traj.v_2
     mom_drift = float(np.linalg.norm(momentum - momentum[0], axis=1).max())
@@ -171,7 +168,7 @@ def test_criterion_7_dynamics_oracles():
     st45 = st45.replace(x_p=st45.x_p + vec3(0, 0, -0.005))
 
     def integrate(dt):
-        return np.array(advance(st45.as_vector().tolist(), cmd45, no_spin, 0.0, 0,
+        return np.array(advance(st45.as_vector().tolist(), cmd45, 0,
                                 int(round(0.25 / dt)), dt))
 
     ref = integrate(1.25e-4)

@@ -90,6 +90,32 @@ def test_sweep_omega_skips_overflowing_points(max_omega, tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_sweep_beta_reports_skipped_points_in_degrees(tmp_path, capsys):
+    code = main(["sweep-beta", "--min", "80", "--max", "95", "--n", "3",
+                 "--mode", "static", "--out", str(tmp_path)])
+    assert code == 0
+    assert "skipped grid point 95:" in capsys.readouterr().err
+    lines = (tmp_path / "sweep_beta_static.csv").read_text().strip().split("\n")
+    assert len(lines) == 3
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep-beta", "--min", "95", "--max", "100", "--n", "3", "--mode", "static"],
+    ["sweep-omega", "--beta", "45", "--max-omega", "nan", "--n", "3"],
+], ids=["sweep-beta", "sweep-omega"])
+@pytest.mark.parametrize("svg", [False, True], ids=["csv", "svg"])
+def test_sweep_with_every_point_skipped_writes_nothing(command, svg, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    chart = ["--svg", "chart.svg"] if svg else []
+    code = main([*command, "--out", str(tmp_path / "out"), *chart])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("skipped grid point") == 3
+    assert "all 3 grid points were skipped" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fly_short_static(tmp_path, capsys):
     code = main(["fly", "--mode", "static", "--beta", "30",
                  "--duration", "2", "--out", str(tmp_path)])
@@ -114,6 +140,17 @@ def test_fly_nonfinite_duration_is_model_error(tmp_path, capsys):
                  "--duration", "inf", "--out", str(tmp_path)])
     assert code == 2
     assert "hover must be finite" in capsys.readouterr().err
+
+
+def test_fly_static_thrust_limit(tmp_path, capsys):
+    # the static thrust at 84 deg exceeds the 4 m_q g limit; at 83 deg it fits
+    code = main(["fly", "--mode", "static", "--beta", "84", "--out", str(tmp_path)])
+    assert code == 2
+    assert "T_max=27.468 N does not exceed the thrust 29.670 N" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    code = main(["fly", "--mode", "static", "--beta", "83", "--duration", "2",
+                 "--out", str(tmp_path)])
+    assert code == 0
 
 
 def test_fly_steep_rotating_refused(tmp_path, capsys):

@@ -8,7 +8,7 @@ from spinlift.control import (ControllerConfig, SpinProfile, command_log_to_csv,
                               control_step)
 from spinlift.dynamics import simulate
 from spinlift.equilibrium import build_equilibrium, omega_star
-from spinlift.lqr import synthesize
+from spinlift.lqr import equilibrium_c_state, synthesize
 from spinlift.model import SystemParams, SystemState, rotation_c_to_e, vec3
 
 P = SystemParams()
@@ -16,13 +16,13 @@ DEG = math.radians
 ORIGIN = vec3(0.0, 0.0, 1.5)
 
 
-def make_cfg(beta_deg=45.0, spin=True, hover=100.0, **kwargs):
+def make_cfg(beta_deg=45.0, spin=True, hover=100.0):
     beta = DEG(beta_deg)
     w = omega_star(beta, P) if spin else 0.0
     spec, state, cmd = build_equilibrium(beta, w, P)
     gains = synthesize(spec, P)
     profile = SpinProfile(omega_target=w, t_hover=hover)
-    cfg = ControllerConfig(gain=gains, eq=spec, params=P, profile=profile, **kwargs)
+    cfg = ControllerConfig(gain=gains, eq=spec, params=P, profile=profile)
     return cfg, spec, state, cmd
 
 
@@ -47,7 +47,6 @@ def orbit_state(state0, w, t):
         x_1=spin_pos(state0.x_1), v_1=spin_vel(state0.x_1),
         x_2=spin_pos(state0.x_2), v_2=spin_vel(state0.x_2),
         T_act_1=R @ state0.T_act_1, T_act_2=R @ state0.T_act_2,
-        theta=w * t, t=t,
     )
 
 
@@ -140,11 +139,15 @@ class TestControlStep:
         far = state0.replace(x_p=state0.x_p + vec3(0, 0, -30.0))
         cmd = command(far, cfg, 0.0)
         n1 = np.linalg.norm(cmd[0:3])
+        assert cfg.T_max == 4.0 * P.m_q * P.g
         assert n1 == pytest.approx(cfg.T_max, rel=1e-12)
-        # direction identical to the unsaturated command
-        big = ControllerConfig(gain=cfg.gain, eq=cfg.eq, params=P,
-                               profile=cfg.profile, T_max=1e9)
-        raw = command(far, big, 0.0)
+        # direction identical to the unsaturated law u_bar - K (s - s_bar);
+        # at rest and at t = 0 the control frame is the earth frame
+        s = far.as_vector()[:18].reshape(3, 2, 3)
+        s[:, 0] -= ORIGIN
+        s_bar, u_bar = equilibrium_c_state(spec)
+        raw = u_bar - cfg.gain.K @ (s.ravel() - s_bar)
+        assert np.linalg.norm(raw[0:3]) > cfg.T_max
         cosine = np.dot(cmd[0:3], raw[0:3]) / (
             np.linalg.norm(cmd[0:3]) * np.linalg.norm(raw[0:3]))
         assert cosine == pytest.approx(1.0, abs=1e-12)
@@ -167,38 +170,41 @@ class TestControlStep:
         assert_allclose(ff_star[0:3], spec.T_bar_1, atol=1e-12)
 
     def test_unreachable_operating_point_rejected(self):
-        beta = DEG(45)
+        # static thrust at 84 deg: 29.670 N, over the 4 m_q g = 27.468 N limit
+        beta = DEG(84)
         spec, _, _ = build_equilibrium(beta, 0.0, P)
         gains = synthesize(spec, P)
-        with pytest.raises(ValueError, match="T_max"):
+        with pytest.raises(ValueError, match="T_max=27.468 N does not exceed the "
+                                             "thrust 29.670 N"):
             ControllerConfig(gain=gains, eq=spec, params=P,
-                             profile=SpinProfile(omega_target=0.0), T_max=5.0)
+                             profile=SpinProfile(omega_target=0.0))
 
-    @pytest.mark.parametrize("spin, T_max, refused", [
-        # 60 deg feedforward thrust: 11.055 N at rest, 9.810 N at omega*,
-        # 11.716 N at 1.5 omega*
-        (1.5, 11.4, True),    # refused at the target rate
-        (1.0, 10.5, True),    # refused at rest
-        (0.0, 11.4, False),
+    @pytest.mark.parametrize("beta_deg, spin, refused", [
+        # feedforward thrust against the 27.468 N limit: 60 deg, 11.055 N at
+        # rest and 28.591 N at 2.5 omega*; 84 deg, 29.670 N at rest and
+        # 9.818 N at omega*; 83 deg, 25.899 N at rest and 9.814 N at omega*
+        (60.0, 2.5, True),    # refused at the target rate
+        (84.0, 1.0, True),    # refused at rest
+        (83.0, 1.0, False),
     ])
-    def test_thrust_limit_checked_at_both_ends_of_schedule(self, spin, T_max, refused):
-        beta = DEG(60)
+    def test_thrust_limit_checked_at_both_ends_of_schedule(self, beta_deg, spin, refused):
+        beta = DEG(beta_deg)
         w = spin * omega_star(beta, P)
         spec, _, _ = build_equilibrium(beta, w, P)
         gains = synthesize(spec, P)
         profile = SpinProfile(omega_target=w, t_ramp_up=8.0, t_hover=40.0, t_ramp_down=8.0)
         if refused:
             with pytest.raises(ValueError, match="T_max"):
-                ControllerConfig(gain=gains, eq=spec, params=P, profile=profile, T_max=T_max)
+                ControllerConfig(gain=gains, eq=spec, params=P, profile=profile)
         else:
-            ControllerConfig(gain=gains, eq=spec, params=P, profile=profile, T_max=T_max)
+            ControllerConfig(gain=gains, eq=spec, params=P, profile=profile)
 
 
 class TestClosedLoopPlumbing:
     def test_zero_order_hold_bit_identical(self):
         cfg, spec, state0, _ = make_cfg(45.0, spin=True, hover=100.0)
         traj = simulate(state0, lambda y, t: control_step(y, cfg, t),
-                        cfg.profile.omega, P, duration=0.2, output_decimation=1)
+                        cfg.profile.theta, P, duration=0.2, output_decimation=1)
         steps_per_tick = int(round(1.0 / (P.f_ctrl * P.dt_physics)))
         for tick_start in range(1, len(traj) - steps_per_tick, steps_per_tick):
             block = traj.commands[tick_start:tick_start + steps_per_tick]
@@ -207,7 +213,7 @@ class TestClosedLoopPlumbing:
     def test_command_log_csv(self):
         cfg, spec, state0, _ = make_cfg(30.0, spin=False)
         traj = simulate(state0, lambda y, t: control_step(y, cfg, t),
-                        cfg.profile.omega, P, duration=0.1)
+                        cfg.profile.theta, P, duration=0.1)
         csv = command_log_to_csv(traj, cfg.T_max)
         lines = csv.strip().split("\n")
         assert lines[0] == ("t,T_cmd_1_x,T_cmd_1_y,T_cmd_1_z,"
@@ -219,6 +225,6 @@ class TestClosedLoopPlumbing:
         cfg, spec, state0, _ = make_cfg(45.0, spin=False)
         far = state0.replace(x_p=state0.x_p + vec3(0, 0, -30.0))
         traj = simulate(far, lambda y, t: control_step(y, cfg, t),
-                        cfg.profile.omega, P, duration=0.02)
+                        cfg.profile.theta, P, duration=0.02)
         csv = command_log_to_csv(traj, cfg.T_max)
         assert csv.strip().split("\n")[1].endswith(",1")

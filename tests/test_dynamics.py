@@ -22,26 +22,25 @@ def zero_cmd():
     return [0.0] * 6
 
 
-def rhs_at(state, cmd, omega_c, params):
+def rhs_at(state, cmd, params):
     """The integrator's right-hand side at one state, in the flat layout."""
     rhs, _ = _make_rhs(params)
-    return np.asarray(rhs(state.as_vector().tolist(), cmd, omega_c))
+    return np.asarray(rhs(state.as_vector().tolist(), cmd))
 
 
-def advance_from(state, cmd, omega_c, params, dt, n):
-    """The flat state after n RK4 steps of size dt under a held command and a
-    constant spin rate."""
+def advance_from(state, cmd, params, dt, n):
+    """The flat state after n RK4 steps of size dt under a held command."""
     _, advance = _make_rhs(params)
-    return advance(state.as_vector().tolist(), cmd, lambda t: omega_c, state.t, 0, n, dt)
+    return advance(state.as_vector().tolist(), cmd, 0, n, dt)
 
 
-def slack_state(params, t=0.0):
+def slack_state(params):
     """Vehicles closer than the rest length on both sides: no tether force."""
     return SystemState(
         x_p=ORIGIN, v_p=vec3(0, 0, 0),
         x_1=ORIGIN + vec3(0.3, 0.0, 0.4), v_1=vec3(0, 0, 0),
         x_2=ORIGIN + vec3(-0.3, 0.0, 0.4), v_2=vec3(0, 0, 0),
-        T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0), theta=0.0, t=t,
+        T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0),
     )
 
 
@@ -64,37 +63,36 @@ def near_formation_states(draw):
                        T_act_1=vec(-5.0, 20.0), T_act_2=vec(-5.0, 20.0))
 
 
-def rk4_reference(rhs, y, u, omega_c, dt):
-    """Textbook RK4 over the flat right-hand side, omega_C held over the step:
-    the arithmetic the fused stepper in simulate must reproduce bit for bit."""
+def rk4_reference(rhs, y, u, dt):
+    """Textbook RK4 over the flat right-hand side: the arithmetic the fused
+    stepper in simulate must reproduce bit for bit."""
     half = 0.5 * dt
     sixth = dt / 6.0
-    k1 = rhs(y, u, omega_c)
-    k2 = rhs([a + half * b for a, b in zip(y, k1)], u, omega_c)
-    k3 = rhs([a + half * b for a, b in zip(y, k2)], u, omega_c)
-    k4 = rhs([a + dt * b for a, b in zip(y, k3)], u, omega_c)
+    k1 = rhs(y, u)
+    k2 = rhs([a + half * b for a, b in zip(y, k1)], u)
+    k3 = rhs([a + half * b for a, b in zip(y, k2)], u)
+    k4 = rhs([a + dt * b for a, b in zip(y, k3)], u)
     return [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def reference_simulate(initial, controller, omega_profile, params, duration):
+def reference_simulate(initial, controller, params, duration):
     """simulate's closed loop taken one reference RK4 step at a time. Returns
     the time, state and held command after every step (row 0: the start)."""
     rhs, _ = _make_rhs(params)
     dt = params.dt_physics
     hold = round(1.0 / (params.f_ctrl * dt))
-    t0 = initial.t
     y = initial.as_vector().tolist()
-    t, states, commands = [t0], [y], []
+    t, states, commands = [0.0], [y], []
     for i in range(round(duration / dt)):
         if i % hold == 0:
-            u = tuple(controller(y, t0 + i * dt))
+            u = tuple(controller(y, i * dt))
             if i == 0:
                 commands.append(u)
-        y = rk4_reference(rhs, y, u, float(omega_profile(t0 + (i + 0.5) * dt)), dt)
+        y = rk4_reference(rhs, y, u, dt)
         if not math.isfinite(sum(y)):
-            raise IntegrationBlowupError(t0 + (i + 1) * dt)
-        t.append(t0 + (i + 1) * dt)
+            raise IntegrationBlowupError((i + 1) * dt)
+        t.append((i + 1) * dt)
         states.append(y)
         commands.append(u)
     return np.array(t), np.array(states), np.array(commands)
@@ -133,7 +131,7 @@ class TestTetherForce:
         state = slack_state(p).replace(
             x_1=ORIGIN + vec3(0, 0, 0.999), v_1=vec3(0, 0, 0.5),
             x_2=ORIGIN + vec3(0, 0.999, 0), v_2=vec3(0, 0.5, 0))
-        assert_allclose(rhs_at(state, zero_cmd(), 0.0, p)[3:6], [0, 0, -p.g], atol=0)
+        assert_allclose(rhs_at(state, zero_cmd(), p)[3:6], [0, 0, -p.g], atol=0)
 
     @given(state=near_formation_states())
     def test_rhs_copy_matches_tether_forces(self, state):
@@ -149,7 +147,7 @@ class TestTetherForce:
                                    (state.T_act_2 - pull_2) / p.m_q + g])
 
         accel = [3, 4, 5, 9, 10, 11, 15, 16, 17]
-        d = rhs_at(state, zero_cmd(), 0.0, p)
+        d = rhs_at(state, zero_cmd(), p)
         assert_allclose(d[accel], accelerations(tether_forces(state, p)),
                         rtol=1e-12, atol=1e-12)
         u = np.concatenate([state.T_act_1, state.T_act_2])
@@ -204,7 +202,7 @@ class TestTetherForce:
 class TestDerivative:
     def test_free_fall(self):
         p = SystemParams()
-        d = rhs_at(slack_state(p), zero_cmd(), 0.0, p)
+        d = rhs_at(slack_state(p), zero_cmd(), p)
         for accel in (d[3:6], d[9:12], d[15:18]):
             assert_allclose(accel, [0, 0, -9.81], atol=1e-12)
 
@@ -213,7 +211,7 @@ class TestDerivative:
         beta = math.radians(60)
         w = omega_star(beta, p)
         _, state, cmd = build_equilibrium(beta, w, p)
-        d = rhs_at(state, cmd, w, p)
+        d = rhs_at(state, cmd, p)
         assert np.linalg.norm(d[3:6]) < 1e-9
         # vehicles accelerate centripetally at the stretched radius
         ell_s = p.ell + tension_at_equilibrium(beta, p) / p.k_T
@@ -227,7 +225,7 @@ class TestDerivative:
     def test_static_equilibrium_fixed_point(self):
         p = SystemParams()
         _, state, cmd = build_equilibrium(math.radians(60), 0.0, p)
-        d = rhs_at(state, cmd, 0.0, p)
+        d = rhs_at(state, cmd, p)
         for accel in (d[3:6], d[9:12], d[15:18]):
             assert np.linalg.norm(accel) < 1e-9
 
@@ -235,7 +233,7 @@ class TestDerivative:
         p = SystemParams()
         state = slack_state(p)
         cmd = [0.0, 0.0, 2.0, 0.0, 0.0, 0.0]
-        d = rhs_at(state, cmd, 0.0, p)
+        d = rhs_at(state, cmd, p)
         assert_allclose(d[18:21], [0, 0, 2.0 / p.tau_att], rtol=1e-12)
 
     def test_internal_forces_cancel(self):
@@ -243,7 +241,7 @@ class TestDerivative:
         p = SystemParams()
         rng = np.random.default_rng(11)
         for _ in range(20):
-            y = np.zeros(25)
+            y = np.zeros(24)
             y[0:3] = ORIGIN + rng.normal(0, 0.05, 3)
             y[6:9] = ORIGIN + [0.7, 0, 0.8] + rng.normal(0, 0.05, 3)
             y[12:15] = ORIGIN + [-0.7, 0, 0.8] + rng.normal(0, 0.05, 3)
@@ -252,7 +250,7 @@ class TestDerivative:
             y[15:18] = rng.normal(0, 0.5, 3)
             y[18:24] = rng.normal(0, 2.0, 6)
             state = SystemState.from_vector(y)
-            d = rhs_at(state, zero_cmd(), 0.0, p)
+            d = rhs_at(state, zero_cmd(), p)
             total = p.m_p * d[3:6] + p.m_q * (d[9:12] + d[15:18])
             external = (state.T_act_1 + state.T_act_2
                         + vec3(0, 0, -(p.m_p + 2 * p.m_q) * p.g))
@@ -261,7 +259,7 @@ class TestDerivative:
     def test_drag_toggle(self):
         p = SystemParams(drag_enabled=True, c_d_quad=0.05, c_d_payload=0.02)
         state = slack_state(p).replace(v_p=vec3(2.0, 0, 0))
-        d = rhs_at(state, zero_cmd(), 0.0, p)
+        d = rhs_at(state, zero_cmd(), p)
         expected = -0.02 * 2.0 * 2.0 / p.m_p
         assert d[3] == pytest.approx(expected, rel=1e-12)
 
@@ -272,13 +270,12 @@ class TestStep:
         beta = math.radians(60)
         w = omega_star(beta, p)
         _, state, cmd = build_equilibrium(beta, w, p)
-        nxt = advance_from(state, cmd, w, p, p.dt_physics, 1)
+        nxt = advance_from(state, cmd, p, p.dt_physics, 1)
         assert np.linalg.norm(np.subtract(nxt[0:3], state.x_p)) < 1e-6
-        assert nxt[24] == pytest.approx(w * p.dt_physics)
 
     def test_ballistic_free_fall_analytic(self):
         p = SystemParams()
-        y = advance_from(slack_state(p), zero_cmd(), 0.0, p, 5e-4, 2000)
+        y = advance_from(slack_state(p), zero_cmd(), p, 5e-4, 2000)
         assert y[2] - ORIGIN[2] == pytest.approx(-0.5 * 9.81, abs=1e-9)
 
     def test_rk4_convergence_order(self):
@@ -288,7 +285,7 @@ class TestStep:
         state0 = state0.replace(x_p=state0.x_p + vec3(0, 0, -0.005))
 
         def integrate(dt, t_final=0.25):
-            return np.array(advance_from(state0, cmd, 0.0, p, dt, int(round(t_final / dt))))
+            return np.array(advance_from(state0, cmd, p, dt, int(round(t_final / dt))))
 
         ref = integrate(1.25e-4)
         e1 = np.linalg.norm(integrate(1e-3) - ref)
@@ -309,7 +306,7 @@ class TestStep:
         _, state, _ = build_equilibrium(0.5, 0.0, p)
         bomb = [0.0, 0.0, 1e300, 0.0, 0.0, 0.0]
         with pytest.raises(IntegrationBlowupError) as excinfo:
-            advance_from(state, bomb, 0.0, p, 5e-4, 100)
+            advance_from(state, bomb, p, 5e-4, 100)
         assert excinfo.value.t > 0.0
 
 
@@ -327,33 +324,14 @@ class TestSimulate:
         assert len(calls) == 50
         assert calls[0] == (state.as_vector().tolist(), 0.0)
         assert calls[-1][1] == pytest.approx(0.98, abs=1e-12)
-        assert all(len(y) == 25 and all(type(v) is float for v in y) for y, _ in calls)
-
-    def test_theta_matches_profile_integral(self):
-        p = SystemParams()
-        _, state, cmd = build_equilibrium(0.5, 0.0, p)
-        w_end = omega_star(0.5, p)
-        ramp = 5.0
-
-        def profile(t):
-            return w_end * min(t, ramp) / ramp
-
-        traj = simulate(state, lambda y, t: cmd, profile, p, duration=6.0)
-        theta_exact = 0.5 * w_end * ramp + w_end * 1.0
-        assert traj.theta[-1] == pytest.approx(theta_exact, abs=1e-6)
-
-    def test_theta_nondecreasing_for_nonnegative_omega(self):
-        p = SystemParams()
-        _, state, cmd = build_equilibrium(0.5, 0.0, p)
-        traj = simulate(state, lambda y, t: cmd, lambda t: 1.3, p, duration=0.5)
-        assert np.all(np.diff(traj.theta) >= 0.0)
+        assert all(len(y) == 24 and all(type(v) is float for v in y) for y, _ in calls)
 
     def test_determinism_bitwise(self):
         p = SystemParams()
         beta = math.radians(45)
         w = omega_star(beta, p)
         _, state, cmd = build_equilibrium(beta, w, p)
-        runs = [simulate(state, lambda y, t: cmd, lambda t: w, p, duration=0.5)
+        runs = [simulate(state, lambda y, t: cmd, lambda t: w * t, p, duration=0.5)
                 for _ in range(2)]
         assert trajectory_to_csv(runs[0]) == trajectory_to_csv(runs[1])
         assert np.array_equal(runs[0].states, runs[1].states)
@@ -380,7 +358,7 @@ class TestSimulate:
             x_2=state.x_2 + vec3(-0.03, -0.01, -0.02),
             v_p=vec3(0, 0, 0.05),
         )
-        traj = simulate(state, lambda y, t: cmd, lambda t: w, p, duration=1.0,
+        traj = simulate(state, lambda y, t: cmd, lambda t: w * t, p, duration=1.0,
                         output_decimation=100)
         mirror = np.diag([-1.0, -1.0, 1.0])
         rel1 = traj.x_1 - ORIGIN
@@ -432,16 +410,17 @@ class TestSimulate:
         def controller(y, t):
             return thrusts[round(t * p.f_ctrl)]
 
-        def profile(t):
-            return w * (1.0 + 10.0 * t)
+        def frame_angle(t):
+            return w * t * (1.0 + 5.0 * t)
 
-        t, states, cmds = reference_simulate(state, controller, profile, p, 0.031)
+        t, states, cmds = reference_simulate(state, controller, p, 0.031)
         for dec in (1, 7, 20):
-            traj = simulate(state, controller, profile, p, 0.031,
+            traj = simulate(state, controller, frame_angle, p, 0.031,
                             output_decimation=dec)
             assert np.array_equal(traj.t, t[::dec])
             assert np.array_equal(traj.states, states[::dec])
             assert np.array_equal(traj.commands, cmds[::dec])
+            assert traj.theta.tolist() == [frame_angle(x) for x in t[::dec].tolist()]
 
     @pytest.mark.parametrize("thrust", [1e300, 1e160, math.nan])
     def test_blowup_time_matches_reference(self, thrust):
@@ -456,7 +435,7 @@ class TestSimulate:
             return bomb if t >= 0.03 else cmd
 
         with pytest.raises(IntegrationBlowupError) as expected:
-            reference_simulate(state, controller, lambda t: 0.0, p, 0.2)
+            reference_simulate(state, controller, p, 0.2)
         with pytest.raises(IntegrationBlowupError) as excinfo:
             simulate(state, controller, lambda t: 0.0, p, 0.2, output_decimation=7)
         assert excinfo.value.t == expected.value.t

@@ -198,7 +198,7 @@ class TestBuildEquilibrium:
             w = scale * omega_star(beta, P)
             _, state, cmd = build_equilibrium(beta, w, P)
             rhs, _ = _make_rhs(P)
-            d = rhs(state.as_vector().tolist(), cmd, w)
+            d = rhs(state.as_vector().tolist(), cmd)
             assert np.linalg.norm(d[3:6]) < 1e-6
             ell_s = P.ell + tension_at_equilibrium(beta, P) / P.k_T
             expected = w * w * ell_s * math.sin(beta)

@@ -87,6 +87,27 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="T_max"):
             run_scenario(spec, P)
 
+    def test_rotating_theta_column_is_the_schedule(self, monkeypatch):
+        # the frame angle is not integrated: the stored column is the
+        # schedule's closed form, and the controller sees the 24 physical
+        # scalars only
+        real_step = harness.control_step
+        seen = []
+
+        def recording_step(y, cfg, t):
+            seen.append((y, cfg.profile))
+            return real_step(y, cfg, t)
+
+        monkeypatch.setattr(harness, "control_step", recording_step)
+        spec = short_spec("rotating", 60.0, spin_up=1.0, hover=2.0, spin_down=1.0,
+                          metering_window=1.0, output_decimation=7)
+        traj, _ = run_scenario(spec, P)
+        profile = seen[0][1]
+        assert profile.omega_target == omega_star(DEG(60), P)
+        assert traj.theta.tolist() == [profile.theta(t) for t in traj.t.tolist()]
+        assert traj.theta[-1] > 0.0
+        assert all(len(y) == 24 and all(type(v) is float for v in y) for y, _ in seen)
+
     def test_blowup_names_the_hover_phase(self, monkeypatch):
         real_step = harness.control_step
 

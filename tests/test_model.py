@@ -128,14 +128,14 @@ class TestConfig:
 class TestStateTypes:
     def test_state_vector_round_trip(self):
         rng = np.random.default_rng(3)
-        y = rng.standard_normal(25)
-        state = SystemState.from_vector(y, t=1.25)
+        y = rng.standard_normal(24)
+        state = SystemState.from_vector(y)
         assert_allclose(state.as_vector(), y, rtol=0, atol=0)
-        assert state.t == 1.25
-        assert state.theta == y[24]
+        with pytest.raises(ValueError, match="shape"):
+            SystemState.from_vector(np.append(y, 0.0))
 
     def test_nonfinite_state_rejected(self):
-        good = np.zeros(25)
+        good = np.zeros(24)
         bad = good.copy()
         bad[4] = np.nan
         SystemState.from_vector(good)
@@ -143,7 +143,7 @@ class TestStateTypes:
             SystemState.from_vector(bad)
 
     def test_state_replace(self):
-        state = SystemState.from_vector(np.zeros(25))
+        state = SystemState.from_vector(np.zeros(24))
         moved = state.replace(x_p=vec3(1, 0, 0))
         assert moved.x_p[0] == 1.0
         assert state.x_p[0] == 0.0

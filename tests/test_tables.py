@@ -32,7 +32,7 @@ def reference_line(row):
 def reference_trajectory_csv(traj):
     lines = [dynamics._CSV_HEADER]
     for i in range(len(traj)):
-        row = [traj.t[i], *traj.states[i, 0:24], *traj.tether[i], traj.states[i, 24]]
+        row = [traj.t[i], *traj.states[i], *traj.tether[i], traj.theta[i]]
         lines.append(reference_line(row))
     return "\n".join(lines) + "\n"
 
@@ -69,7 +69,7 @@ def flight():
     cfg = ControllerConfig(gain=synthesize(spec, P), eq=spec, params=P,
                            profile=SpinProfile(omega_target=w, t_hover=10.0))
     start = state.replace(x_p=state.x_p + vec3(0.05, 0.0, 0.0))
-    return simulate(start, lambda y, t: control_step(y, cfg, t), cfg.profile.omega, P,
+    return simulate(start, lambda y, t: control_step(y, cfg, t), cfg.profile.theta, P,
                     duration=0.1, output_decimation=1)
 
 
@@ -85,8 +85,8 @@ def odd_trajectory():
                          [0.0, 0.0, below, 0.0, 0.0, below],
                          [0.0, -0.0, 1.0 / 3.0, 0.0, T_MAX, 0.0],
                          [5e-324, 0.0, 1.0, 0.0, 0.0, 1.0]])
-    return Trajectory(t=np.array([-0.0, 5e-324, 1.0 / 3.0, 1e300]), states=cells[:, :25],
-                      commands=commands, tether=cells[:, 25:27])
+    return Trajectory(t=np.array([-0.0, 5e-324, 1.0 / 3.0, 1e300]), states=cells[:, :24],
+                      commands=commands, tether=cells[:, 25:27], theta=cells[:, 24])
 
 
 def test_table_text_layout():
