@@ -6,20 +6,31 @@ rotates the two thrust vectors back to the inertial frame, and applies
 magnitude saturation (direction preserving) followed by a nonnegative
 vertical-component clamp. Zero-order hold between ticks is the simulator's
 responsibility.
+
+The tick runs on Python floats and makes no numpy call: the rotation is
+``cos``/``sin`` of the schedule's angle, each gain row's product is
+``math.fsum`` over the row and the deviation (rows stored as tuples when the
+:class:`ControllerConfig` is built), and the feedforward is computed from
+constants the config derives once. Numpy's small matrix products would cost
+some twenty calls per tick, and they run through BLAS kernels chosen per CPU,
+so their last bits depend on the machine; scalar IEEE operations and the
+correctly rounded ``fsum`` give the same command bits everywhere. The tests
+keep the numpy formulation as the reference.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Trajectory
-from .equilibrium import DEFAULT_PAYLOAD_POSITION, stretched_length, thrust_components
+from .equilibrium import (DEFAULT_PAYLOAD_POSITION, stretched_length,
+                          tension_at_equilibrium, thrust_components)
 from .lqr import GainSet, equilibrium_c_state
-from .model import (EquilibriumSpec, SystemParams, default_thrust_limit,
-                    rotation_c_to_e, table_text)
+from .model import EquilibriumSpec, SystemParams, default_thrust_limit, table_text
 
 __all__ = [
     "SpinProfile",
@@ -109,8 +120,15 @@ class ControllerConfig:
                 raise ValueError(
                     f"T_max={self.T_max:.3f} N does not exceed the thrust {thrust:.3f} N "
                     f"at omega={omega_c:.4g} rad/s; operating point unreachable")
+        # per-tick constants: the equilibrium and the gain rows as float
+        # tuples, and the factors of thrust_components' feedforward
         s_bar, _ = equilibrium_c_state(self.eq)
-        object.__setattr__(self, "_s_bar", s_bar)
+        object.__setattr__(self, "_s_bar", tuple(s_bar.tolist()))
+        object.__setattr__(self, "_K_rows", tuple(map(tuple, self.gain.K.tolist())))
+        _, vertical = thrust_components(self.eq.beta, 0.0, self.params, self._length)
+        object.__setattr__(self, "_ff_terms", (
+            math.sin(self.eq.beta), tension_at_equilibrium(self.eq.beta, self.params),
+            self.params.m_q, vertical))
 
     @property
     def T_max(self) -> float:
@@ -130,28 +148,6 @@ class ControllerConfig:
         return np.array([horizontal, 0.0, v, -horizontal, 0.0, v])
 
 
-_ORIGIN = np.array(DEFAULT_PAYLOAD_POSITION)  # converted once, not on every tick
-
-
-def _to_frame(R_t: np.ndarray, omega_c: float, x_e: np.ndarray,
-              v_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inertial position/velocity -> control-frame components relative to the
-    frame origin, with the rotating-frame velocity correction."""
-    x_c = R_t @ (x_e - _ORIGIN)
-    v_c = R_t @ v_e - np.array([-omega_c * x_c[1], omega_c * x_c[0], 0.0])
-    return x_c, v_c
-
-
-def _saturate(T: np.ndarray, T_max: float) -> np.ndarray:
-    norm = float(np.linalg.norm(T))
-    if norm > T_max:
-        T = T * (T_max / norm)
-    if T[2] < 0.0:
-        T = T.copy()
-        T[2] = 0.0
-    return T
-
-
 def control_step(y, cfg: ControllerConfig, t: float) -> list:
     """One outer-loop evaluation at time ``t``.
 
@@ -160,19 +156,40 @@ def control_step(y, cfg: ControllerConfig, t: float) -> list:
     layouts of :mod:`spinlift.model`. The frame angle is the schedule's
     closed form ``cfg.profile.theta(t)``."""
     omega_c, theta = cfg.profile.omega(t), cfg.profile.theta(t)
-    R = rotation_c_to_e(theta)
-    R_t = R.T
+    c, s = math.cos(theta), math.sin(theta)
+    ox, oy, oz = DEFAULT_PAYLOAD_POSITION
 
-    y = np.asarray(y, dtype=float)
-    xp_c, vp_c = _to_frame(R_t, omega_c, y[0:3], y[3:6])
-    x1_c, v1_c = _to_frame(R_t, omega_c, y[6:9], y[9:12])
-    x2_c, v2_c = _to_frame(R_t, omega_c, y[12:15], y[15:18])
-    s = np.concatenate([xp_c, vp_c, x1_c, v1_c, x2_c, v2_c])
+    # positions relative to the frame origin and velocities, per body, in
+    # control-frame components (with the rotating-frame velocity correction)
+    frame_state = []
+    for i in (0, 6, 12):
+        px, py, pz, vx, vy, vz = y[i:i + 6]
+        dx, dy = px - ox, py - oy
+        xc, yc = c * dx + s * dy, c * dy - s * dx
+        frame_state += (xc, yc, pz - oz, c * vx + s * vy + omega_c * yc,
+                        c * vy - s * vx - omega_c * xc, vz)
+    ds = tuple(map(operator.sub, frame_state, cfg._s_bar))
 
-    u = cfg.feedforward(omega_c) - cfg.gain.K @ (s - cfg._s_bar)
-    T1 = _saturate(R @ u[0:3], cfg.T_max)
-    T2 = _saturate(R @ u[3:6], cfg.T_max)
-    return np.concatenate([T1, T2]).tolist()
+    # feedforward, in thrust_components' order of operations
+    sin_beta, tension, m_q, vertical = cfg._ff_terms
+    horizontal = sin_beta * (tension - m_q * omega_c ** 2 * cfg._length)
+    feedforward = (horizontal, 0.0, vertical, -horizontal, 0.0, vertical)
+    u = [f - math.fsum(map(operator.mul, row, ds))
+         for f, row in zip(feedforward, cfg._K_rows)]
+
+    # back to the E frame, saturate the magnitude, clamp the vertical
+    T_max = cfg.T_max
+    command = []
+    for ux, uy, uz in (u[0:3], u[3:6]):
+        Tx, Ty, Tz = c * ux - s * uy, s * ux + c * uy, uz
+        norm = math.hypot(Tx, Ty, Tz)
+        if norm > T_max:
+            scale = T_max / norm
+            Tx, Ty, Tz = Tx * scale, Ty * scale, Tz * scale
+        if Tz < 0.0:
+            Tz = 0.0
+        command += (Tx, Ty, Tz)
+    return command
 
 
 _LOG_HEADER = ("t,T_cmd_1_x,T_cmd_1_y,T_cmd_1_z,"

@@ -15,17 +15,21 @@ in the controller and the linearized model, and its angle is the spin
 schedule's closed form, not an integrated state.
 
 The comparison harness integrates ~1e6 RK4 steps per run set, so the hot path
-is scalar Python: one acceleration closure over the state's float scalars,
-and a stepper that integrates a whole segment between control ticks and
-stored samples with every RK4 stage held in local variables (see
-:func:`_make_rhs`). :func:`simulate` stores states and commands as it goes
-and fills the tether-tension column afterwards, with one array evaluation of
+is scalar Python: a stepper that integrates a whole segment between control
+ticks and stored samples with every RK4 stage held in local variables. Its
+derivative block (tether laws, drag, accelerations, lag rates) is written
+once, as a source template, and instantiated inline in each RK4 stage; the
+source is compiled once, at import, and :func:`_make_rhs` binds parameters to
+it. :func:`simulate` stores states and commands as it goes and fills the
+tether-tension column afterwards, with one array evaluation of
 :func:`tether_force` over all samples.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
+import textwrap
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,15 +110,137 @@ def tether_forces(state: SystemState, params: SystemParams) -> TetherForces:
     return TetherForces(F_1=f1, F_2=f2, r_hat_1=r1, r_hat_2=r2)
 
 
-def _make_rhs(params: SystemParams):
-    """Build ``(rhs, advance)``, the scalarized model and its RK4 stepper.
+# Names of the 24 integrated scalars, in the flat layout of spinlift.model,
+# and of their time derivatives in the same order: positions move with the
+# velocities, velocities with the accelerations a*, actual thrusts with the
+# lag rates dT*. Suffix p is the payload, 1 and 2 the vehicles.
+_STATE = ("xpx xpy xpz vpx vpy vpz x1x x1y x1z v1x v1y v1z "
+          "x2x x2y x2z v2x v2y v2z T1x T1y T1z T2x T2y T2z").split()
+_RATE = ("vpx vpy vpz apx apy apz v1x v1y v1z a1x a1y a1z "
+         "v2x v2y v2z a2x a2y a2z dT1x dT1y dT1z dT2x dT2y dT2z").split()
 
-    Both rest on one acceleration closure over the 24 physical state scalars
-    (positions, velocities, actual thrusts) that returns the nine body
-    accelerations. It captures the parameters as local floats and writes the
-    tether law of :func:`tether_force` inline instead of calling a shared
-    helper, because it runs four times per physics step; a property test
-    keeps the two copies in agreement.
+# The derivative at the state whose names end in {s}: both tether laws (the
+# law of tether_force, written out), drag, the nine body accelerations a*{s}
+# and the six lag rates dT*{s} under the held command u*. Instantiated once
+# per RK4 stage of advance and once for rhs.
+_DERIVATIVE = """\
+r1x = x1x{s} - xpx{s}
+r1y = x1y{s} - xpy{s}
+r1z = x1z{s} - xpz{s}
+d1 = sqrt(r1x * r1x + r1y * r1y + r1z * r1z)
+if d1 < _COINCIDENT_TOL:
+    raise DegenerateGeometryError("vehicle 1 coincides with the payload")
+inv_d1 = 1.0 / d1
+h1x = r1x * inv_d1
+h1y = r1y * inv_d1
+h1z = r1z * inv_d1
+rate1 = (v1x{s} - vpx{s}) * h1x + (v1y{s} - vpy{s}) * h1y + (v1z{s} - vpz{s}) * h1z
+F1 = k_T * (d1 - ell) + c_T * rate1
+if d1 < ell or F1 < 0.0:
+    F1 = 0.0
+
+r2x = x2x{s} - xpx{s}
+r2y = x2y{s} - xpy{s}
+r2z = x2z{s} - xpz{s}
+d2 = sqrt(r2x * r2x + r2y * r2y + r2z * r2z)
+if d2 < _COINCIDENT_TOL:
+    raise DegenerateGeometryError("vehicle 2 coincides with the payload")
+inv_d2 = 1.0 / d2
+h2x = r2x * inv_d2
+h2y = r2y * inv_d2
+h2z = r2z * inv_d2
+rate2 = (v2x{s} - vpx{s}) * h2x + (v2y{s} - vpy{s}) * h2y + (v2z{s} - vpz{s}) * h2z
+F2 = k_T * (d2 - ell) + c_T * rate2
+if d2 < ell or F2 < 0.0:
+    F2 = 0.0
+
+if drag:
+    s1 = -c_dq * sqrt(v1x{s} * v1x{s} + v1y{s} * v1y{s} + v1z{s} * v1z{s})
+    fd1x, fd1y, fd1z = s1 * v1x{s}, s1 * v1y{s}, s1 * v1z{s}
+    s2 = -c_dq * sqrt(v2x{s} * v2x{s} + v2y{s} * v2y{s} + v2z{s} * v2z{s})
+    fd2x, fd2y, fd2z = s2 * v2x{s}, s2 * v2y{s}, s2 * v2z{s}
+    sp = -c_dp * sqrt(vpx{s} * vpx{s} + vpy{s} * vpy{s} + vpz{s} * vpz{s})
+    fdpx, fdpy, fdpz = sp * vpx{s}, sp * vpy{s}, sp * vpz{s}
+else:
+    fd1x = fd1y = fd1z = fd2x = fd2y = fd2z = fdpx = fdpy = fdpz = 0.0
+
+apx{s} = (fdpx + F1 * h1x + F2 * h2x) * inv_mp
+apy{s} = (fdpy + F1 * h1y + F2 * h2y) * inv_mp
+apz{s} = (fdpz + F1 * h1z + F2 * h2z) * inv_mp - g
+a1x{s} = (T1x{s} + fd1x - F1 * h1x) * inv_mq
+a1y{s} = (T1y{s} + fd1y - F1 * h1y) * inv_mq
+a1z{s} = (T1z{s} + fd1z - F1 * h1z) * inv_mq - g
+a2x{s} = (T2x{s} + fd2x - F2 * h2x) * inv_mq
+a2y{s} = (T2y{s} + fd2y - F2 * h2y) * inv_mq
+a2z{s} = (T2z{s} + fd2z - F2 * h2z) * inv_mq - g
+dT1x{s} = (u1x - T1x{s}) * inv_tau
+dT1y{s} = (u1y - T1y{s}) * inv_tau
+dT1z{s} = (u1z - T1z{s}) * inv_tau
+dT2x{s} = (u2x - T2x{s}) * inv_tau
+dT2y{s} = (u2y - T2y{s}) * inv_tau
+dT2z{s} = (u2z - T2z{s}) * inv_tau
+"""
+
+# rhs and advance over the parameters bound by _make_rhs. In advance, stage
+# k = 2, 3, 4 evaluates the derivative at y + c_k * dt * (stage k-1
+# derivative), with its state names suffixed _k (stage 1 is y itself); the
+# update y + dt/6 * (k1 + 2 (k2 + k3) + k4) then runs in layout order, so each
+# position is updated while its velocity still holds the stage-1 value.
+_STEPPER = """\
+def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, drag, c_dq, c_dp):
+    def rhs(y, u):
+        {state} = y
+        u1x, u1y, u1z, u2x, u2y, u2z = u
+{rhs_derivative}
+        return [{rate}]
+
+    def advance(y, u, i_first, n, dt):
+        {state} = y
+        u1x, u1y, u1z, u2x, u2y, u2z = u
+        half = 0.5 * dt
+        sixth = dt / 6.0
+        for i in range(i_first, i_first + n):
+{stages}
+            if not isfinite({state_sum}):
+                raise IntegrationBlowupError((i + 1) * dt)
+        return [{state}]
+
+    return rhs, advance
+"""
+
+
+def _compile_stepper():
+    """Expand the stepper template and compile it; return its ``bind``
+    factory."""
+    stages = [_DERIVATIVE.format(s="")]
+    for k, step in ((2, "half"), (3, "half"), (4, "dt")):
+        prev = "" if k == 2 else f"_{k - 1}"
+        stages += [f"{q}_{k} = {q} + {step} * {r}{prev}\n" for q, r in zip(_STATE, _RATE)]
+        stages.append(_DERIVATIVE.format(s=f"_{k}"))
+    stages += [f"{q} += sixth * ({r} + 2.0 * ({r}_2 + {r}_3) + {r}_4)\n"
+               for q, r in zip(_STATE, _RATE)]
+    source = _STEPPER.format(
+        state=", ".join(_STATE), rate=", ".join(_RATE), state_sum=" + ".join(_STATE),
+        rhs_derivative=textwrap.indent(_DERIVATIVE.format(s=""), " " * 8),
+        stages=textwrap.indent("".join(stages), " " * 12))
+    filename = "<spinlift.dynamics stepper>"
+    # registered so that tracebacks through rhs and advance show their lines
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
+                 "_COINCIDENT_TOL": _COINCIDENT_TOL,
+                 "DegenerateGeometryError": DegenerateGeometryError,
+                 "IntegrationBlowupError": IntegrationBlowupError}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["bind"]
+
+
+_bind_stepper = _compile_stepper()
+
+
+def _make_rhs(params: SystemParams):
+    """Build ``(rhs, advance)``, the scalarized model and its RK4 stepper,
+    over the 24 physical state scalars (positions, velocities, actual
+    thrusts).
 
     * ``rhs(y, u)`` is the full 24-element derivative over a flat float
       list, for the design model and the tests.
@@ -124,194 +250,28 @@ def _make_rhs(params: SystemParams):
       is built only on return; the float operations are those of a textbook
       RK4 over ``rhs``, in the same order. Raises
       :class:`IntegrationBlowupError` with the time of the first step whose
-      result is not finite.
+      result is not finite (one left-to-right sum of the 24 scalars, the
+      order of the builtin ``sum``).
+
+    Both are closures over the parameters, as floats, of code compiled
+    once, at import, from the source template ``_DERIVATIVE``: the
+    derivative block (both tether laws, drag, the nine body accelerations and
+    the lag rates) written out inline in each of the four RK4 stages and in
+    ``rhs``. Inline, a physics step calls only ``sqrt`` and ``isfinite``,
+    where a shared acceleration function would cost four calls of 24
+    arguments and a 9-tuple return per step. The tether law is the one of
+    :func:`tether_force`, kept as a second copy for speed; a property test
+    keeps the two in agreement. This function compiles nothing, so every
+    call (``lqr.linearize`` makes one per synthesis) only binds parameters.
 
     The tension column of a :class:`Trajectory` is not taken from here:
     :func:`simulate` evaluates :func:`tether_force` once over all samples
     after the run.
     """
-    ell = params.ell
-    g = params.g
-    k_T = params.k_T
-    c_T = params.c_T
-    inv_tau = 1.0 / params.tau_att
-    inv_mq = 1.0 / params.m_q
-    inv_mp = 1.0 / params.m_p
-    drag = params.drag_enabled
-    c_dq = params.c_d_quad
-    c_dp = params.c_d_payload
-    sqrt = math.sqrt
-    isfinite = math.isfinite
-
-    def accel(xpx, xpy, xpz, vpx, vpy, vpz,
-              x1x, x1y, x1z, v1x, v1y, v1z,
-              x2x, x2y, x2z, v2x, v2y, v2z,
-              T1x, T1y, T1z, T2x, T2y, T2z):
-        # tether 1
-        r1x = x1x - xpx
-        r1y = x1y - xpy
-        r1z = x1z - xpz
-        d1 = sqrt(r1x * r1x + r1y * r1y + r1z * r1z)
-        if d1 < _COINCIDENT_TOL:
-            raise DegenerateGeometryError("vehicle 1 coincides with the payload")
-        inv_d1 = 1.0 / d1
-        h1x = r1x * inv_d1
-        h1y = r1y * inv_d1
-        h1z = r1z * inv_d1
-        rate1 = (v1x - vpx) * h1x + (v1y - vpy) * h1y + (v1z - vpz) * h1z
-        F1 = k_T * (d1 - ell) + c_T * rate1
-        if d1 < ell or F1 < 0.0:
-            F1 = 0.0
-
-        # tether 2
-        r2x = x2x - xpx
-        r2y = x2y - xpy
-        r2z = x2z - xpz
-        d2 = sqrt(r2x * r2x + r2y * r2y + r2z * r2z)
-        if d2 < _COINCIDENT_TOL:
-            raise DegenerateGeometryError("vehicle 2 coincides with the payload")
-        inv_d2 = 1.0 / d2
-        h2x = r2x * inv_d2
-        h2y = r2y * inv_d2
-        h2z = r2z * inv_d2
-        rate2 = (v2x - vpx) * h2x + (v2y - vpy) * h2y + (v2z - vpz) * h2z
-        F2 = k_T * (d2 - ell) + c_T * rate2
-        if d2 < ell or F2 < 0.0:
-            F2 = 0.0
-
-        if drag:
-            s1 = -c_dq * sqrt(v1x * v1x + v1y * v1y + v1z * v1z)
-            fd1x, fd1y, fd1z = s1 * v1x, s1 * v1y, s1 * v1z
-            s2 = -c_dq * sqrt(v2x * v2x + v2y * v2y + v2z * v2z)
-            fd2x, fd2y, fd2z = s2 * v2x, s2 * v2y, s2 * v2z
-            sp = -c_dp * sqrt(vpx * vpx + vpy * vpy + vpz * vpz)
-            fdpx, fdpy, fdpz = sp * vpx, sp * vpy, sp * vpz
-        else:
-            fd1x = fd1y = fd1z = fd2x = fd2y = fd2z = fdpx = fdpy = fdpz = 0.0
-
-        return ((fdpx + F1 * h1x + F2 * h2x) * inv_mp,
-                (fdpy + F1 * h1y + F2 * h2y) * inv_mp,
-                (fdpz + F1 * h1z + F2 * h2z) * inv_mp - g,
-                (T1x + fd1x - F1 * h1x) * inv_mq,
-                (T1y + fd1y - F1 * h1y) * inv_mq,
-                (T1z + fd1z - F1 * h1z) * inv_mq - g,
-                (T2x + fd2x - F2 * h2x) * inv_mq,
-                (T2y + fd2y - F2 * h2y) * inv_mq,
-                (T2z + fd2z - F2 * h2z) * inv_mq - g)
-
-    def rhs(y: list, u: tuple) -> list:
-        (xpx, xpy, xpz, vpx, vpy, vpz,
-         x1x, x1y, x1z, v1x, v1y, v1z,
-         x2x, x2y, x2z, v2x, v2y, v2z,
-         T1x, T1y, T1z, T2x, T2y, T2z) = y
-        u1x, u1y, u1z, u2x, u2y, u2z = u
-        apx, apy, apz, a1x, a1y, a1z, a2x, a2y, a2z = accel(
-            xpx, xpy, xpz, vpx, vpy, vpz, x1x, x1y, x1z, v1x, v1y, v1z,
-            x2x, x2y, x2z, v2x, v2y, v2z, T1x, T1y, T1z, T2x, T2y, T2z)
-        return [vpx, vpy, vpz, apx, apy, apz, v1x, v1y, v1z, a1x, a1y, a1z,
-                v2x, v2y, v2z, a2x, a2y, a2z,
-                (u1x - T1x) * inv_tau, (u1y - T1y) * inv_tau, (u1z - T1z) * inv_tau,
-                (u2x - T2x) * inv_tau, (u2y - T2y) * inv_tau, (u2z - T2z) * inv_tau]
-
-    def advance(y: list, u: tuple, i_first: int, n: int, dt: float) -> list:
-        # Names: a body-axis suffix (px = payload x, 1y = vehicle 1 y, ...)
-        # and, after an underscore, the RK4 stage. Stage k evaluates the
-        # derivative at y + c_k * dt * (stage k-1 derivative); positions step
-        # with the stage velocities v*_k, velocities with the accelerations
-        # a*_k, actual thrusts with the lag rates r*_k.
-        (xpx, xpy, xpz, vpx, vpy, vpz,
-         x1x, x1y, x1z, v1x, v1y, v1z,
-         x2x, x2y, x2z, v2x, v2y, v2z,
-         T1x, T1y, T1z, T2x, T2y, T2z) = y
-        u1x, u1y, u1z, u2x, u2y, u2z = u
-        half = 0.5 * dt
-        sixth = dt / 6.0
-        for i in range(i_first, i_first + n):
-            apx_1, apy_1, apz_1, a1x_1, a1y_1, a1z_1, a2x_1, a2y_1, a2z_1 = accel(
-                xpx, xpy, xpz, vpx, vpy, vpz, x1x, x1y, x1z, v1x, v1y, v1z,
-                x2x, x2y, x2z, v2x, v2y, v2z, T1x, T1y, T1z, T2x, T2y, T2z)
-            r1x_1, r1y_1, r1z_1 = ((u1x - T1x) * inv_tau, (u1y - T1y) * inv_tau,
-                                   (u1z - T1z) * inv_tau)
-            r2x_1, r2y_1, r2z_1 = ((u2x - T2x) * inv_tau, (u2y - T2y) * inv_tau,
-                                   (u2z - T2z) * inv_tau)
-
-            vpx_2, vpy_2, vpz_2 = vpx + half * apx_1, vpy + half * apy_1, vpz + half * apz_1
-            v1x_2, v1y_2, v1z_2 = v1x + half * a1x_1, v1y + half * a1y_1, v1z + half * a1z_1
-            v2x_2, v2y_2, v2z_2 = v2x + half * a2x_1, v2y + half * a2y_1, v2z + half * a2z_1
-            T1x_2, T1y_2, T1z_2 = T1x + half * r1x_1, T1y + half * r1y_1, T1z + half * r1z_1
-            T2x_2, T2y_2, T2z_2 = T2x + half * r2x_1, T2y + half * r2y_1, T2z + half * r2z_1
-            apx_2, apy_2, apz_2, a1x_2, a1y_2, a1z_2, a2x_2, a2y_2, a2z_2 = accel(
-                xpx + half * vpx, xpy + half * vpy, xpz + half * vpz, vpx_2, vpy_2, vpz_2,
-                x1x + half * v1x, x1y + half * v1y, x1z + half * v1z, v1x_2, v1y_2, v1z_2,
-                x2x + half * v2x, x2y + half * v2y, x2z + half * v2z, v2x_2, v2y_2, v2z_2,
-                T1x_2, T1y_2, T1z_2, T2x_2, T2y_2, T2z_2)
-            r1x_2, r1y_2, r1z_2 = ((u1x - T1x_2) * inv_tau, (u1y - T1y_2) * inv_tau,
-                                   (u1z - T1z_2) * inv_tau)
-            r2x_2, r2y_2, r2z_2 = ((u2x - T2x_2) * inv_tau, (u2y - T2y_2) * inv_tau,
-                                   (u2z - T2z_2) * inv_tau)
-
-            vpx_3, vpy_3, vpz_3 = vpx + half * apx_2, vpy + half * apy_2, vpz + half * apz_2
-            v1x_3, v1y_3, v1z_3 = v1x + half * a1x_2, v1y + half * a1y_2, v1z + half * a1z_2
-            v2x_3, v2y_3, v2z_3 = v2x + half * a2x_2, v2y + half * a2y_2, v2z + half * a2z_2
-            T1x_3, T1y_3, T1z_3 = T1x + half * r1x_2, T1y + half * r1y_2, T1z + half * r1z_2
-            T2x_3, T2y_3, T2z_3 = T2x + half * r2x_2, T2y + half * r2y_2, T2z + half * r2z_2
-            apx_3, apy_3, apz_3, a1x_3, a1y_3, a1z_3, a2x_3, a2y_3, a2z_3 = accel(
-                xpx + half * vpx_2, xpy + half * vpy_2, xpz + half * vpz_2, vpx_3, vpy_3, vpz_3,
-                x1x + half * v1x_2, x1y + half * v1y_2, x1z + half * v1z_2, v1x_3, v1y_3, v1z_3,
-                x2x + half * v2x_2, x2y + half * v2y_2, x2z + half * v2z_2, v2x_3, v2y_3, v2z_3,
-                T1x_3, T1y_3, T1z_3, T2x_3, T2y_3, T2z_3)
-            r1x_3, r1y_3, r1z_3 = ((u1x - T1x_3) * inv_tau, (u1y - T1y_3) * inv_tau,
-                                   (u1z - T1z_3) * inv_tau)
-            r2x_3, r2y_3, r2z_3 = ((u2x - T2x_3) * inv_tau, (u2y - T2y_3) * inv_tau,
-                                   (u2z - T2z_3) * inv_tau)
-
-            vpx_4, vpy_4, vpz_4 = vpx + dt * apx_3, vpy + dt * apy_3, vpz + dt * apz_3
-            v1x_4, v1y_4, v1z_4 = v1x + dt * a1x_3, v1y + dt * a1y_3, v1z + dt * a1z_3
-            v2x_4, v2y_4, v2z_4 = v2x + dt * a2x_3, v2y + dt * a2y_3, v2z + dt * a2z_3
-            T1x_4, T1y_4, T1z_4 = T1x + dt * r1x_3, T1y + dt * r1y_3, T1z + dt * r1z_3
-            T2x_4, T2y_4, T2z_4 = T2x + dt * r2x_3, T2y + dt * r2y_3, T2z + dt * r2z_3
-            apx_4, apy_4, apz_4, a1x_4, a1y_4, a1z_4, a2x_4, a2y_4, a2z_4 = accel(
-                xpx + dt * vpx_3, xpy + dt * vpy_3, xpz + dt * vpz_3, vpx_4, vpy_4, vpz_4,
-                x1x + dt * v1x_3, x1y + dt * v1y_3, x1z + dt * v1z_3, v1x_4, v1y_4, v1z_4,
-                x2x + dt * v2x_3, x2y + dt * v2y_3, x2z + dt * v2z_3, v2x_4, v2y_4, v2z_4,
-                T1x_4, T1y_4, T1z_4, T2x_4, T2y_4, T2z_4)
-
-            # y + dt/6 * (k1 + 2 (k2 + k3) + k4); positions first, while
-            # vpx.. still hold the stage-1 velocities
-            xpx += sixth * (vpx + 2.0 * (vpx_2 + vpx_3) + vpx_4)
-            xpy += sixth * (vpy + 2.0 * (vpy_2 + vpy_3) + vpy_4)
-            xpz += sixth * (vpz + 2.0 * (vpz_2 + vpz_3) + vpz_4)
-            x1x += sixth * (v1x + 2.0 * (v1x_2 + v1x_3) + v1x_4)
-            x1y += sixth * (v1y + 2.0 * (v1y_2 + v1y_3) + v1y_4)
-            x1z += sixth * (v1z + 2.0 * (v1z_2 + v1z_3) + v1z_4)
-            x2x += sixth * (v2x + 2.0 * (v2x_2 + v2x_3) + v2x_4)
-            x2y += sixth * (v2y + 2.0 * (v2y_2 + v2y_3) + v2y_4)
-            x2z += sixth * (v2z + 2.0 * (v2z_2 + v2z_3) + v2z_4)
-            vpx += sixth * (apx_1 + 2.0 * (apx_2 + apx_3) + apx_4)
-            vpy += sixth * (apy_1 + 2.0 * (apy_2 + apy_3) + apy_4)
-            vpz += sixth * (apz_1 + 2.0 * (apz_2 + apz_3) + apz_4)
-            v1x += sixth * (a1x_1 + 2.0 * (a1x_2 + a1x_3) + a1x_4)
-            v1y += sixth * (a1y_1 + 2.0 * (a1y_2 + a1y_3) + a1y_4)
-            v1z += sixth * (a1z_1 + 2.0 * (a1z_2 + a1z_3) + a1z_4)
-            v2x += sixth * (a2x_1 + 2.0 * (a2x_2 + a2x_3) + a2x_4)
-            v2y += sixth * (a2y_1 + 2.0 * (a2y_2 + a2y_3) + a2y_4)
-            v2z += sixth * (a2z_1 + 2.0 * (a2z_2 + a2z_3) + a2z_4)
-            T1x += sixth * (r1x_1 + 2.0 * (r1x_2 + r1x_3) + (u1x - T1x_4) * inv_tau)
-            T1y += sixth * (r1y_1 + 2.0 * (r1y_2 + r1y_3) + (u1y - T1y_4) * inv_tau)
-            T1z += sixth * (r1z_1 + 2.0 * (r1z_2 + r1z_3) + (u1z - T1z_4) * inv_tau)
-            T2x += sixth * (r2x_1 + 2.0 * (r2x_2 + r2x_3) + (u2x - T2x_4) * inv_tau)
-            T2y += sixth * (r2y_1 + 2.0 * (r2y_2 + r2y_3) + (u2y - T2y_4) * inv_tau)
-            T2z += sixth * (r2z_1 + 2.0 * (r2z_2 + r2z_3) + (u2z - T2z_4) * inv_tau)
-
-            if not isfinite(sum((xpx, xpy, xpz, vpx, vpy, vpz,
-                                 x1x, x1y, x1z, v1x, v1y, v1z,
-                                 x2x, x2y, x2z, v2x, v2y, v2z,
-                                 T1x, T1y, T1z, T2x, T2y, T2z))):
-                raise IntegrationBlowupError((i + 1) * dt)
-        return [xpx, xpy, xpz, vpx, vpy, vpz, x1x, x1y, x1z, v1x, v1y, v1z,
-                x2x, x2y, x2z, v2x, v2y, v2z, T1x, T1y, T1z, T2x, T2y, T2z]
-
-    return rhs, advance
+    return _bind_stepper(ell=params.ell, g=params.g, k_T=params.k_T, c_T=params.c_T,
+                         inv_tau=1.0 / params.tau_att, inv_mq=1.0 / params.m_q,
+                         inv_mp=1.0 / params.m_p, drag=params.drag_enabled,
+                         c_dq=params.c_d_quad, c_dp=params.c_d_payload)
 
 
 @dataclass(frozen=True, eq=False)

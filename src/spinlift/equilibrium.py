@@ -59,7 +59,8 @@ def _check_beta(beta: float) -> float:
     beta = float(beta)
     if not (0.0 <= beta < math.pi / 2):
         raise SingularityError(
-            f"beta must be in [0, pi/2) rad, got {beta!r} (tension diverges at pi/2)")
+            f"beta must be in [0, 90) deg (the tension diverges at 90 deg), "
+            f"got {math.degrees(beta):.6g} deg ({beta!r} rad)")
     return beta
 
 

@@ -94,7 +94,8 @@ def test_sweep_beta_reports_skipped_points_in_degrees(tmp_path, capsys):
     code = main(["sweep-beta", "--min", "80", "--max", "95", "--n", "3",
                  "--mode", "static", "--out", str(tmp_path)])
     assert code == 0
-    assert "skipped grid point 95:" in capsys.readouterr().err
+    assert ("skipped grid point 95: beta must be in [0, 90) deg (the tension "
+            "diverges at 90 deg), got 95 deg (1.658" in capsys.readouterr().err)
     lines = (tmp_path / "sweep_beta_static.csv").read_text().strip().split("\n")
     assert len(lines) == 3
 

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinlift.control import (ControllerConfig, SpinProfile, command_log_to_csv,
                               control_step)
 from spinlift.dynamics import simulate
 from spinlift.equilibrium import build_equilibrium, omega_star
-from spinlift.lqr import equilibrium_c_state, synthesize
+from spinlift.lqr import GainSet, equilibrium_c_state, synthesize
 from spinlift.model import SystemParams, SystemState, rotation_c_to_e, vec3
 
 P = SystemParams()
@@ -48,6 +50,38 @@ def orbit_state(state0, w, t):
         x_2=spin_pos(state0.x_2), v_2=spin_vel(state0.x_2),
         T_act_1=R @ state0.T_act_1, T_act_2=R @ state0.T_act_2,
     )
+
+
+def _to_frame(R_t, omega_c, x_e, v_e):
+    """Inertial position/velocity -> control-frame components relative to the
+    frame origin, with the rotating-frame velocity correction."""
+    x_c = R_t @ (x_e - ORIGIN)
+    v_c = R_t @ v_e - np.array([-omega_c * x_c[1], omega_c * x_c[0], 0.0])
+    return x_c, v_c
+
+
+def _saturate(T, T_max):
+    norm = float(np.linalg.norm(T))
+    if norm > T_max:
+        T = T * (T_max / norm)
+    if T[2] < 0.0:
+        T = T.copy()
+        T[2] = 0.0
+    return T
+
+
+def reference_control_step(y, cfg, t):
+    """The control law in numpy matrix form: the reference for the float tick
+    of control_step."""
+    omega_c, theta = cfg.profile.omega(t), cfg.profile.theta(t)
+    R = rotation_c_to_e(theta)
+    y = np.asarray(y, dtype=float)
+    s = np.concatenate([np.concatenate(_to_frame(R.T, omega_c, y[i:i + 3], y[i + 3:i + 6]))
+                        for i in (0, 6, 12)])
+    s_bar, _ = equilibrium_c_state(cfg.eq)
+    u = cfg.feedforward(omega_c) - cfg.gain.K @ (s - s_bar)
+    return np.concatenate([_saturate(R @ u[0:3], cfg.T_max),
+                           _saturate(R @ u[3:6], cfg.T_max)])
 
 
 class TestSpinProfile:
@@ -198,6 +232,52 @@ class TestControlStep:
                 ControllerConfig(gain=gains, eq=spec, params=P, profile=profile)
         else:
             ControllerConfig(gain=gains, eq=spec, params=P, profile=profile)
+
+    # phases of the schedule below: ramp up, hover, ramp down, rest
+    PHASES = ((0.0, 5.0), (5.0, 15.0), (15.0, 20.0), (20.0, 30.0))
+
+    @given(beta_deg=st.floats(0.0, 89.0), rotating=st.booleans(),
+           m_p=st.floats(0.05, 0.6), phase=st.integers(0, 3), frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1), gain=st.sampled_from([0.0, 1.0, 10.0]),
+           scale=st.sampled_from([0.0, 1e-3, 0.1, 10.0]))
+    # one seed whose state saturates and clamps both vehicles
+    @example(beta_deg=45.0, rotating=True, m_p=0.6, phase=1, frac=0.5, seed=1,
+             gain=10.0, scale=10.0)
+    def test_matches_numpy_reference(self, beta_deg, rotating, m_p, phase, frac, seed,
+                                     gain, scale):
+        # tolerance fixed beforehand: 1e-12 T_max per component. Gains of up
+        # to 10 over deviations of up to 10 m keep every product below 100 N,
+        # so reordered sums differ by far less.
+        params = SystemParams(m_p=m_p)
+        beta = DEG(beta_deg)
+        w = omega_star(beta, params) if rotating else 0.0
+        spec, _, _ = build_equilibrium(beta, w, params)
+        rng = np.random.default_rng(seed)
+        K = gain * rng.uniform(-1.0, 1.0, (6, 18))
+        deviation = scale * rng.uniform(-1.0, 1.0, 18)
+        profile = SpinProfile(omega_target=w, t_ramp_up=5.0, t_hover=10.0, t_ramp_down=5.0)
+        try:
+            cfg = ControllerConfig(gain=GainSet(K=K, P=np.eye(18), care_residual=0.0),
+                                   eq=spec, params=params, profile=profile)
+        except ValueError:
+            reject()  # feedforward thrust over T_max: a heavy payload at a steep angle
+        start, end = self.PHASES[phase]
+        t = start + frac * (end - start)
+
+        # the state whose control-frame deviation from the equilibrium is
+        # ``deviation``
+        s_bar, _ = equilibrium_c_state(spec)
+        s = s_bar + deviation
+        R, omega_c = rotation_c_to_e(profile.theta(t)), profile.omega(t)
+        y = []
+        for x_c, v_c in s.reshape(3, 2, 3):
+            y += [*(ORIGIN + R @ x_c), *(R @ (v_c + [-omega_c * x_c[1], omega_c * x_c[0], 0.0]))]
+        y += [0.0] * 6
+
+        cmd = control_step(y, cfg, t)
+        assert len(cmd) == 6 and all(type(v) is float for v in cmd)
+        assert_allclose(cmd, reference_control_step(y, cfg, t), rtol=0.0,
+                        atol=1e-12 * cfg.T_max)
 
 
 class TestClosedLoopPlumbing:

@@ -309,6 +309,18 @@ class TestStep:
             advance_from(state, bomb, p, 5e-4, 100)
         assert excinfo.value.t > 0.0
 
+    def test_parameters_bound_without_compiling(self):
+        # the stepper source is compiled once, at import: _make_rhs only
+        # binds parameters, since lqr.linearize calls it on every synthesis
+        light, heavy = SystemParams(), SystemParams(m_p=0.9, drag_enabled=True)
+        rhs_light, advance_light = _make_rhs(light)
+        rhs_heavy, advance_heavy = _make_rhs(heavy)
+        assert rhs_light.__code__ is rhs_heavy.__code__
+        assert advance_light.__code__ is advance_heavy.__code__
+        state = slack_state(light).replace(v_p=vec3(0.5, 0.0, 0.0))
+        assert not np.array_equal(rhs_at(state, zero_cmd(), light),
+                                  rhs_at(state, zero_cmd(), heavy))
+
 
 class TestSimulate:
     def test_controller_invocation_count(self):
