@@ -1,17 +1,18 @@
 """Runtime control law: feedforward plus LQR feedback in the rotating frame.
 
 Each control tick maps the measured inertial state into the control frame,
-forms the deviation from the stored equilibrium, applies u = u_bar - K ds,
+forms the deviation from the stored ``eq.s_bar``, applies u = u_ff - K ds,
 rotates the two thrust vectors back to the inertial frame, and applies
 magnitude saturation (direction preserving) followed by a nonnegative
-vertical-component clamp. Zero-order hold between ticks is the simulator's
-responsibility.
+vertical-component clamp. u_ff is :func:`spinlift.equilibrium.feedforward` at
+the schedule's spin rate; the operating point is not rebuilt here, and the
+phases are :class:`SpinProfile`'s alone. Zero-order hold between ticks is the
+simulator's responsibility.
 
 The tick runs on Python floats and makes no numpy call: the rotation is
-``cos``/``sin`` of the schedule's angle, each gain row's product is
+``cos``/``sin`` of the schedule's angle, and each gain row's product is
 ``math.fsum`` over the row and the deviation (rows stored as tuples when the
-:class:`ControllerConfig` is built), and the feedforward is computed from
-constants the config derives once. Numpy's small matrix products would cost
+:class:`ControllerConfig` is built). Numpy's small matrix products would cost
 some twenty calls per tick, and they run through BLAS kernels chosen per CPU,
 so their last bits depend on the machine; scalar IEEE operations and the
 correctly rounded ``fsum`` give the same command bits everywhere. The tests
@@ -22,14 +23,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from .dynamics import Trajectory
-from .equilibrium import (DEFAULT_PAYLOAD_POSITION, stretched_length,
-                          tension_at_equilibrium, thrust_components)
-from .lqr import GainSet, equilibrium_c_state
+from .equilibrium import DEFAULT_PAYLOAD_POSITION, feedforward
+from .lqr import GainSet
 from .model import EquilibriumSpec, SystemParams, default_thrust_limit, table_text
 
 __all__ = [
@@ -42,56 +40,70 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpinProfile:
-    """Piecewise-linear spin-rate schedule with an exact analytic angle.
+    """Piecewise-linear spin-rate schedule with an exact analytic angle: the
+    one definition of a flight's phases and their edges (computed once).
 
-    Phases in order from t = 0: linear ramp up to ``omega_target``,
-    constant hover, linear ramp down, then zero again.
-    ``theta`` integrates the profile in closed form (piecewise quadratic)
-    rather than accumulating numerically.
+    Phases in order from t = 0: ``spin_up``, a linear ramp up to
+    ``omega_target``; ``hover``; ``spin_down``, a linear ramp down; then zero
+    again. ``theta`` integrates the profile in closed form (piecewise
+    quadratic) rather than accumulating numerically.
     """
 
     omega_target: float      # [rad/s]
     t_ramp_up: float = 0.0   # [s]
     t_hover: float = 0.0     # [s] at omega_target
     t_ramp_down: float = 0.0  # [s]
+    hover_end: float = field(init=False)  # [s] t_ramp_up + t_hover
+    duration: float = field(init=False)   # [s] hover_end + t_ramp_down
 
     def __post_init__(self):
         for name in ("omega_target", "t_ramp_up", "t_hover", "t_ramp_down"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        object.__setattr__(self, "hover_end", self.t_ramp_up + self.t_hover)
+        object.__setattr__(self, "duration", self.hover_end + self.t_ramp_down)
+
+    @property
+    def phase_durations(self) -> dict:
+        """Length of each phase [s], keyed by phase name in flight order."""
+        return {"spin_up": self.t_ramp_up, "hover": self.t_hover,
+                "spin_down": self.t_ramp_down}
+
+    def phase_at(self, t: float) -> str:
+        """Name of the phase at time ``t``; an edge belongs to the phase that
+        ends there, and a time past the end to ``spin_down``."""
+        if t <= self.t_ramp_up:
+            return "spin_up"
+        if t <= self.hover_end:
+            return "hover"
+        return "spin_down"
 
     def omega(self, t: float) -> float:
         w = self.omega_target
-        t2 = self.t_ramp_up
-        t3 = t2 + self.t_hover
-        t4 = t3 + self.t_ramp_down
         if t < 0.0:
             return 0.0
-        if t < t2:
+        if t < self.t_ramp_up:
             return w * t / self.t_ramp_up
-        if t < t3:
+        if t < self.hover_end:
             return w
-        if t < t4:
-            return w * (t4 - t) / self.t_ramp_down
+        if t < self.duration:
+            return w * (self.duration - t) / self.t_ramp_down
         return 0.0
 
     def theta(self, t: float) -> float:
         w = self.omega_target
-        t2 = self.t_ramp_up
-        t3 = t2 + self.t_hover
-        t4 = t3 + self.t_ramp_down
         if t <= 0.0:
             return 0.0
         # area under the ramp-up triangle, hover rectangle, ramp-down triangle
-        if t <= t2:
+        if t <= self.t_ramp_up:
             return 0.5 * w * t * t / self.t_ramp_up
         total = 0.5 * w * self.t_ramp_up
-        if t <= t3:
-            return total + w * (t - t2)
+        if t <= self.hover_end:
+            return total + w * (t - self.t_ramp_up)
         total += w * self.t_hover
-        if t <= t4:
-            remaining = t4 - t
+        if t <= self.duration:
+            remaining = self.duration - t
             return total + 0.5 * w * self.t_ramp_down \
                 - 0.5 * w * remaining * remaining / self.t_ramp_down
         return total + 0.5 * w * self.t_ramp_down
@@ -113,39 +125,20 @@ class ControllerConfig:
     profile: SpinProfile
 
     def __post_init__(self):
-        object.__setattr__(self, "_length", stretched_length(self.eq.beta, self.params))
         for omega_c in (0.0, self.profile.omega_target):
-            thrust = float(np.linalg.norm(self.feedforward(omega_c)[0:3]))
+            thrust = math.hypot(*feedforward(self.eq.beta, omega_c, self.params,
+                                             self.eq.length)[0:3])
             if self.T_max <= thrust:
                 raise ValueError(
                     f"T_max={self.T_max:.3f} N does not exceed the thrust {thrust:.3f} N "
                     f"at omega={omega_c:.4g} rad/s; operating point unreachable")
-        # per-tick constants: the equilibrium and the gain rows as float
-        # tuples, and the factors of thrust_components' feedforward
-        s_bar, _ = equilibrium_c_state(self.eq)
-        object.__setattr__(self, "_s_bar", tuple(s_bar.tolist()))
+        # the gain rows as float tuples, for the tick's fsum products
         object.__setattr__(self, "_K_rows", tuple(map(tuple, self.gain.K.tolist())))
-        _, vertical = thrust_components(self.eq.beta, 0.0, self.params, self._length)
-        object.__setattr__(self, "_ff_terms", (
-            math.sin(self.eq.beta), tension_at_equilibrium(self.eq.beta, self.params),
-            self.params.m_q, vertical))
 
     @property
     def T_max(self) -> float:
         """Command saturation [N]: :func:`model.default_thrust_limit`."""
         return default_thrust_limit(self.params)
-
-    def feedforward(self, omega_c: float) -> np.ndarray:
-        """Equilibrium thrust pair (C frame) holding the formation at the
-        configured tether angle while spinning at ``omega_c``.
-
-        The formation geometry is spin-rate independent, so scheduling the
-        feedforward with the instantaneous spin rate keeps the loop on the
-        analyzed equilibrium branch through ramps; at the operating point's
-        own rate this reduces exactly to the stored equilibrium thrusts.
-        """
-        horizontal, v = thrust_components(self.eq.beta, omega_c, self.params, self._length)
-        return np.array([horizontal, 0.0, v, -horizontal, 0.0, v])
 
 
 def control_step(y, cfg: ControllerConfig, t: float) -> list:
@@ -158,6 +151,7 @@ def control_step(y, cfg: ControllerConfig, t: float) -> list:
     omega_c, theta = cfg.profile.omega(t), cfg.profile.theta(t)
     c, s = math.cos(theta), math.sin(theta)
     ox, oy, oz = DEFAULT_PAYLOAD_POSITION
+    eq = cfg.eq
 
     # positions relative to the frame origin and velocities, per body, in
     # control-frame components (with the rotating-frame velocity correction)
@@ -168,14 +162,11 @@ def control_step(y, cfg: ControllerConfig, t: float) -> list:
         xc, yc = c * dx + s * dy, c * dy - s * dx
         frame_state += (xc, yc, pz - oz, c * vx + s * vy + omega_c * yc,
                         c * vy - s * vx - omega_c * xc, vz)
-    ds = tuple(map(operator.sub, frame_state, cfg._s_bar))
+    ds = tuple(map(operator.sub, frame_state, eq.s_bar))
 
-    # feedforward, in thrust_components' order of operations
-    sin_beta, tension, m_q, vertical = cfg._ff_terms
-    horizontal = sin_beta * (tension - m_q * omega_c ** 2 * cfg._length)
-    feedforward = (horizontal, 0.0, vertical, -horizontal, 0.0, vertical)
     u = [f - math.fsum(map(operator.mul, row, ds))
-         for f, row in zip(feedforward, cfg._K_rows)]
+         for f, row in zip(feedforward(eq.beta, omega_c, cfg.params, eq.length),
+                           cfg._K_rows)]
 
     # back to the E frame, saturate the magnitude, clamp the vertical
     T_max = cfg.T_max

@@ -10,7 +10,8 @@ tilt phi from vertical, circular motion at radius ell*sin(beta)) gives
 
 The analytic power model uses the rest length ell; the simulated operating
 point (``build_equilibrium``) uses the stretched length ell + F/k_T at which
-the spring carries F. Both come from ``thrust_components``. The spin rate
+the spring carries F. Both come from ``thrust_components``, which
+``feedforward`` turns into the controller's six C-frame thrusts. The spin rate
 that zeroes the horizontal thrust component is
 
     omega_star = sqrt(m_p * g / (2 m_q * ell * cos beta))
@@ -36,6 +37,7 @@ __all__ = [
     "tension_at_equilibrium",
     "stretched_length",
     "thrust_components",
+    "feedforward",
     "thrust_magnitude",
     "omega_star",
     "tilt_angle",
@@ -104,6 +106,22 @@ def thrust_components(beta: float, omega_c: float, params: SystemParams,
     return horizontal, vertical
 
 
+def _vehicle_pair(x: float, z: float) -> tuple:
+    """Vehicle 1's C-frame vector (x, 0, z), then vehicle 2's, its mirror
+    image across the y-z plane: six floats."""
+    return (x, 0.0, z, -x, 0.0, z)
+
+
+def feedforward(beta: float, omega_c: float, params: SystemParams,
+                length: float) -> tuple:
+    """The six C-frame thrusts [T_bar_1, T_bar_2] [N] that hold tether angle
+    ``beta`` at spin rate ``omega_c`` with the vehicles ``length`` from the
+    payload. The geometry does not depend on the rate, so the controller
+    schedules this with the instantaneous rate to stay on the equilibrium
+    branch through the ramps; at a point's own rate it is its ``u_bar``."""
+    return _vehicle_pair(*thrust_components(beta, omega_c, params, length))
+
+
 def thrust_magnitude(beta: float, omega_c: float, params: SystemParams) -> float:
     """Thrust magnitude per vehicle required to hold the operating point [N]."""
     horizontal, vertical = thrust_components(beta, omega_c, params, params.ell)
@@ -160,41 +178,33 @@ def build_equilibrium(beta: float, omega_c: float, params: SystemParams
 
     The spin axis is vertical through ``DEFAULT_PAYLOAD_POSITION`` (the
     control-frame origin). Vehicles sit at the stretched tether length
-    ell + F/k_T so the spring carries exactly the equilibrium tension, and the
-    feedforward thrust uses the centripetal term at that stretched radius,
+    ell + F/k_T so the spring carries exactly the equilibrium tension, and
+    :func:`feedforward` uses the centripetal term at that stretched radius,
     making the returned state an exact fixed point of the truth dynamics (the
     rigid rest-length value differs by ~0.15% at default stiffness). The
     frame angle of a flight's start is 0, so control-frame and earth-frame
-    components coincide.
+    components coincide. No other module rebuilds this geometry.
     """
     beta = _check_beta(beta)
     length = stretched_length(beta, params)
-    horizontal, vertical = thrust_components(beta, omega_c, params, length)
-    T1 = vec3(horizontal, 0.0, vertical)
-    T2 = vec3(-horizontal, 0.0, vertical)
-    offset = vec3(length * math.sin(beta), 0.0, length * math.cos(beta))
-
-    spec = EquilibriumSpec(
-        beta=beta,
-        omega_C=float(omega_c),
-        T_bar_1=T1,
-        T_bar_2=T2,
-        offset=offset,
-    )
+    u_bar = feedforward(beta, omega_c, params, length)
+    # vehicle positions relative to the payload, which sits at the origin
+    r = _vehicle_pair(length * math.sin(beta), length * math.cos(beta))
+    rest = (0.0, 0.0, 0.0)
+    spec = EquilibriumSpec(beta=beta, omega_C=float(omega_c), length=length,
+                           s_bar=(*rest, *rest, *r[0:3], *rest, *r[3:6], *rest),
+                           u_bar=u_bar)
 
     origin = vec3(*DEFAULT_PAYLOAD_POSITION)
-    x_1 = origin + offset
-    x_2 = origin + vec3(-offset[0], 0.0, offset[2])
-    # circular motion about the vertical axis: v = omega x r
-    v_1 = vec3(0.0, omega_c * offset[0], 0.0)
-    v_2 = -v_1
-
+    # circular motion about the vertical axis: v = omega x r, and vehicle 2
+    # moves opposite to vehicle 1
+    v_1 = vec3(0.0, omega_c * r[0], 0.0)
     state = SystemState(
-        x_p=origin, v_p=vec3(0.0, 0.0, 0.0),
-        x_1=x_1, v_1=v_1, x_2=x_2, v_2=v_2,
-        T_act_1=T1.copy(), T_act_2=T2.copy(),
+        x_p=origin, v_p=vec3(*rest),
+        x_1=origin + r[0:3], v_1=v_1, x_2=origin + r[3:6], v_2=-v_1,
+        T_act_1=vec3(*u_bar[0:3]), T_act_2=vec3(*u_bar[3:6]),
     )
-    return spec, state, [horizontal, 0.0, vertical, -horizontal, 0.0, vertical]
+    return spec, state, list(u_bar)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ A flight has one operating point (omega = 0 for a static run, omega* for a
 rotating one) and one controller. It spawns at the equilibrium matching the
 initial spin rate and runs an optional spin-up ramp, a hover at the target
 operating point and an optional spin-down ramp; static runs have no ramps.
+The phase edges, the flight's length and the phase a failure falls in all
+come from the flight's :class:`~spinlift.control.SpinProfile`.
 Instantaneous aerodynamic power is metered from the actual (lagged) thrust
 magnitudes, and summary statistics are computed over the final part of the
 hover to exclude transients (20 s of a 40 s hover by default).
@@ -74,6 +76,8 @@ class ScenarioSpec:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if not math.isfinite(self.perturb_payload):
+            raise ValueError(f"perturb_payload must be finite, got {self.perturb_payload!r}")
         if not 0.0 < self.metering_window <= self.hover:
             raise ValueError("metering window must be positive and at most the hover duration")
 
@@ -111,10 +115,9 @@ def run_scenario(spec: ScenarioSpec, params: SystemParams) -> tuple[Trajectory, 
     """Execute one flight and meter it."""
     rotating = spec.mode == "rotating"
     omega_target = eqm.omega_star(spec.beta, params) if rotating else 0.0
-    durations = {"spin_up": spec.spin_up if rotating else 0.0, "hover": spec.hover,
-                 "spin_down": spec.spin_down if rotating else 0.0}
-    profile = SpinProfile(omega_target=omega_target, t_ramp_up=durations["spin_up"],
-                          t_hover=spec.hover, t_ramp_down=durations["spin_down"])
+    profile = SpinProfile(omega_target=omega_target,
+                          t_ramp_up=spec.spin_up if rotating else 0.0, t_hover=spec.hover,
+                          t_ramp_down=spec.spin_down if rotating else 0.0)
 
     eq_spec, _, _ = eqm.build_equilibrium(spec.beta, omega_target, params)
     try:
@@ -138,25 +141,14 @@ def run_scenario(spec: ScenarioSpec, params: SystemParams) -> tuple[Trajectory, 
 
     try:
         traj = simulate(initial_state, lambda y, t: control_step(y, cfg, t),
-                        profile.theta, params, sum(durations.values()),
+                        profile.theta, params, profile.duration,
                         output_decimation=spec.output_decimation)
     except IntegrationBlowupError as exc:
-        phase = _phase_at(exc.t, durations)
         raise SimulationFailed(f"integration blew up at t={exc.t:.3f} s "
-                               f"(phase: {phase})", exc.t) from exc
+                               f"(phase: {profile.phase_at(exc.t)})", exc.t) from exc
 
-    hover_end = durations["spin_up"] + durations["hover"]
-    window = (hover_end - spec.metering_window, hover_end)
-    return traj, summarize(traj, params, window, durations)
-
-
-def _phase_at(t: float, durations: dict) -> str:
-    edge = 0.0
-    for name, length in durations.items():
-        edge += length
-        if t <= edge:
-            return name
-    return name  # past the last edge by rounding
+    window = (profile.hover_end - spec.metering_window, profile.hover_end)
+    return traj, summarize(traj, params, window, profile.phase_durations)
 
 
 def summarize(traj: Trajectory, params: SystemParams, window: tuple[float, float],

@@ -7,7 +7,10 @@ The regulator model lives in the rotating control frame C with state
                                                    frame origin on the axis)
     u = [T_1, T_2]                      in R^6    (thrust vectors, C frame)
 
-The earth-frame accelerations a_E come from the truth model's right-hand side
+The operating point (s_bar, u_bar) is read from the
+:class:`~spinlift.model.EquilibriumSpec` that
+:func:`spinlift.equilibrium.build_equilibrium` made; this module does not
+rebuild any of its geometry. The earth-frame accelerations a_E come from the truth model's right-hand side
 (:mod:`spinlift.dynamics`) with two simplifications: commanded thrust is
 applied directly (the actuation lag is an inner-loop detail excluded from the
 design model) and drag is left out. They are mapped into the frame rotating
@@ -36,7 +39,6 @@ __all__ = [
     "SynthesisError",
     "LinearModel",
     "GainSet",
-    "equilibrium_c_state",
     "linearize",
     "solve_care",
     "default_weights",
@@ -100,22 +102,13 @@ def _c_frame_model(params: SystemParams):
     return f
 
 
-def equilibrium_c_state(eq: EquilibriumSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(s_bar, u_bar) for the operating point, payload at the frame origin."""
-    s_bar = np.zeros(N_STATE)
-    s_bar[6:9] = eq.offset
-    s_bar[12:15] = eq.offset * (-1.0, 1.0, 1.0)  # mirror image across the y-z plane
-    u_bar = np.concatenate([eq.T_bar_1, eq.T_bar_2])
-    return s_bar, u_bar
-
-
 def linearize(eq: EquilibriumSpec, params: SystemParams) -> LinearModel:
     """Central-difference A, B of the control-frame model at the equilibrium.
 
     Refuses to linearize if the supplied point is not a fixed point of the
     model (residual above 1e-6).
     """
-    s_bar, u_bar = equilibrium_c_state(eq)
+    s_bar, u_bar = np.array(eq.s_bar), np.array(eq.u_bar)
     w = eq.omega_C
     f = _c_frame_model(params)
     residual = float(np.linalg.norm(f(s_bar, u_bar, w)))

@@ -210,26 +210,28 @@ def params_to_text(params: SystemParams) -> str:
 
 @dataclass(frozen=True)
 class EquilibriumSpec:
-    """One operating point: tether angle, spin rate, and derived quantities.
+    """One operating point, exactly as
+    :func:`spinlift.equilibrium.build_equilibrium` computes it.
 
-    ``T_bar_1``/``T_bar_2`` are the exact feedforward thrust vectors in the
-    control frame (vehicle 1 on the +x side); they mirror each other across
-    the y-z plane. ``offset`` is vehicle 1's position relative to the payload
-    at the stretched tether length (vehicle 2 mirrors it).
+    ``s_bar`` (the regulator state of :mod:`spinlift.lqr`, positions relative
+    to the frame origin) and ``u_bar`` (the feedforward thrusts) are tuples of
+    Python floats in control-frame components; vehicle 1 is on the +x side.
     """
 
-    beta: float               # tether angle from vertical [rad]
-    omega_C: float            # control-frame spin rate [rad/s]
-    T_bar_1: np.ndarray       # feedforward thrust, vehicle 1, C frame [N]
-    T_bar_2: np.ndarray       # feedforward thrust, vehicle 2, C frame [N]
-    offset: np.ndarray        # vehicle 1 minus payload position, C frame [m]
+    beta: float                # tether angle from vertical [rad]
+    omega_C: float             # control-frame spin rate [rad/s]
+    length: float              # stretched tether length [m]
+    s_bar: tuple[float, ...]   # 18: x_p, v_p, x_1, v_1, x_2, v_2, C frame
+    u_bar: tuple[float, ...]   # 6: T_bar_1, T_bar_2, C frame [N]
 
     def __post_init__(self):
-        object.__setattr__(self, "T_bar_1", _as_vec3(self.T_bar_1, "T_bar_1"))
-        object.__setattr__(self, "T_bar_2", _as_vec3(self.T_bar_2, "T_bar_2"))
-        object.__setattr__(self, "offset", _as_vec3(self.offset, "offset"))
         if not 0.0 <= self.beta < math.pi / 2:
             raise ValueError(f"beta must be in [0, pi/2), got {self.beta}")
+        for name, size in (("s_bar", 18), ("u_bar", 6)):
+            value = tuple(map(float, getattr(self, name)))
+            if len(value) != size or not all(map(math.isfinite, value)):
+                raise ValueError(f"{name} must be {size} finite floats, got {value}")
+            object.__setattr__(self, name, value)
 
 
 # Flat state-vector layout used by the integrator and trajectory storage:

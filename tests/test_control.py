@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from spinlift.control import (ControllerConfig, SpinProfile, command_log_to_csv,
                               control_step)
 from spinlift.dynamics import simulate
-from spinlift.equilibrium import build_equilibrium, omega_star
-from spinlift.lqr import GainSet, equilibrium_c_state, synthesize
+from spinlift.equilibrium import build_equilibrium, feedforward, omega_star
+from spinlift.lqr import GainSet, synthesize
 from spinlift.model import SystemParams, SystemState, rotation_c_to_e, vec3
 
 P = SystemParams()
@@ -78,8 +78,9 @@ def reference_control_step(y, cfg, t):
     y = np.asarray(y, dtype=float)
     s = np.concatenate([np.concatenate(_to_frame(R.T, omega_c, y[i:i + 3], y[i + 3:i + 6]))
                         for i in (0, 6, 12)])
-    s_bar, _ = equilibrium_c_state(cfg.eq)
-    u = cfg.feedforward(omega_c) - cfg.gain.K @ (s - s_bar)
+    eq = cfg.eq
+    u = (np.array(feedforward(eq.beta, omega_c, cfg.params, eq.length))
+         - cfg.gain.K @ (s - np.array(eq.s_bar)))
     return np.concatenate([_saturate(R @ u[0:3], cfg.T_max),
                            _saturate(R @ u[3:6], cfg.T_max)])
 
@@ -114,6 +115,31 @@ class TestSpinProfile:
             below = prof.theta(edge - 1e-9)
             above = prof.theta(edge + 1e-9)
             assert above - below == pytest.approx(0.0, abs=1e-7)
+
+    @given(up=st.floats(0.1, 30.0), hover=st.floats(0.1, 30.0), down=st.floats(0.1, 30.0),
+           w=st.floats(0.0, 5.0), phase=st.integers(0, 3), frac=st.floats(0.0, 1.0))
+    def test_theta_is_the_integral_of_omega(self, up, hover, down, w, phase, frac):
+        # inside each phase theta is a quadratic, so its central difference
+        # is omega up to the rounding of theta itself
+        prof = SpinProfile(omega_target=w, t_ramp_up=up, t_hover=hover, t_ramp_down=down)
+        start, end = (0.0, up, prof.hover_end, prof.duration, prof.duration + 10.0)[phase:phase + 2]
+        h = 1e-3
+        t = start + h + frac * (end - start - 2.0 * h)
+        slope = (prof.theta(t + h) - prof.theta(t - h)) / (2.0 * h)
+        rounding = 1e-14 * (1.0 + prof.theta(prof.duration)) / h
+        assert slope == pytest.approx(prof.omega(t), rel=0.0, abs=rounding)
+
+    def test_phase_edges(self):
+        # the edges are computed once, in the same order as the sum of the
+        # phase durations; an edge belongs to the phase that ends there
+        prof = SpinProfile(omega_target=2.9, t_ramp_up=0.1, t_hover=0.2, t_ramp_down=0.3)
+        assert prof.phase_durations == {"spin_up": 0.1, "hover": 0.2, "spin_down": 0.3}
+        assert prof.hover_end == 0.1 + 0.2
+        assert prof.duration == sum(prof.phase_durations.values())
+        assert [prof.phase_at(t) for t in (0.0, 0.1, math.nextafter(0.1, 1.0), prof.hover_end,
+                                           math.nextafter(prof.hover_end, 1.0), prof.duration,
+                                           prof.duration + 1.0)] == [
+            "spin_up", "spin_up", "hover", "hover", "spin_down", "spin_down", "spin_down"]
 
     def test_negative_durations_rejected(self):
         with pytest.raises(ValueError):
@@ -153,20 +179,20 @@ class TestControlStep:
             state = orbit_state(state0, w, t)
             cmd = command(state, cfg, t)
             R = rotation_c_to_e(cfg.profile.theta(t))
-            assert_allclose(cmd[0:3], R @ spec.T_bar_1, atol=1e-9)
-            assert_allclose(cmd[3:6], R @ spec.T_bar_2, atol=1e-9)
+            assert_allclose(cmd[0:3], R @ spec.u_bar[0:3], atol=1e-9)
+            assert_allclose(cmd[3:6], R @ spec.u_bar[3:6], atol=1e-9)
 
     def test_payload_sag_raises_thrust_symmetrically(self):
         # altitude feedback: payload below setpoint -> more vertical thrust
         cfg, spec, state0, _ = make_cfg(45.0, spin=False)
         sagged = state0.replace(x_p=state0.x_p + vec3(0, 0, -0.1))
         cmd = command(sagged, cfg, 0.0)
-        assert cmd[2] > spec.T_bar_1[2]
-        assert cmd[5] > spec.T_bar_2[2]
+        assert cmd[2] > spec.u_bar[2]
+        assert cmd[5] > spec.u_bar[5]
         assert cmd[2] == pytest.approx(cmd[5], rel=1e-9)
         lifted = state0.replace(x_p=state0.x_p + vec3(0, 0, 0.1))
         cmd_up = command(lifted, cfg, 0.0)
-        assert cmd_up[2] < spec.T_bar_1[2]
+        assert cmd_up[2] < spec.u_bar[2]
 
     def test_saturation_preserves_direction(self):
         cfg, spec, state0, _ = make_cfg(45.0, spin=False)
@@ -179,8 +205,7 @@ class TestControlStep:
         # at rest and at t = 0 the control frame is the earth frame
         s = far.as_vector()[:18].reshape(3, 2, 3)
         s[:, 0] -= ORIGIN
-        s_bar, u_bar = equilibrium_c_state(spec)
-        raw = u_bar - cfg.gain.K @ (s.ravel() - s_bar)
+        raw = np.array(spec.u_bar) - cfg.gain.K @ (s.ravel() - spec.s_bar)
         assert np.linalg.norm(raw[0:3]) > cfg.T_max
         cosine = np.dot(cmd[0:3], raw[0:3]) / (
             np.linalg.norm(cmd[0:3]) * np.linalg.norm(raw[0:3]))
@@ -194,14 +219,13 @@ class TestControlStep:
         assert cmd[5] >= 0.0
 
     def test_feedforward_schedule_matches_static_balance(self):
-        # at zero spin the scheduled feedforward equals the static-balance
-        # thrust for the same tether angle
-        cfg, spec, _, _ = make_cfg(60.0, spin=True)
-        ff0 = cfg.feedforward(0.0)
+        # at zero spin the scheduled feedforward is, bit for bit, the
+        # static-balance thrust for the same tether angle, and at the
+        # operating point's own rate it is that point's u_bar
+        _, spec, _, _ = make_cfg(60.0, spin=True)
         static_spec, _, _ = build_equilibrium(DEG(60), 0.0, P)
-        assert_allclose(ff0[0:3], static_spec.T_bar_1, atol=1e-12)
-        ff_star = cfg.feedforward(spec.omega_C)
-        assert_allclose(ff_star[0:3], spec.T_bar_1, atol=1e-12)
+        assert feedforward(spec.beta, 0.0, P, spec.length) == static_spec.u_bar
+        assert feedforward(spec.beta, spec.omega_C, P, spec.length) == spec.u_bar
 
     def test_unreachable_operating_point_rejected(self):
         # static thrust at 84 deg: 29.670 N, over the 4 m_q g = 27.468 N limit
@@ -266,8 +290,7 @@ class TestControlStep:
 
         # the state whose control-frame deviation from the equilibrium is
         # ``deviation``
-        s_bar, _ = equilibrium_c_state(spec)
-        s = s_bar + deviation
+        s = np.array(spec.s_bar) + deviation
         R, omega_c = rotation_c_to_e(profile.theta(t)), profile.omega(t)
         y = []
         for x_c, v_c in s.reshape(3, 2, 3):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinlift.dynamics import _make_rhs
 from spinlift.equilibrium import (SingularityError, build_equilibrium,
-                                  omega_star, power, sweep_beta, sweep_omega,
-                                  sweep_to_csv, tension_at_equilibrium,
+                                  feedforward, omega_star, power, sweep_beta,
+                                  sweep_omega, sweep_to_csv, tension_at_equilibrium,
                                   thrust_components, thrust_magnitude, tilt_angle)
 from spinlift.model import SystemParams
 
@@ -179,9 +181,10 @@ class TestBuildEquilibrium:
 
     def test_thrust_mirror_symmetry(self):
         spec, _, _ = build_equilibrium(DEG(50), 1.7, P)
-        assert spec.T_bar_1[0] == pytest.approx(-spec.T_bar_2[0], rel=1e-15)
-        assert spec.T_bar_1[1] == spec.T_bar_2[1] == 0.0
-        assert spec.T_bar_1[2] == spec.T_bar_2[2]
+        T_1, T_2 = spec.u_bar[0:3], spec.u_bar[3:6]
+        assert T_1[0] == -T_2[0]
+        assert T_1[1] == T_2[1] == 0.0
+        assert T_1[2] == T_2[2]
 
     def test_tension_floor(self):
         for beta in np.linspace(0.0, 1.5, 20):
@@ -191,18 +194,30 @@ class TestBuildEquilibrium:
             else:
                 assert tension_at_equilibrium(beta, P) > floor
 
-    def test_fixed_point_of_dynamics(self):
-        # cross-module check: the triple balances the truth model
-        for beta_deg, scale in ((30, 1.0), (60, 1.0), (60, 0.0)):
-            beta = DEG(beta_deg)
-            w = scale * omega_star(beta, P)
-            _, state, cmd = build_equilibrium(beta, w, P)
-            rhs, _ = _make_rhs(P)
-            d = rhs(state.as_vector().tolist(), cmd)
-            assert np.linalg.norm(d[3:6]) < 1e-6
-            ell_s = P.ell + tension_at_equilibrium(beta, P) / P.k_T
-            expected = w * w * ell_s * math.sin(beta)
-            assert np.linalg.norm(d[9:12]) == pytest.approx(expected, abs=1e-6)
+    @given(beta_deg=st.floats(0.0, 89.0), target=st.floats(0.0, 1.5),
+           rate=st.floats(0.0, 1.5))
+    def test_fixed_point_of_dynamics(self, beta_deg, target, rate):
+        # cross-module property over the envelope: the feedforward of the
+        # operating point built at one spin rate, scheduled to another rate,
+        # is bit for bit the command build_equilibrium makes at that rate,
+        # and that command balances the truth model
+        beta = DEG(beta_deg)
+        w_star = omega_star(beta, P)
+        spec, _, _ = build_equilibrium(beta, target * w_star, P)
+        w = rate * w_star
+        _, state, cmd = build_equilibrium(beta, w, P)
+        assert list(feedforward(spec.beta, w, P, spec.length)) == cmd
+
+        rhs, _ = _make_rhs(P)
+        d = rhs(state.as_vector().tolist(), cmd)
+        tension = tension_at_equilibrium(beta, P)
+        # the forces are of the size of the tension; rounding leaves at most
+        # about 1.2e-12 m/s^2 of imbalance per newton of tension
+        tol = 1e-10 * tension
+        assert np.linalg.norm(d[3:6]) < tol
+        ell_s = P.ell + tension / P.k_T
+        expected = w * w * ell_s * math.sin(beta)
+        assert np.linalg.norm(d[9:12]) == pytest.approx(expected, rel=0.0, abs=tol)
 
     def test_spring_carries_exact_tension(self):
         _, state, _ = build_equilibrium(DEG(60), 0.0, P)

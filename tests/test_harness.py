@@ -38,7 +38,7 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(mode="static", beta=0.5, spin_up=-1.0)
 
-    @pytest.mark.parametrize("name", ["spin_up", "hover", "spin_down"])
+    @pytest.mark.parametrize("name", ["spin_up", "hover", "spin_down", "perturb_payload"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_nonfinite_phase_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -108,20 +108,35 @@ class TestRunScenario:
         assert traj.theta[-1] > 0.0
         assert all(len(y) == 24 and all(type(v) is float for v in y) for y, _ in seen)
 
-    def test_blowup_names_the_hover_phase(self, monkeypatch):
+    # a blow-up at an edge time belongs to the phase that ends there: the
+    # 1e300 N bomb issued at the 0.5 s tick blows up one step later, at
+    # 1001 dt, which is also the end of the spin-up
+    EDGE = 1001 * P.dt_physics
+
+    @pytest.mark.parametrize("mode, spin_up, t_bomb, phase, t_range", [
+        ("rotating", 1.0, 0.5, "spin_up", (0.5, 1.0)),
+        ("rotating", 1.0, 1.5, "hover", (1.5, 3.0)),
+        ("rotating", 1.0, 3.5, "spin_down", (3.5, 4.0)),
+        ("static", 1.0, 1.5, "hover", (1.5, 2.0)),
+        ("rotating", EDGE, 0.5, "spin_up", (EDGE, EDGE)),
+    ], ids=["rotating-spin_up", "rotating-hover", "rotating-spin_down", "static-hover",
+            "rotating-edge"])
+    def test_blowup_names_its_phase(self, monkeypatch, mode, spin_up, t_bomb, phase,
+                                    t_range):
         real_step = harness.control_step
 
         def bomb(y, cfg, t):
-            if t < 1.5:
+            if t < t_bomb:
                 return real_step(y, cfg, t)
             return [0.0, 0.0, 1e300, 0.0, 0.0, 1e300]
 
         monkeypatch.setattr(harness, "control_step", bomb)
-        spec = short_spec("rotating", 60.0, spin_up=1.0, hover=2.0, spin_down=1.0,
+        spec = short_spec(mode, 60.0, spin_up=spin_up, hover=2.0, spin_down=1.0,
                           metering_window=1.0)
-        with pytest.raises(SimulationFailed, match=r"\(phase: hover\)") as info:
+        with pytest.raises(SimulationFailed, match=rf"\(phase: {phase}\)") as info:
             run_scenario(spec, P)
-        assert 1.5 < info.value.t <= 3.0
+        low, high = t_range
+        assert low <= info.value.t <= high
 
     def test_determinism_identical_csv(self):
         spec = short_spec("static", 35.0, hover=2.0, metering_window=1.0)

@@ -11,10 +11,9 @@ from numpy.testing import assert_allclose
 from spinlift.equilibrium import build_equilibrium, omega_star
 from spinlift import lqr
 from spinlift.lqr import (LinearizationError, SynthesisError, _c_frame_model,
-                          care_residual_norm, default_weights,
-                          equilibrium_c_state, linearize, solve_care,
-                          synthesize)
-from spinlift.model import SystemParams, vec3
+                          care_residual_norm, default_weights, linearize,
+                          solve_care, synthesize)
+from spinlift.model import SystemParams
 
 P = SystemParams()
 DEG = math.radians
@@ -113,7 +112,7 @@ class TestLinearize:
         beta = DEG(50)
         w = omega_star(beta, P)
         spec, _, _ = build_equilibrium(beta, w, P)
-        broken = dataclasses.replace(spec, T_bar_1=spec.T_bar_1 + vec3(0.5, 0, 0))
+        broken = dataclasses.replace(spec, u_bar=(spec.u_bar[0] + 0.5, *spec.u_bar[1:]))
         with pytest.raises(LinearizationError):
             linearize(broken, P)
 
@@ -122,8 +121,7 @@ class TestLinearize:
             beta = DEG(beta_deg)
             w = w_scale * omega_star(beta, P)
             spec, _, _ = build_equilibrium(beta, w, P)
-            s_bar, u_bar = equilibrium_c_state(spec)
-            assert np.linalg.norm(_c_frame_model(P)(s_bar, u_bar, w)) < 1e-6
+            assert np.linalg.norm(_c_frame_model(P)(spec.s_bar, spec.u_bar, w)) < 1e-6
 
     def test_linearization_consistency_second_order(self):
         beta = DEG(45)
