@@ -2,8 +2,7 @@
 control, and hover-power analysis."""
 
 from .model import (ConfigError, EquilibriumSpec, ParamError, SystemParams,
-                    SystemState, load_params, params_to_text, rotation_c_to_e,
-                    vec3)
+                    SystemState, load_params, params_to_text)
 from .dynamics import (DegenerateGeometryError, IntegrationBlowupError,
                        TetherForces, Trajectory, simulate, tether_force,
                        tether_forces, trajectory_to_csv)

@@ -212,9 +212,13 @@ def _cmd_compare(args, params: SystemParams) -> int:
         for err in (row.static_error, row.rotating_error):
             if err:
                 print(f"beta={math.degrees(row.beta):.4g} deg: {err}", file=sys.stderr)
+    if all(row.saving is None for row in table.rows):
+        raise ValueError(f"no angle flew in both modes ({len(table.rows)} tried); "
+                         "nothing written")
+    svg = harness.comparison_svg(table) if args.svg else None
     _write(args.out, "compare.csv", harness.comparison_to_csv(table))
-    if args.svg:
-        _write(".", args.svg, harness.comparison_svg(table))
+    if svg is not None:
+        _write(".", args.svg, svg)
     for row in table.rows:
         if row.saving is not None:
             print(f"beta={math.degrees(row.beta):6.2f} deg  "

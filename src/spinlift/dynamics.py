@@ -103,10 +103,10 @@ def tether_force(x_i, v_i, x_p, v_p,
     return force, r_hat
 
 
-def tether_forces(state: SystemState, params: SystemParams) -> TetherForces:
-    """Both tether tensions and unit vectors for one state."""
-    f1, r1 = tether_force(state.x_1, state.v_1, state.x_p, state.v_p, params)
-    f2, r2 = tether_force(state.x_2, state.v_2, state.x_p, state.v_p, params)
+def tether_forces(state, params: SystemParams) -> TetherForces:
+    """Both tether tensions and unit vectors for one flat 24-float state."""
+    f1, r1 = tether_force(state[6:9], state[9:12], state[0:3], state[3:6], params)
+    f2, r2 = tether_force(state[12:15], state[15:18], state[0:3], state[3:6], params)
     return TetherForces(F_1=f1, F_2=f2, r_hat_1=r1, r_hat_2=r2)
 
 
@@ -325,7 +325,7 @@ class Trajectory:
         return self.states[:, 21:24]
 
 
-def simulate(initial: SystemState,
+def simulate(initial,
              controller: Callable[[list, float], list],
              frame_angle: Callable[[float], float],
              params: SystemParams,
@@ -334,12 +334,15 @@ def simulate(initial: SystemState,
     """Run the closed loop from t = 0: controller at f_ctrl with zero-order
     hold, physics stepped at dt_physics.
 
-    At each control tick ``controller(y, t)`` receives the flat 24-element
-    state (a list of floats in the layout of :mod:`spinlift.model`) and the
-    tick time, and returns the six commanded thrusts [T_cmd_1, T_cmd_2] as
-    floats, held until the next tick. A non-finite command is not refused
-    here: it makes the state non-finite in the first step of its hold, which
-    raises :class:`IntegrationBlowupError` with that step's end time.
+    ``initial`` is the state at t = 0, checked by
+    :meth:`SystemState.from_vector` (ValueError on a wrong length or a
+    non-finite entry). At each control tick ``controller(y, t)`` receives
+    the flat 24-element state (a list of floats in the layout of
+    :mod:`spinlift.model`) and the tick time, and returns the six commanded
+    thrusts [T_cmd_1, T_cmd_2] as floats, held until the next tick. A
+    non-finite command is not refused here: it makes the state non-finite in
+    the first step of its hold, which raises :class:`IntegrationBlowupError`
+    with that step's end time.
 
     ``frame_angle(t)`` is the control-frame angle schedule. It does not enter
     the physics; it is evaluated once per stored sample to fill the
@@ -372,7 +375,7 @@ def simulate(initial: SystemState,
     commands_out = np.empty((n_samples, 6))
     theta_out = np.empty(n_samples)
 
-    y = initial.as_vector().tolist()
+    y = list(SystemState.from_vector(initial))
 
     def record(i_step: int):
         t = i_step * dt

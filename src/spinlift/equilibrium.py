@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import EquilibriumSpec, SystemParams, SystemState, table_text, vec3
+from .model import EquilibriumSpec, SystemParams, SystemState, table_text
 
 __all__ = [
     "SingularityError",
@@ -195,15 +195,15 @@ def build_equilibrium(beta: float, omega_c: float, params: SystemParams
                            s_bar=(*rest, *rest, *r[0:3], *rest, *r[3:6], *rest),
                            u_bar=u_bar)
 
-    origin = vec3(*DEFAULT_PAYLOAD_POSITION)
+    x, y, z = DEFAULT_PAYLOAD_POSITION
     # circular motion about the vertical axis: v = omega x r, and vehicle 2
-    # moves opposite to vehicle 1
-    v_1 = vec3(0.0, omega_c * r[0], 0.0)
-    state = SystemState(
-        x_p=origin, v_p=vec3(*rest),
-        x_1=origin + r[0:3], v_1=v_1, x_2=origin + r[3:6], v_2=-v_1,
-        T_act_1=vec3(*u_bar[0:3]), T_act_2=vec3(*u_bar[3:6]),
-    )
+    # moves opposite to vehicle 1 (its zero components are -0.0)
+    v = omega_c * r[0]
+    state = SystemState.from_vector((
+        x, y, z, *rest,
+        x + r[0], y + r[1], z + r[2], 0.0, v, 0.0,
+        x + r[3], y + r[4], z + r[5], -0.0, -v, -0.0,
+        *u_bar))
     return spec, state, list(u_bar)
 
 

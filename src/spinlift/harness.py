@@ -22,7 +22,7 @@ from . import equilibrium as eqm
 from .control import ControllerConfig, SpinProfile, control_step
 from .dynamics import IntegrationBlowupError, Trajectory, simulate
 from .lqr import LinearizationError, SynthesisError, synthesize
-from .model import SystemParams, vec3
+from .model import SystemParams
 from .svgplot import grouped_bar_chart, line_chart
 
 __all__ = [
@@ -66,7 +66,7 @@ class ScenarioSpec:
     hover: float = 40.0            # [s]
     spin_down: float = 8.0         # [s] (rotating mode)
     metering_window: float = 20.0  # [s], taken from the end of the hover
-    perturb_payload: float = 0.0   # [m] initial horizontal payload offset
+    perturb_payload: float = 0.0   # [m] initial horizontal payload offset, at most ell
     output_decimation: int | None = None
 
     def __post_init__(self):
@@ -112,7 +112,10 @@ def _omega_series(traj: Trajectory, origin: np.ndarray) -> np.ndarray:
 
 
 def run_scenario(spec: ScenarioSpec, params: SystemParams) -> tuple[Trajectory, RunSummary]:
-    """Execute one flight and meter it."""
+    """Execute one flight and meter it; an offset beyond ``ell`` is refused."""
+    if abs(spec.perturb_payload) > params.ell:
+        raise ValueError(f"perturb_payload must be within the tether length "
+                         f"ell = {params.ell!r} m, got {spec.perturb_payload!r}")
     rotating = spec.mode == "rotating"
     omega_target = eqm.omega_star(spec.beta, params) if rotating else 0.0
     profile = SpinProfile(omega_target=omega_target,
@@ -126,21 +129,17 @@ def run_scenario(spec: ScenarioSpec, params: SystemParams) -> tuple[Trajectory, 
         raise ScenarioError(f"gain synthesis failed at beta={spec.beta:.4f}, "
                             f"omega={omega_target:.4f}: {exc}") from exc
     cfg = ControllerConfig(gain=gains, eq=eq_spec, params=params, profile=profile)
-    _, initial_state, _ = eqm.build_equilibrium(spec.beta, profile.omega(0.0), params)
-
-    if spec.perturb_payload != 0.0:
-        # rigid horizontal offset of the whole formation: displaces the
-        # payload from its setpoint while keeping tethers at their
-        # equilibrium geometry (a payload-only shift would slam one tether
-        # slack and snap-load the other)
-        offset = vec3(spec.perturb_payload, 0.0, 0.0)
-        initial_state = initial_state.replace(
-            x_p=initial_state.x_p + offset,
-            x_1=initial_state.x_1 + offset,
-            x_2=initial_state.x_2 + offset)
+    _, spawn, _ = eqm.build_equilibrium(spec.beta, profile.omega(0.0), params)
+    initial = list(spawn)
+    # rigid horizontal offset of the whole formation (x of the payload and
+    # both vehicles): displaces the payload from its setpoint while keeping
+    # tethers at their equilibrium geometry (a payload-only shift would slam
+    # one tether slack and snap-load the other)
+    for i in (0, 6, 12):
+        initial[i] += spec.perturb_payload
 
     try:
-        traj = simulate(initial_state, lambda y, t: control_step(y, cfg, t),
+        traj = simulate(initial, lambda y, t: control_step(y, cfg, t),
                         profile.theta, params, profile.duration,
                         output_decimation=spec.output_decimation)
     except IntegrationBlowupError as exc:

@@ -63,12 +63,10 @@ class SynthesisError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class LinearModel:
     """First-order model ds/dt = A (s - s_bar) + B (u - u_bar) near the
-    operating point."""
+    operating point (``s_bar``/``u_bar`` of its :class:`EquilibriumSpec`)."""
 
     A: np.ndarray       # (18, 18)
     B: np.ndarray       # (18, 6)
-    s_bar: np.ndarray   # (18,)
-    u_bar: np.ndarray   # (6,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +124,7 @@ def linearize(eq: EquilibriumSpec, params: SystemParams) -> LinearModel:
         zm[j] -= _FD_STEP
         J[:, j] = (f(zp[:N_STATE], zp[N_STATE:], w)
                    - f(zm[:N_STATE], zm[N_STATE:], w)) / (2.0 * _FD_STEP)
-    return LinearModel(A=J[:, :N_STATE].copy(), B=J[:, N_STATE:].copy(),
-                       s_bar=s_bar, u_bar=u_bar)
+    return LinearModel(A=J[:, :N_STATE].copy(), B=J[:, N_STATE:].copy())
 
 
 def _spectral_abscissa(M: np.ndarray) -> float:

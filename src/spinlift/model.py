@@ -1,4 +1,4 @@
-"""Shared domain types: physical parameters, states, frame rotation.
+"""Shared domain types: parameters, operating point, flat state layouts.
 
 Conventions used throughout the package:
 
@@ -7,15 +7,13 @@ Conventions used throughout the package:
   shared vertical axis at rate omega_C; its orientation relative to E is a
   rotation by theta about z.
 * All quantities are SI (m, s, kg, N, rad).
-* 3-vectors are numpy float64 arrays of shape (3,).
+* A state is the flat 24-float layout below (:class:`SystemState` checks one).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 __all__ = [
     "ParamError",
@@ -23,8 +21,6 @@ __all__ = [
     "SystemParams",
     "EquilibriumSpec",
     "SystemState",
-    "vec3",
-    "rotation_c_to_e",
     "load_params",
     "params_to_text",
     "table_text",
@@ -39,28 +35,12 @@ class ConfigError(ValueError):
     """Config text could not be parsed; message carries the line number."""
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([x, y, z], dtype=float)
-
-
-def _as_vec3(v, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite, got {a}")
-    return a
-
-
-def rotation_c_to_e(theta: float) -> np.ndarray:
-    """Rotation matrix mapping control-frame components to earth-frame ones.
-
-    Right-handed rotation by ``theta`` about the vertical (z) axis.
-    """
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _finite_floats(values, size: int, name: str) -> tuple:
+    """``values`` as ``size`` finite Python floats, or ValueError naming ``name``."""
+    values = tuple(map(float, values))
+    if len(values) != size or not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be {size} finite floats, got {values}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -228,13 +208,10 @@ class EquilibriumSpec:
         if not 0.0 <= self.beta < math.pi / 2:
             raise ValueError(f"beta must be in [0, pi/2), got {self.beta}")
         for name, size in (("s_bar", 18), ("u_bar", 6)):
-            value = tuple(map(float, getattr(self, name)))
-            if len(value) != size or not all(map(math.isfinite, value)):
-                raise ValueError(f"{name} must be {size} finite floats, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite_floats(getattr(self, name), size, name))
 
 
-# Flat state-vector layout used by the integrator and trajectory storage:
+# Flat state layout, the only form of a state in the package:
 #   [0:3]   x_p   payload position, E frame [m]
 #   [3:6]   v_p   payload velocity, E frame [m/s]
 #   [6:9]   x_1   vehicle 1 position [m]
@@ -251,41 +228,19 @@ class EquilibriumSpec:
 STATE_DIM = 24
 
 
-@dataclass(frozen=True, eq=False)
-class SystemState:
-    """Positions/velocities of payload and both vehicles plus thrust states.
+class SystemState(tuple):
+    """A state in the flat layout above, validated: a tuple of 24 finite
+    Python floats. :func:`spinlift.equilibrium.build_equilibrium` returns one,
+    and :func:`spinlift.dynamics.simulate` checks a flight's initial state
+    into one; build it with :meth:`from_vector`."""
 
-    The validated form of a state at the API edges (a flight's initial
-    state); the closed loop itself passes the flat vector. The fields are
-    the eight 3-vectors of the flat layout, in its order."""
-
-    x_p: np.ndarray
-    v_p: np.ndarray
-    x_1: np.ndarray
-    v_1: np.ndarray
-    x_2: np.ndarray
-    v_2: np.ndarray
-    T_act_1: np.ndarray
-    T_act_2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x_p", "v_p", "x_1", "v_1", "x_2", "v_2", "T_act_1", "T_act_2"):
-            object.__setattr__(self, name, _as_vec3(getattr(self, name), name))
-
-    def as_vector(self) -> np.ndarray:
-        """Flat length-24 copy in the layout documented above."""
-        return np.concatenate([self.x_p, self.v_p, self.x_1, self.v_1,
-                               self.x_2, self.v_2, self.T_act_1, self.T_act_2])
+    __slots__ = ()
 
     @classmethod
     def from_vector(cls, y) -> "SystemState":
-        y = np.asarray(y, dtype=float)
-        if y.shape != (STATE_DIM,):
-            raise ValueError(f"state vector must have shape ({STATE_DIM},), got {y.shape}")
-        return cls(*y.reshape(8, 3))
-
-    def replace(self, **changes) -> "SystemState":
-        return replace(self, **changes)
+        """The state held in ``y``, any sequence of 24 finite numbers; a wrong
+        length or a non-finite entry raises ValueError."""
+        return tuple.__new__(cls, _finite_floats(y, STATE_DIM, "state vector"))
 
 
 def default_thrust_limit(params: SystemParams) -> float:

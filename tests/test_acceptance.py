@@ -16,7 +16,9 @@ from spinlift.equilibrium import (build_equilibrium, omega_star, power,
                                   sweep_beta, sweep_omega, thrust_magnitude)
 from spinlift.harness import ScenarioSpec, run_scenario
 from spinlift.lqr import linearize, solve_care, synthesize
-from spinlift.model import SystemParams, SystemState, vec3
+from spinlift.model import SystemParams
+
+from flatstate import make_state, part, replaced, vec3
 
 P = SystemParams()
 DEG = math.radians
@@ -144,20 +146,20 @@ def test_criterion_7_dynamics_oracles():
     _, advance = _make_rhs(P)
 
     # free fall: slack tethers, zero thrust, 1 s from rest
-    state = SystemState(
+    state = make_state(
         x_p=vec3(0, 0, 1.5), v_p=vec3(0, 0, 0),
         x_1=vec3(0.3, 0, 1.9), v_1=vec3(0, 0, 0),
         x_2=vec3(-0.3, 0, 1.9), v_2=vec3(0, 0, 0),
         T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0))
     cmd = [0.0] * 6
-    y = advance(state.as_vector().tolist(), cmd, 0, 2000, 5e-4)
+    y = advance(list(state), cmd, 0, 2000, 5e-4)
     fall_err = abs((y[2] - 1.5) - (-0.5 * P.g))
 
     # momentum conservation with gravity and thrust removed
     p0 = SystemParams(g=0.0)
     _, eq_state, _ = build_equilibrium(DEG(45), 0.0, P)
-    drift_state = eq_state.replace(v_p=vec3(0.3, -0.2, 0.1),
-                                   T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0))
+    drift_state = replaced(eq_state, v_p=vec3(0.3, -0.2, 0.1),
+                           T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0))
     traj = simulate(drift_state, lambda y, t: cmd, lambda t: 0.0, p0,
                     duration=1.0, output_decimation=100)
     momentum = p0.m_p * traj.v_p + p0.m_q * traj.v_1 + p0.m_q * traj.v_2
@@ -165,10 +167,10 @@ def test_criterion_7_dynamics_oracles():
 
     # RK4 order by step halving
     _, st45, cmd45 = build_equilibrium(DEG(45), 0.0, P)
-    st45 = st45.replace(x_p=st45.x_p + vec3(0, 0, -0.005))
+    st45 = replaced(st45, x_p=part(st45, "x_p") + vec3(0, 0, -0.005))
 
     def integrate(dt):
-        return np.array(advance(st45.as_vector().tolist(), cmd45, 0,
+        return np.array(advance(list(st45), cmd45, 0,
                                 int(round(0.25 / dt)), dt))
 
     ref = integrate(1.25e-4)

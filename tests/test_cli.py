@@ -154,6 +154,17 @@ def test_fly_static_thrust_limit(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("offset", ["1e17", "-1.5"])
+def test_fly_perturbation_beyond_tether_refused(offset, tmp_path, capsys):
+    # an offset larger than the tether length ell = 1 m is refused before
+    # synthesis; at 1e17 m the vehicles' offsets would round away entirely
+    code = main(["fly", "--mode", "static", "--beta", "30", "--duration", "1",
+                 "--perturb", offset, "--out", str(tmp_path)])
+    assert code == 2
+    assert "perturb_payload must be within the tether length" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fly_steep_rotating_refused(tmp_path, capsys):
     code = main(["fly", "--mode", "rotating", "--beta", "84", "--out", str(tmp_path)])
     assert code == 2
@@ -189,15 +200,28 @@ def test_sweep_grid_size_must_be_positive(command, n, tmp_path, capsys, monkeypa
 
 
 def test_compare_single_angle(tmp_path, capsys):
+    # 95 deg cannot fly: its row keeps the error and the run still succeeds
     svg_path = tmp_path / "bars.svg"
-    code = main(["compare", "--betas", "45", "--out", str(tmp_path),
+    code = main(["compare", "--betas", "45,95", "--out", str(tmp_path),
                  "--svg", str(svg_path)])
     out = capsys.readouterr().out
     assert code == 0
     lines = (tmp_path / "compare.csv").read_text().strip().split("\n")
-    assert len(lines) == 2
+    assert len(lines) == 3
+    assert lines[2].startswith("95.0,,,,,,") and "beta must be in [0, 90)" in lines[2]
     assert "saving=" in out
     assert svg_path.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("command", [
+    ["compare", "--betas", "95"],
+    ["compare", "--betas", "95,nan", "--svg", "f.svg"],
+], ids=["csv", "svg"])
+def test_compare_with_no_flown_angle_writes_nothing(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--out", str(tmp_path / "out")]) == 2
+    assert "no angle flew in both modes" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_rejects_bad_grid(capsys):

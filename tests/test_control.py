@@ -11,7 +11,9 @@ from spinlift.control import (ControllerConfig, SpinProfile, command_log_to_csv,
 from spinlift.dynamics import simulate
 from spinlift.equilibrium import build_equilibrium, feedforward, omega_star
 from spinlift.lqr import GainSet, synthesize
-from spinlift.model import SystemParams, SystemState, rotation_c_to_e, vec3
+from spinlift.model import SystemParams
+
+from flatstate import make_state, part, replaced, rotation_c_to_e, vec3
 
 P = SystemParams()
 DEG = math.radians
@@ -29,8 +31,8 @@ def make_cfg(beta_deg=45.0, spin=True, hover=100.0):
 
 
 def command(state, cfg, t):
-    """control_step on a validated state: the six thrusts as an array."""
-    return np.array(control_step(state.as_vector().tolist(), cfg, t))
+    """control_step on a flat state: the six thrusts as an array."""
+    return np.array(control_step(list(state), cfg, t))
 
 
 def orbit_state(state0, w, t):
@@ -44,11 +46,12 @@ def orbit_state(state0, w, t):
         rel = spin_pos(x) - ORIGIN
         return np.array([-w * rel[1], w * rel[0], 0.0])
 
-    return SystemState(
-        x_p=spin_pos(state0.x_p), v_p=spin_vel(state0.x_p),
-        x_1=spin_pos(state0.x_1), v_1=spin_vel(state0.x_1),
-        x_2=spin_pos(state0.x_2), v_2=spin_vel(state0.x_2),
-        T_act_1=R @ state0.T_act_1, T_act_2=R @ state0.T_act_2,
+    x_p, x_1, x_2 = (part(state0, name) for name in ("x_p", "x_1", "x_2"))
+    return make_state(
+        x_p=spin_pos(x_p), v_p=spin_vel(x_p),
+        x_1=spin_pos(x_1), v_1=spin_vel(x_1),
+        x_2=spin_pos(x_2), v_2=spin_vel(x_2),
+        T_act_1=R @ part(state0, "T_act_1"), T_act_2=R @ part(state0, "T_act_2"),
     )
 
 
@@ -185,25 +188,25 @@ class TestControlStep:
     def test_payload_sag_raises_thrust_symmetrically(self):
         # altitude feedback: payload below setpoint -> more vertical thrust
         cfg, spec, state0, _ = make_cfg(45.0, spin=False)
-        sagged = state0.replace(x_p=state0.x_p + vec3(0, 0, -0.1))
+        sagged = replaced(state0, x_p=part(state0, "x_p") + vec3(0, 0, -0.1))
         cmd = command(sagged, cfg, 0.0)
         assert cmd[2] > spec.u_bar[2]
         assert cmd[5] > spec.u_bar[5]
         assert cmd[2] == pytest.approx(cmd[5], rel=1e-9)
-        lifted = state0.replace(x_p=state0.x_p + vec3(0, 0, 0.1))
+        lifted = replaced(state0, x_p=part(state0, "x_p") + vec3(0, 0, 0.1))
         cmd_up = command(lifted, cfg, 0.0)
         assert cmd_up[2] < spec.u_bar[2]
 
     def test_saturation_preserves_direction(self):
         cfg, spec, state0, _ = make_cfg(45.0, spin=False)
-        far = state0.replace(x_p=state0.x_p + vec3(0, 0, -30.0))
+        far = replaced(state0, x_p=part(state0, "x_p") + vec3(0, 0, -30.0))
         cmd = command(far, cfg, 0.0)
         n1 = np.linalg.norm(cmd[0:3])
         assert cfg.T_max == 4.0 * P.m_q * P.g
         assert n1 == pytest.approx(cfg.T_max, rel=1e-12)
         # direction identical to the unsaturated law u_bar - K (s - s_bar);
         # at rest and at t = 0 the control frame is the earth frame
-        s = far.as_vector()[:18].reshape(3, 2, 3)
+        s = np.array(far[:18]).reshape(3, 2, 3)
         s[:, 0] -= ORIGIN
         raw = np.array(spec.u_bar) - cfg.gain.K @ (s.ravel() - spec.s_bar)
         assert np.linalg.norm(raw[0:3]) > cfg.T_max
@@ -213,7 +216,7 @@ class TestControlStep:
 
     def test_vertical_clamp(self):
         cfg, spec, state0, _ = make_cfg(45.0, spin=False)
-        way_up = state0.replace(x_p=state0.x_p + vec3(0, 0, 40.0))
+        way_up = replaced(state0, x_p=part(state0, "x_p") + vec3(0, 0, 40.0))
         cmd = command(way_up, cfg, 0.0)
         assert cmd[2] >= 0.0
         assert cmd[5] >= 0.0
@@ -326,7 +329,7 @@ class TestClosedLoopPlumbing:
 
     def test_command_log_flags_saturation(self):
         cfg, spec, state0, _ = make_cfg(45.0, spin=False)
-        far = state0.replace(x_p=state0.x_p + vec3(0, 0, -30.0))
+        far = replaced(state0, x_p=part(state0, "x_p") + vec3(0, 0, -30.0))
         traj = simulate(far, lambda y, t: control_step(y, cfg, t),
                         cfg.profile.theta, P, duration=0.02)
         csv = command_log_to_csv(traj, cfg.T_max)

@@ -12,7 +12,9 @@ from spinlift.dynamics import (DegenerateGeometryError, IntegrationBlowupError,
                                trajectory_to_csv)
 from spinlift.equilibrium import build_equilibrium, omega_star, tension_at_equilibrium
 from spinlift.lqr import _c_frame_model
-from spinlift.model import ParamError, SystemParams, SystemState, vec3
+from spinlift.model import ParamError, SystemParams, SystemState
+
+from flatstate import make_state, part, replaced, vec3
 
 ORIGIN = vec3(0.0, 0.0, 1.5)
 DEG = math.radians
@@ -25,18 +27,18 @@ def zero_cmd():
 def rhs_at(state, cmd, params):
     """The integrator's right-hand side at one state, in the flat layout."""
     rhs, _ = _make_rhs(params)
-    return np.asarray(rhs(state.as_vector().tolist(), cmd))
+    return np.asarray(rhs(list(state), cmd))
 
 
 def advance_from(state, cmd, params, dt, n):
     """The flat state after n RK4 steps of size dt under a held command."""
     _, advance = _make_rhs(params)
-    return advance(state.as_vector().tolist(), cmd, 0, n, dt)
+    return advance(list(state), cmd, 0, n, dt)
 
 
 def slack_state(params):
     """Vehicles closer than the rest length on both sides: no tether force."""
-    return SystemState(
+    return make_state(
         x_p=ORIGIN, v_p=vec3(0, 0, 0),
         x_1=ORIGIN + vec3(0.3, 0.0, 0.4), v_1=vec3(0, 0, 0),
         x_2=ORIGIN + vec3(-0.3, 0.0, 0.4), v_2=vec3(0, 0, 0),
@@ -57,10 +59,10 @@ def near_formation_states(draw):
         direction = vec3(0.7 * side, 0.0, 0.7) + vec(-0.3, 0.3)
         length = draw(st.floats(0.98, 1.01))  # rest length ell = 1 m
         vehicles.append(x_p + length * direction / np.linalg.norm(direction))
-    return SystemState(x_p=x_p, v_p=vec(-1.0, 1.0),
-                       x_1=vehicles[0], v_1=vec(-1.0, 1.0),
-                       x_2=vehicles[1], v_2=vec(-1.0, 1.0),
-                       T_act_1=vec(-5.0, 20.0), T_act_2=vec(-5.0, 20.0))
+    return make_state(x_p=x_p, v_p=vec(-1.0, 1.0),
+                      x_1=vehicles[0], v_1=vec(-1.0, 1.0),
+                      x_2=vehicles[1], v_2=vec(-1.0, 1.0),
+                      T_act_1=vec(-5.0, 20.0), T_act_2=vec(-5.0, 20.0))
 
 
 def rk4_reference(rhs, y, u, dt):
@@ -82,7 +84,7 @@ def reference_simulate(initial, controller, params, duration):
     rhs, _ = _make_rhs(params)
     dt = params.dt_physics
     hold = round(1.0 / (params.f_ctrl * dt))
-    y = initial.as_vector().tolist()
+    y = list(initial)
     t, states, commands = [0.0], [y], []
     for i in range(round(duration / dt)):
         if i % hold == 0:
@@ -128,8 +130,8 @@ class TestTetherForce:
         F, _ = tether_force(vec3(0, 0, 0.999), vec3(0, 0, 0.5),
                             vec3(0, 0, 0), vec3(0, 0, 0), p)
         assert F == 0.0
-        state = slack_state(p).replace(
-            x_1=ORIGIN + vec3(0, 0, 0.999), v_1=vec3(0, 0, 0.5),
+        state = replaced(
+            slack_state(p), x_1=ORIGIN + vec3(0, 0, 0.999), v_1=vec3(0, 0, 0.5),
             x_2=ORIGIN + vec3(0, 0.999, 0), v_2=vec3(0, 0.5, 0))
         assert_allclose(rhs_at(state, zero_cmd(), p)[3:6], [0, 0, -p.g], atol=0)
 
@@ -143,15 +145,14 @@ class TestTetherForce:
         def accelerations(pair):
             pull_1, pull_2 = pair.F_1 * pair.r_hat_1, pair.F_2 * pair.r_hat_2
             return np.concatenate([(pull_1 + pull_2) / p.m_p + g,
-                                   (state.T_act_1 - pull_1) / p.m_q + g,
-                                   (state.T_act_2 - pull_2) / p.m_q + g])
+                                   (part(state, "T_act_1") - pull_1) / p.m_q + g,
+                                   (part(state, "T_act_2") - pull_2) / p.m_q + g])
 
         accel = [3, 4, 5, 9, 10, 11, 15, 16, 17]
         d = rhs_at(state, zero_cmd(), p)
         assert_allclose(d[accel], accelerations(tether_forces(state, p)),
                         rtol=1e-12, atol=1e-12)
-        u = np.concatenate([state.T_act_1, state.T_act_2])
-        d_c = _c_frame_model(p)(state.as_vector()[:18], u, 0.0)
+        d_c = _c_frame_model(p)(state[:18], state[18:], 0.0)
         assert_allclose(d_c[accel], accelerations(tether_forces(state, p)),
                         rtol=1e-12, atol=1e-12)
 
@@ -252,13 +253,13 @@ class TestDerivative:
             state = SystemState.from_vector(y)
             d = rhs_at(state, zero_cmd(), p)
             total = p.m_p * d[3:6] + p.m_q * (d[9:12] + d[15:18])
-            external = (state.T_act_1 + state.T_act_2
+            external = (part(state, "T_act_1") + part(state, "T_act_2")
                         + vec3(0, 0, -(p.m_p + 2 * p.m_q) * p.g))
             assert_allclose(total, external, atol=1e-12)
 
     def test_drag_toggle(self):
         p = SystemParams(drag_enabled=True, c_d_quad=0.05, c_d_payload=0.02)
-        state = slack_state(p).replace(v_p=vec3(2.0, 0, 0))
+        state = replaced(slack_state(p), v_p=vec3(2.0, 0, 0))
         d = rhs_at(state, zero_cmd(), p)
         expected = -0.02 * 2.0 * 2.0 / p.m_p
         assert d[3] == pytest.approx(expected, rel=1e-12)
@@ -271,7 +272,7 @@ class TestStep:
         w = omega_star(beta, p)
         _, state, cmd = build_equilibrium(beta, w, p)
         nxt = advance_from(state, cmd, p, p.dt_physics, 1)
-        assert np.linalg.norm(np.subtract(nxt[0:3], state.x_p)) < 1e-6
+        assert np.linalg.norm(np.subtract(nxt[0:3], state[0:3])) < 1e-6
 
     def test_ballistic_free_fall_analytic(self):
         p = SystemParams()
@@ -282,7 +283,7 @@ class TestStep:
         p = SystemParams()
         _, state0, cmd = build_equilibrium(math.radians(45), 0.0, p)
         # payload sag keeps both tethers taut; smooth nontrivial motion
-        state0 = state0.replace(x_p=state0.x_p + vec3(0, 0, -0.005))
+        state0 = replaced(state0, x_p=part(state0, "x_p") + vec3(0, 0, -0.005))
 
         def integrate(dt, t_final=0.25):
             return np.array(advance_from(state0, cmd, p, dt, int(round(t_final / dt))))
@@ -317,7 +318,7 @@ class TestStep:
         rhs_heavy, advance_heavy = _make_rhs(heavy)
         assert rhs_light.__code__ is rhs_heavy.__code__
         assert advance_light.__code__ is advance_heavy.__code__
-        state = slack_state(light).replace(v_p=vec3(0.5, 0.0, 0.0))
+        state = replaced(slack_state(light), v_p=vec3(0.5, 0.0, 0.0))
         assert not np.array_equal(rhs_at(state, zero_cmd(), light),
                                   rhs_at(state, zero_cmd(), heavy))
 
@@ -334,7 +335,7 @@ class TestSimulate:
 
         simulate(state, controller, lambda t: 0.0, p, duration=1.0)
         assert len(calls) == 50
-        assert calls[0] == (state.as_vector().tolist(), 0.0)
+        assert calls[0] == (list(state), 0.0)
         assert calls[-1][1] == pytest.approx(0.98, abs=1e-12)
         assert all(len(y) == 24 and all(type(v) is float for v in y) for y, _ in calls)
 
@@ -351,8 +352,8 @@ class TestSimulate:
     def test_momentum_conservation_internal_forces_only(self):
         p = SystemParams(g=0.0)
         _, state, _ = build_equilibrium(math.radians(45), 0.0, SystemParams())
-        state = state.replace(v_p=vec3(0.3, -0.2, 0.1),
-                              T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0))
+        state = replaced(state, v_p=vec3(0.3, -0.2, 0.1),
+                         T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0))
         traj = simulate(state, lambda y, t: zero_cmd(), lambda t: 0.0, p,
                         duration=1.0, output_decimation=200)
         momentum = (p.m_p * traj.v_p + p.m_q * traj.v_1 + p.m_q * traj.v_2)
@@ -365,9 +366,10 @@ class TestSimulate:
         beta = math.radians(50)
         w = omega_star(beta, p)
         spec, state, cmd = build_equilibrium(beta, w, p)
-        state = state.replace(
-            x_1=state.x_1 + vec3(0.03, 0.01, -0.02),
-            x_2=state.x_2 + vec3(-0.03, -0.01, -0.02),
+        state = replaced(
+            state,
+            x_1=part(state, "x_1") + vec3(0.03, 0.01, -0.02),
+            x_2=part(state, "x_2") + vec3(-0.03, -0.01, -0.02),
             v_p=vec3(0, 0, 0.05),
         )
         traj = simulate(state, lambda y, t: cmd, lambda t: w * t, p, duration=1.0,
@@ -384,7 +386,7 @@ class TestSimulate:
         # damping dissipation
         p = SystemParams()
         _, state, cmd = build_equilibrium(math.radians(45), 0.0, p)
-        state = state.replace(x_p=state.x_p + vec3(0.0, 0.0, -0.004))
+        state = replaced(state, x_p=part(state, "x_p") + vec3(0.0, 0.0, -0.004))
         traj = simulate(state, lambda y, t: cmd, lambda t: 0.0, p,
                         duration=1.0, output_decimation=1)
         assert traj.tether.min() > 0.0
@@ -464,13 +466,22 @@ class TestSimulate:
         traj = simulate(slack_state(p), lambda y, t: lift, lambda t: 0.0, p,
                         duration=0.5, output_decimation=5)
         for i in range(len(traj)):
-            pair = tether_forces(SystemState.from_vector(traj.states[i]), p)
+            pair = tether_forces(traj.states[i], p)
             assert_allclose(traj.tether[i], [pair.F_1, pair.F_2], rtol=1e-12, atol=1e-9)
         slack = np.stack([np.linalg.norm(traj.x_1 - traj.x_p, axis=1) < p.ell,
                           np.linalg.norm(traj.x_2 - traj.x_p, axis=1) < p.ell], axis=1)
         assert slack[0].all() and slack[-1].all() and not slack.all()
         assert np.all(traj.tether[slack] == 0.0)
         assert np.any(traj.tether[~slack] > 0.0)
+
+    @pytest.mark.parametrize("defect", ["short", math.nan, math.inf])
+    def test_initial_state_checked(self, defect):
+        # simulate checks a flight's initial state: 24 finite floats
+        p = SystemParams()
+        _, state, cmd = build_equilibrium(0.5, 0.0, p)
+        y = list(state)[:23] if defect == "short" else [*state[:4], defect, *state[5:]]
+        with pytest.raises(ValueError, match="state vector must be 24 finite floats"):
+            simulate(y, lambda y, t: cmd, lambda t: 0.0, p, duration=0.1)
 
     def test_zero_order_hold_alignment_required(self):
         p = SystemParams(dt_physics=3e-4, f_ctrl=50.0)  # 1/(50*3e-4) = 66.67
@@ -489,4 +500,4 @@ class TestSimulate:
         assert len(lines) == len(traj) + 1
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.0
-        assert first[3] == state.x_p[2]
+        assert first[3] == state[2]

@@ -11,7 +11,7 @@ from spinlift.equilibrium import (SingularityError, build_equilibrium,
                                   feedforward, omega_star, power, sweep_beta,
                                   sweep_omega, sweep_to_csv, tension_at_equilibrium,
                                   thrust_components, thrust_magnitude, tilt_angle)
-from spinlift.model import SystemParams
+from spinlift.model import SystemParams, SystemState
 
 P = SystemParams()
 DEG = math.radians
@@ -167,15 +167,18 @@ class TestBuildEquilibrium:
         beta = DEG(60)
         w = omega_star(beta, P)
         _, state, _ = build_equilibrium(beta, w, P)
-        assert state.v_1[0] == 0.0
-        assert state.v_1[2] == 0.0
-        assert state.v_1[1] == pytest.approx(2.5, abs=0.05)
-        assert_allclose(state.v_2, -state.v_1, atol=1e-15)
+        assert type(state) is SystemState and all(type(v) is float for v in state)
+        v_1, v_2 = state[9:12], state[15:18]
+        assert v_1[0] == 0.0
+        assert v_1[2] == 0.0
+        assert v_1[1] == pytest.approx(2.5, abs=0.05)
+        # vehicle 2 moves as -v_1 componentwise, signed zeros included
+        assert repr(v_2) == repr(tuple(-v for v in v_1))
         assert w * P.ell * math.sin(beta) == pytest.approx(2.5, abs=0.05)
 
     def test_static_case(self):
         _, state, _ = build_equilibrium(DEG(60), 0.0, P)
-        for v in (state.v_p, state.v_1, state.v_2):
+        for v in (state[3:6], state[9:12], state[15:18]):
             assert_allclose(v, np.zeros(3), atol=0)
         assert math.degrees(tilt_angle(DEG(60), 0.0, P)) == pytest.approx(27.46, abs=0.01)
 
@@ -209,7 +212,7 @@ class TestBuildEquilibrium:
         assert list(feedforward(spec.beta, w, P, spec.length)) == cmd
 
         rhs, _ = _make_rhs(P)
-        d = rhs(state.as_vector().tolist(), cmd)
+        d = rhs(list(state), cmd)
         tension = tension_at_equilibrium(beta, P)
         # the forces are of the size of the tension; rounding leaves at most
         # about 1.2e-12 m/s^2 of imbalance per newton of tension
@@ -221,7 +224,7 @@ class TestBuildEquilibrium:
 
     def test_spring_carries_exact_tension(self):
         _, state, _ = build_equilibrium(DEG(60), 0.0, P)
-        dist = np.linalg.norm(state.x_1 - state.x_p)
+        dist = np.linalg.norm(np.subtract(state[6:9], state[0:3]))
         assert P.k_T * (dist - P.ell) == pytest.approx(tension_at_equilibrium(DEG(60), P),
                                                        rel=1e-12)
 

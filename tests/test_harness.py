@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from spinlift import harness
-from spinlift.equilibrium import (omega_star, power, sweep_beta, sweep_omega,
-                                  thrust_magnitude)
+from spinlift.equilibrium import (build_equilibrium, omega_star, power, sweep_beta,
+                                  sweep_omega, thrust_magnitude)
 from spinlift.harness import (ScenarioSpec, SimulationFailed, compare_modes,
                               comparison_svg, comparison_to_csv, run_scenario,
                               sweep_beta_svg, sweep_omega_svg)
@@ -148,6 +148,12 @@ class TestRunScenario:
         spec = short_spec("static", 45.0, hover=12.0, metering_window=4.0,
                           perturb_payload=0.2)
         traj, summary = run_scenario(spec, P)
+        # the spawn is the equilibrium moved by exactly the offset in x, at
+        # the payload and both vehicles (flat indices 0, 6 and 12)
+        _, spawn, _ = build_equilibrium(DEG(45.0), 0.0, P)
+        offset = np.zeros(24)
+        offset[[0, 6, 12]] = 0.2
+        assert traj.states[0].tolist() == (np.array(spawn) + offset).tolist()
         dev = np.linalg.norm(traj.x_p - np.array([0.0, 0.0, 1.5]), axis=1)
         assert dev[0] == pytest.approx(0.2, abs=1e-12)
         assert dev[-1] < 0.02

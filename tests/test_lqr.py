@@ -136,7 +136,7 @@ class TestLinearize:
         du /= np.linalg.norm(du)
 
         def remainder(scale):
-            full = f(model.s_bar + scale * ds, model.u_bar + scale * du, w)
+            full = f(np.array(spec.s_bar) + scale * ds, np.array(spec.u_bar) + scale * du, w)
             linear = model.A @ (scale * ds) + model.B @ (scale * du)
             return np.linalg.norm(full - linear)
 

@@ -17,7 +17,9 @@ from spinlift.dynamics import Trajectory, simulate, trajectory_to_csv
 from spinlift.equilibrium import (build_equilibrium, omega_star, sweep_beta,
                                   sweep_omega, sweep_to_csv)
 from spinlift.lqr import synthesize
-from spinlift.model import SystemParams, default_thrust_limit, table_text, vec3
+from spinlift.model import SystemParams, default_thrust_limit, table_text
+
+from flatstate import part, replaced, vec3
 
 P = SystemParams()
 DEG = math.radians
@@ -68,7 +70,7 @@ def flight():
     spec, state, _ = build_equilibrium(beta, w, P)
     cfg = ControllerConfig(gain=synthesize(spec, P), eq=spec, params=P,
                            profile=SpinProfile(omega_target=w, t_hover=10.0))
-    start = state.replace(x_p=state.x_p + vec3(0.05, 0.0, 0.0))
+    start = replaced(state, x_p=part(state, "x_p") + vec3(0.05, 0.0, 0.0))
     return simulate(start, lambda y, t: control_step(y, cfg, t), cfg.profile.theta, P,
                     duration=0.1, output_decimation=1)
 
