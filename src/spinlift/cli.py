@@ -93,13 +93,15 @@ def _build_parser() -> _Parser:
     p_fly = sub.add_parser("fly", parents=[common], help="run one hover scenario")
     p_fly.add_argument("--mode", choices=["static", "rotating"], required=True)
     p_fly.add_argument("--beta", type=float, required=True, help="tether angle [deg]")
-    p_fly.add_argument("--duration", type=float, default=40.0, help="hover duration [s]")
+    p_fly.add_argument("--duration", type=float, default=harness.ScenarioSpec.hover,
+                       help="hover duration [s]")
     p_fly.add_argument("--perturb", type=float, default=0.0,
                        help="initial horizontal payload offset [m]")
 
     p_cmp = sub.add_parser("compare", parents=[common],
                            help="static vs rotating power comparison")
-    p_cmp.add_argument("--betas", default="30,37.5,45,52.5,60",
+    p_cmp.add_argument("--betas", default=",".join(map("{:g}".format,
+                                                        harness.DEFAULT_BETA_GRID_DEG)),
                        help="comma-separated tether angles [deg]")
     p_cmp.add_argument("--svg", metavar="PATH", help="also render a grouped bar chart")
     return parser
@@ -176,8 +178,8 @@ def _cmd_sweep_omega(args, params: SystemParams) -> int:
 def _cmd_fly(args, params: SystemParams) -> int:
     spec = harness.ScenarioSpec(
         mode=args.mode, beta=math.radians(args.beta), hover=args.duration,
-        metering_window=min(20.0, args.duration), perturb_payload=args.perturb,
-    )
+        perturb_payload=args.perturb,
+        metering_window=min(harness.ScenarioSpec.metering_window, args.duration))
     traj, summary = harness.run_scenario(spec, params)
     tag = f"{args.mode}_beta{args.beta:g}"
     _write(args.out, f"trajectory_{tag}.csv", trajectory_to_csv(traj))

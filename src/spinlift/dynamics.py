@@ -349,18 +349,14 @@ def simulate(initial,
     trajectory's ``theta`` column.
 
     ``output_decimation`` is the number of physics steps between stored
-    samples (default: one sample per control tick). Requires 1/(f_ctrl *
-    dt_physics) to be an integer so hold boundaries align with steps.
+    samples (default: one sample per control tick). Hold boundaries align
+    with steps: :class:`SystemParams` guarantees that 1/(f_ctrl *
+    dt_physics) is an integer.
     """
     if not duration > 0.0:
         raise ValueError(f"duration must be positive, got {duration}")
     dt = params.dt_physics
-    steps_per_tick_f = 1.0 / (params.f_ctrl * dt)
-    steps_per_tick = int(round(steps_per_tick_f))
-    if abs(steps_per_tick_f - steps_per_tick) > 1e-9 or steps_per_tick < 1:
-        raise ValueError(
-            f"1/(f_ctrl*dt_physics) = {steps_per_tick_f:.6g} must be a positive "
-            "integer for exact zero-order hold alignment")
+    steps_per_tick = round(1.0 / (params.f_ctrl * dt))
     n_steps = int(round(duration / dt))
     if n_steps < 1:
         raise ValueError("duration shorter than one physics step")

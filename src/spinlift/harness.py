@@ -197,13 +197,12 @@ class ComparisonTable:
     rows: list[ComparisonRow]
 
 
-def compare_modes(beta_grid, params: SystemParams, hover: float = 40.0,
-                  metering_window: float = 20.0, spin_up: float = 8.0,
-                  spin_down: float = 8.0) -> ComparisonTable:
+def compare_modes(beta_grid, params: SystemParams, **protocol) -> ComparisonTable:
     """Static vs rotating-at-omega_star power over a tether-angle grid.
 
-    Each grid cell runs independently; failures are recorded in the row and
-    the table completes. Static flights have no ramps.
+    ``protocol`` holds the :class:`ScenarioSpec` phase and metering fields
+    that every flight shares. Each grid cell runs independently; failures are
+    recorded in the row and the table completes. Static flights have no ramps.
     """
     rows: list[ComparisonRow] = []
     for beta in beta_grid:
@@ -212,9 +211,7 @@ def compare_modes(beta_grid, params: SystemParams, hover: float = 40.0,
         errors: dict[str, str | None] = {"static": None, "rotating": None}
         for mode in ("static", "rotating"):
             try:
-                spec = ScenarioSpec(mode=mode, beta=float(beta), spin_up=spin_up,
-                                    hover=hover, spin_down=spin_down,
-                                    metering_window=metering_window)
+                spec = ScenarioSpec(mode=mode, beta=float(beta), **protocol)
                 _, summary = run_scenario(spec, params)
                 means[mode] = summary.mean_P_total
                 stds[mode] = summary.std_P_total
@@ -251,8 +248,6 @@ def comparison_to_csv(table: ComparisonTable) -> str:
 
 def sweep_beta_svg(static: eqm.SweepResult, rotating: eqm.SweepResult) -> str:
     """Two-curve total-power plot: rising static curve, flat rotating curve."""
-    if not static.reports and not rotating.reports:
-        raise ValueError("no data to plot")
     series = []
     for label, result in (("static", static), ("rotating (optimal)", rotating)):
         if result.reports:
@@ -274,8 +269,6 @@ def sweep_omega_svg(results: list[eqm.SweepResult]) -> str:
         xs = [r.omega_C for r in result.reports]
         ys = [r.P_total for r in result.reports]
         series.append((f"beta = {beta_deg:.3g} deg", xs, ys))
-    if not series:
-        raise ValueError("no data to plot")
     return line_chart(series, xlabel="spin rate [rad/s]",
                       ylabel="total power [W]",
                       title="Hover power vs spin rate")
@@ -284,8 +277,6 @@ def sweep_omega_svg(results: list[eqm.SweepResult]) -> str:
 def comparison_svg(table: ComparisonTable) -> str:
     """Grouped bars of metered power, static vs rotating, per tether angle."""
     rows = [r for r in table.rows if r.static_mean is not None and r.rotating_mean is not None]
-    if not rows:
-        raise ValueError("no data to plot")
     categories = [f"{math.degrees(r.beta):.3g}" for r in rows]
     groups = [
         ("static", [r.static_mean for r in rows], [r.static_std for r in rows]),

@@ -13,7 +13,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "ParamError",
@@ -43,29 +44,35 @@ def _finite_floats(values, size: int, name: str) -> tuple:
     return values
 
 
+def _param(default, doc: str):
+    """A SystemParams field: its default and its one-line config doc (SI units)."""
+    return field(default=default, metadata={"doc": doc})
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical and simulation constants for the two-vehicle tethered system.
 
-    All fields have config-file keys of the same name. Velocity-squared drag
-    (``c_d_quad``, ``c_d_payload``) only acts when ``drag_enabled`` is true.
+    All fields have config-file keys of the same name, documented by their
+    ``doc`` metadata. Velocity-squared drag (``c_d_quad``, ``c_d_payload``)
+    only acts when ``drag_enabled`` is true.
     """
 
-    m_q: float = 0.7          # quadcopter mass [kg]
-    m_p: float = 0.6          # payload mass [kg]
-    ell: float = 1.0          # tether rest length [m]
-    g: float = 9.81           # gravity magnitude [m/s^2]
-    N_p: int = 4              # propellers per vehicle
-    r_p: float = 0.1          # propeller radius [m]
-    rho: float = 1.225        # air density [kg/m^3]
-    k_T: float = 2000.0       # tether stiffness [N/m]
-    c_T: float = 10.0         # tether damping [N*s/m]
-    tau_att: float = 0.05     # thrust-direction lag time constant [s]
-    drag_enabled: bool = False
-    c_d_quad: float = 0.05    # quadratic drag coefficient, vehicle [N*s^2/m^2]
-    c_d_payload: float = 0.02  # quadratic drag coefficient, payload [N*s^2/m^2]
-    dt_physics: float = 5e-4  # integration step [s]
-    f_ctrl: float = 50.0      # outer-loop control rate [Hz]
+    m_q: float = _param(0.7, "quadcopter mass [kg]")
+    m_p: float = _param(0.6, "payload mass [kg]")
+    ell: float = _param(1.0, "tether rest length [m]")
+    g: float = _param(9.81, "gravity magnitude [m/s^2]")
+    N_p: int = _param(4, "propellers per vehicle")
+    r_p: float = _param(0.1, "propeller radius [m]")
+    rho: float = _param(1.225, "air density [kg/m^3]")
+    k_T: float = _param(2000.0, "tether stiffness [N/m]")
+    c_T: float = _param(10.0, "tether damping [N*s/m]")
+    tau_att: float = _param(0.05, "thrust-direction lag time constant [s]")
+    drag_enabled: bool = _param(False, "quadratic drag toggle (true/false)")
+    c_d_quad: float = _param(0.05, "vehicle drag coefficient [N*s^2/m^2]")
+    c_d_payload: float = _param(0.02, "payload drag coefficient [N*s^2/m^2]")
+    dt_physics: float = _param(5e-4, "integration step [s]")
+    f_ctrl: float = _param(50.0, "outer-loop control rate [Hz]")
 
     def __post_init__(self):
         positive = [
@@ -90,11 +97,13 @@ class SystemParams:
                 f"dt_physics={self.dt_physics} exceeds the stiff-tether stability "
                 f"guard 2/sqrt(k_T/m_red) = {dt_limit:.6g} s"
             )
-        if self.f_ctrl * self.dt_physics > 1.0 + 1e-12:
+        # a control period spans a whole number of physics steps; dividing in
+        # turn cannot divide by zero, whereas f_ctrl*dt_physics can underflow
+        steps = 1.0 / self.f_ctrl / self.dt_physics
+        if not (0.5 < steps < math.inf and abs(steps - round(steps)) <= 1e-9):
             raise ParamError(
-                f"f_ctrl*dt_physics = {self.f_ctrl * self.dt_physics:.6g} > 1: "
-                "need at least one physics step per control step"
-            )
+                f"1/(f_ctrl*dt_physics) = {steps:.6g} must be a positive "
+                "integer for exact zero-order hold alignment")
 
     @property
     def m_red(self) -> float:
@@ -107,31 +116,11 @@ class SystemParams:
         return 2.0 / math.sqrt(self.k_T / self.m_red)
 
 
-# Config keys, their python types, and one-line documentation (SI units).
-_CONFIG_FIELDS: dict[str, tuple[type, str]] = {
-    "m_q": (float, "quadcopter mass [kg]"),
-    "m_p": (float, "payload mass [kg]"),
-    "ell": (float, "tether rest length [m]"),
-    "g": (float, "gravity magnitude [m/s^2]"),
-    "N_p": (int, "propellers per vehicle"),
-    "r_p": (float, "propeller radius [m]"),
-    "rho": (float, "air density [kg/m^3]"),
-    "k_T": (float, "tether stiffness [N/m]"),
-    "c_T": (float, "tether damping [N*s/m]"),
-    "tau_att": (float, "thrust-direction lag time constant [s]"),
-    "drag_enabled": (bool, "quadratic drag toggle (true/false)"),
-    "c_d_quad": (float, "vehicle drag coefficient [N*s^2/m^2]"),
-    "c_d_payload": (float, "payload drag coefficient [N*s^2/m^2]"),
-    "dt_physics": (float, "integration step [s]"),
-    "f_ctrl": (float, "outer-loop control rate [Hz]"),
-}
-
 _TRUE_WORDS = {"true", "yes", "on", "1"}
 _FALSE_WORDS = {"false", "no", "off", "0"}
 
 
-def _parse_value(key: str, raw: str, lineno: int):
-    kind = _CONFIG_FIELDS[key][0]
+def _parse_value(key: str, kind: type, raw: str, lineno: int):
     raw = raw.strip()
     try:
         if kind is bool:
@@ -154,6 +143,8 @@ def load_params(config_text: str) -> SystemParams:
     Lines starting with ``#`` (and trailing ``# ...`` comments) are ignored.
     Unknown keys are rejected by name; missing keys take their defaults.
     """
+    hints = typing.get_type_hints(SystemParams)
+    kinds = {f.name: hints[f.name] for f in fields(SystemParams)}
     values: dict[str, object] = {}
     unknown: list[str] = []
     for lineno, line in enumerate(config_text.splitlines(), start=1):
@@ -164,12 +155,12 @@ def load_params(config_text: str) -> SystemParams:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_FIELDS:
+        if key not in kinds:
             unknown.append(key)
             continue
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key}")
-        values[key] = _parse_value(key, raw, lineno)
+        values[key] = _parse_value(key, kinds[key], raw, lineno)
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
     return SystemParams(**values)
@@ -177,14 +168,12 @@ def load_params(config_text: str) -> SystemParams:
 
 def params_to_text(params: SystemParams) -> str:
     """Serialize params to config text; load_params round-trips it exactly."""
+    kinds = typing.get_type_hints(SystemParams)
     lines = []
-    for key, (kind, doc) in _CONFIG_FIELDS.items():
-        value = getattr(params, key)
-        if kind is bool:
-            rendered = "true" if value else "false"
-        else:
-            rendered = repr(value)
-        lines.append(f"{key} = {rendered}  # {doc}")
+    for f in fields(SystemParams):
+        value = getattr(params, f.name)
+        rendered = ("true" if value else "false") if kinds[f.name] is bool else repr(value)
+        lines.append(f"{f.name} = {rendered}  # {f.metadata['doc']}")
     return "\n".join(lines) + "\n"
 
 

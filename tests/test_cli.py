@@ -46,6 +46,25 @@ def test_bad_params_file(tmp_path, capsys):
     assert "m_q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["equilibrium", "--beta", "30"],
+    ["sweep-beta", "--min", "0", "--max", "60", "--n", "3", "--mode", "static"],
+    ["sweep-omega", "--beta", "60", "--max-omega", "4", "--n", "3"],
+    ["fly", "--mode", "rotating", "--beta", "60"],
+    ["compare", "--betas", "60"],
+], ids=lambda argv: argv[0])
+def test_control_period_off_step_grid_refused_up_front(argv, tmp_path, capsys):
+    # 1/(30 Hz * 0.5 ms) = 66.67 physics steps per control period: every
+    # subcommand refuses the config before it writes or computes anything
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("f_ctrl = 30\n")
+    out = tmp_path / "out"
+    svg = [] if argv[0] in ("equilibrium", "fly") else ["--svg", str(out / "chart.svg")]
+    assert main([*argv, *svg, "--params", str(cfg), "--out", str(out)]) == 2
+    assert "f_ctrl" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_params_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     cfg.write_text(params_to_text(SystemParams(m_p=1.2)))

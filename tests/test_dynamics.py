@@ -484,10 +484,10 @@ class TestSimulate:
             simulate(y, lambda y, t: cmd, lambda t: 0.0, p, duration=0.1)
 
     def test_zero_order_hold_alignment_required(self):
-        p = SystemParams(dt_physics=3e-4, f_ctrl=50.0)  # 1/(50*3e-4) = 66.67
-        _, state, cmd = build_equilibrium(0.5, 0.0, p)
-        with pytest.raises(ValueError, match="zero-order hold"):
-            simulate(state, lambda y, t: cmd, lambda t: 0.0, p, duration=0.1)
+        # 1/(50*3e-4) = 66.67 steps per control period: refused when the
+        # parameters are built, so no flight can start with them
+        with pytest.raises(ParamError, match="zero-order hold"):
+            SystemParams(dt_physics=3e-4, f_ctrl=50.0)
 
     def test_csv_export(self):
         p = SystemParams()

@@ -254,6 +254,17 @@ class TestSvg:
         with pytest.raises(ValueError):
             grouped_bar_chart([], [], xlabel="x", ylabel="y")
 
+    @pytest.mark.parametrize("build", [
+        lambda: sweep_beta_svg(sweep_beta([DEG(95)], "static", P),
+                               sweep_beta([DEG(95)], "rotating_opt", P)),
+        lambda: sweep_omega_svg([sweep_omega(DEG(45), [math.nan], P)]),
+        lambda: sweep_omega_svg([]),
+        lambda: comparison_svg(compare_modes([DEG(95)], P, hover=2.0, metering_window=1.0)),
+    ], ids=["sweep_beta", "sweep_omega", "sweep_omega_no_curves", "comparison_all_failed"])
+    def test_chart_builders_refuse_empty_input(self, build):
+        with pytest.raises(ValueError, match="no data to plot"):
+            build()
+
     def test_comparison_chart(self):
         rows = compare_modes([DEG(30), DEG(60)], P, hover=2.0,
                              metering_window=1.0, spin_up=0.0, spin_down=0.0)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,16 @@ class TestSystemParams:
     def test_control_rate_guard(self):
         with pytest.raises(ParamError, match="f_ctrl"):
             SystemParams(dt_physics=0.02, f_ctrl=100.0)
+
+    @pytest.mark.parametrize("f_ctrl,dt", [
+        (30.0, 5e-4),        # 66.67 steps per control period
+        (1e-200, 1e-200),    # the step count overflows to inf
+        (5e-324, 5e-4),      # so does the control period
+    ])
+    def test_control_period_must_span_whole_steps(self, f_ctrl, dt):
+        with pytest.raises(ParamError, match="f_ctrl.*zero-order hold"):
+            SystemParams(f_ctrl=f_ctrl, dt_physics=dt)
+        assert SystemParams(f_ctrl=100.0, dt_physics=1e-4).f_ctrl == 100.0
 
 
 class TestRotation:
@@ -125,6 +137,43 @@ class TestConfig:
         p = SystemParams(m_q=0.81, k_T=1234.5, drag_enabled=True, c_d_quad=0.07)
         again = load_params(params_to_text(p))
         assert again == p
+
+    def test_default_text_pinned(self):
+        assert params_to_text(SystemParams()) == (
+            "m_q = 0.7  # quadcopter mass [kg]\n"
+            "m_p = 0.6  # payload mass [kg]\n"
+            "ell = 1.0  # tether rest length [m]\n"
+            "g = 9.81  # gravity magnitude [m/s^2]\n"
+            "N_p = 4  # propellers per vehicle\n"
+            "r_p = 0.1  # propeller radius [m]\n"
+            "rho = 1.225  # air density [kg/m^3]\n"
+            "k_T = 2000.0  # tether stiffness [N/m]\n"
+            "c_T = 10.0  # tether damping [N*s/m]\n"
+            "tau_att = 0.05  # thrust-direction lag time constant [s]\n"
+            "drag_enabled = false  # quadratic drag toggle (true/false)\n"
+            "c_d_quad = 0.05  # vehicle drag coefficient [N*s^2/m^2]\n"
+            "c_d_payload = 0.02  # payload drag coefficient [N*s^2/m^2]\n"
+            "dt_physics = 0.0005  # integration step [s]\n"
+            "f_ctrl = 50.0  # outer-loop control rate [Hz]\n")
+
+    def test_readme_table_is_the_schema(self):
+        # the README's configuration table is the one restated copy of the
+        # parameter schema: same keys in field order, defaults that load
+        # into SystemParams()
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1:3] for line in section.splitlines()
+                if line.startswith("| `")]
+        keys = [cell.strip().strip("`") for cell, _ in rows]
+        assert keys == [f.name for f in dataclasses.fields(SystemParams)]
+        text = "".join(f"{key} = {default.strip()}\n"
+                       for key, (_, default) in zip(keys, rows))
+        assert load_params(text) == SystemParams()
+
+    def test_control_period_off_the_step_grid_refused_at_load(self):
+        # 1/(30 * 5e-4) = 66.67 physics steps per control period
+        with pytest.raises(ParamError, match="f_ctrl"):
+            load_params("f_ctrl = 30\n")
 
 
 class TestStateTypes:
