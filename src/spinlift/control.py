@@ -25,10 +25,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dynamics import Trajectory
 from .equilibrium import DEFAULT_PAYLOAD_POSITION, feedforward
 from .lqr import GainSet
-from .model import EquilibriumSpec, SystemParams, default_thrust_limit, table_text
+from .model import EquilibriumSpec, SystemParams, default_thrust_limit
 
 __all__ = [
     "SpinProfile",
@@ -189,11 +191,23 @@ _LOG_HEADER = ("t,T_cmd_1_x,T_cmd_1_y,T_cmd_1_z,"
 
 def command_log_to_csv(traj: Trajectory, T_max: float) -> str:
     """Command log aligned with trajectory samples; ``saturated`` flags ticks
-    whose commanded magnitude sits at the saturation limit."""
-    def row(t, u):
-        u = u.tolist()
+    whose commanded magnitude sits at the saturation limit.
+
+    The text is :func:`model.table_text`'s. Every sample of a hold repeats
+    its command, so the seven command cells are written once per run of
+    bitwise-equal rows (``-0.0`` and ``0.0`` differ) and each line adds only
+    its time."""
+    bits = traj.commands.view(np.int64)
+    t = traj.t.tolist()
+    changed = (bits[1:] != bits[:-1]).any(axis=1)
+    starts = [0, *(np.flatnonzero(changed) + 1).tolist()] if t else []
+    rows = traj.commands[starts].tolist()
+    lines = [_LOG_HEADER]
+    for u, start, stop in zip(rows, starts, starts[1:] + [len(t)]):
         n1 = math.hypot(u[0], u[1], u[2])
         n2 = math.hypot(u[3], u[4], u[5])
-        return [t, *u, int(n1 >= T_max - 1e-9 or n2 >= T_max - 1e-9)]
-
-    return table_text(_LOG_HEADER, map(row, traj.t.tolist(), traj.commands))
+        saturated = n1 >= T_max - 1e-9 or n2 >= T_max - 1e-9
+        cells = ",".join(["", *map(repr, u), "1" if saturated else "0"])
+        lines += [repr(x) + cells for x in t[start:stop]]
+    lines.append("")
+    return "\n".join(lines)

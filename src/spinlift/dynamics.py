@@ -15,21 +15,25 @@ in the controller and the linearized model, and its angle is the spin
 schedule's closed form, not an integrated state.
 
 The comparison harness integrates ~1e6 RK4 steps per run set, so the hot path
-is scalar Python: a stepper that integrates a whole segment between control
-ticks and stored samples with every RK4 stage held in local variables. Its
-derivative block (tether laws, drag, accelerations, lag rates) is written
-once, as a source template, and instantiated inline in each RK4 stage; the
-source is compiled once, at import, and :func:`_make_rhs` binds parameters to
-it. :func:`simulate` stores states and commands as it goes and fills the
-tether-tension column afterwards, with one array evaluation of
-:func:`tether_force` over all samples.
+is scalar Python: a stepper that integrates a whole control hold in one call
+with every RK4 stage held in local variables, appending each stored sample's
+24 floats to a flat buffer inside its loop. Its derivative block (tether
+laws, drag, accelerations, lag rates) is written once, as a source template,
+and instantiated inline in each RK4 stage; the source is compiled once, at
+import, and :func:`_make_rhs` binds parameters to it. :func:`simulate` makes
+one stepper call per hold, whatever the output decimation, and builds the
+trajectory's arrays once at the end: states from the buffer, commands from
+the per-tick command buffer, and the tether-tension column with one array
+evaluation of :func:`tether_force` over all samples.
 """
 
 from __future__ import annotations
 
 import linecache
 import math
+import operator
 import textwrap
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -185,7 +189,9 @@ dT2z{s} = (u2z - T2z{s}) * inv_tau
 # k = 2, 3, 4 evaluates the derivative at y + c_k * dt * (stage k-1
 # derivative), with its state names suffixed _k (stage 1 is y itself); the
 # update y + dt/6 * (k1 + 2 (k2 + k3) + k4) then runs in layout order, so each
-# position is updated while its velocity still holds the stage-1 value.
+# position is updated while its velocity still holds the stage-1 value. Given
+# a buffer out, advance appends the state after every global step that is a
+# multiple of dec.
 _STEPPER = """\
 def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, drag, c_dq, c_dp):
     def rhs(y, u):
@@ -194,7 +200,7 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, drag, c_dq, c_dp):
 {rhs_derivative}
         return [{rate}]
 
-    def advance(y, u, i_first, n, dt):
+    def advance(y, u, i_first, n, dt, out=None, dec=1):
         {state} = y
         u1x, u1y, u1z, u2x, u2y, u2z = u
         half = 0.5 * dt
@@ -203,6 +209,8 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, drag, c_dq, c_dp):
 {stages}
             if not isfinite({state_sum}):
                 raise IntegrationBlowupError((i + 1) * dt)
+            if out is not None and (i + 1) % dec == 0:
+                out.extend(({state}))
         return [{state}]
 
     return rhs, advance
@@ -244,11 +252,15 @@ def _make_rhs(params: SystemParams):
 
     * ``rhs(y, u)`` is the full 24-element derivative over a flat float
       list, for the design model and the tests.
-    * ``advance(y, u, i_first, n, dt)`` integrates physics steps
-      ``i_first .. i_first + n - 1`` of a run starting at t = 0 under the
-      held command ``u``. The RK4 stages live in local variables and a list
-      is built only on return; the float operations are those of a textbook
-      RK4 over ``rhs``, in the same order. Raises
+    * ``advance(y, u, i_first, n, dt, out=None, dec=1)`` integrates
+      physics steps ``i_first .. i_first + n - 1`` of a run starting at
+      t = 0 under the held command ``u`` and returns the final state as a
+      list. Given ``out`` (an ``array('d')``), it appends the 24 floats of
+      the state after each step whose global count ``i + 1`` is a multiple
+      of ``dec``, from inside its loop: a stored sample costs one
+      ``extend``, not a return to the caller.
+      The RK4 stages live in local variables; the float operations are those
+      of a textbook RK4 over ``rhs``, in the same order. Raises
       :class:`IntegrationBlowupError` with the time of the first step whose
       result is not finite (one left-to-right sum of the 24 scalars, the
       order of the builtin ``sum``).
@@ -345,13 +357,17 @@ def simulate(initial,
     with that step's end time.
 
     ``frame_angle(t)`` is the control-frame angle schedule. It does not enter
-    the physics; it is evaluated once per stored sample to fill the
-    trajectory's ``theta`` column.
+    the physics; it is evaluated once per stored sample, after the run, to
+    fill the trajectory's ``theta`` column.
 
     ``output_decimation`` is the number of physics steps between stored
-    samples (default: one sample per control tick). Hold boundaries align
-    with steps: :class:`SystemParams` guarantees that 1/(f_ctrl *
-    dt_physics) is an integer.
+    samples (default: one sample per control tick), an integer >= 1
+    (TypeError for a non-integer, which is not truncated). Hold boundaries
+    align with steps: :class:`SystemParams` guarantees that 1/(f_ctrl *
+    dt_physics) is an integer. Each hold is one stepper call, which appends
+    the samples that fall inside it to a flat buffer; the arrays are built
+    from it once, at the end. The command stored with a sample is the one
+    held over the step that ends there (the first tick's for t = 0).
     """
     if not duration > 0.0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -360,44 +376,29 @@ def simulate(initial,
     n_steps = int(round(duration / dt))
     if n_steps < 1:
         raise ValueError("duration shorter than one physics step")
-    dec = steps_per_tick if output_decimation is None else int(output_decimation)
+    dec = steps_per_tick if output_decimation is None else operator.index(output_decimation)
     if dec < 1:
-        raise ValueError("output_decimation must be >= 1")
+        raise ValueError(f"output_decimation must be >= 1, got {dec}")
 
     _, advance = _make_rhs(params)
-    n_samples = n_steps // dec + 1
-    t_out = np.empty(n_samples)
-    states_out = np.empty((n_samples, STATE_DIM))
-    commands_out = np.empty((n_samples, 6))
-    theta_out = np.empty(n_samples)
-
     y = list(SystemState.from_vector(initial))
+    samples = array("d", y)  # the stored states, flat; advance appends the rest
+    ticks = array("d")       # the six commands of each tick, flat
+    for i in range(0, n_steps, steps_per_tick):
+        u = controller(y, i * dt)
+        ticks.extend(u)
+        y = advance(y, u, i, min(steps_per_tick, n_steps - i), dt, samples, dec)
 
-    def record(i_step: int):
-        t = i_step * dt
-        t_out[i_step // dec] = t
-        theta_out[i_step // dec] = frame_angle(t)
-        states_out[i_step // dec] = y
-        commands_out[i_step // dec] = u
-
-    i = 0
-    while i < n_steps:
-        if i % steps_per_tick == 0:
-            u = tuple(controller(y, i * dt))
-            if i == 0:
-                record(0)
-        # integrate up to the next control tick or stored sample
-        stop = min(n_steps, (i // steps_per_tick + 1) * steps_per_tick, (i // dec + 1) * dec)
-        y = advance(y, u, i, stop - i, dt)
-        i = stop
-        if i % dec == 0:
-            record(i)
-
-    x_p, v_p = states_out[:, 0:3], states_out[:, 3:6]
-    F_1, _ = tether_force(states_out[:, 6:9], states_out[:, 9:12], x_p, v_p, params)
-    F_2, _ = tether_force(states_out[:, 12:15], states_out[:, 15:18], x_p, v_p, params)
-    return Trajectory(t=t_out, states=states_out, commands=commands_out,
-                      tether=np.column_stack([F_1, F_2]), theta=theta_out)
+    steps = np.arange(0, n_steps + 1, dec)
+    t = steps * dt
+    states = np.frombuffer(samples).reshape(-1, STATE_DIM)
+    commands = np.frombuffer(ticks).reshape(-1, 6)[np.maximum(steps - 1, 0) // steps_per_tick]
+    theta = np.fromiter(map(frame_angle, t.tolist()), float, len(t))
+    x_p, v_p = states[:, 0:3], states[:, 3:6]
+    F_1, _ = tether_force(states[:, 6:9], states[:, 9:12], x_p, v_p, params)
+    F_2, _ = tether_force(states[:, 12:15], states[:, 15:18], x_p, v_p, params)
+    return Trajectory(t=t, states=states, commands=commands,
+                      tether=np.column_stack([F_1, F_2]), theta=theta)
 
 
 _CSV_HEADER = (

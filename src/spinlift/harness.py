@@ -67,7 +67,7 @@ class ScenarioSpec:
     spin_down: float = 8.0         # [s] (rotating mode)
     metering_window: float = 20.0  # [s], taken from the end of the hover
     perturb_payload: float = 0.0   # [m] initial horizontal payload offset, at most ell
-    output_decimation: int | None = None
+    output_decimation: int | None = None  # physics steps per stored sample (None: per tick)
 
     def __post_init__(self):
         if self.mode not in ("static", "rotating"):
@@ -80,6 +80,9 @@ class ScenarioSpec:
             raise ValueError(f"perturb_payload must be finite, got {self.perturb_payload!r}")
         if not 0.0 < self.metering_window <= self.hover:
             raise ValueError("metering window must be positive and at most the hover duration")
+        dec = self.output_decimation
+        if dec is not None and (type(dec) is bool or not isinstance(dec, int) or dec < 1):
+            raise ValueError(f"output_decimation must be None or a positive integer, got {dec!r}")
 
 
 @dataclass(frozen=True)

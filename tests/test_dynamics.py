@@ -418,8 +418,9 @@ class TestSimulate:
                             min_size=4, max_size=4),
            w=st.floats(0.0, 4.0), drag=st.booleans())
     def test_matches_reference_integrator(self, state, thrusts, w, drag):
-        # 62 steps at 20 steps per hold: three command changes, and a
-        # decimation of 7 that puts stored samples inside holds
+        # 62 steps at 20 steps per hold: three command changes, a
+        # decimation of 7 that puts stored samples inside holds and one of
+        # 45 whose stores skip whole holds
         p = SystemParams(f_ctrl=100.0, drag_enabled=drag)
         def controller(y, t):
             return thrusts[round(t * p.f_ctrl)]
@@ -428,7 +429,7 @@ class TestSimulate:
             return w * t * (1.0 + 5.0 * t)
 
         t, states, cmds = reference_simulate(state, controller, p, 0.031)
-        for dec in (1, 7, 20):
+        for dec in (1, 7, 20, 45):
             traj = simulate(state, controller, frame_angle, p, 0.031,
                             output_decimation=dec)
             assert np.array_equal(traj.t, t[::dec])
@@ -482,6 +483,13 @@ class TestSimulate:
         y = list(state)[:23] if defect == "short" else [*state[:4], defect, *state[5:]]
         with pytest.raises(ValueError, match="state vector must be 24 finite floats"):
             simulate(y, lambda y, t: cmd, lambda t: 0.0, p, duration=0.1)
+
+    @pytest.mark.parametrize("dec, error", [(2.5, TypeError), (0, ValueError)])
+    def test_output_decimation_not_truncated(self, dec, error):
+        p = SystemParams()
+        _, state, cmd = build_equilibrium(0.5, 0.0, p)
+        with pytest.raises(error):
+            simulate(state, lambda y, t: cmd, lambda t: 0.0, p, 0.2, output_decimation=dec)
 
     def test_zero_order_hold_alignment_required(self):
         # 1/(50*3e-4) = 66.67 steps per control period: refused when the

@@ -44,6 +44,13 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ScenarioSpec(mode="rotating", beta=0.5, **{name: value})
 
+    @pytest.mark.parametrize("dec", [2.5, True, 0])
+    def test_output_decimation_must_be_positive_int(self, dec):
+        # refused when the flight is specified, before any gain synthesis:
+        # not truncated (2.5), not read as 1 (True), not left to simulate (0)
+        with pytest.raises(ValueError, match="output_decimation"):
+            ScenarioSpec(mode="static", beta=0.5, output_decimation=dec)
+
 
 class TestRunScenario:
     def test_static_power_matches_analytic(self):

@@ -159,16 +159,18 @@ class TestConfig:
     def test_readme_table_is_the_schema(self):
         # the README's configuration table is the one restated copy of the
         # parameter schema: same keys in field order, defaults that load
-        # into SystemParams()
+        # into SystemParams(), meanings that are the fields' docs
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
-        rows = [line.split("|")[1:3] for line in section.splitlines()
+        rows = [line.split("|")[1:4] for line in section.splitlines()
                 if line.startswith("| `")]
-        keys = [cell.strip().strip("`") for cell, _ in rows]
+        keys = [cell.strip().strip("`") for cell, _, _ in rows]
         assert keys == [f.name for f in dataclasses.fields(SystemParams)]
         text = "".join(f"{key} = {default.strip()}\n"
-                       for key, (_, default) in zip(keys, rows))
+                       for key, (_, default, _) in zip(keys, rows))
         assert load_params(text) == SystemParams()
+        assert [meaning.strip() for _, _, meaning in rows] == \
+            [f.metadata["doc"] for f in dataclasses.fields(SystemParams)]
 
     def test_control_period_off_the_step_grid_refused_at_load(self):
         # 1/(30 * 5e-4) = 66.67 physics steps per control period

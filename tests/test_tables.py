@@ -118,6 +118,21 @@ def test_command_log_saturation_edge(odd_trajectory):
     assert flags == ["1", "0", "1", "0"]
 
 
+def test_command_log_runs_split_on_bits():
+    # consecutive rows equal under == but not in bits: a writer that finds
+    # runs of repeated commands with == (or a tuple-keyed cache) would print
+    # the second row's -0.0 as 0.0
+    a = [0.25, 0.0, 5.0, 0.0, -1.5, 5.0]
+    b = [0.25, -0.0, 5.0, 0.0, -1.5, 5.0]
+    commands = np.array([a, b, a, a])
+    assert (commands[0] == commands[1]).all()
+    traj = Trajectory(t=np.array([0.0, 0.02, 0.04, 0.06]), states=np.zeros((4, 24)),
+                      commands=commands, tether=np.zeros((4, 2)), theta=np.zeros(4))
+    text = command_log_to_csv(traj, T_MAX)
+    assert text == reference_command_log(traj, T_MAX)
+    assert text.split("\n")[2] == "0.02,0.25,-0.0,5.0,0.0,-1.5,5.0,0"
+
+
 def test_sweep_csv():
     beta_grid = [DEG(d) for d in (0.0, 1e-9, 30.0, 60.0, 89.0, 90.0)]
     results = [sweep_beta(beta_grid, "static", P), sweep_beta(beta_grid, "rotating_opt", P),
