@@ -4,8 +4,8 @@ control, and hover-power analysis."""
 from .model import (ConfigError, EquilibriumSpec, ParamError, SystemParams,
                     SystemState, load_params, params_to_text)
 from .dynamics import (DegenerateGeometryError, IntegrationBlowupError,
-                       TetherForces, Trajectory, simulate, tether_force,
-                       tether_forces, trajectory_to_csv)
+                       Trajectory, simulate, tether_force, tether_forces,
+                       trajectory_to_csv)
 from .equilibrium import (PowerReport, SingularityError, SweepResult,
                           build_equilibrium, omega_star, power, sweep_beta,
                           sweep_omega, sweep_to_csv, tension_at_equilibrium,

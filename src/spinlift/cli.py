@@ -55,6 +55,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _beta_grid(text: str) -> list[float]:
+    """argparse type of ``--betas``: comma-separated angles [deg], at least one."""
+    try:
+        betas = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        betas = []
+    if not betas:
+        raise argparse.ArgumentTypeError(f"must be comma-separated angles, got {text!r}")
+    return betas
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", metavar="FILE",
@@ -100,8 +111,7 @@ def _build_parser() -> _Parser:
 
     p_cmp = sub.add_parser("compare", parents=[common],
                            help="static vs rotating power comparison")
-    p_cmp.add_argument("--betas", default=",".join(map("{:g}".format,
-                                                        harness.DEFAULT_BETA_GRID_DEG)),
+    p_cmp.add_argument("--betas", type=_beta_grid, default=list(harness.DEFAULT_BETA_GRID_DEG),
                        help="comma-separated tether angles [deg]")
     p_cmp.add_argument("--svg", metavar="PATH", help="also render a grouped bar chart")
     return parser
@@ -200,16 +210,7 @@ def _cmd_fly(args, params: SystemParams) -> int:
 
 
 def _cmd_compare(args, params: SystemParams) -> int:
-    try:
-        betas = [math.radians(float(v)) for v in args.betas.split(",") if v.strip()]
-    except ValueError:
-        print(f"spinlift compare: error: cannot parse --betas {args.betas!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if not betas:
-        print("spinlift compare: error: empty --betas grid", file=sys.stderr)
-        return EXIT_USAGE
-    table = harness.compare_modes(betas, params)
+    table = harness.compare_modes([math.radians(b) for b in args.betas], params)
     for row in table.rows:
         for err in (row.static_error, row.rotating_error):
             if err:
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
     except (harness.SimulationFailed, IntegrationBlowupError) as exc:
         print(f"spinlift: integration failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
-    except (eqm.SingularityError, harness.ScenarioError, ValueError) as exc:
+    except (harness.ScenarioError, ValueError) as exc:
         print(f"spinlift: model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
 

@@ -44,7 +44,6 @@ from .model import STATE_DIM, SystemParams, SystemState, table_text
 __all__ = [
     "DegenerateGeometryError",
     "IntegrationBlowupError",
-    "TetherForces",
     "Trajectory",
     "tether_force",
     "tether_forces",
@@ -65,16 +64,6 @@ class IntegrationBlowupError(RuntimeError):
     def __init__(self, t: float):
         super().__init__(f"integration produced a non-finite state at t = {t:.6f} s")
         self.t = t
-
-
-@dataclass(frozen=True)
-class TetherForces:
-    """Scalar tensions and payload-to-vehicle unit vectors for both tethers."""
-
-    F_1: float
-    F_2: float
-    r_hat_1: np.ndarray
-    r_hat_2: np.ndarray
 
 
 def tether_force(x_i, v_i, x_p, v_p,
@@ -107,11 +96,11 @@ def tether_force(x_i, v_i, x_p, v_p,
     return force, r_hat
 
 
-def tether_forces(state, params: SystemParams) -> TetherForces:
-    """Both tether tensions and unit vectors for one flat 24-float state."""
-    f1, r1 = tether_force(state[6:9], state[9:12], state[0:3], state[3:6], params)
-    f2, r2 = tether_force(state[12:15], state[15:18], state[0:3], state[3:6], params)
-    return TetherForces(F_1=f1, F_2=f2, r_hat_1=r1, r_hat_2=r2)
+def tether_forces(state, params: SystemParams) -> tuple[tuple, tuple]:
+    """``((F_1, r_hat_1), (F_2, r_hat_2))`` of one flat 24-float state. Unused here:
+    kept because the benchmark tracer (``perfbench/tracing.py``) patches it by name."""
+    return (tether_force(state[6:9], state[9:12], state[0:3], state[3:6], params),
+            tether_force(state[12:15], state[15:18], state[0:3], state[3:6], params))
 
 
 # Names of the 24 integrated scalars, in the flat layout of spinlift.model,
@@ -379,6 +368,8 @@ def simulate(initial,
     dec = steps_per_tick if output_decimation is None else operator.index(output_decimation)
     if dec < 1:
         raise ValueError(f"output_decimation must be >= 1, got {dec}")
+    # any hold or decimation past the flight's end acts alike; capped, both fit int64
+    steps_per_tick, dec = min(steps_per_tick, n_steps + 1), min(dec, n_steps + 1)
 
     _, advance = _make_rhs(params)
     y = list(SystemState.from_vector(initial))

@@ -149,7 +149,7 @@ class PowerReport:
 def rotor_power(T, params: SystemParams):
     """Actuator-disk power [W] of one vehicle producing thrust magnitude T
     [N]; T may be a scalar or an array."""
-    return T ** 1.5 / (params.r_p * math.sqrt(2.0 * math.pi * params.rho * params.N_p))
+    return T ** 1.5 / params.rotor_constant
 
 
 def power(T_per_vehicle: float, params: SystemParams,
@@ -231,7 +231,7 @@ def sweep_beta(beta_grid, mode: str, params: SystemParams) -> SweepResult:
             w = 0.0 if mode == "static" else omega_star(beta, params)
             T = thrust_magnitude(beta, w, params)
             reports.append(power(T, params, beta=float(beta), omega_c=w))
-        except (SingularityError, ValueError) as exc:
+        except ValueError as exc:
             failures.append((float(beta), str(exc)))
     return SweepResult(reports=reports, failures=failures)
 
@@ -244,7 +244,7 @@ def sweep_omega(beta: float, omega_grid, params: SystemParams) -> SweepResult:
         try:
             T = thrust_magnitude(beta, float(w), params)
             reports.append(power(T, params, beta=float(beta), omega_c=float(w)))
-        except (SingularityError, ValueError) as exc:
+        except ValueError as exc:
             failures.append((float(w), str(exc)))
     return SweepResult(reports=reports, failures=failures)
 

@@ -208,26 +208,19 @@ def compare_modes(beta_grid, params: SystemParams, **protocol) -> ComparisonTabl
     recorded in the row and the table completes. Static flights have no ramps.
     """
     rows: list[ComparisonRow] = []
-    for beta in beta_grid:
-        means: dict[str, float | None] = {"static": None, "rotating": None}
-        stds: dict[str, float | None] = {"static": None, "rotating": None}
-        errors: dict[str, str | None] = {"static": None, "rotating": None}
+    for beta in map(float, beta_grid):
+        cells = []  # (mean, std, error) of each flight
         for mode in ("static", "rotating"):
             try:
-                spec = ScenarioSpec(mode=mode, beta=float(beta), **protocol)
-                _, summary = run_scenario(spec, params)
-                means[mode] = summary.mean_P_total
-                stds[mode] = summary.std_P_total
-            except (ScenarioError, eqm.SingularityError, ValueError) as exc:
-                errors[mode] = str(exc)
-        saving = None
-        if means["static"] is not None and means["rotating"] is not None:
-            saving = (means["static"] - means["rotating"]) / means["static"]
+                _, summary = run_scenario(ScenarioSpec(mode=mode, beta=beta, **protocol), params)
+                cells.append((summary.mean_P_total, summary.std_P_total, None))
+            except (ScenarioError, ValueError) as exc:
+                cells.append((None, None, str(exc)))
+        (s_mean, s_std, s_err), (r_mean, r_std, r_err) = cells
         rows.append(ComparisonRow(
-            beta=float(beta), static_mean=means["static"], static_std=stds["static"],
-            rotating_mean=means["rotating"], rotating_std=stds["rotating"],
-            saving=saving, static_error=errors["static"],
-            rotating_error=errors["rotating"]))
+            beta=beta, static_mean=s_mean, static_std=s_std, rotating_mean=r_mean,
+            rotating_std=r_std, static_error=s_err, rotating_error=r_err,
+            saving=None if s_mean is None or r_mean is None else (s_mean - r_mean) / s_mean))
     return ComparisonTable(rows=rows)
 
 
@@ -238,42 +231,33 @@ _COMPARE_HEADER = ("beta_deg,P_static_mean_W,P_static_std_W,"
 def comparison_to_csv(table: ComparisonTable) -> str:
     lines = [_COMPARE_HEADER]
     for row in table.rows:
-        def cell(v):
-            return "" if v is None else repr(float(v))
+        numbers = (math.degrees(row.beta), row.static_mean, row.static_std,
+                   row.rotating_mean, row.rotating_std, row.saving)
         err = "; ".join(filter(None, [row.static_error, row.rotating_error]))
-        lines.append(",".join([
-            repr(math.degrees(row.beta)), cell(row.static_mean), cell(row.static_std),
-            cell(row.rotating_mean), cell(row.rotating_std), cell(row.saving),
-            f'"{err}"' if err else "",
-        ]))
+        lines.append(",".join([*("" if v is None else repr(float(v)) for v in numbers),
+                               f'"{err}"' if err else ""]))
     return "\n".join(lines) + "\n"
+
+
+def _power_series(label: str, result: eqm.SweepResult, x) -> tuple:
+    """One chart curve: ``(label, x(report) per report, P_total per report)``."""
+    return label, [x(r) for r in result.reports], [r.P_total for r in result.reports]
 
 
 def sweep_beta_svg(static: eqm.SweepResult, rotating: eqm.SweepResult) -> str:
     """Two-curve total-power plot: rising static curve, flat rotating curve."""
-    series = []
-    for label, result in (("static", static), ("rotating (optimal)", rotating)):
-        if result.reports:
-            xs = [math.degrees(r.beta) for r in result.reports]
-            ys = [r.P_total for r in result.reports]
-            series.append((label, xs, ys))
-    return line_chart(series, xlabel="tether angle [deg]",
-                      ylabel="total power [W]",
+    series = [_power_series(label, result, lambda r: math.degrees(r.beta))
+              for label, result in (("static", static), ("rotating (optimal)", rotating))
+              if result.reports]
+    return line_chart(series, xlabel="tether angle [deg]", ylabel="total power [W]",
                       title="Hover power vs tether angle")
 
 
 def sweep_omega_svg(results: list[eqm.SweepResult]) -> str:
     """Power vs spin rate, one curve per tether angle."""
-    series = []
-    for result in results:
-        if not result.reports:
-            continue
-        beta_deg = math.degrees(result.reports[0].beta)
-        xs = [r.omega_C for r in result.reports]
-        ys = [r.P_total for r in result.reports]
-        series.append((f"beta = {beta_deg:.3g} deg", xs, ys))
-    return line_chart(series, xlabel="spin rate [rad/s]",
-                      ylabel="total power [W]",
+    series = [_power_series(f"beta = {math.degrees(res.reports[0].beta):.3g} deg", res,
+                            lambda r: r.omega_C) for res in results if res.reports]
+    return line_chart(series, xlabel="spin rate [rad/s]", ylabel="total power [W]",
                       title="Hover power vs spin rate")
 
 

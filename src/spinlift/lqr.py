@@ -147,7 +147,7 @@ def solve_care(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
     """
     try:
         P = scipy.linalg.solve_continuous_are(A, B, Q, R)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+    except ValueError as exc:
         raise SynthesisError(f"Riccati solve failed: {exc}") from exc
     return 0.5 * (P + P.T)
 

@@ -44,9 +44,17 @@ def _finite_floats(values, size: int, name: str) -> tuple:
     return values
 
 
-def _param(default, doc: str):
-    """A SystemParams field: its default and its one-line config doc (SI units)."""
-    return field(default=default, metadata={"doc": doc})
+# The rules on a SystemParams field: (message text, test of the value).
+_POSITIVE = ("a positive finite number",
+             lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v > 0)
+_NONNEGATIVE = ("a nonnegative finite number", lambda v: math.isfinite(v) and v >= 0)
+_COUNT = ("an integer >= 1", lambda v: isinstance(v, int) and v >= 1)
+
+
+def _param(default, doc: str, rule: tuple | None = None):
+    """A SystemParams field: its default, its one-line config doc (SI units)
+    and its rule."""
+    return field(default=default, metadata={"doc": doc, "rule": rule})
 
 
 @dataclass(frozen=True)
@@ -54,43 +62,38 @@ class SystemParams:
     """Physical and simulation constants for the two-vehicle tethered system.
 
     All fields have config-file keys of the same name, documented by their
-    ``doc`` metadata. Velocity-squared drag (``c_d_quad``, ``c_d_payload``)
-    only acts when ``drag_enabled`` is true.
+    ``doc`` metadata and checked by their ``rule``. Velocity-squared drag
+    (``c_d_quad``, ``c_d_payload``) only acts when ``drag_enabled`` is true.
     """
 
-    m_q: float = _param(0.7, "quadcopter mass [kg]")
-    m_p: float = _param(0.6, "payload mass [kg]")
-    ell: float = _param(1.0, "tether rest length [m]")
-    g: float = _param(9.81, "gravity magnitude [m/s^2]")
-    N_p: int = _param(4, "propellers per vehicle")
-    r_p: float = _param(0.1, "propeller radius [m]")
-    rho: float = _param(1.225, "air density [kg/m^3]")
-    k_T: float = _param(2000.0, "tether stiffness [N/m]")
-    c_T: float = _param(10.0, "tether damping [N*s/m]")
-    tau_att: float = _param(0.05, "thrust-direction lag time constant [s]")
+    m_q: float = _param(0.7, "quadcopter mass [kg]", _POSITIVE)
+    m_p: float = _param(0.6, "payload mass [kg]", _POSITIVE)
+    ell: float = _param(1.0, "tether rest length [m]", _POSITIVE)
+    g: float = _param(9.81, "gravity magnitude [m/s^2]", _NONNEGATIVE)
+    N_p: int = _param(4, "propellers per vehicle", _COUNT)
+    r_p: float = _param(0.1, "propeller radius [m]", _POSITIVE)
+    rho: float = _param(1.225, "air density [kg/m^3]", _POSITIVE)
+    k_T: float = _param(2000.0, "tether stiffness [N/m]", _POSITIVE)
+    c_T: float = _param(10.0, "tether damping [N*s/m]", _NONNEGATIVE)
+    tau_att: float = _param(0.05, "thrust-direction lag time constant [s]", _POSITIVE)
     drag_enabled: bool = _param(False, "quadratic drag toggle (true/false)")
-    c_d_quad: float = _param(0.05, "vehicle drag coefficient [N*s^2/m^2]")
-    c_d_payload: float = _param(0.02, "payload drag coefficient [N*s^2/m^2]")
-    dt_physics: float = _param(5e-4, "integration step [s]")
-    f_ctrl: float = _param(50.0, "outer-loop control rate [Hz]")
+    c_d_quad: float = _param(0.05, "vehicle drag coefficient [N*s^2/m^2]", _NONNEGATIVE)
+    c_d_payload: float = _param(0.02, "payload drag coefficient [N*s^2/m^2]", _NONNEGATIVE)
+    dt_physics: float = _param(5e-4, "integration step [s]", _POSITIVE)
+    f_ctrl: float = _param(50.0, "outer-loop control rate [Hz]", _POSITIVE)
 
     def __post_init__(self):
-        positive = [
-            ("m_q", self.m_q), ("m_p", self.m_p), ("ell", self.ell),
-            ("r_p", self.r_p), ("rho", self.rho), ("k_T", self.k_T),
-            ("tau_att", self.tau_att), ("dt_physics", self.dt_physics),
-            ("f_ctrl", self.f_ctrl),
-        ]
-        for name, value in positive:
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ParamError(f"{name} must be a positive finite number, got {value!r}")
-        if not (isinstance(self.N_p, int) and self.N_p >= 1):
-            raise ParamError(f"N_p must be an integer >= 1, got {self.N_p!r}")
-        for name, value in [("c_T", self.c_T), ("g", self.g),
-                            ("c_d_quad", self.c_d_quad),
-                            ("c_d_payload", self.c_d_payload)]:
-            if not (math.isfinite(value) and value >= 0):
-                raise ParamError(f"{name} must be a nonnegative finite number, got {value!r}")
+        for f in fields(self):
+            value, rule = getattr(self, f.name), f.metadata["rule"]
+            if rule is not None and not rule[1](value):
+                raise ParamError(f"{f.name} must be {rule[0]}, got {value!r}")
+        try:
+            rotor = self.rotor_constant
+        except OverflowError:  # N_p too large to convert to float
+            rotor = math.inf
+        if not (0.0 < rotor < math.inf and 1.0 / rotor < math.inf):
+            raise ParamError(f"r_p, rho and N_p give the rotor constant r_p*sqrt(2*pi*rho*N_p) "
+                             f"= {rotor:.6g}; it and its reciprocal must be finite and positive")
         dt_limit = self.dt_stability_limit
         if not self.dt_physics < dt_limit:
             raise ParamError(
@@ -114,6 +117,11 @@ class SystemParams:
     def dt_stability_limit(self) -> float:
         """Upper bound on dt_physics from the stiff tether stretch mode [s]."""
         return 2.0 / math.sqrt(self.k_T / self.m_red)
+
+    @property
+    def rotor_constant(self) -> float:
+        """r_p * sqrt(2 pi rho N_p), the actuator-disk power law's divisor [kg^0.5 m^-0.5]."""
+        return self.r_p * math.sqrt(2.0 * math.pi * self.rho * self.N_p)
 
 
 _TRUE_WORDS = {"true", "yes", "on", "1"}

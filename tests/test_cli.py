@@ -65,6 +65,35 @@ def test_control_period_off_step_grid_refused_up_front(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [
+    f"N_p = {10**400}\n", f"N_p = {10**308}\n", "rho = 1e308\n", "r_p = 1e-320\n",
+    "r_p = 1e-300\nrho = 1e-300\n",
+], ids=["N_p=1e400", "N_p=1e308", "rho=1e308", "r_p=1e-320", "r_p=rho=1e-300"])
+@pytest.mark.parametrize("argv", [
+    ["equilibrium", "--beta", "30"],
+    ["fly", "--mode", "static", "--beta", "30", "--duration", "1"],
+], ids=lambda argv: argv[0])
+def test_rotor_constant_out_of_range_refused(argv, config, tmp_path, capsys):
+    # the power law's constant r_p*sqrt(2*pi*rho*N_p) overflows, underflows
+    # or has an infinite reciprocal: refused before anything is computed
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main([*argv, "--params", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "r_p, rho and N_p" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_control_period_longer_than_int64_steps_flies(tmp_path, capsys):
+    # 1/(1e-16 Hz * 0.5 ms) = 2e19 steps per control period
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text("f_ctrl = 1e-16\n")
+    assert main(["fly", "--mode", "static", "--beta", "30", "--duration", "1",
+                 "--params", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "n_samples: 1," in capsys.readouterr().out
+
+
 def test_params_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     cfg.write_text(params_to_text(SystemParams(m_p=1.2)))

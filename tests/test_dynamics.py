@@ -143,7 +143,8 @@ class TestTetherForce:
         g = vec3(0, 0, -p.g)
 
         def accelerations(pair):
-            pull_1, pull_2 = pair.F_1 * pair.r_hat_1, pair.F_2 * pair.r_hat_2
+            (F_1, r_hat_1), (F_2, r_hat_2) = pair
+            pull_1, pull_2 = F_1 * r_hat_1, F_2 * r_hat_2
             return np.concatenate([(pull_1 + pull_2) / p.m_p + g,
                                    (part(state, "T_act_1") - pull_1) / p.m_q + g,
                                    (part(state, "T_act_2") - pull_2) / p.m_q + g])
@@ -192,12 +193,12 @@ class TestTetherForce:
     def test_pairwise_evaluation(self):
         p = SystemParams()
         _, state, _ = build_equilibrium(DEG(60), 0.0, p)
-        pair = tether_forces(state, p)
-        assert pair.F_1 == pytest.approx(5.886, abs=1e-9)
-        assert pair.F_1 == pair.F_2
-        assert np.linalg.norm(pair.r_hat_1) == pytest.approx(1.0, abs=1e-9)
-        assert np.linalg.norm(pair.r_hat_2) == pytest.approx(1.0, abs=1e-9)
-        assert pair.F_1 >= 0.0 and pair.F_2 >= 0.0
+        (F_1, r_hat_1), (F_2, r_hat_2) = tether_forces(state, p)
+        assert F_1 == pytest.approx(5.886, abs=1e-9)
+        assert F_1 == F_2
+        assert np.linalg.norm(r_hat_1) == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(r_hat_2) == pytest.approx(1.0, abs=1e-9)
+        assert F_1 >= 0.0 and F_2 >= 0.0
 
 
 class TestDerivative:
@@ -467,8 +468,8 @@ class TestSimulate:
         traj = simulate(slack_state(p), lambda y, t: lift, lambda t: 0.0, p,
                         duration=0.5, output_decimation=5)
         for i in range(len(traj)):
-            pair = tether_forces(traj.states[i], p)
-            assert_allclose(traj.tether[i], [pair.F_1, pair.F_2], rtol=1e-12, atol=1e-9)
+            (F_1, _), (F_2, _) = tether_forces(traj.states[i], p)
+            assert_allclose(traj.tether[i], [F_1, F_2], rtol=1e-12, atol=1e-9)
         slack = np.stack([np.linalg.norm(traj.x_1 - traj.x_p, axis=1) < p.ell,
                           np.linalg.norm(traj.x_2 - traj.x_p, axis=1) < p.ell], axis=1)
         assert slack[0].all() and slack[-1].all() and not slack.all()
@@ -490,6 +491,30 @@ class TestSimulate:
         _, state, cmd = build_equilibrium(0.5, 0.0, p)
         with pytest.raises(error):
             simulate(state, lambda y, t: cmd, lambda t: 0.0, p, 0.2, output_decimation=dec)
+
+    @pytest.mark.parametrize("dec", [None, 7])
+    def test_control_period_longer_than_int64_steps(self, dec):
+        # 1/(f_ctrl * 0.5 ms) is 2e18 steps at 1e-15 Hz and 2e19, past int64,
+        # at 1e-16 Hz: a 0.05 s flight holds its first command throughout
+        # either way, and stores the same samples
+        lift = [0.0, 0.0, 2.0 * 0.7 * 9.81] * 2
+        trajs = [simulate(slack_state(p), lambda y, t: lift, lambda t: 0.0, p, 0.05,
+                          output_decimation=dec)
+                 for p in (SystemParams(f_ctrl=1e-15), SystemParams(f_ctrl=1e-16))]
+        assert len(trajs[0]) == (1 if dec is None else 15)
+        for name in ("t", "states", "commands"):
+            assert np.array_equal(getattr(trajs[0], name), getattr(trajs[1], name))
+
+    def test_decimation_longer_than_int64_steps(self):
+        # a 0.05 s flight is 100 steps: a decimation of 1e20 stores what one
+        # of 101 stores, the initial state alone
+        p = SystemParams()
+        lift = [0.0, 0.0, 2.0 * p.m_q * p.g] * 2
+        a, b = (simulate(slack_state(p), lambda y, t: lift, lambda t: 0.0, p, 0.05,
+                         output_decimation=dec) for dec in (10**20, 101))
+        assert len(a) == 1
+        for name in ("t", "states", "commands", "tether", "theta"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_zero_order_hold_alignment_required(self):
         # 1/(50*3e-4) = 66.67 steps per control period: refused when the

@@ -1,15 +1,27 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinlift.model import (ConfigError, ParamError, SystemParams, SystemState,
                             load_params, params_to_text)
 
 from flatstate import rotation_c_to_e
+
+# the rule on each SystemParams field, as its ParamError message states it
+FIELD_RULES = {
+    **dict.fromkeys(["m_q", "m_p", "ell", "r_p", "rho", "k_T", "tau_att",
+                     "dt_physics", "f_ctrl"], "a positive finite number"),
+    **dict.fromkeys(["g", "c_T", "c_d_quad", "c_d_payload"],
+                    "a nonnegative finite number"),
+    "N_p": "an integer >= 1",
+}
 
 
 class TestSystemParams:
@@ -34,16 +46,46 @@ class TestSystemParams:
         ("m_p", -1.0), ("ell", 0.0), ("r_p", 0.0), ("rho", 0.0),
         ("k_T", 0.0), ("c_T", -0.1), ("tau_att", 0.0),
         ("dt_physics", -1e-3), ("f_ctrl", 0.0), ("g", -9.81),
+        ("m_q", -0.7), ("c_d_quad", -0.05), ("c_d_payload", -0.02), ("N_p", 0),
+        ("m_q", math.nan), ("k_T", math.inf), ("f_ctrl", math.inf),
+        ("c_T", math.nan), ("g", math.inf), ("c_d_quad", math.inf),
+        ("c_d_payload", math.nan),
     ])
     def test_invariant_violations_name_the_field(self, field, value):
-        with pytest.raises(ParamError, match=field):
+        message = f"{field} must be {FIELD_RULES[field]}, got {value!r}"
+        with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
             SystemParams(**{field: value})
+
+    def test_drag_enabled_is_the_only_field_without_a_rule(self):
+        rules = {f.name: f.metadata["rule"] for f in dataclasses.fields(SystemParams)}
+        assert [name for name, rule in rules.items() if rule is None] == ["drag_enabled"]
+        assert {name: rule[0] for name, rule in rules.items() if rule} == FIELD_RULES
 
     def test_propeller_count_must_be_positive_integer(self):
         with pytest.raises(ParamError, match="N_p"):
             SystemParams(N_p=0)
         with pytest.raises(ParamError, match="N_p"):
             SystemParams(N_p=2.5)
+
+    @pytest.mark.parametrize("values", [
+        {"N_p": 10**400},                # the product overflows int -> float
+        {"N_p": 10**308}, {"rho": 1e308},  # the constant is inf
+        {"r_p": 1e-320},                 # its reciprocal is inf
+        {"r_p": 1e-300, "rho": 1e-300},  # the constant underflows to 0
+    ], ids=["N_p=1e400", "N_p=1e308", "rho=1e308", "r_p=1e-320", "r_p=rho=1e-300"])
+    def test_rotor_constant_out_of_range(self, values):
+        with pytest.raises(ParamError, match="^r_p, rho and N_p give the rotor"):
+            SystemParams(**values)
+
+    @given(r_p=st.floats(1e-3, 10.0), rho=st.floats(1e-3, 1e3), N_p=st.integers(1, 1000),
+           m_p=st.floats(0.48, 0.72), k_T=st.floats(1400.0, 2600.0),
+           tau_att=st.floats(0.04, 0.06))
+    def test_rotor_constant_accepts_physical_rotors(self, r_p, rho, N_p, m_p, k_T, tau_att):
+        # m_p, k_T and tau_att span the benchmark's seeded design-sweep draws
+        # (+-20%, +-30%, +-20% of the defaults), which must all be accepted
+        p = SystemParams(r_p=r_p, rho=rho, N_p=N_p, m_p=m_p, k_T=k_T, tau_att=tau_att)
+        assert p.rotor_constant == r_p * math.sqrt(2.0 * math.pi * rho * N_p)
+        assert SystemParams().rotor_constant == 0.1 * math.sqrt(2.0 * math.pi * 1.225 * 4)
 
     def test_stiff_tether_stability_guard(self):
         # limit = 2 / sqrt(k_T / m_red) = 0.02542 s at the default stiffness
