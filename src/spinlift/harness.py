@@ -115,10 +115,18 @@ def _omega_series(traj: Trajectory, origin: np.ndarray) -> np.ndarray:
 
 
 def run_scenario(spec: ScenarioSpec, params: SystemParams) -> tuple[Trajectory, RunSummary]:
-    """Execute one flight and meter it; an offset beyond ``ell`` is refused."""
+    """Execute one flight and meter it.
+
+    Refused with a ValueError: an offset beyond ``ell``, and a metering
+    window shorter than two control periods, which would meter an open-loop
+    flight on one stored sample.
+    """
     if abs(spec.perturb_payload) > params.ell:
         raise ValueError(f"perturb_payload must be within the tether length "
                          f"ell = {params.ell!r} m, got {spec.perturb_payload!r}")
+    if params.f_ctrl * spec.metering_window < 2.0:
+        raise ValueError(f"metering window {spec.metering_window!r} s holds fewer than two "
+                         f"control ticks at f_ctrl = {params.f_ctrl!r} Hz")
     rotating = spec.mode == "rotating"
     omega_target = eqm.omega_star(spec.beta, params) if rotating else 0.0
     profile = SpinProfile(omega_target=omega_target,

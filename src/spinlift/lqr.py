@@ -10,13 +10,19 @@ The regulator model lives in the rotating control frame C with state
 The operating point (s_bar, u_bar) is read from the
 :class:`~spinlift.model.EquilibriumSpec` that
 :func:`spinlift.equilibrium.build_equilibrium` made; this module does not
-rebuild any of its geometry. The earth-frame accelerations a_E come from the truth model's right-hand side
-(:mod:`spinlift.dynamics`) with two simplifications: commanded thrust is
-applied directly (the actuation lag is an inner-loop detail excluded from the
-design model) and drag is left out. They are mapped into the frame rotating
-at constant omega via
+rebuild any of its geometry. The earth-frame accelerations a_E come from the
+truth model's right-hand side (:mod:`spinlift.dynamics`), unilateral ropes
+included (taut at every design point), with two simplifications: commanded
+thrust is applied directly (the actuation lag is an inner-loop detail excluded
+from the design model) and drag is left out. They are mapped into the frame
+rotating at constant omega via
 
-    a_C = a_E - 2 w x v_C - w x (w x x_C),        w = omega_C * z_hat.
+    v_E = v_C + w x x_C,
+    a_C = a_E - 2 w x v_C - w x (w x x_C),        w = omega_C * z_hat,
+
+written out on Python floats as the nonzero terms of these cross products,
+around the compiled ``rhs``: a synthesis evaluates the model 49 times, and on
+3-vectors numpy's per-call overhead would cost twenty times the physics.
 
 A and B come from central finite differences of this model; the gain solves
 the continuous-time LQR problem with position-only state weights
@@ -79,23 +85,32 @@ class GainSet:
 
 
 def _c_frame_model(params: SystemParams):
-    """Control-frame dynamics f(s, u, omega_c) of the 18-state design model.
+    """Control-frame dynamics f(s, u, omega_c) of the 18-state design model:
+    sequences of 18 and 6 floats in, the 18-element derivative out.
 
     Evaluated at theta = 0 (frame axes aligned with E), which is general
     because the physics is invariant under rotation about the vertical axis.
+    The tests keep the model's numpy matrix form as a reference.
     """
     rhs, _ = _make_rhs(replace(params, drag_enabled=False))
+    no_command = (0.0,) * 6  # the lag rates are not part of the design model
 
     def f(s, u, omega_c: float) -> np.ndarray:
-        bodies = np.asarray(s, dtype=float).reshape(3, 2, 3)  # (p, 1, 2) x (x, v)
-        x_c, v_c = bodies[:, 0], bodies[:, 1]
-        W_t = np.array([[0.0, omega_c, 0.0], [-omega_c, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        v_e = v_c + x_c @ W_t  # earth-frame velocity v_C + w x x_C, one body per row
-        y = np.concatenate([np.stack([x_c, v_e], axis=1).ravel(),
-                            np.asarray(u, dtype=float)])
-        a_e = np.reshape(rhs(y.tolist(), (0.0,) * 6)[:18], (3, 2, 3))[:, 1]
-        a_c = a_e - 2.0 * v_c @ W_t - x_c @ W_t @ W_t
-        return np.stack([v_c, a_c], axis=1).ravel()
+        (xpx, xpy, xpz, vpx, vpy, vpz, x1x, x1y, x1z, v1x, v1y, v1z,
+         x2x, x2y, x2z, v2x, v2y, v2z) = s
+        w, mw = omega_c, -omega_c
+        # earth-frame velocities v_C + w x x_C; u stands in for the actual thrusts
+        a = rhs([xpx, xpy, xpz, vpx + xpy * mw, vpy + xpx * w, vpz,
+                 x1x, x1y, x1z, v1x + x1y * mw, v1y + x1x * w, v1z,
+                 x2x, x2y, x2z, v2x + x2y * mw, v2y + x2x * w, v2z, *u], no_command)
+        # a_C = a_E - 2 w x v_C - w x (w x x_C), per body
+        return np.array([
+            vpx, vpy, vpz,
+            a[3] - 2.0 * vpy * mw - xpx * w * mw, a[4] - 2.0 * vpx * w - xpy * mw * w, a[5],
+            v1x, v1y, v1z,
+            a[9] - 2.0 * v1y * mw - x1x * w * mw, a[10] - 2.0 * v1x * w - x1y * mw * w, a[11],
+            v2x, v2y, v2z,
+            a[15] - 2.0 * v2y * mw - x2x * w * mw, a[16] - 2.0 * v2x * w - x2y * mw * w, a[17]])
 
     return f
 
@@ -106,25 +121,26 @@ def linearize(eq: EquilibriumSpec, params: SystemParams) -> LinearModel:
     Refuses to linearize if the supplied point is not a fixed point of the
     model (residual above 1e-6).
     """
-    s_bar, u_bar = np.array(eq.s_bar), np.array(eq.u_bar)
     w = eq.omega_C
     f = _c_frame_model(params)
-    residual = float(np.linalg.norm(f(s_bar, u_bar, w)))
+    residual = float(np.linalg.norm(f(eq.s_bar, eq.u_bar, w)))
     if residual > _EQ_RESIDUAL_TOL:
         raise LinearizationError(
             f"operating point is not an equilibrium: derivative norm "
             f"{residual:.3e} exceeds {_EQ_RESIDUAL_TOL:.0e}")
 
-    z_bar = np.concatenate([s_bar, u_bar])
-    J = np.empty((N_STATE, N_STATE + N_INPUT))
+    step = _FD_STEP
+    z_bar = [*eq.s_bar, *eq.u_bar]
+    plus, minus = [], []
     for j in range(N_STATE + N_INPUT):
         zp = z_bar.copy()
         zm = z_bar.copy()
-        zp[j] += _FD_STEP
-        zm[j] -= _FD_STEP
-        J[:, j] = (f(zp[:N_STATE], zp[N_STATE:], w)
-                   - f(zm[:N_STATE], zm[N_STATE:], w)) / (2.0 * _FD_STEP)
-    return LinearModel(A=J[:, :N_STATE].copy(), B=J[:, N_STATE:].copy())
+        zp[j] += step
+        zm[j] -= step
+        plus.append(f(zp[:N_STATE], zp[N_STATE:], w))
+        minus.append(f(zm[:N_STATE], zm[N_STATE:], w))
+    J_t = (np.array(plus) - np.array(minus)) / (2.0 * step)  # row j: column j of J
+    return LinearModel(A=J_t[:N_STATE].T.copy(), B=J_t[N_STATE:].T.copy())
 
 
 def _spectral_abscissa(M: np.ndarray) -> float:

@@ -85,13 +85,19 @@ def test_rotor_constant_out_of_range_refused(argv, config, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_control_period_longer_than_int64_steps_flies(tmp_path, capsys):
-    # 1/(1e-16 Hz * 0.5 ms) = 2e19 steps per control period
+def test_control_period_longer_than_metering_window_refused(tmp_path, capsys):
+    # 1/(1e-16 Hz * 0.5 ms) = 2e19 steps per control period: the flight
+    # would run open loop and meter one sample (simulate's int64 path is
+    # tested in test_dynamics)
     cfg = tmp_path / "slow.cfg"
     cfg.write_text("f_ctrl = 1e-16\n")
+    out = tmp_path / "out"
     assert main(["fly", "--mode", "static", "--beta", "30", "--duration", "1",
-                 "--params", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert "n_samples: 1," in capsys.readouterr().out
+                 "--params", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "metering window 1.0 s holds fewer than two control ticks" in captured.err
+    assert "f_ctrl = 1e-16 Hz" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_params_file_round_trip(tmp_path, capsys):

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spinlift.dynamics import _make_rhs
 from spinlift.equilibrium import build_equilibrium, omega_star
 from spinlift import lqr
 from spinlift.lqr import (LinearizationError, SynthesisError, _c_frame_model,
@@ -21,6 +22,44 @@ DEG = math.radians
 
 def abscissa(M):
     return float(np.max(np.real(np.linalg.eigvals(M))))
+
+
+def reference_c_frame_model(params):
+    """The design model in numpy matrix form, W_t being the transpose of the
+    cross-product matrix of w = omega_c z_hat: the reference for the float
+    form of ``lqr._c_frame_model``."""
+    rhs, _ = _make_rhs(dataclasses.replace(params, drag_enabled=False))
+
+    def f(s, u, omega_c):
+        bodies = np.asarray(s, dtype=float).reshape(3, 2, 3)  # (p, 1, 2) x (x, v)
+        x_c, v_c = bodies[:, 0], bodies[:, 1]
+        W_t = np.array([[0.0, omega_c, 0.0], [-omega_c, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        v_e = v_c + x_c @ W_t  # earth-frame velocity v_C + w x x_C, one body per row
+        y = np.concatenate([np.stack([x_c, v_e], axis=1).ravel(),
+                            np.asarray(u, dtype=float)])
+        a_e = np.reshape(rhs(y.tolist(), (0.0,) * 6)[:18], (3, 2, 3))[:, 1]
+        a_c = a_e - 2.0 * v_c @ W_t - x_c @ W_t @ W_t
+        return np.stack([v_c, a_c], axis=1).ravel()
+
+    return f
+
+
+def reference_linearize(eq, params):
+    """``linearize`` over the numpy model, one Jacobian column at a time."""
+    s_bar, u_bar = np.array(eq.s_bar), np.array(eq.u_bar)
+    w = eq.omega_C
+    f = reference_c_frame_model(params)
+    if np.linalg.norm(f(s_bar, u_bar, w)) > lqr._EQ_RESIDUAL_TOL:
+        raise LinearizationError("operating point is not an equilibrium")
+    z_bar = np.concatenate([s_bar, u_bar])
+    J = np.empty((18, 24))
+    for j in range(24):
+        zp = z_bar.copy()
+        zm = z_bar.copy()
+        zp[j] += lqr._FD_STEP
+        zm[j] -= lqr._FD_STEP
+        J[:, j] = (f(zp[:18], zp[18:], w) - f(zm[:18], zm[18:], w)) / (2.0 * lqr._FD_STEP)
+    return J[:, :18].copy(), J[:, 18:].copy()
 
 
 class TestSolveCare:
@@ -144,6 +183,26 @@ class TestLinearize:
         r2 = remainder(5e-5)
         slope = math.log2(r1 / r2)
         assert slope >= 1.9
+
+    @given(beta_deg=st.floats(0.0, 89.0), spin=st.floats(0.0, 1.5),
+           m_p=st.floats(0.8, 1.2), k_T=st.floats(0.7, 1.3), tau_att=st.floats(0.8, 1.2))
+    @example(beta_deg=0.0, spin=0.0, m_p=1.0, k_T=1.0, tau_att=1.0)
+    @example(beta_deg=89.0, spin=1.5, m_p=1.2, k_T=0.7, tau_att=0.8)
+    def test_matches_numpy_reference_bitwise(self, beta_deg, spin, m_p, k_T, tau_att):
+        # m_p, k_T and tau_att are factors on the nominal values, the
+        # benchmark's parameter draws
+        params = SystemParams(m_p=m_p * P.m_p, k_T=k_T * P.k_T, tau_att=tau_att * P.tau_att)
+        beta = DEG(beta_deg)
+        spec, _, _ = build_equilibrium(beta, spin * omega_star(beta, params), params)
+        try:
+            A_ref, B_ref = reference_linearize(spec, params)
+        except LinearizationError:
+            with pytest.raises(LinearizationError):
+                linearize(spec, params)
+            return
+        model = linearize(spec, params)
+        assert model.A.tobytes() == A_ref.tobytes()
+        assert model.B.tobytes() == B_ref.tobytes()
 
 
 class TestSynthesize:
