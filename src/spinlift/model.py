@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import typing
 from dataclasses import dataclass, field, fields
+from itertools import islice
 
 __all__ = [
     "ParamError",
@@ -245,10 +246,24 @@ def default_thrust_limit(params: SystemParams) -> float:
     return 4.0 * params.m_q * params.g
 
 
+# Rows per block of table_text: about 2 MB of text at 28 full-precision cells.
+_BLOCK_ROWS = 4096
+
+
 def table_text(header: str, rows) -> str:
     """CSV text: header line plus one line per row, cells written with
     ``repr`` (full precision for Python floats), newline-terminated.
 
     Rows must hold Python numbers: under numpy 2 the ``repr`` of a numpy
-    scalar names its type (``np.float64(0.5)``)."""
-    return "\n".join([header, *(",".join(map(repr, row)) for row in rows), ""])
+    scalar names its type (``np.float64(0.5)``). ``rows`` is read once, one
+    block of ``_BLOCK_ROWS`` rows at a time, and each block's lines are
+    joined into one string before the next block is read: one block of line
+    strings is alive at a time, no list of every line exists, and the
+    returned text is the only full-size string (the block strings are alive
+    beside it only while they are joined into it)."""
+    rows = iter(rows)
+    blocks = [header]
+    while lines := [",".join(map(repr, row)) for row in islice(rows, _BLOCK_ROWS)]:
+        blocks.append("\n".join(lines))
+    blocks.append("")
+    return "\n".join(blocks)

@@ -17,7 +17,7 @@ from spinlift.dynamics import Trajectory, simulate, trajectory_to_csv
 from spinlift.equilibrium import (build_equilibrium, omega_star, sweep_beta,
                                   sweep_omega, sweep_to_csv)
 from spinlift.lqr import synthesize
-from spinlift.model import SystemParams, default_thrust_limit, table_text
+from spinlift.model import _BLOCK_ROWS, SystemParams, default_thrust_limit, table_text
 
 from flatstate import part, replaced, vec3
 
@@ -25,6 +25,7 @@ P = SystemParams()
 DEG = math.radians
 T_MAX = default_thrust_limit(P)
 SPECIAL = (-0.0, 5e-324, 1e300, 1.0 / 3.0, -1e-300, 0.1, 2.5, -7.0)
+B = _BLOCK_ROWS
 
 
 def reference_line(row):
@@ -94,6 +95,24 @@ def odd_trajectory():
 def test_table_text_layout():
     assert table_text("a,b", []) == "a,b\n"
     assert table_text("a,b", [[1.0, -0.0], [5e-324, 2]]) == "a,b\n1.0,-0.0\n5e-324,2\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+def test_table_text_block_edges(n):
+    # the last cell is the row index, so a block dropped, repeated or
+    # reordered at a boundary changes the text
+    rows = [[*(SPECIAL[(i + j) % len(SPECIAL)] for j in range(3)), float(i)] for i in range(n)]
+    expected = "\n".join(["a,b,c,i", *map(reference_line, rows), ""])
+    assert table_text("a,b,c,i", rows) == expected
+    assert table_text("a,b,c,i", (row for row in rows)) == expected
+
+
+def test_trajectory_csv_across_blocks():
+    n = 2 * B + 1
+    cells = np.resize(np.array(SPECIAL), n * 27).reshape(n, 27)
+    traj = Trajectory(t=np.arange(n) * 5e-4, states=cells[:, :24], commands=np.zeros((n, 6)),
+                      tether=cells[:, 25:27], theta=cells[:, 24])
+    assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
 
 
 def test_trajectory_csv_of_flight(flight):
