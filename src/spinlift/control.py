@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import Trajectory
 from .equilibrium import DEFAULT_PAYLOAD_POSITION, feedforward
 from .lqr import GainSet
-from .model import EquilibriumSpec, SystemParams, default_thrust_limit
+from .model import EquilibriumSpec, SystemParams, csv_line, default_thrust_limit, table_text
 
 __all__ = [
     "SpinProfile",
@@ -38,6 +38,13 @@ __all__ = [
     "control_step",
     "command_log_to_csv",
 ]
+
+
+def _check_durations(owner, names) -> None:
+    """ValueError unless each named field of ``owner`` is finite and nonnegative."""
+    for name in names:
+        if not 0.0 <= (value := getattr(owner, name)) < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,10 +66,7 @@ class SpinProfile:
     duration: float = field(init=False)   # [s] hover_end + t_ramp_down
 
     def __post_init__(self):
-        for name in ("omega_target", "t_ramp_up", "t_hover", "t_ramp_down"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        _check_durations(self, ("omega_target", "t_ramp_up", "t_hover", "t_ramp_down"))
         object.__setattr__(self, "hover_end", self.t_ramp_up + self.t_hover)
         object.__setattr__(self, "duration", self.hover_end + self.t_ramp_down)
 
@@ -185,29 +189,24 @@ def control_step(y, cfg: ControllerConfig, t: float) -> list:
     return command
 
 
-_LOG_HEADER = ("t,T_cmd_1_x,T_cmd_1_y,T_cmd_1_z,"
-               "T_cmd_2_x,T_cmd_2_y,T_cmd_2_z,saturated")
+_LOG_HEADER = "t,T_cmd_1_x,T_cmd_1_y,T_cmd_1_z,T_cmd_2_x,T_cmd_2_y,T_cmd_2_z,saturated"
 
 
 def command_log_to_csv(traj: Trajectory, T_max: float) -> str:
     """Command log aligned with trajectory samples; ``saturated`` flags ticks
     whose commanded magnitude sits at the saturation limit.
 
-    The text is :func:`model.table_text`'s. Every sample of a hold repeats
-    its command, so the seven command cells are written once per run of
-    bitwise-equal rows (``-0.0`` and ``0.0`` differ) and each line adds only
-    its time."""
+    Every sample of a hold repeats its command, so the seven command cells
+    are rendered once per run of bitwise-equal rows (``-0.0`` and ``0.0``
+    differ), and a generator feeds :func:`model.table_text` one line per
+    sample, its time and its hold's cells: no list of every line exists."""
     bits = traj.commands.view(np.int64)
     t = traj.t.tolist()
     changed = (bits[1:] != bits[:-1]).any(axis=1)
     starts = [0, *(np.flatnonzero(changed) + 1).tolist()] if t else []
-    rows = traj.commands[starts].tolist()
-    lines = [_LOG_HEADER]
-    for u, start, stop in zip(rows, starts, starts[1:] + [len(t)]):
-        n1 = math.hypot(u[0], u[1], u[2])
-        n2 = math.hypot(u[3], u[4], u[5])
-        saturated = n1 >= T_max - 1e-9 or n2 >= T_max - 1e-9
-        cells = ",".join(["", *map(repr, u), "1" if saturated else "0"])
-        lines += [repr(x) + cells for x in t[start:stop]]
-    lines.append("")
-    return "\n".join(lines)
+    limit = T_max - 1e-9
+    cells = ["," + csv_line([*u, int(math.hypot(*u[:3]) >= limit or math.hypot(*u[3:]) >= limit)])
+             for u in traj.commands[starts].tolist()]
+    lines = (repr(x) + hold for hold, start, stop in zip(cells, starts, starts[1:] + [len(t)])
+             for x in t[start:stop])
+    return table_text(_LOG_HEADER, lines)

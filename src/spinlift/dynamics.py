@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import _BLOCK_ROWS, STATE_DIM, SystemParams, SystemState, table_text
+from .model import _BLOCK_ROWS, STATE_DIM, SystemParams, SystemState, csv_line, table_text
 
 __all__ = [
     "DegenerateGeometryError",
@@ -402,13 +402,10 @@ _CSV_HEADER = (
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """Render the trajectory as CSV at full double precision (repr floats).
-
-    Rows reach :func:`model.table_text` one block at a time, each block's
-    columns stacked and turned into Python floats by one ``tolist``, so one
-    block of rows and of lines is alive at a time and the returned text is
-    the only full-size string."""
+    """Render the trajectory as CSV at full double precision: each block of
+    ``_BLOCK_ROWS`` rows is stacked and turned into Python floats by one
+    ``tolist``, and its :func:`model.csv_line` lines go to :func:`model.table_text`."""
     columns = (traj.t, traj.states, traj.tether, traj.theta)
     rows = (row for start in range(0, len(traj), _BLOCK_ROWS)
             for row in np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns]).tolist())
-    return table_text(_CSV_HEADER, rows)
+    return table_text(_CSV_HEADER, map(csv_line, rows))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import EquilibriumSpec, SystemParams, SystemState, table_text
+from .model import EquilibriumSpec, SystemParams, SystemState, csv_line, table_text
 
 __all__ = [
     "SingularityError",
@@ -215,6 +215,19 @@ class SweepResult:
     failures: list[tuple[float, str]]
 
 
+def _sweep(values, operating_point, params: SystemParams) -> SweepResult:
+    """The power model at each grid value's ``operating_point(v) = (beta,
+    omega_C)``; a ValueError is recorded as ``(float(v), message)``."""
+    reports, failures = [], []
+    for v in values:
+        try:
+            beta, w = operating_point(v)
+            reports.append(power(thrust_magnitude(beta, w, params), params, beta=beta, omega_c=w))
+        except ValueError as exc:
+            failures.append((float(v), str(exc)))
+    return SweepResult(reports=reports, failures=failures)
+
+
 def sweep_beta(beta_grid, mode: str, params: SystemParams) -> SweepResult:
     """Evaluate the power model over a tether-angle grid.
 
@@ -224,29 +237,15 @@ def sweep_beta(beta_grid, mode: str, params: SystemParams) -> SweepResult:
     """
     if mode not in ("static", "rotating_opt"):
         raise ValueError(f"mode must be 'static' or 'rotating_opt', got {mode!r}")
-    reports: list[PowerReport] = []
-    failures: list[tuple[float, str]] = []
-    for beta in beta_grid:
-        try:
-            w = 0.0 if mode == "static" else omega_star(beta, params)
-            T = thrust_magnitude(beta, w, params)
-            reports.append(power(T, params, beta=float(beta), omega_c=w))
-        except ValueError as exc:
-            failures.append((float(beta), str(exc)))
-    return SweepResult(reports=reports, failures=failures)
+    static = mode == "static"
+    return _sweep(beta_grid, lambda b: (float(b), 0.0 if static else omega_star(b, params)),
+                  params)
 
 
 def sweep_omega(beta: float, omega_grid, params: SystemParams) -> SweepResult:
-    """Evaluate the power model over a spin-rate grid at fixed tether angle."""
-    reports: list[PowerReport] = []
-    failures: list[tuple[float, str]] = []
-    for w in omega_grid:
-        try:
-            T = thrust_magnitude(beta, float(w), params)
-            reports.append(power(T, params, beta=float(beta), omega_c=float(w)))
-        except ValueError as exc:
-            failures.append((float(w), str(exc)))
-    return SweepResult(reports=reports, failures=failures)
+    """Evaluate the power model over a spin-rate grid at fixed tether angle;
+    points off the model's domain are recorded as failures."""
+    return _sweep(omega_grid, lambda w: (float(beta), float(w)), params)
 
 
 _SWEEP_HEADER = "beta_deg,omega_rad_s,T_vehicle_N,P_vehicle_W,P_total_W,tilt_deg,tension_N"
@@ -258,4 +257,4 @@ def sweep_to_csv(result: SweepResult, params: SystemParams) -> str:
              rep.P_total, math.degrees(tilt_angle(rep.beta, rep.omega_C, params)),
              tension_at_equilibrium(rep.beta, params))
             for rep in result.reports)
-    return table_text(_SWEEP_HEADER, rows)
+    return table_text(_SWEEP_HEADER, map(csv_line, rows))

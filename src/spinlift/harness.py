@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import equilibrium as eqm
-from .control import ControllerConfig, SpinProfile, control_step
+from .control import ControllerConfig, SpinProfile, _check_durations, control_step
 from .dynamics import IntegrationBlowupError, Trajectory, simulate
 from .lqr import LinearizationError, SynthesisError, synthesize
-from .model import SystemParams
+from .model import SystemParams, table_text
 from .svgplot import grouped_bar_chart, line_chart
 
 __all__ = [
@@ -72,10 +72,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.mode not in ("static", "rotating"):
             raise ValueError(f"mode must be 'static' or 'rotating', got {self.mode!r}")
-        for name in ("spin_up", "hover", "spin_down"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        _check_durations(self, ("spin_up", "hover", "spin_down"))
         if not math.isfinite(self.perturb_payload):
             raise ValueError(f"perturb_payload must be finite, got {self.perturb_payload!r}")
         if not 0.0 < self.metering_window <= self.hover:
@@ -236,15 +233,18 @@ _COMPARE_HEADER = ("beta_deg,P_static_mean_W,P_static_std_W,"
                    "P_rotating_mean_W,P_rotating_std_W,saving_frac,error")
 
 
+def _comparison_line(row: ComparisonRow) -> str:
+    numbers = (math.degrees(row.beta), row.static_mean, row.static_std,
+               row.rotating_mean, row.rotating_std, row.saving)
+    err = "; ".join(filter(None, [row.static_error, row.rotating_error]))
+    return ",".join([*("" if v is None else repr(float(v)) for v in numbers),
+                     f'"{err}"' if err else ""])
+
+
 def comparison_to_csv(table: ComparisonTable) -> str:
-    lines = [_COMPARE_HEADER]
-    for row in table.rows:
-        numbers = (math.degrees(row.beta), row.static_mean, row.static_std,
-                   row.rotating_mean, row.rotating_std, row.saving)
-        err = "; ".join(filter(None, [row.static_error, row.rotating_error]))
-        lines.append(",".join([*("" if v is None else repr(float(v)) for v in numbers),
-                               f'"{err}"' if err else ""]))
-    return "\n".join(lines) + "\n"
+    """``compare.csv``, by :func:`model.table_text`: per row its numbers, blank
+    where a flight failed, then its errors joined into one quoted cell."""
+    return table_text(_COMPARE_HEADER, map(_comparison_line, table.rows))
 
 
 def _power_series(label: str, result: eqm.SweepResult, x) -> tuple:

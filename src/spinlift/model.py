@@ -25,6 +25,7 @@ __all__ = [
     "SystemState",
     "load_params",
     "params_to_text",
+    "csv_line",
     "table_text",
 ]
 
@@ -48,7 +49,8 @@ def _finite_floats(values, size: int, name: str) -> tuple:
 # The rules on a SystemParams field: (message text, test of the value).
 _POSITIVE = ("a positive finite number",
              lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v > 0)
-_NONNEGATIVE = ("a nonnegative finite number", lambda v: math.isfinite(v) and v >= 0)
+_NONNEGATIVE = ("a nonnegative finite number",
+                lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v >= 0)
 _COUNT = ("an integer >= 1", lambda v: isinstance(v, int) and v >= 1)
 
 
@@ -246,24 +248,26 @@ def default_thrust_limit(params: SystemParams) -> float:
     return 4.0 * params.m_q * params.g
 
 
-# Rows per block of table_text: about 2 MB of text at 28 full-precision cells.
+# Lines per block of table_text: about 2 MB of text at 28 full-precision cells.
 _BLOCK_ROWS = 4096
 
 
-def table_text(header: str, rows) -> str:
-    """CSV text: header line plus one line per row, cells written with
-    ``repr`` (full precision for Python floats), newline-terminated.
+def csv_line(row) -> str:
+    """One CSV line of Python numbers, each cell its ``repr`` (full precision;
+    under numpy 2 a numpy scalar's ``repr`` names its type)."""
+    return ",".join(map(repr, row))
 
-    Rows must hold Python numbers: under numpy 2 the ``repr`` of a numpy
-    scalar names its type (``np.float64(0.5)``). ``rows`` is read once, one
-    block of ``_BLOCK_ROWS`` rows at a time, and each block's lines are
-    joined into one string before the next block is read: one block of line
-    strings is alive at a time, no list of every line exists, and the
-    returned text is the only full-size string (the block strings are alive
-    beside it only while they are joined into it)."""
-    rows = iter(rows)
+
+def table_text(header: str, lines) -> str:
+    """The text of every CSV table: the header line, then ``lines`` (strings
+    without their newline, most often :func:`csv_line` of a row),
+    newline-terminated. ``lines`` is read once, one block of
+    ``_BLOCK_ROWS`` at a time, each block joined into one string before the
+    next is read: no list of every line exists, and the returned text is the
+    only full-size string."""
+    lines = iter(lines)
     blocks = [header]
-    while lines := [",".join(map(repr, row)) for row in islice(rows, _BLOCK_ROWS)]:
-        blocks.append("\n".join(lines))
+    while block := list(islice(lines, _BLOCK_ROWS)):
+        blocks.append("\n".join(block))
     blocks.append("")
     return "\n".join(blocks)

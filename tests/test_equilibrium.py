@@ -256,6 +256,21 @@ class TestSweeps:
         assert len(result.failures) == 1
         assert result.failures[0][0] == pytest.approx(DEG(95))
 
+    def test_omega_failures_recorded_and_sweep_continues(self):
+        # negative rates fail with their grid value and message; the others fly
+        result = sweep_omega(DEG(60), np.array([-1.0, 0.0, -0.5, 2.0]), P)
+        assert [r.omega_C for r in result.reports] == [0.0, 2.0]
+        assert [v for v, _ in result.failures] == [-1.0, -0.5]
+        assert all(type(v) is float for v, _ in result.failures)
+        for value, message in result.failures:
+            assert message == ("omega_C must be finite and nonnegative, with a finite "
+                               f"centripetal force m_q * omega_C^2 * length; got {value}")
+        # beyond 90 deg every point fails, each with the singularity message
+        singular = sweep_omega(DEG(95), [0.0, 1.0, 6.0], P)
+        assert not singular.reports
+        assert [v for v, _ in singular.failures] == [0.0, 1.0, 6.0]
+        assert all(m.startswith("beta must be in [0, 90) deg") for _, m in singular.failures)
+
     def test_omega_minimum_at_optimal_rate(self):
         for beta_deg in (30, 45, 60):
             beta = DEG(beta_deg)

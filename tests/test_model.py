@@ -50,6 +50,7 @@ class TestSystemParams:
         ("m_q", math.nan), ("k_T", math.inf), ("f_ctrl", math.inf),
         ("c_T", math.nan), ("g", math.inf), ("c_d_quad", math.inf),
         ("c_d_payload", math.nan),
+        *((name, "1") for name in FIELD_RULES),  # not a number at all
     ])
     def test_invariant_violations_name_the_field(self, field, value):
         message = f"{field} must be {FIELD_RULES[field]}, got {value!r}"

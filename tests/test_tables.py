@@ -10,14 +10,16 @@ import math
 import numpy as np
 import pytest
 
-from spinlift import dynamics, equilibrium
+from spinlift import dynamics, equilibrium, harness
 from spinlift.control import (ControllerConfig, SpinProfile, _LOG_HEADER,
                               command_log_to_csv, control_step)
 from spinlift.dynamics import Trajectory, simulate, trajectory_to_csv
 from spinlift.equilibrium import (build_equilibrium, omega_star, sweep_beta,
                                   sweep_omega, sweep_to_csv)
+from spinlift.harness import ComparisonRow, ComparisonTable, comparison_to_csv
 from spinlift.lqr import synthesize
-from spinlift.model import _BLOCK_ROWS, SystemParams, default_thrust_limit, table_text
+from spinlift.model import (_BLOCK_ROWS, SystemParams, csv_line, default_thrust_limit,
+                            table_text)
 
 from flatstate import part, replaced, vec3
 
@@ -62,6 +64,19 @@ def reference_sweep_csv(result, params):
     return "\n".join(lines) + "\n"
 
 
+def reference_comparison_csv(table):
+    lines = [harness._COMPARE_HEADER]
+    for row in table.rows:
+        cells = [repr(float(math.degrees(row.beta)))]
+        for v in (row.static_mean, row.static_std, row.rotating_mean, row.rotating_std,
+                  row.saving):
+            cells.append("" if v is None else repr(float(v)))
+        errors = [e for e in (row.static_error, row.rotating_error) if e]
+        cells.append('"' + "; ".join(errors) + '"' if errors else "")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="module")
 def flight():
     """0.1 s of closed-loop rotating flight at 45 deg, every step stored,
@@ -94,7 +109,8 @@ def odd_trajectory():
 
 def test_table_text_layout():
     assert table_text("a,b", []) == "a,b\n"
-    assert table_text("a,b", [[1.0, -0.0], [5e-324, 2]]) == "a,b\n1.0,-0.0\n5e-324,2\n"
+    assert table_text("a,b", map(csv_line, [[1.0, -0.0], [5e-324, 2]])) == \
+        "a,b\n1.0,-0.0\n5e-324,2\n"
 
 
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
@@ -103,8 +119,8 @@ def test_table_text_block_edges(n):
     # reordered at a boundary changes the text
     rows = [[*(SPECIAL[(i + j) % len(SPECIAL)] for j in range(3)), float(i)] for i in range(n)]
     expected = "\n".join(["a,b,c,i", *map(reference_line, rows), ""])
-    assert table_text("a,b,c,i", rows) == expected
-    assert table_text("a,b,c,i", (row for row in rows)) == expected
+    assert table_text("a,b,c,i", [csv_line(row) for row in rows]) == expected
+    assert table_text("a,b,c,i", map(csv_line, rows)) == expected
 
 
 def test_trajectory_csv_across_blocks():
@@ -159,3 +175,24 @@ def test_sweep_csv():
     for result in results:
         assert sweep_to_csv(result, P) == reference_sweep_csv(result, P)
 
+
+
+def test_comparison_csv():
+    # no flights: one row of each kind the writer knows, with edge values
+    both_failed = "beta must be in [0, 90) deg"
+    table = ComparisonTable(rows=[
+        ComparisonRow(beta=DEG(30.0), static_mean=113.2, static_std=-0.0, rotating_mean=1.0 / 3.0,
+                      rotating_std=5e-324, saving=1e300),
+        ComparisonRow(beta=DEG(60.0), static_mean=132.5, static_std=1e-14, rotating_mean=None,
+                      rotating_std=None, saving=None, rotating_error="integration blew up"),
+        ComparisonRow(beta=DEG(95.0), static_mean=None, static_std=None, rotating_mean=None,
+                      rotating_std=None, saving=None, static_error=both_failed,
+                      rotating_error=both_failed),
+    ])
+    text = comparison_to_csv(table)
+    assert text == reference_comparison_csv(table)
+    lines = text.split("\n")
+    assert lines[0] == harness._COMPARE_HEADER and lines[-1] == ""
+    assert lines[2].endswith(',1e-14,,,,"integration blew up"')
+    assert lines[3].endswith(f',,,,,,"{both_failed}; {both_failed}"')
+    assert comparison_to_csv(ComparisonTable(rows=[])) == harness._COMPARE_HEADER + "\n"
