@@ -19,8 +19,10 @@ is scalar Python: a stepper that integrates a whole control hold in one call
 with every RK4 stage held in local variables, appending each stored sample's
 24 floats to a flat buffer inside its loop. Its derivative block (tether
 laws, drag, accelerations, lag rates) is written once, as a source template,
-and instantiated inline in each RK4 stage; the source is compiled once, at
-import, and :func:`_make_rhs` binds parameters to it. :func:`simulate` makes
+and instantiated inline in each RK4 stage. The template is expanded into two
+steppers, one with drag and one without drag terms, each compiled once per
+process, when it is first needed; :func:`_make_rhs` picks one by
+``drag_enabled`` and binds parameters to it. :func:`simulate` makes
 one stepper call per hold, whatever the output decimation, and builds the
 trajectory's arrays once at the end: states from the buffer, commands from
 the per-tick command buffer, and the tether-tension column with one array
@@ -29,9 +31,11 @@ evaluation of :func:`tether_force` over all samples.
 
 from __future__ import annotations
 
+import functools
 import linecache
 import math
 import operator
+import re
 import textwrap
 from array import array
 from dataclasses import dataclass
@@ -113,9 +117,11 @@ _RATE = ("vpx vpy vpz apx apy apz v1x v1y v1z a1x a1y a1z "
          "v2x v2y v2z a2x a2y a2z dT1x dT1y dT1z dT2x dT2y dT2z").split()
 
 # The derivative at the state whose names end in {s}: both tether laws (the
-# law of tether_force, written out), drag, the nine body accelerations a*{s}
-# and the six lag rates dT*{s} under the held command u*. Instantiated once
-# per RK4 stage of advance and once for rhs.
+# law of tether_force, written out) and their pulls f1*, f2* (F_i * r_hat_i,
+# each computed once), the drag forces fd* in {drag}, the nine body
+# accelerations a*{s} and the six lag rates dT*{s} under the held command u*.
+# Instantiated once per RK4 stage of advance and once for rhs, in one stepper
+# with drag and one without (see _derivative).
 _DERIVATIVE = """\
 r1x = x1x{s} - xpx{s}
 r1y = x1y{s} - xpy{s}
@@ -131,6 +137,9 @@ rate1 = (v1x{s} - vpx{s}) * h1x + (v1y{s} - vpy{s}) * h1y + (v1z{s} - vpz{s}) * 
 F1 = k_T * (d1 - ell) + c_T * rate1
 if d1 < ell or F1 < 0.0:
     F1 = 0.0
+f1x = F1 * h1x
+f1y = F1 * h1y
+f1z = F1 * h1z
 
 r2x = x2x{s} - xpx{s}
 r2y = x2y{s} - xpy{s}
@@ -146,26 +155,19 @@ rate2 = (v2x{s} - vpx{s}) * h2x + (v2y{s} - vpy{s}) * h2y + (v2z{s} - vpz{s}) * 
 F2 = k_T * (d2 - ell) + c_T * rate2
 if d2 < ell or F2 < 0.0:
     F2 = 0.0
-
-if drag:
-    s1 = -c_dq * sqrt(v1x{s} * v1x{s} + v1y{s} * v1y{s} + v1z{s} * v1z{s})
-    fd1x, fd1y, fd1z = s1 * v1x{s}, s1 * v1y{s}, s1 * v1z{s}
-    s2 = -c_dq * sqrt(v2x{s} * v2x{s} + v2y{s} * v2y{s} + v2z{s} * v2z{s})
-    fd2x, fd2y, fd2z = s2 * v2x{s}, s2 * v2y{s}, s2 * v2z{s}
-    sp = -c_dp * sqrt(vpx{s} * vpx{s} + vpy{s} * vpy{s} + vpz{s} * vpz{s})
-    fdpx, fdpy, fdpz = sp * vpx{s}, sp * vpy{s}, sp * vpz{s}
-else:
-    fd1x = fd1y = fd1z = fd2x = fd2y = fd2z = fdpx = fdpy = fdpz = 0.0
-
-apx{s} = (fdpx + F1 * h1x + F2 * h2x) * inv_mp
-apy{s} = (fdpy + F1 * h1y + F2 * h2y) * inv_mp
-apz{s} = (fdpz + F1 * h1z + F2 * h2z) * inv_mp - g
-a1x{s} = (T1x{s} + fd1x - F1 * h1x) * inv_mq
-a1y{s} = (T1y{s} + fd1y - F1 * h1y) * inv_mq
-a1z{s} = (T1z{s} + fd1z - F1 * h1z) * inv_mq - g
-a2x{s} = (T2x{s} + fd2x - F2 * h2x) * inv_mq
-a2y{s} = (T2y{s} + fd2y - F2 * h2y) * inv_mq
-a2z{s} = (T2z{s} + fd2z - F2 * h2z) * inv_mq - g
+f2x = F2 * h2x
+f2y = F2 * h2y
+f2z = F2 * h2z
+{drag}
+apx{s} = (fdpx + f1x + f2x) * inv_mp
+apy{s} = (fdpy + f1y + f2y) * inv_mp
+apz{s} = (fdpz + f1z + f2z) * inv_mp - g
+a1x{s} = (T1x{s} + fd1x - f1x) * inv_mq
+a1y{s} = (T1y{s} + fd1y - f1y) * inv_mq
+a1z{s} = (T1z{s} + fd1z - f1z) * inv_mq - g
+a2x{s} = (T2x{s} + fd2x - f2x) * inv_mq
+a2y{s} = (T2y{s} + fd2y - f2y) * inv_mq
+a2z{s} = (T2z{s} + fd2z - f2z) * inv_mq - g
 dT1x{s} = (u1x - T1x{s}) * inv_tau
 dT1y{s} = (u1y - T1y{s}) * inv_tau
 dT1z{s} = (u1z - T1z{s}) * inv_tau
@@ -174,15 +176,34 @@ dT2y{s} = (u2y - T2y{s}) * inv_tau
 dT2z{s} = (u2z - T2z{s}) * inv_tau
 """
 
+# The velocity-squared drag forces fd* of the three bodies.
+_DRAG = """\
+s1 = -c_dq * sqrt(v1x{s} * v1x{s} + v1y{s} * v1y{s} + v1z{s} * v1z{s})
+fd1x, fd1y, fd1z = s1 * v1x{s}, s1 * v1y{s}, s1 * v1z{s}
+s2 = -c_dq * sqrt(v2x{s} * v2x{s} + v2y{s} * v2y{s} + v2z{s} * v2z{s})
+fd2x, fd2y, fd2z = s2 * v2x{s}, s2 * v2y{s}, s2 * v2z{s}
+sp = -c_dp * sqrt(vpx{s} * vpx{s} + vpy{s} * vpy{s} + vpz{s} * vpz{s})
+fdpx, fdpy, fdpz = sp * vpx{s}, sp * vpy{s}, sp * vpz{s}
+"""
+
+
+def _derivative(s: str, drag: bool) -> str:
+    """The derivative block at the state names suffixed ``s``. Without drag
+    it has no drag block and no drag term ``fd*`` in its sums."""
+    if drag:
+        return _DERIVATIVE.format(s=s, drag=_DRAG.format(s=s))
+    return re.sub(r"fd\w+ \+ | \+ fd\w+", "", _DERIVATIVE.format(s=s, drag=""))
+
+
 # rhs and advance over the parameters bound by _make_rhs. In advance, stage
 # k = 2, 3, 4 evaluates the derivative at y + c_k * dt * (stage k-1
 # derivative), with its state names suffixed _k (stage 1 is y itself); the
 # update y + dt/6 * (k1 + 2 (k2 + k3) + k4) then runs in layout order, so each
 # position is updated while its velocity still holds the stage-1 value. Given
 # a buffer out, advance appends the state after every global step that is a
-# multiple of dec.
+# multiple of dec; store is the index i of the next such step (-1 without out).
 _STEPPER = """\
-def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, drag, c_dq, c_dp):
+def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
     def rhs(y, u):
         {state} = y
         u1x, u1y, u1z, u2x, u2y, u2z = u
@@ -194,33 +215,37 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, drag, c_dq, c_dp):
         u1x, u1y, u1z, u2x, u2y, u2z = u
         half = 0.5 * dt
         sixth = dt / 6.0
+        store = (i_first + dec) // dec * dec - 1 if out is not None else -1
         for i in range(i_first, i_first + n):
 {stages}
             if not isfinite({state_sum}):
                 raise IntegrationBlowupError((i + 1) * dt)
-            if out is not None and (i + 1) % dec == 0:
+            if i == store:
                 out.extend(({state}))
+                store += dec
         return [{state}]
 
     return rhs, advance
 """
 
 
-def _compile_stepper():
-    """Expand the stepper template and compile it; return its ``bind``
-    factory."""
-    stages = [_DERIVATIVE.format(s="")]
+@functools.cache
+def _compile_stepper(drag: bool):
+    """Expand the stepper template with or without drag and compile it;
+    return its ``bind`` factory. Cached: each stepper is compiled once per
+    process, and only if a flight or design model needs it."""
+    stages = [_derivative("", drag)]
     for k, step in ((2, "half"), (3, "half"), (4, "dt")):
         prev = "" if k == 2 else f"_{k - 1}"
         stages += [f"{q}_{k} = {q} + {step} * {r}{prev}\n" for q, r in zip(_STATE, _RATE)]
-        stages.append(_DERIVATIVE.format(s=f"_{k}"))
+        stages.append(_derivative(f"_{k}", drag))
     stages += [f"{q} += sixth * ({r} + 2.0 * ({r}_2 + {r}_3) + {r}_4)\n"
                for q, r in zip(_STATE, _RATE)]
     source = _STEPPER.format(
         state=", ".join(_STATE), rate=", ".join(_RATE), state_sum=" + ".join(_STATE),
-        rhs_derivative=textwrap.indent(_DERIVATIVE.format(s=""), " " * 8),
+        rhs_derivative=textwrap.indent(_derivative("", drag), " " * 8),
         stages=textwrap.indent("".join(stages), " " * 12))
-    filename = "<spinlift.dynamics stepper>"
+    filename = f"<spinlift.dynamics stepper, drag {'on' if drag else 'off'}>"
     # registered so that tracebacks through rhs and advance show their lines
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
@@ -229,9 +254,6 @@ def _compile_stepper():
                  "IntegrationBlowupError": IntegrationBlowupError}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["bind"]
-
-
-_bind_stepper = _compile_stepper()
 
 
 def _make_rhs(params: SystemParams):
@@ -254,25 +276,32 @@ def _make_rhs(params: SystemParams):
       result is not finite (one left-to-right sum of the 24 scalars, the
       order of the builtin ``sum``).
 
-    Both are closures over the parameters, as floats, of code compiled
-    once, at import, from the source template ``_DERIVATIVE``: the
-    derivative block (both tether laws, drag, the nine body accelerations and
-    the lag rates) written out inline in each of the four RK4 stages and in
-    ``rhs``. Inline, a physics step calls only ``sqrt`` and ``isfinite``,
-    where a shared acceleration function would cost four calls of 24
-    arguments and a 9-tuple return per step. The tether law is the one of
-    :func:`tether_force`, kept as a second copy for speed; a property test
-    keeps the two in agreement. This function compiles nothing, so every
-    call (``lqr.linearize`` makes one per synthesis) only binds parameters.
+    Both are closures over the parameters, as floats, of one of two
+    steppers compiled from the source template ``_DERIVATIVE``: the
+    derivative block (both tether laws, drag, the nine body accelerations
+    and the lag rates) written out inline in each of the four RK4 stages
+    and in ``rhs``. ``params.drag_enabled`` picks the stepper,
+    so neither branches on it: the one with drag adds the drag forces first
+    in each acceleration sum, the one without has no drag terms at all. The
+    only arithmetic difference this makes is the sign of a zero: with
+    drag off, an acceleration sum that comes to -0.0 (all its terms zero,
+    such as both pulls of slack ropes) keeps that sign, where adding a
+    0.0 drag force would make it +0.0. Inline, a physics step calls only
+    ``sqrt`` and ``isfinite``, where a shared acceleration function would
+    cost four calls of 24 arguments and a 9-tuple return per step. The
+    tether law is the one of :func:`tether_force`, kept as a second copy for
+    speed; a property test keeps the two in agreement. Each stepper is
+    compiled on its first use and then reused, so every later call
+    (``lqr.linearize`` makes one per synthesis) only binds parameters.
 
     The tension column of a :class:`Trajectory` is not taken from here:
     :func:`simulate` evaluates :func:`tether_force` once over all samples
     after the run.
     """
-    return _bind_stepper(ell=params.ell, g=params.g, k_T=params.k_T, c_T=params.c_T,
-                         inv_tau=1.0 / params.tau_att, inv_mq=1.0 / params.m_q,
-                         inv_mp=1.0 / params.m_p, drag=params.drag_enabled,
-                         c_dq=params.c_d_quad, c_dp=params.c_d_payload)
+    return _compile_stepper(params.drag_enabled)(
+        ell=params.ell, g=params.g, k_T=params.k_T, c_T=params.c_T,
+        inv_tau=1.0 / params.tau_att, inv_mq=1.0 / params.m_q, inv_mp=1.0 / params.m_p,
+        c_dq=params.c_d_quad, c_dp=params.c_d_payload)
 
 
 @dataclass(frozen=True, eq=False)

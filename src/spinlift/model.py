@@ -46,15 +46,23 @@ def _finite_floats(values, size: int, name: str) -> tuple:
     return values
 
 
+def _finite_number(v) -> bool:
+    """Whether ``v`` is an int or float with a finite float value (an int
+    beyond float range is not)."""
+    try:
+        return isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 # The rules on a SystemParams field: (message text, test of the value).
-_POSITIVE = ("a positive finite number",
-             lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v > 0)
-_NONNEGATIVE = ("a nonnegative finite number",
-                lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v >= 0)
+_POSITIVE = ("a positive finite number", lambda v: _finite_number(v) and v > 0)
+_NONNEGATIVE = ("a nonnegative finite number", lambda v: _finite_number(v) and v >= 0)
 _COUNT = ("an integer >= 1", lambda v: isinstance(v, int) and v >= 1)
+_BOOL = ("a bool", lambda v: isinstance(v, bool))
 
 
-def _param(default, doc: str, rule: tuple | None = None):
+def _param(default, doc: str, rule: tuple):
     """A SystemParams field: its default, its one-line config doc (SI units)
     and its rule."""
     return field(default=default, metadata={"doc": doc, "rule": rule})
@@ -79,7 +87,7 @@ class SystemParams:
     k_T: float = _param(2000.0, "tether stiffness [N/m]", _POSITIVE)
     c_T: float = _param(10.0, "tether damping [N*s/m]", _NONNEGATIVE)
     tau_att: float = _param(0.05, "thrust-direction lag time constant [s]", _POSITIVE)
-    drag_enabled: bool = _param(False, "quadratic drag toggle (true/false)")
+    drag_enabled: bool = _param(False, "quadratic drag toggle (true/false)", _BOOL)
     c_d_quad: float = _param(0.05, "vehicle drag coefficient [N*s^2/m^2]", _NONNEGATIVE)
     c_d_payload: float = _param(0.02, "payload drag coefficient [N*s^2/m^2]", _NONNEGATIVE)
     dt_physics: float = _param(5e-4, "integration step [s]", _POSITIVE)
@@ -88,7 +96,7 @@ class SystemParams:
     def __post_init__(self):
         for f in fields(self):
             value, rule = getattr(self, f.name), f.metadata["rule"]
-            if rule is not None and not rule[1](value):
+            if not rule[1](value):
                 raise ParamError(f"{f.name} must be {rule[0]}, got {value!r}")
         try:
             rotor = self.rotor_constant

@@ -65,6 +65,56 @@ def near_formation_states(draw):
                       T_act_1=vec(-5.0, 20.0), T_act_2=vec(-5.0, 20.0))
 
 
+def reference_rhs(y, u, params):
+    """The module docstring's equations of motion on plain floats, one body
+    at a time, in the stepper's operation order: each pull F_i * r_hat_i
+    once, accelerations as force sums times the reciprocal mass, and the
+    drag force first in each sum only when drag_enabled is set. The
+    coincident-body check is left out."""
+    x_p, v_p = y[0:3], y[3:6]
+    pulls = []
+    for x_i, v_i in ((y[6:9], y[9:12]), (y[12:15], y[15:18])):
+        r = [a - b for a, b in zip(x_i, x_p)]
+        d = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
+        inv_d = 1.0 / d
+        h = [c * inv_d for c in r]
+        rate = ((v_i[0] - v_p[0]) * h[0] + (v_i[1] - v_p[1]) * h[1]
+                + (v_i[2] - v_p[2]) * h[2])
+        F = params.k_T * (d - params.ell) + params.c_T * rate
+        if d < params.ell or F < 0.0:
+            F = 0.0
+        pulls.append([F * c for c in h])
+    f_1, f_2 = pulls
+    T_1, T_2 = y[18:21], y[21:24]
+    if params.drag_enabled:
+        def drag(c_d, v):
+            s = -c_d * math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+            return [s * c for c in v]
+
+        fd_p, fd_1, fd_2 = (drag(params.c_d_payload, v_p), drag(params.c_d_quad, y[9:12]),
+                            drag(params.c_d_quad, y[15:18]))
+        payload = [fd_p[k] + f_1[k] + f_2[k] for k in range(3)]
+        vehicle_1 = [T_1[k] + fd_1[k] - f_1[k] for k in range(3)]
+        vehicle_2 = [T_2[k] + fd_2[k] - f_2[k] for k in range(3)]
+    else:
+        payload = [f_1[k] + f_2[k] for k in range(3)]
+        vehicle_1 = [T_1[k] - f_1[k] for k in range(3)]
+        vehicle_2 = [T_2[k] - f_2[k] for k in range(3)]
+    inv_mp, inv_mq, inv_tau = 1.0 / params.m_p, 1.0 / params.m_q, 1.0 / params.tau_att
+    a_p = [c * inv_mp for c in payload]
+    a_1 = [c * inv_mq for c in vehicle_1]
+    a_2 = [c * inv_mq for c in vehicle_2]
+    for a in (a_p, a_1, a_2):
+        a[2] -= params.g
+    lag = [(c - T) * inv_tau for c, T in zip(u, y[18:24])]
+    return [*v_p, *a_p, *y[9:12], *a_1, *y[15:18], *a_2, *lag]
+
+
+def bits(values):
+    """Each float's exact bits, the sign of zero included."""
+    return [float.hex(v) for v in values]
+
+
 def rk4_reference(rhs, y, u, dt):
     """Textbook RK4 over the flat right-hand side: the arithmetic the fused
     stepper in simulate must reproduce bit for bit."""
@@ -137,25 +187,56 @@ class TestTetherForce:
 
     @given(state=near_formation_states())
     def test_rhs_copy_matches_tether_forces(self, state):
-        # the integrator's inline tether law, and the design model built on
-        # it, agree with tether_forces on taut and slack tethers alike
-        p = SystemParams()
-        g = vec3(0, 0, -p.g)
-
-        def accelerations(pair):
+        # the inline tether law of both steppers, and the design model built
+        # on it, agree with tether_forces on taut and slack tethers alike
+        def accelerations(pair, p):
             (F_1, r_hat_1), (F_2, r_hat_2) = pair
             pull_1, pull_2 = F_1 * r_hat_1, F_2 * r_hat_2
+            g = vec3(0, 0, -p.g)
             return np.concatenate([(pull_1 + pull_2) / p.m_p + g,
                                    (part(state, "T_act_1") - pull_1) / p.m_q + g,
                                    (part(state, "T_act_2") - pull_2) / p.m_q + g])
 
+        def drag_accelerations(p):
+            def drag(c_d, v):
+                return -c_d * np.linalg.norm(v) * v
+
+            return np.concatenate([drag(p.c_d_payload, part(state, "v_p")) / p.m_p,
+                                   drag(p.c_d_quad, part(state, "v_1")) / p.m_q,
+                                   drag(p.c_d_quad, part(state, "v_2")) / p.m_q])
+
         accel = [3, 4, 5, 9, 10, 11, 15, 16, 17]
-        d = rhs_at(state, zero_cmd(), p)
-        assert_allclose(d[accel], accelerations(tether_forces(state, p)),
-                        rtol=1e-12, atol=1e-12)
-        d_c = _c_frame_model(p)(state[:18], state[18:], 0.0)
-        assert_allclose(d_c[accel], accelerations(tether_forces(state, p)),
-                        rtol=1e-12, atol=1e-12)
+        for drag in (False, True):
+            p = SystemParams(drag_enabled=drag)
+            tether_only = accelerations(tether_forces(state, p), p)
+            expected = tether_only + drag_accelerations(p) if drag else tether_only
+            d = rhs_at(state, zero_cmd(), p)
+            assert_allclose(d[accel], expected, rtol=1e-12, atol=1e-12)
+            # the design model leaves drag out
+            d_c = _c_frame_model(p)(state[:18], state[18:], 0.0)
+            assert_allclose(d_c[accel], tether_only, rtol=1e-12, atol=1e-12)
+
+    @given(state=near_formation_states(),
+           u=st.lists(st.floats(-5.0, 20.0), min_size=6, max_size=6))
+    def test_rhs_matches_reference_bitwise(self, state, u):
+        # each stepper's rhs is the reference's arithmetic, sign of zero included
+        for drag in (False, True):
+            p = SystemParams(drag_enabled=drag)
+            rhs, _ = _make_rhs(p)
+            assert bits(rhs(list(state), u)) == bits(reference_rhs(list(state), u, p))
+
+    @pytest.mark.parametrize("drag", [False, True])
+    def test_slack_ropes_keep_negative_zero(self, drag):
+        # both ropes slack below the payload pull -0.0 along x, and vehicle 1
+        # holds a -0.0 thrust along y against a +0.0 pull: both sums stay
+        # -0.0, with drag off because no drag term is added and with drag on
+        # because bodies at rest feel a -0.0 drag force
+        p = SystemParams(drag_enabled=drag)
+        state = replaced(slack_state(p), x_1=ORIGIN + vec3(-0.3, 0.0, -0.4),
+                         x_2=ORIGIN + vec3(-0.2, 0.0, -0.4), T_act_1=vec3(0.0, -0.0, 0.0))
+        d = rhs_at(state, zero_cmd(), p).tolist()
+        assert bits(d) == bits(reference_rhs(list(state), zero_cmd(), p))
+        assert bits([d[3], d[10]]) == bits([-0.0, -0.0])
 
     def test_stacked_vectors(self):
         # (3,) input keeps the scalar contract; (n, 3) gives one force per row
@@ -312,16 +393,33 @@ class TestStep:
         assert excinfo.value.t > 0.0
 
     def test_parameters_bound_without_compiling(self):
-        # the stepper source is compiled once, at import: _make_rhs only
-        # binds parameters, since lqr.linearize calls it on every synthesis
-        light, heavy = SystemParams(), SystemParams(m_p=0.9, drag_enabled=True)
-        rhs_light, advance_light = _make_rhs(light)
-        rhs_heavy, advance_heavy = _make_rhs(heavy)
-        assert rhs_light.__code__ is rhs_heavy.__code__
-        assert advance_light.__code__ is advance_heavy.__code__
-        state = replaced(slack_state(light), v_p=vec3(0.5, 0.0, 0.0))
-        assert not np.array_equal(rhs_at(state, zero_cmd(), light),
-                                  rhs_at(state, zero_cmd(), heavy))
+        # each stepper source is compiled once per process: _make_rhs then
+        # only picks the stepper of the drag setting and binds parameters,
+        # since lqr.linearize calls it on every synthesis
+        codes = []
+        for drag in (False, True):
+            light, heavy = SystemParams(drag_enabled=drag), SystemParams(m_p=0.9, drag_enabled=drag)
+            rhs_light, advance_light = _make_rhs(light)
+            rhs_heavy, advance_heavy = _make_rhs(heavy)
+            assert rhs_light.__code__ is rhs_heavy.__code__
+            assert advance_light.__code__ is advance_heavy.__code__
+            codes.append(advance_light.__code__)
+            _, state, _ = build_equilibrium(DEG(60), 0.0, light)  # taut ropes
+            assert not np.array_equal(rhs_at(state, zero_cmd(), light),
+                                      rhs_at(state, zero_cmd(), heavy))
+        assert codes[0] is not codes[1]
+
+    @pytest.mark.parametrize("drag", [False, True])
+    @pytest.mark.parametrize("vehicle", ["x_1", "x_2"])
+    def test_coincident_bodies_rejected_by_the_stepper(self, vehicle, drag):
+        p = SystemParams(drag_enabled=drag)
+        state = list(replaced(slack_state(p), **{vehicle: ORIGIN}))
+        rhs, advance = _make_rhs(p)
+        message = f"vehicle {vehicle[-1]} coincides with the payload"
+        with pytest.raises(DegenerateGeometryError, match=message):
+            rhs(state, zero_cmd())
+        with pytest.raises(DegenerateGeometryError, match=message):
+            advance(state, zero_cmd(), 0, 1, p.dt_physics)
 
 
 class TestSimulate:

@@ -21,6 +21,7 @@ FIELD_RULES = {
     **dict.fromkeys(["g", "c_T", "c_d_quad", "c_d_payload"],
                     "a nonnegative finite number"),
     "N_p": "an integer >= 1",
+    "drag_enabled": "a bool",
 }
 
 
@@ -50,17 +51,19 @@ class TestSystemParams:
         ("m_q", math.nan), ("k_T", math.inf), ("f_ctrl", math.inf),
         ("c_T", math.nan), ("g", math.inf), ("c_d_quad", math.inf),
         ("c_d_payload", math.nan),
-        *((name, "1") for name in FIELD_RULES),  # not a number at all
+        *(pytest.param(name, 10**400, id=f"{name}-10**400")  # ints beyond float range
+          for name in ("m_q", "g", "f_ctrl")),
+        ("drag_enabled", "false"), ("drag_enabled", 0),  # truthy "false" would turn drag on
+        *((name, "1") for name in FIELD_RULES),  # a str, whatever the rule
     ])
     def test_invariant_violations_name_the_field(self, field, value):
         message = f"{field} must be {FIELD_RULES[field]}, got {value!r}"
         with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
             SystemParams(**{field: value})
 
-    def test_drag_enabled_is_the_only_field_without_a_rule(self):
-        rules = {f.name: f.metadata["rule"] for f in dataclasses.fields(SystemParams)}
-        assert [name for name, rule in rules.items() if rule is None] == ["drag_enabled"]
-        assert {name: rule[0] for name, rule in rules.items() if rule} == FIELD_RULES
+    def test_every_field_carries_its_rule(self):
+        rules = {f.name: f.metadata["rule"][0] for f in dataclasses.fields(SystemParams)}
+        assert rules == FIELD_RULES
 
     def test_propeller_count_must_be_positive_integer(self):
         with pytest.raises(ParamError, match="N_p"):
