@@ -163,13 +163,11 @@ def _report_failures(result: eqm.SweepResult, unit=float) -> None:
 
 def _cmd_sweep_beta(args, params: SystemParams) -> int:
     grid = np.radians(np.linspace(args.min, args.max, args.n))
-    mode = "static" if args.mode == "static" else "rotating_opt"
-    result = eqm.sweep_beta(grid, mode, params)
+    static, rotating = (eqm.sweep_beta(grid, m, params) for m in ("static", "rotating_opt"))
+    result = static if args.mode == "static" else rotating
     _report_failures(result, math.degrees)
     _write(args.out, f"sweep_beta_{args.mode}.csv", eqm.sweep_to_csv(result, params))
     if args.svg:
-        other = eqm.sweep_beta(grid, "rotating_opt" if mode == "static" else "static", params)
-        static, rotating = (result, other) if mode == "static" else (other, result)
         _write(".", args.svg, harness.sweep_beta_svg(static, rotating))
     return EXIT_OK
 

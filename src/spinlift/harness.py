@@ -22,7 +22,7 @@ from . import equilibrium as eqm
 from .control import ControllerConfig, SpinProfile, _check_durations, control_step
 from .dynamics import IntegrationBlowupError, Trajectory, simulate
 from .lqr import LinearizationError, SynthesisError, synthesize
-from .model import SystemParams, table_text
+from .model import _COUNT, SystemParams, table_text
 from .svgplot import grouped_bar_chart, line_chart
 
 __all__ = [
@@ -78,7 +78,7 @@ class ScenarioSpec:
         if not 0.0 < self.metering_window <= self.hover:
             raise ValueError("metering window must be positive and at most the hover duration")
         dec = self.output_decimation
-        if dec is not None and (type(dec) is bool or not isinstance(dec, int) or dec < 1):
+        if dec is not None and not _COUNT[1](dec):
             raise ValueError(f"output_decimation must be None or a positive integer, got {dec!r}")
 
 

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-import typing
+import operator
 from dataclasses import dataclass, field, fields
 from itertools import islice
 
@@ -46,20 +46,36 @@ def _finite_floats(values, size: int, name: str) -> tuple:
     return values
 
 
-def _finite_number(v) -> bool:
-    """Whether ``v`` is an int or float with a finite float value (an int
-    beyond float range is not)."""
-    try:
-        return isinstance(v, (int, float)) and math.isfinite(v)
-    except OverflowError:
-        return False
+def _finite_test(compare):
+    """The test of a finite number, an int or float but not a bool, within
+    float range, that ``compare``s true with 0."""
+    def test(v):
+        try:
+            return (type(v) is not bool and isinstance(v, (int, float))
+                    and math.isfinite(v) and compare(v, 0))
+        except OverflowError:  # an int beyond float range
+            return False
+    return test
 
 
-# The rules on a SystemParams field: (message text, test of the value).
-_POSITIVE = ("a positive finite number", lambda v: _finite_number(v) and v > 0)
-_NONNEGATIVE = ("a nonnegative finite number", lambda v: _finite_number(v) and v >= 0)
-_COUNT = ("an integer >= 1", lambda v: isinstance(v, int) and v >= 1)
-_BOOL = ("a bool", lambda v: isinstance(v, bool))
+_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
+               "false": False, "no": False, "off": False, "0": False}
+
+
+def _bool_word(raw: str) -> bool:
+    """The bool that a true/false word of config text (any case) names."""
+    value = _BOOL_WORDS.get(raw.lower())
+    if value is None:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return value
+
+
+# The rules on a SystemParams field: (message text, test of the value, kind
+# that parses its config text and converts the number that params_to_text writes).
+_POSITIVE = ("a positive finite number", _finite_test(operator.gt), float)
+_NONNEGATIVE = ("a nonnegative finite number", _finite_test(operator.ge), float)
+_COUNT = ("an integer >= 1", lambda v: type(v) is not bool and isinstance(v, int) and v >= 1, int)
+_BOOL = ("a bool", lambda v: type(v) is bool, _bool_word)
 
 
 def _param(default, doc: str, rule: tuple):
@@ -73,7 +89,7 @@ class SystemParams:
     """Physical and simulation constants for the two-vehicle tethered system.
 
     All fields have config-file keys of the same name, documented by their
-    ``doc`` metadata and checked by their ``rule``. Velocity-squared drag
+    ``doc`` metadata and checked, parsed and written by their ``rule``. Velocity-squared drag
     (``c_d_quad``, ``c_d_payload``) only acts when ``drag_enabled`` is true.
     """
 
@@ -135,35 +151,13 @@ class SystemParams:
         return self.r_p * math.sqrt(2.0 * math.pi * self.rho * self.N_p)
 
 
-_TRUE_WORDS = {"true", "yes", "on", "1"}
-_FALSE_WORDS = {"false", "no", "off", "0"}
-
-
-def _parse_value(key: str, kind: type, raw: str, lineno: int):
-    raw = raw.strip()
-    try:
-        if kind is bool:
-            low = raw.lower()
-            if low in _TRUE_WORDS:
-                return True
-            if low in _FALSE_WORDS:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind is int:
-            return int(raw)
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: cannot parse value for {key}: {exc}") from None
-
-
 def load_params(config_text: str) -> SystemParams:
     """Parse flat ``key = value`` config text into validated SystemParams.
 
     Lines starting with ``#`` (and trailing ``# ...`` comments) are ignored.
     Unknown keys are rejected by name; missing keys take their defaults.
     """
-    hints = typing.get_type_hints(SystemParams)
-    kinds = {f.name: hints[f.name] for f in fields(SystemParams)}
+    kinds = {f.name: f.metadata["rule"][2] for f in fields(SystemParams)}
     values: dict[str, object] = {}
     unknown: list[str] = []
     for lineno, line in enumerate(config_text.splitlines(), start=1):
@@ -179,19 +173,23 @@ def load_params(config_text: str) -> SystemParams:
             continue
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key}")
-        values[key] = _parse_value(key, kinds[key], raw, lineno)
+        try:
+            values[key] = kinds[key](raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: cannot parse value for {key}: {exc}") from None
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
     return SystemParams(**values)
 
 
 def params_to_text(params: SystemParams) -> str:
-    """Serialize params to config text; load_params round-trips it exactly."""
-    kinds = typing.get_type_hints(SystemParams)
+    """Serialize params to config text that load_params reads back equal.
+    Each number is written as its rule's kind: an int in a float field as its
+    float, which is equal while the int fits in 53 bits."""
     lines = []
     for f in fields(SystemParams):
-        value = getattr(params, f.name)
-        rendered = ("true" if value else "false") if kinds[f.name] is bool else repr(value)
+        value, rule = getattr(params, f.name), f.metadata["rule"]
+        rendered = ("true" if value else "false") if rule is _BOOL else repr(rule[2](value))
         lines.append(f"{f.name} = {rendered}  # {f.metadata['doc']}")
     return "\n".join(lines) + "\n"
 

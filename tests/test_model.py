@@ -25,6 +25,30 @@ FIELD_RULES = {
 }
 
 
+def _float_field(lo, hi):
+    """A value in [lo, hi] for a float field: a float, an int or an np.float64."""
+    floats = st.floats(lo, hi)
+    return st.one_of(floats, st.integers(math.ceil(lo), math.floor(hi)), floats.map(np.float64))
+
+
+@st.composite
+def valid_params(draw):
+    """SystemParams inside every cross-field rule. The ranges keep the default
+    dt_physics under the stability guard, and the control period spans a
+    drawn whole number of steps."""
+    values = {name: draw(_float_field(lo, hi)) for name, (lo, hi) in {
+        "m_q": (0.1, 5.0), "m_p": (0.1, 5.0), "ell": (0.1, 10.0), "g": (0.0, 20.0),
+        "r_p": (0.01, 1.0), "rho": (0.1, 10.0), "k_T": (1.0, 1e4), "c_T": (0.0, 100.0),
+        "tau_att": (0.01, 1.0), "c_d_quad": (0.0, 1.0), "c_d_payload": (0.0, 1.0),
+        "f_ctrl": (1.0, 1000.0)}.items()}
+    values["N_p"] = draw(st.integers(1, 8))
+    values["drag_enabled"] = draw(st.booleans())
+    limit = SystemParams(**{**values, "f_ctrl": 50.0}).dt_stability_limit
+    steps = draw(st.integers(2, 100)) + math.floor(1.0 / (values["f_ctrl"] * limit))
+    kind = draw(st.sampled_from([float, np.float64]))
+    return SystemParams(**values, dt_physics=kind(1.0 / values["f_ctrl"] / steps))
+
+
 class TestSystemParams:
     def test_defaults_match_experiment_table(self):
         p = SystemParams()
@@ -54,6 +78,7 @@ class TestSystemParams:
         *(pytest.param(name, 10**400, id=f"{name}-10**400")  # ints beyond float range
           for name in ("m_q", "g", "f_ctrl")),
         ("drag_enabled", "false"), ("drag_enabled", 0),  # truthy "false" would turn drag on
+        ("m_q", True), ("g", False), ("N_p", True),  # a bool is an int, but not a number here
         *((name, "1") for name in FIELD_RULES),  # a str, whatever the rule
     ])
     def test_invariant_violations_name_the_field(self, field, value):
@@ -160,10 +185,16 @@ class TestConfig:
             load_params("bogus_key = 1\nother = 2\n")
 
     def test_parse_failure_reports_line(self):
-        with pytest.raises(ConfigError, match="line 2"):
-            load_params("m_q = 0.7\nm_p = sixty\n")
         with pytest.raises(ConfigError, match="line 1"):
             load_params("just words\n")
+        for text, message in [
+            ("m_q = 0.7\nm_p = sixty\n",
+             "line 2: cannot parse value for m_p: could not convert string to float: 'sixty'"),
+            ("N_p = 4.0\n",
+             "line 1: cannot parse value for N_p: invalid literal for int() with base 10: '4.0'"),
+        ]:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                load_params(text)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -172,7 +203,8 @@ class TestConfig:
     def test_bool_parsing(self):
         assert load_params("drag_enabled = true\n").drag_enabled is True
         assert load_params("drag_enabled = Off\n").drag_enabled is False
-        with pytest.raises(ConfigError, match="drag_enabled"):
+        message = "line 1: cannot parse value for drag_enabled: not a boolean: 'maybe'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_params("drag_enabled = maybe\n")
 
     def test_invariant_violation_from_config(self):
@@ -183,6 +215,13 @@ class TestConfig:
         p = SystemParams(m_q=0.81, k_T=1234.5, drag_enabled=True, c_d_quad=0.07)
         again = load_params(params_to_text(p))
         assert again == p
+
+    @given(params=valid_params())
+    def test_text_round_trip(self, params):
+        text = params_to_text(params)
+        again = load_params(text)
+        assert again == params
+        assert params_to_text(again) == text
 
     def test_default_text_pinned(self):
         assert params_to_text(SystemParams()) == (
@@ -205,18 +244,19 @@ class TestConfig:
     def test_readme_table_is_the_schema(self):
         # the README's configuration table is the one restated copy of the
         # parameter schema: same keys in field order, defaults that load
-        # into SystemParams(), meanings that are the fields' docs
+        # into SystemParams(), rules that are the fields' rule texts,
+        # meanings that are the fields' docs
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
-        rows = [line.split("|")[1:4] for line in section.splitlines()
-                if line.startswith("| `")]
-        keys = [cell.strip().strip("`") for cell, _, _ in rows]
-        assert keys == [f.name for f in dataclasses.fields(SystemParams)]
-        text = "".join(f"{key} = {default.strip()}\n"
-                       for key, (_, default, _) in zip(keys, rows))
+        rows = [[cell.strip() for cell in line.split("|")[1:5]]
+                for line in section.splitlines() if line.startswith("| `")]
+        schema = dataclasses.fields(SystemParams)
+        keys = [key.strip("`") for key, _, _, _ in rows]
+        assert keys == [f.name for f in schema]
+        text = "".join(f"{key} = {default}\n" for key, (_, default, _, _) in zip(keys, rows))
         assert load_params(text) == SystemParams()
-        assert [meaning.strip() for _, _, meaning in rows] == \
-            [f.metadata["doc"] for f in dataclasses.fields(SystemParams)]
+        assert [rule for _, _, rule, _ in rows] == [f.metadata["rule"][0] for f in schema]
+        assert [meaning for _, _, _, meaning in rows] == [f.metadata["doc"] for f in schema]
 
     def test_control_period_off_the_step_grid_refused_at_load(self):
         # 1/(30 * 5e-4) = 66.67 physics steps per control period
