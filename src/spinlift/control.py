@@ -30,7 +30,8 @@ import numpy as np
 from .dynamics import Trajectory
 from .equilibrium import DEFAULT_PAYLOAD_POSITION, feedforward
 from .lqr import GainSet
-from .model import EquilibriumSpec, SystemParams, csv_line, default_thrust_limit, table_text
+from .model import (_NONNEGATIVE, EquilibriumSpec, SystemParams, csv_line, default_thrust_limit,
+                    table_text)
 
 __all__ = [
     "SpinProfile",
@@ -41,9 +42,10 @@ __all__ = [
 
 
 def _check_durations(owner, names) -> None:
-    """ValueError unless each named field of ``owner`` is finite and nonnegative."""
+    """ValueError unless each named field of ``owner`` is a finite nonnegative
+    number (an int or float, not a bool)."""
     for name in names:
-        if not 0.0 <= (value := getattr(owner, name)) < math.inf:
+        if not _NONNEGATIVE[1](value := getattr(owner, name)):
             raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 

@@ -17,16 +17,13 @@ schedule's closed form, not an integrated state.
 The comparison harness integrates ~1e6 RK4 steps per run set, so the hot path
 is scalar Python: a stepper that integrates a whole control hold in one call
 with every RK4 stage held in local variables, appending each stored sample's
-24 floats to a flat buffer inside its loop. Its derivative block (tether
-laws, drag, accelerations, lag rates) is written once, as a source template,
-and instantiated inline in each RK4 stage. The template is expanded into two
-steppers, one with drag and one without drag terms, each compiled once per
-process, when it is first needed; :func:`_make_rhs` picks one by
-``drag_enabled`` and binds parameters to it. :func:`simulate` makes
-one stepper call per hold, whatever the output decimation, and builds the
-trajectory's arrays once at the end: states from the buffer, commands from
-the per-tick command buffer, and the tether-tension column with one array
-evaluation of :func:`tether_force` over all samples.
+24 floats to a flat buffer inside its loop. The stepper is generated from a
+source template that writes one vehicle's equations once, as a block expanded
+for both vehicles, and the payload's after them (see :func:`_make_rhs`).
+:func:`simulate` makes one stepper call per hold, whatever the output
+decimation, and builds the trajectory's arrays once at the end: states from
+the buffer, commands from the per-tick command buffer, and the tether-tension
+column with one array evaluation of :func:`tether_force` over all samples.
 """
 
 from __future__ import annotations
@@ -116,83 +113,63 @@ _STATE = ("xpx xpy xpz vpx vpy vpz x1x x1y x1z v1x v1y v1z "
 _RATE = ("vpx vpy vpz apx apy apz v1x v1y v1z a1x a1y a1z "
          "v2x v2y v2z a2x a2y a2z dT1x dT1y dT1z dT2x dT2y dT2z").split()
 
-# The derivative at the state whose names end in {s}: both tether laws (the
-# law of tether_force, written out) and their pulls f1*, f2* (F_i * r_hat_i,
-# each computed once), the drag forces fd* in {drag}, the nine body
-# accelerations a*{s} and the six lag rates dT*{s} under the held command u*.
-# Instantiated once per RK4 stage of advance and once for rhs, in one stepper
-# with drag and one without (see _derivative).
-_DERIVATIVE = """\
-r1x = x1x{s} - xpx{s}
-r1y = x1y{s} - xpy{s}
-r1z = x1z{s} - xpz{s}
-d1 = sqrt(r1x * r1x + r1y * r1y + r1z * r1z)
-if d1 < _COINCIDENT_TOL:
-    raise DegenerateGeometryError("vehicle 1 coincides with the payload")
-inv_d1 = 1.0 / d1
-h1x = r1x * inv_d1
-h1y = r1y * inv_d1
-h1z = r1z * inv_d1
-rate1 = (v1x{s} - vpx{s}) * h1x + (v1y{s} - vpy{s}) * h1y + (v1z{s} - vpz{s}) * h1z
-F1 = k_T * (d1 - ell) + c_T * rate1
-if d1 < ell or F1 < 0.0:
-    F1 = 0.0
-f1x = F1 * h1x
-f1y = F1 * h1y
-f1z = F1 * h1z
+# One vehicle's share of the derivative at the state whose names end in {s},
+# written once and expanded for i = 1, 2: its tether law, its pull
+# f{i}* = F{i} * r_hat_{i}, its drag force fd{i}* in {drag}, its acceleration
+# a{i}*{s} and its lag rates dT{i}*{s} under the held command u{i}*.
+_VEHICLE = """\
+r{i}x = x{i}x{s} - xpx{s}
+r{i}y = x{i}y{s} - xpy{s}
+r{i}z = x{i}z{s} - xpz{s}
+d{i} = sqrt(r{i}x * r{i}x + r{i}y * r{i}y + r{i}z * r{i}z)
+if d{i} < _COINCIDENT_TOL:
+    raise DegenerateGeometryError("vehicle {i} coincides with the payload")
+inv_d{i} = 1.0 / d{i}
+h{i}x = r{i}x * inv_d{i}
+h{i}y = r{i}y * inv_d{i}
+h{i}z = r{i}z * inv_d{i}
+rate{i} = (v{i}x{s} - vpx{s}) * h{i}x + (v{i}y{s} - vpy{s}) * h{i}y + (v{i}z{s} - vpz{s}) * h{i}z
+F{i} = k_T * (d{i} - ell) + c_T * rate{i}
+if d{i} < ell or F{i} < 0.0:
+    F{i} = 0.0
+f{i}x = F{i} * h{i}x
+f{i}y = F{i} * h{i}y
+f{i}z = F{i} * h{i}z
+{drag}
+a{i}x{s} = (T{i}x{s} + fd{i}x - f{i}x) * inv_mq
+a{i}y{s} = (T{i}y{s} + fd{i}y - f{i}y) * inv_mq
+a{i}z{s} = (T{i}z{s} + fd{i}z - f{i}z) * inv_mq - g
+dT{i}x{s} = (u{i}x - T{i}x{s}) * inv_tau
+dT{i}y{s} = (u{i}y - T{i}y{s}) * inv_tau
+dT{i}z{s} = (u{i}z - T{i}z{s}) * inv_tau
+"""
 
-r2x = x2x{s} - xpx{s}
-r2y = x2y{s} - xpy{s}
-r2z = x2z{s} - xpz{s}
-d2 = sqrt(r2x * r2x + r2y * r2y + r2z * r2z)
-if d2 < _COINCIDENT_TOL:
-    raise DegenerateGeometryError("vehicle 2 coincides with the payload")
-inv_d2 = 1.0 / d2
-h2x = r2x * inv_d2
-h2y = r2y * inv_d2
-h2z = r2z * inv_d2
-rate2 = (v2x{s} - vpx{s}) * h2x + (v2y{s} - vpy{s}) * h2y + (v2z{s} - vpz{s}) * h2z
-F2 = k_T * (d2 - ell) + c_T * rate2
-if d2 < ell or F2 < 0.0:
-    F2 = 0.0
-f2x = F2 * h2x
-f2y = F2 * h2y
-f2z = F2 * h2z
+# The payload's share: its drag force fdp* in {drag} and its acceleration,
+# which sums both pulls.
+_PAYLOAD = """\
 {drag}
 apx{s} = (fdpx + f1x + f2x) * inv_mp
 apy{s} = (fdpy + f1y + f2y) * inv_mp
 apz{s} = (fdpz + f1z + f2z) * inv_mp - g
-a1x{s} = (T1x{s} + fd1x - f1x) * inv_mq
-a1y{s} = (T1y{s} + fd1y - f1y) * inv_mq
-a1z{s} = (T1z{s} + fd1z - f1z) * inv_mq - g
-a2x{s} = (T2x{s} + fd2x - f2x) * inv_mq
-a2y{s} = (T2y{s} + fd2y - f2y) * inv_mq
-a2z{s} = (T2z{s} + fd2z - f2z) * inv_mq - g
-dT1x{s} = (u1x - T1x{s}) * inv_tau
-dT1y{s} = (u1y - T1y{s}) * inv_tau
-dT1z{s} = (u1z - T1z{s}) * inv_tau
-dT2x{s} = (u2x - T2x{s}) * inv_tau
-dT2y{s} = (u2y - T2y{s}) * inv_tau
-dT2z{s} = (u2z - T2z{s}) * inv_tau
 """
 
-# The velocity-squared drag forces fd* of the three bodies.
+# The velocity-squared drag force fd{b}* of body b, with coefficient c.
 _DRAG = """\
-s1 = -c_dq * sqrt(v1x{s} * v1x{s} + v1y{s} * v1y{s} + v1z{s} * v1z{s})
-fd1x, fd1y, fd1z = s1 * v1x{s}, s1 * v1y{s}, s1 * v1z{s}
-s2 = -c_dq * sqrt(v2x{s} * v2x{s} + v2y{s} * v2y{s} + v2z{s} * v2z{s})
-fd2x, fd2y, fd2z = s2 * v2x{s}, s2 * v2y{s}, s2 * v2z{s}
-sp = -c_dp * sqrt(vpx{s} * vpx{s} + vpy{s} * vpy{s} + vpz{s} * vpz{s})
-fdpx, fdpy, fdpz = sp * vpx{s}, sp * vpy{s}, sp * vpz{s}
+s{b} = -{c} * sqrt(v{b}x{s} * v{b}x{s} + v{b}y{s} * v{b}y{s} + v{b}z{s} * v{b}z{s})
+fd{b}x, fd{b}y, fd{b}z = s{b} * v{b}x{s}, s{b} * v{b}y{s}, s{b} * v{b}z{s}
 """
 
 
 def _derivative(s: str, drag: bool) -> str:
-    """The derivative block at the state names suffixed ``s``. Without drag
-    it has no drag block and no drag term ``fd*`` in its sums."""
-    if drag:
-        return _DERIVATIVE.format(s=s, drag=_DRAG.format(s=s))
-    return re.sub(r"fd\w+ \+ | \+ fd\w+", "", _DERIVATIVE.format(s=s, drag=""))
+    """The derivative block at the state names suffixed ``s``: the vehicle
+    block for vehicles 1 and 2, then the payload block. Instantiated once per
+    RK4 stage of ``advance`` and once for ``rhs``. Without drag it has no
+    drag block and no drag term ``fd*`` in its sums."""
+    def fill(b, c):
+        return _DRAG.format(b=b, c=c, s=s) if drag else ""
+    text = "".join(_VEHICLE.format(i=i, s=s, drag=fill(i, "c_dq")) for i in (1, 2))
+    text += _PAYLOAD.format(s=s, drag=fill("p", "c_dp"))
+    return text if drag else re.sub(r"fd\w+ \+ | \+ fd\w+", "", text)
 
 
 # rhs and advance over the parameters bound by _make_rhs. In advance, stage
@@ -233,7 +210,8 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
 def _compile_stepper(drag: bool):
     """Expand the stepper template with or without drag and compile it;
     return its ``bind`` factory. Cached: each stepper is compiled once per
-    process, and only if a flight or design model needs it."""
+    process, on its first use, so every later :func:`_make_rhs` call
+    (``lqr.linearize`` makes one per synthesis) only binds parameters."""
     stages = [_derivative("", drag)]
     for k, step in ((2, "half"), (3, "half"), (4, "dt")):
         prev = "" if k == 2 else f"_{k - 1}"
@@ -277,22 +255,19 @@ def _make_rhs(params: SystemParams):
       order of the builtin ``sum``).
 
     Both are closures over the parameters, as floats, of one of two
-    steppers compiled from the source template ``_DERIVATIVE``: the
-    derivative block (both tether laws, drag, the nine body accelerations
-    and the lag rates) written out inline in each of the four RK4 stages
-    and in ``rhs``. ``params.drag_enabled`` picks the stepper,
-    so neither branches on it: the one with drag adds the drag forces first
-    in each acceleration sum, the one without has no drag terms at all. The
-    only arithmetic difference this makes is the sign of a zero: with
-    drag off, an acceleration sum that comes to -0.0 (all its terms zero,
-    such as both pulls of slack ropes) keeps that sign, where adding a
-    0.0 drag force would make it +0.0. Inline, a physics step calls only
+    steppers compiled from the source templates: the derivative block (one
+    vehicle block per vehicle, then the payload block) written out inline in
+    each of the four RK4 stages and in ``rhs``, so a physics step calls only
     ``sqrt`` and ``isfinite``, where a shared acceleration function would
-    cost four calls of 24 arguments and a 9-tuple return per step. The
-    tether law is the one of :func:`tether_force`, kept as a second copy for
-    speed; a property test keeps the two in agreement. Each stepper is
-    compiled on its first use and then reused, so every later call
-    (``lqr.linearize`` makes one per synthesis) only binds parameters.
+    cost four calls of 24 arguments and a 9-tuple return per step.
+    ``params.drag_enabled`` picks the stepper, so neither branches on it:
+    the one with drag adds the drag forces first in each acceleration sum,
+    the one without has no drag terms at all. The only arithmetic difference
+    this makes is the sign of a zero: with drag off, an acceleration sum
+    that comes to -0.0 (all its terms zero, such as both pulls of slack
+    ropes) keeps that sign, where adding a 0.0 drag force would make it
+    +0.0. The tether law is the one of :func:`tether_force`, kept as a
+    second copy for speed; a property test keeps the two in agreement.
 
     The tension column of a :class:`Trajectory` is not taken from here:
     :func:`simulate` evaluates :func:`tether_force` once over all samples

@@ -22,7 +22,7 @@ from . import equilibrium as eqm
 from .control import ControllerConfig, SpinProfile, _check_durations, control_step
 from .dynamics import IntegrationBlowupError, Trajectory, simulate
 from .lqr import LinearizationError, SynthesisError, synthesize
-from .model import _COUNT, SystemParams, table_text
+from .model import _COUNT, _POSITIVE, SystemParams, _finite_number, table_text
 from .svgplot import grouped_bar_chart, line_chart
 
 __all__ = [
@@ -73,9 +73,9 @@ class ScenarioSpec:
         if self.mode not in ("static", "rotating"):
             raise ValueError(f"mode must be 'static' or 'rotating', got {self.mode!r}")
         _check_durations(self, ("spin_up", "hover", "spin_down"))
-        if not math.isfinite(self.perturb_payload):
+        if not _finite_number(self.perturb_payload):
             raise ValueError(f"perturb_payload must be finite, got {self.perturb_payload!r}")
-        if not 0.0 < self.metering_window <= self.hover:
+        if not (_POSITIVE[1](self.metering_window) and self.metering_window <= self.hover):
             raise ValueError("metering window must be positive and at most the hover duration")
         dec = self.output_decimation
         if dec is not None and not _COUNT[1](dec):

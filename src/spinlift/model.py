@@ -46,16 +46,18 @@ def _finite_floats(values, size: int, name: str) -> tuple:
     return values
 
 
+def _finite_number(v) -> bool:
+    """Whether ``v`` is a finite number: an int or float but not a bool,
+    within float range."""
+    try:
+        return type(v) is not bool and isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def _finite_test(compare):
-    """The test of a finite number, an int or float but not a bool, within
-    float range, that ``compare``s true with 0."""
-    def test(v):
-        try:
-            return (type(v) is not bool and isinstance(v, (int, float))
-                    and math.isfinite(v) and compare(v, 0))
-        except OverflowError:  # an int beyond float range
-            return False
-    return test
+    """The test of a finite number that ``compare``s true with 0."""
+    return lambda v: _finite_number(v) and compare(v, 0)
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,

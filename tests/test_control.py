@@ -150,7 +150,7 @@ class TestSpinProfile:
         with pytest.raises(ValueError):
             SpinProfile(omega_target=-1.0)
         for name in ("omega_target", "t_ramp_up", "t_hover", "t_ramp_down"):
-            for value in (math.inf, math.nan):
+            for value in (math.inf, math.nan, True, "40"):
                 fields = {"omega_target": 1.0, name: value}
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     SpinProfile(**fields)

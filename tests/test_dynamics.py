@@ -346,6 +346,33 @@ class TestDerivative:
         expected = -0.02 * 2.0 * 2.0 / p.m_p
         assert d[3] == pytest.approx(expected, rel=1e-12)
 
+    @given(state=near_formation_states(),
+           u=st.lists(st.floats(-5.0, 20.0), min_size=6, max_size=6))
+    def test_vehicle_exchange(self, state, u):
+        # the two vehicles obey one law: exchanging them, state and command
+        # alike, exchanges their derivatives bit for bit
+        def exchange(y):
+            return [*y[0:6], *y[12:18], *y[6:12], *y[21:24], *y[18:21]]
+
+        y = list(state)
+        for drag in (False, True):
+            p = SystemParams(drag_enabled=drag)
+            rhs, _ = _make_rhs(p)
+            d, d_exchanged = rhs(y, u), rhs(exchange(y), u[3:] + u[:3])
+            assert bits(d_exchanged[6:]) == bits(exchange(d)[6:])
+            if not drag:  # f1 + f2 commutes
+                assert bits(d_exchanged[:6]) == bits(d[:6])
+                continue
+            # fdp + f1 + f2 is summed the other way: it may differ by 2 eps of
+            # the sum of magnitudes, then rounds once more in the scaling by
+            # 1/m_p and the subtraction of g, within 4 ulp of that scale
+            (F_1, _), (F_2, _) = tether_forces(state, p)
+            drag_p = p.c_d_payload * float(np.dot(y[3:6], y[3:6]))
+            assert bits(d_exchanged[:3]) == bits(d[:3])
+            for k, g in ((3, 0.0), (4, 0.0), (5, p.g)):
+                scale = (F_1 + F_2 + drag_p) / p.m_p + g
+                assert abs(d_exchanged[k] - d[k]) <= 4.0 * math.ulp(scale)
+
 
 class TestStep:
     def test_equilibrium_step_is_stationary(self):

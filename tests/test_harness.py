@@ -27,8 +27,9 @@ def short_spec(mode, beta_deg, **kwargs):
 
 class TestScenarioSpec:
     def test_metering_window_bounded_by_hover(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec(mode="static", beta=0.5, hover=10.0, metering_window=11.0)
+        for window in (11.0, True, "5", math.nan):
+            with pytest.raises(ValueError, match="metering window must be positive"):
+                ScenarioSpec(mode="static", beta=0.5, hover=10.0, metering_window=window)
 
     def test_mode_checked(self):
         with pytest.raises(ValueError):
@@ -39,7 +40,7 @@ class TestScenarioSpec:
             ScenarioSpec(mode="static", beta=0.5, spin_up=-1.0)
 
     @pytest.mark.parametrize("name", ["spin_up", "hover", "spin_down", "perturb_payload"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, True, "40"])
     def test_nonfinite_phase_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ScenarioSpec(mode="rotating", beta=0.5, **{name: value})
@@ -197,11 +198,11 @@ class TestCompareModes:
         assert table.rows[1].saving is None
 
     def test_nonfinite_hover_recorded_in_rows(self):
-        table = compare_modes([DEG(30)], P, hover=math.inf)
-        row = table.rows[0]
-        assert row.saving is None
-        assert "hover must be finite" in row.static_error
-        assert "hover must be finite" in row.rotating_error
+        for hover in (math.inf, True, "40"):
+            row = compare_modes([DEG(30)], P, hover=hover).rows[0]
+            assert row.saving is None
+            assert "hover must be finite" in row.static_error
+            assert "hover must be finite" in row.rotating_error
 
     def test_csv_rendering(self, table):
         csv = comparison_to_csv(table)

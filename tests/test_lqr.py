@@ -49,7 +49,7 @@ def reference_linearize(eq, params):
     s_bar, u_bar = np.array(eq.s_bar), np.array(eq.u_bar)
     w = eq.omega_C
     f = reference_c_frame_model(params)
-    if np.linalg.norm(f(s_bar, u_bar, w)) > lqr._EQ_RESIDUAL_TOL:
+    if np.linalg.norm(f(s_bar, u_bar, w)) > lqr._equilibrium_tolerance(eq, params):
         raise LinearizationError("operating point is not an equilibrium")
     z_bar = np.concatenate([s_bar, u_bar])
     J = np.empty((18, 24))
@@ -154,6 +154,15 @@ class TestLinearize:
         broken = dataclasses.replace(spec, u_bar=(spec.u_bar[0] + 0.5, *spec.u_bar[1:]))
         with pytest.raises(LinearizationError):
             linearize(broken, P)
+
+    @pytest.mark.parametrize("beta_deg", [0, 60])
+    def test_stiff_tether_equilibrium_accepted(self, beta_deg):
+        # at k_T = 1e10 N/m the rounding of the tether law alone puts the
+        # residual of an exact equilibrium above 1e-6 (3.2e-6 at 0 deg)
+        stiff = SystemParams(k_T=1e10, m_p=0.6, dt_physics=1e-7)
+        spec, _, _ = build_equilibrium(DEG(beta_deg), 0.0, stiff)
+        assert np.linalg.norm(_c_frame_model(stiff)(spec.s_bar, spec.u_bar, 0.0)) > 1e-6
+        assert np.all(np.isfinite(synthesize(spec, stiff).K))  # stabilizing, or it raises
 
     def test_residual_at_equilibrium(self):
         for beta_deg, w_scale in ((30, 0.0), (60, 1.0)):
