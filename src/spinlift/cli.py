@@ -118,9 +118,13 @@ def _build_parser() -> _Parser:
 
 
 def _load(args) -> SystemParams:
-    if args.params:
-        return load_params(Path(args.params).read_text())
-    return SystemParams()
+    if not args.params:
+        return SystemParams()
+    try:
+        text = Path(args.params).read_text()
+    except OSError as exc:  # a missing file, a directory
+        raise ConfigError(str(exc)) from None
+    return load_params(text)
 
 
 def _write(out_dir: str, name: str, content: str) -> Path:
@@ -166,9 +170,10 @@ def _cmd_sweep_beta(args, params: SystemParams) -> int:
     static, rotating = (eqm.sweep_beta(grid, m, params) for m in ("static", "rotating_opt"))
     result = static if args.mode == "static" else rotating
     _report_failures(result, math.degrees)
+    svg = harness.sweep_beta_svg(static, rotating) if args.svg else None
     _write(args.out, f"sweep_beta_{args.mode}.csv", eqm.sweep_to_csv(result, params))
-    if args.svg:
-        _write(".", args.svg, harness.sweep_beta_svg(static, rotating))
+    if svg is not None:
+        _write(".", args.svg, svg)
     return EXIT_OK
 
 
@@ -177,9 +182,10 @@ def _cmd_sweep_omega(args, params: SystemParams) -> int:
     grid = np.linspace(0.0, args.max_omega, args.n)
     result = eqm.sweep_omega(beta, grid, params)
     _report_failures(result)
+    svg = harness.sweep_omega_svg([result]) if args.svg else None
     _write(args.out, "sweep_omega.csv", eqm.sweep_to_csv(result, params))
-    if args.svg:
-        _write(".", args.svg, harness.sweep_omega_svg([result]))
+    if svg is not None:
+        _write(".", args.svg, svg)
     return EXIT_OK
 
 
@@ -247,7 +253,7 @@ def main(argv=None) -> int:
     try:
         params = _load(args)
         return _HANDLERS[args.command](args, params)
-    except (ConfigError, ParamError, FileNotFoundError) as exc:
+    except (ConfigError, ParamError) as exc:
         print(f"spinlift: parameter error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except (harness.SimulationFailed, IntegrationBlowupError) as exc:

@@ -260,10 +260,10 @@ def _make_rhs(params: SystemParams):
     each of the four RK4 stages and in ``rhs``, so a physics step calls only
     ``sqrt`` and ``isfinite``, where a shared acceleration function would
     cost four calls of 24 arguments and a 9-tuple return per step.
-    ``params.drag_enabled`` picks the stepper, so neither branches on it:
-    the one with drag adds the drag forces first in each acceleration sum,
-    the one without has no drag terms at all. The only arithmetic difference
-    this makes is the sign of a zero: with drag off, an acceleration sum
+    The drag coefficients pick the stepper, so neither branches on them:
+    with either nonzero, drag forces come first in each acceleration sum;
+    with both zero, there are no drag terms. The only arithmetic difference
+    this makes is the sign of a zero: without drag terms, an acceleration sum
     that comes to -0.0 (all its terms zero, such as both pulls of slack
     ropes) keeps that sign, where adding a 0.0 drag force would make it
     +0.0. The tether law is the one of :func:`tether_force`, kept as a
@@ -273,7 +273,7 @@ def _make_rhs(params: SystemParams):
     :func:`simulate` evaluates :func:`tether_force` once over all samples
     after the run.
     """
-    return _compile_stepper(params.drag_enabled)(
+    return _compile_stepper(params.c_d_quad > 0.0 or params.c_d_payload > 0.0)(
         ell=params.ell, g=params.g, k_T=params.k_T, c_T=params.c_T,
         inv_tau=1.0 / params.tau_att, inv_mq=1.0 / params.m_q, inv_mp=1.0 / params.m_p,
         c_dq=params.c_d_quad, c_dp=params.c_d_payload)

@@ -165,7 +165,9 @@ def power(T_per_vehicle: float, params: SystemParams,
     try:
         p_vehicle = rotor_power(T, params)
     except OverflowError:
-        raise ValueError(f"thrust {T!r} N overflows the power law T^1.5") from None
+        p_vehicle = math.inf
+    if not 2.0 * p_vehicle < math.inf:  # T^1.5, P or the pair total 2P is beyond float range
+        raise ValueError(f"thrust {T!r} N overflows the power law T^1.5")
     return PowerReport(T_per_vehicle=T, P_per_vehicle=p_vehicle,
                        P_total=2.0 * p_vehicle, beta=beta, omega_C=omega_c)
 

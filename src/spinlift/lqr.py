@@ -94,7 +94,7 @@ def _c_frame_model(params: SystemParams):
     because the physics is invariant under rotation about the vertical axis.
     The tests keep the model's numpy matrix form as a reference.
     """
-    rhs, _ = _make_rhs(replace(params, drag_enabled=False))
+    rhs, _ = _make_rhs(replace(params, c_d_quad=0.0, c_d_payload=0.0))
     no_command = (0.0,) * 6  # the lag rates are not part of the design model
 
     def f(s, u, omega_c: float) -> np.ndarray:

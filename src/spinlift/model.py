@@ -60,24 +60,11 @@ def _finite_test(compare):
     return lambda v: _finite_number(v) and compare(v, 0)
 
 
-_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-               "false": False, "no": False, "off": False, "0": False}
-
-
-def _bool_word(raw: str) -> bool:
-    """The bool that a true/false word of config text (any case) names."""
-    value = _BOOL_WORDS.get(raw.lower())
-    if value is None:
-        raise ValueError(f"not a boolean: {raw!r}")
-    return value
-
-
 # The rules on a SystemParams field: (message text, test of the value, kind
 # that parses its config text and converts the number that params_to_text writes).
 _POSITIVE = ("a positive finite number", _finite_test(operator.gt), float)
 _NONNEGATIVE = ("a nonnegative finite number", _finite_test(operator.ge), float)
 _COUNT = ("an integer >= 1", lambda v: type(v) is not bool and isinstance(v, int) and v >= 1, int)
-_BOOL = ("a bool", lambda v: type(v) is bool, _bool_word)
 
 
 def _param(default, doc: str, rule: tuple):
@@ -91,8 +78,9 @@ class SystemParams:
     """Physical and simulation constants for the two-vehicle tethered system.
 
     All fields have config-file keys of the same name, documented by their
-    ``doc`` metadata and checked, parsed and written by their ``rule``. Velocity-squared drag
-    (``c_d_quad``, ``c_d_payload``) only acts when ``drag_enabled`` is true.
+    ``doc`` metadata and checked, parsed and written by their ``rule``.
+    Velocity-squared drag acts on each body whose coefficient (``c_d_quad``,
+    ``c_d_payload``) is nonzero; both are zero by default.
     """
 
     m_q: float = _param(0.7, "quadcopter mass [kg]", _POSITIVE)
@@ -105,9 +93,8 @@ class SystemParams:
     k_T: float = _param(2000.0, "tether stiffness [N/m]", _POSITIVE)
     c_T: float = _param(10.0, "tether damping [N*s/m]", _NONNEGATIVE)
     tau_att: float = _param(0.05, "thrust-direction lag time constant [s]", _POSITIVE)
-    drag_enabled: bool = _param(False, "quadratic drag toggle (true/false)", _BOOL)
-    c_d_quad: float = _param(0.05, "vehicle drag coefficient [N*s^2/m^2]", _NONNEGATIVE)
-    c_d_payload: float = _param(0.02, "payload drag coefficient [N*s^2/m^2]", _NONNEGATIVE)
+    c_d_quad: float = _param(0.0, "vehicle drag coefficient [N*s^2/m^2]", _NONNEGATIVE)
+    c_d_payload: float = _param(0.0, "payload drag coefficient [N*s^2/m^2]", _NONNEGATIVE)
     dt_physics: float = _param(5e-4, "integration step [s]", _POSITIVE)
     f_ctrl: float = _param(50.0, "outer-loop control rate [Hz]", _POSITIVE)
 
@@ -188,12 +175,8 @@ def params_to_text(params: SystemParams) -> str:
     """Serialize params to config text that load_params reads back equal.
     Each number is written as its rule's kind: an int in a float field as its
     float, which is equal while the int fits in 53 bits."""
-    lines = []
-    for f in fields(SystemParams):
-        value, rule = getattr(params, f.name), f.metadata["rule"]
-        rendered = ("true" if value else "false") if rule is _BOOL else repr(rule[2](value))
-        lines.append(f"{f.name} = {rendered}  # {f.metadata['doc']}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {f.metadata['rule'][2](getattr(params, f.name))!r}"
+                   f"  # {f.metadata['doc']}\n" for f in fields(SystemParams))
 
 
 @dataclass(frozen=True)

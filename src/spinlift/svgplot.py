@@ -20,12 +20,15 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+# An axis span under _REL_SPAN of its largest magnitude, or under _MIN_SPAN, has no
+# distinct ticks; a limit past _MAX_LIMIT leaves the tick arithmetic no headroom.
+_REL_SPAN, _MIN_SPAN, _MAX_LIMIT = 1e-12, 1e-300, 1e307
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick locations covering [lo, hi] using a 1-2-5 ladder."""
-    if hi <= lo:
-        return [lo]
+    """Round tick locations covering [lo, hi] (hi > lo, as _range gives) on a 1-2-5 ladder."""
     span = hi - lo
-    raw = span / max(target - 1, 1)
+    raw = span / (target - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
@@ -34,19 +37,24 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     v = first
-    while v <= hi + 1e-9 * span:
+    for _ in range(math.floor((hi + 1e-9 * span - first) / step) + 1):
         ticks.append(0.0 if abs(v) < 1e-12 * span else v)
         v += step
     return ticks
 
 
 def _range(values) -> tuple[float, float]:
-    lo = min(values)
-    hi = max(values)
-    if hi == lo:
-        pad = 1.0 if lo == 0.0 else abs(lo) * 0.1
-        return lo - pad, hi + pad
+    """Axis limits of ``values``: their span padded by 5% a side, or, where
+    it is too narrow for distinct ticks (a flat one too), by 10% of their
+    largest magnitude (1 if still too narrow); ValueError past _MAX_LIMIT."""
+    lo, hi = min(values), max(values)
+    size = max(abs(lo), abs(hi))
     pad = 0.05 * (hi - lo)
+    if not hi - lo >= max(_REL_SPAN * size, _MIN_SPAN):
+        pad = 0.1 * size if 0.2 * size >= _MIN_SPAN else 1.0
+    if not (abs(lo - pad) <= _MAX_LIMIT and abs(hi + pad) <= _MAX_LIMIT):
+        raise ValueError(f"cannot chart values from {lo:.6g} to {hi:.6g}: "
+                         f"an axis limit would pass {_MAX_LIMIT:g}")
     return lo - pad, hi + pad
 
 

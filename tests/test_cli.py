@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from spinlift import harness
@@ -44,6 +46,16 @@ def test_bad_params_file(tmp_path, capsys):
     cfg.write_text("m_q = 0\n")
     assert main(["equilibrium", "--beta", "30", "--params", str(cfg)]) == 2
     assert "m_q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("missing.cfg", "No such file or directory"), ("", "Is a directory")])
+def test_unreadable_params_file(name, reason, tmp_path, capsys):
+    path = tmp_path / name
+    assert main(["equilibrium", "--beta", "30", "--params", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spinlift: parameter error: ") and err.count("\n") == 1
+    assert f"{reason}: {str(path)!r}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -142,6 +154,27 @@ def test_sweep_omega_skips_overflowing_points(max_omega, tmp_path, capsys):
     assert len(skipped) == 2
     lines = (tmp_path / "sweep_omega.csv").read_text().strip().split("\n")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("max_omega, charted", [
+    ("1e-7", True),  # the two totals are one ulp apart
+    ("5e-324", True),  # the spin-rate axis spans one subnormal
+    ("4.685446750585594e+102", False),  # P_total reaches 1.75e308 W
+])
+def test_sweep_omega_charts_or_refuses_any_finite_grid(max_omega, charted, tmp_path, capsys):
+    chart, out = tmp_path / "chart.svg", tmp_path / "out"
+    code = main(["sweep-omega", "--beta", "60", "--max-omega", max_omega, "--n", "2",
+                 "--svg", str(chart), "--out", str(out)])
+    err = capsys.readouterr().err
+    if charted:
+        assert code == 0 and err == ""
+        ET.fromstring(chart.read_text())
+        assert len((out / "sweep_omega.csv").read_text().splitlines()) == 3
+    else:
+        # refused before the CSV is written
+        assert code == 2
+        assert err.startswith("spinlift: model error: cannot chart values from 132.495 to 1.75e+308")
+        assert not chart.exists() and not out.exists()
 
 
 def test_sweep_beta_reports_skipped_points_in_degrees(tmp_path, capsys):

@@ -20,6 +20,13 @@ ORIGIN = vec3(0.0, 0.0, 1.5)
 DEG = math.radians
 
 
+def with_drag(drag, **values):
+    """SystemParams with the vehicle and payload drag coefficients 0.05 and
+    0.02 if ``drag``, else both zero (no drag)."""
+    c_d_quad, c_d_payload = (0.05, 0.02) if drag else (0.0, 0.0)
+    return SystemParams(c_d_quad=c_d_quad, c_d_payload=c_d_payload, **values)
+
+
 def zero_cmd():
     return [0.0] * 6
 
@@ -69,7 +76,7 @@ def reference_rhs(y, u, params):
     """The module docstring's equations of motion on plain floats, one body
     at a time, in the stepper's operation order: each pull F_i * r_hat_i
     once, accelerations as force sums times the reciprocal mass, and the
-    drag force first in each sum only when drag_enabled is set. The
+    drag force first in each sum only when a drag coefficient is nonzero. The
     coincident-body check is left out."""
     x_p, v_p = y[0:3], y[3:6]
     pulls = []
@@ -86,7 +93,7 @@ def reference_rhs(y, u, params):
         pulls.append([F * c for c in h])
     f_1, f_2 = pulls
     T_1, T_2 = y[18:21], y[21:24]
-    if params.drag_enabled:
+    if params.c_d_quad > 0.0 or params.c_d_payload > 0.0:
         def drag(c_d, v):
             s = -c_d * math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
             return [s * c for c in v]
@@ -207,7 +214,7 @@ class TestTetherForce:
 
         accel = [3, 4, 5, 9, 10, 11, 15, 16, 17]
         for drag in (False, True):
-            p = SystemParams(drag_enabled=drag)
+            p = with_drag(drag)
             tether_only = accelerations(tether_forces(state, p), p)
             expected = tether_only + drag_accelerations(p) if drag else tether_only
             d = rhs_at(state, zero_cmd(), p)
@@ -221,7 +228,7 @@ class TestTetherForce:
     def test_rhs_matches_reference_bitwise(self, state, u):
         # each stepper's rhs is the reference's arithmetic, sign of zero included
         for drag in (False, True):
-            p = SystemParams(drag_enabled=drag)
+            p = with_drag(drag)
             rhs, _ = _make_rhs(p)
             assert bits(rhs(list(state), u)) == bits(reference_rhs(list(state), u, p))
 
@@ -231,7 +238,7 @@ class TestTetherForce:
         # holds a -0.0 thrust along y against a +0.0 pull: both sums stay
         # -0.0, with drag off because no drag term is added and with drag on
         # because bodies at rest feel a -0.0 drag force
-        p = SystemParams(drag_enabled=drag)
+        p = with_drag(drag)
         state = replaced(slack_state(p), x_1=ORIGIN + vec3(-0.3, 0.0, -0.4),
                          x_2=ORIGIN + vec3(-0.2, 0.0, -0.4), T_act_1=vec3(0.0, -0.0, 0.0))
         d = rhs_at(state, zero_cmd(), p).tolist()
@@ -340,11 +347,24 @@ class TestDerivative:
             assert_allclose(total, external, atol=1e-12)
 
     def test_drag_toggle(self):
-        p = SystemParams(drag_enabled=True, c_d_quad=0.05, c_d_payload=0.02)
+        p = with_drag(True)
         state = replaced(slack_state(p), v_p=vec3(2.0, 0, 0))
         d = rhs_at(state, zero_cmd(), p)
         expected = -0.02 * 2.0 * 2.0 / p.m_p
         assert d[3] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("c_d_quad,c_d_payload,stepper", [
+        (0.0, 0.0, "drag off"), (0.05, 0.0, "drag on"), (0.0, 0.02, "drag on")])
+    def test_coefficients_pick_the_stepper(self, c_d_quad, c_d_payload, stepper):
+        # drag acts on each body whose coefficient is nonzero
+        p = SystemParams(c_d_quad=c_d_quad, c_d_payload=c_d_payload)
+        rhs, advance = _make_rhs(p)
+        assert rhs.__code__.co_filename == f"<spinlift.dynamics stepper, {stepper}>"
+        assert advance.__code__.co_filename == rhs.__code__.co_filename
+        state = replaced(slack_state(p), v_p=vec3(2.0, 0, 0), v_1=vec3(0, 2.0, 0))
+        d = rhs_at(state, zero_cmd(), p)
+        assert d[3] == pytest.approx(-c_d_payload * 4.0 / p.m_p, rel=1e-12)
+        assert d[10] == pytest.approx(-c_d_quad * 4.0 / p.m_q, rel=1e-12)
 
     @given(state=near_formation_states(),
            u=st.lists(st.floats(-5.0, 20.0), min_size=6, max_size=6))
@@ -356,7 +376,7 @@ class TestDerivative:
 
         y = list(state)
         for drag in (False, True):
-            p = SystemParams(drag_enabled=drag)
+            p = with_drag(drag)
             rhs, _ = _make_rhs(p)
             d, d_exchanged = rhs(y, u), rhs(exchange(y), u[3:] + u[:3])
             assert bits(d_exchanged[6:]) == bits(exchange(d)[6:])
@@ -425,7 +445,7 @@ class TestStep:
         # since lqr.linearize calls it on every synthesis
         codes = []
         for drag in (False, True):
-            light, heavy = SystemParams(drag_enabled=drag), SystemParams(m_p=0.9, drag_enabled=drag)
+            light, heavy = with_drag(drag), with_drag(drag, m_p=0.9)
             rhs_light, advance_light = _make_rhs(light)
             rhs_heavy, advance_heavy = _make_rhs(heavy)
             assert rhs_light.__code__ is rhs_heavy.__code__
@@ -439,7 +459,7 @@ class TestStep:
     @pytest.mark.parametrize("drag", [False, True])
     @pytest.mark.parametrize("vehicle", ["x_1", "x_2"])
     def test_coincident_bodies_rejected_by_the_stepper(self, vehicle, drag):
-        p = SystemParams(drag_enabled=drag)
+        p = with_drag(drag)
         state = list(replaced(slack_state(p), **{vehicle: ORIGIN}))
         rhs, advance = _make_rhs(p)
         message = f"vehicle {vehicle[-1]} coincides with the payload"
@@ -547,7 +567,7 @@ class TestSimulate:
         # 62 steps at 20 steps per hold: three command changes, a
         # decimation of 7 that puts stored samples inside holds and one of
         # 45 whose stores skip whole holds
-        p = SystemParams(f_ctrl=100.0, drag_enabled=drag)
+        p = with_drag(drag, f_ctrl=100.0)
         def controller(y, t):
             return thrusts[round(t * p.f_ctrl)]
 

@@ -147,9 +147,11 @@ class TestPower:
             power(-1.0, P)
 
     def test_overflowing_thrust_rejected(self):
-        # 1e300 N is finite, but its 1.5th power is not
-        with pytest.raises(ValueError, match="overflows the power law"):
-            power(1e300, P)
+        # 1e300 N is finite, but its 1.5th power is not; at the second thrust
+        # one vehicle's power is 1.2e308 W, finite, but the pair total is not
+        for T in (1e300, (1.2e308 * P.rotor_constant) ** (2.0 / 3.0)):
+            with pytest.raises(ValueError, match="overflows the power law"):
+                power(T, P)
 
     def test_density_scaling(self):
         dense = SystemParams(rho=2.0 * P.rho)

@@ -11,6 +11,7 @@ from spinlift.harness import (ScenarioSpec, SimulationFailed, compare_modes,
                               comparison_svg, comparison_to_csv, run_scenario,
                               sweep_beta_svg, sweep_omega_svg)
 from spinlift.model import SystemParams
+from spinlift import svgplot
 from spinlift.svgplot import grouped_bar_chart, line_chart
 from spinlift.dynamics import trajectory_to_csv
 
@@ -255,6 +256,28 @@ class TestSvg:
         svg = line_chart([("only", [1.0], [2.0])], xlabel="x", ylabel="y")
         ET.fromstring(svg)
         assert "<circle" in svg
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.0, 1e-7], [40.0, math.nextafter(40.0, math.inf)]),  # one ulp apart
+        ([0.0, 5e-324], [40.0, 40.0]),  # a subnormal span
+        ([5e-324, 5e-324], [-3.0, -3.0]),  # flat and subnormal
+        ([0.0, 1.0], [-1e306, 1e306]),
+    ], ids=["ulp", "subnormal", "flat_subnormal", "wide"])
+    def test_narrow_or_wide_data_charts_with_distinct_ticks(self, xs, ys):
+        for values in (xs, ys):
+            lo, hi = svgplot._range(values)
+            ticks = svgplot._nice_ticks(lo, hi)
+            assert lo <= min(values) <= max(values) <= hi
+            assert 2 <= len(set(ticks)) == len(ticks) <= 12
+            slack = 1e-9 * (hi - lo)  # the end ticks may round past a limit
+            assert all(lo - slack <= t <= hi + slack for t in ticks)
+        ET.fromstring(line_chart([("s", xs, ys)], xlabel="x", ylabel="y"))
+
+    @pytest.mark.parametrize("ys", [[132.5, 1.75e308], [-8.6e307, 8.6e307], [0.0, math.inf],
+                                    [1e307, 1e307]])
+    def test_data_beyond_float_range_refused(self, ys):
+        with pytest.raises(ValueError, match="cannot chart values"):
+            line_chart([("s", [0.0, 1.0], ys)], xlabel="x", ylabel="y")
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ FIELD_RULES = {
     **dict.fromkeys(["g", "c_T", "c_d_quad", "c_d_payload"],
                     "a nonnegative finite number"),
     "N_p": "an integer >= 1",
-    "drag_enabled": "a bool",
 }
 
 
@@ -42,7 +41,6 @@ def valid_params(draw):
         "tau_att": (0.01, 1.0), "c_d_quad": (0.0, 1.0), "c_d_payload": (0.0, 1.0),
         "f_ctrl": (1.0, 1000.0)}.items()}
     values["N_p"] = draw(st.integers(1, 8))
-    values["drag_enabled"] = draw(st.booleans())
     limit = SystemParams(**{**values, "f_ctrl": 50.0}).dt_stability_limit
     steps = draw(st.integers(2, 100)) + math.floor(1.0 / (values["f_ctrl"] * limit))
     kind = draw(st.sampled_from([float, np.float64]))
@@ -77,7 +75,6 @@ class TestSystemParams:
         ("c_d_payload", math.nan),
         *(pytest.param(name, 10**400, id=f"{name}-10**400")  # ints beyond float range
           for name in ("m_q", "g", "f_ctrl")),
-        ("drag_enabled", "false"), ("drag_enabled", 0),  # truthy "false" would turn drag on
         ("m_q", True), ("g", False), ("N_p", True),  # a bool is an int, but not a number here
         *((name, "1") for name in FIELD_RULES),  # a str, whatever the rule
     ])
@@ -183,6 +180,9 @@ class TestConfig:
             load_params("bogus_key = 1\nm_q = 0.7\nother = 2\n")
         with pytest.raises(ConfigError, match="other"):
             load_params("bogus_key = 1\nother = 2\n")
+        # the retired drag toggle: drag acts where a coefficient is nonzero
+        with pytest.raises(ConfigError, match="^unknown config keys: drag_enabled$"):
+            load_params("drag_enabled = true\nc_d_quad = 0.05\n")
 
     def test_parse_failure_reports_line(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -200,19 +200,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             load_params("m_q = 0.7\nm_q = 0.8\n")
 
-    def test_bool_parsing(self):
-        assert load_params("drag_enabled = true\n").drag_enabled is True
-        assert load_params("drag_enabled = Off\n").drag_enabled is False
-        message = "line 1: cannot parse value for drag_enabled: not a boolean: 'maybe'"
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            load_params("drag_enabled = maybe\n")
-
     def test_invariant_violation_from_config(self):
         with pytest.raises(ParamError, match="m_q"):
             load_params("m_q = 0\n")
 
     def test_serialize_then_reload_is_identity(self):
-        p = SystemParams(m_q=0.81, k_T=1234.5, drag_enabled=True, c_d_quad=0.07)
+        p = SystemParams(m_q=0.81, k_T=1234.5, c_d_quad=0.07)
         again = load_params(params_to_text(p))
         assert again == p
 
@@ -235,9 +228,8 @@ class TestConfig:
             "k_T = 2000.0  # tether stiffness [N/m]\n"
             "c_T = 10.0  # tether damping [N*s/m]\n"
             "tau_att = 0.05  # thrust-direction lag time constant [s]\n"
-            "drag_enabled = false  # quadratic drag toggle (true/false)\n"
-            "c_d_quad = 0.05  # vehicle drag coefficient [N*s^2/m^2]\n"
-            "c_d_payload = 0.02  # payload drag coefficient [N*s^2/m^2]\n"
+            "c_d_quad = 0.0  # vehicle drag coefficient [N*s^2/m^2]\n"
+            "c_d_payload = 0.0  # payload drag coefficient [N*s^2/m^2]\n"
             "dt_physics = 0.0005  # integration step [s]\n"
             "f_ctrl = 50.0  # outer-loop control rate [Hz]\n")
 
