@@ -27,7 +27,8 @@ around the compiled ``rhs``: a synthesis evaluates the model 49 times, and on
 A and B come from central finite differences of this model; the gain solves
 the continuous-time LQR problem with position-only state weights
 Q_x = diag(5,5,5), Q_v = 0 per body and R = diag(1.2, 1.2, 1) per vehicle.
-The Riccati equation is solved by scipy's Schur method (Arnold & Laub 1984).
+The Riccati equation is solved from the ordered real Schur form of the
+balanced Hamiltonian (Laub 1979; Arnold & Laub 1984).
 """
 
 from __future__ import annotations
@@ -172,12 +173,26 @@ def solve_care(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
                R: np.ndarray) -> np.ndarray:
     """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0, symmetrized.
 
-    Uses scipy's Schur method; a pair (A, B) that is not stabilizable, or
-    malformed input, raises :class:`SynthesisError`.
+    Laub's Schur method on the Hamiltonian H = [[A, -B R^-1 B'], [-Q, -A']]:
+    H is balanced by a diagonal similarity D (without it a stiff tether
+    leaves P indefinite), its real Schur form is ordered with the stable
+    eigenvalues first, and with V = D U[:, :n] the first n scaled Schur
+    vectors, P = V_21 V_11^-1. A Hamiltonian without n stable eigenvalues
+    (some on the imaginary axis), a singular V_11 (as an unstabilizable pair
+    gives) or malformed input raises :class:`SynthesisError`;
+    :func:`synthesize` checks the closed loop on its own.
     """
+    n = A.shape[0]
     try:
-        P = scipy.linalg.solve_continuous_are(A, B, Q, R)
-    except ValueError as exc:
+        H = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
+        H, (scale, _) = scipy.linalg.matrix_balance(H, permute=False, separate=True)
+        _, U, stable = scipy.linalg.schur(H, sort="lhp")
+        if stable != n:
+            raise SynthesisError(f"Riccati solve failed: the Hamiltonian has {stable} "
+                                 f"stable eigenvalues of {2 * n}, needs {n}")
+        V = scale[:, None] * U[:, :n]
+        P = np.linalg.solve(V[:n].T, V[n:].T).T
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise SynthesisError(f"Riccati solve failed: {exc}") from exc
     return 0.5 * (P + P.T)
 

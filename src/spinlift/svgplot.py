@@ -52,10 +52,15 @@ def _range(values) -> tuple[float, float]:
     pad = 0.05 * (hi - lo)
     if not hi - lo >= max(_REL_SPAN * size, _MIN_SPAN):
         pad = 0.1 * size if 0.2 * size >= _MIN_SPAN else 1.0
-    if not (abs(lo - pad) <= _MAX_LIMIT and abs(hi + pad) <= _MAX_LIMIT):
+    return _checked(lo, hi, (lo - pad, hi + pad))
+
+
+def _checked(lo: float, hi: float, limits: tuple[float, float]) -> tuple[float, float]:
+    """``limits``, the axis of values from lo to hi; ValueError where one passes _MAX_LIMIT."""
+    if not all(abs(v) <= _MAX_LIMIT for v in limits):
         raise ValueError(f"cannot chart values from {lo:.6g} to {hi:.6g}: "
                          f"an axis limit would pass {_MAX_LIMIT:g}")
-    return lo - pad, hi + pad
+    return limits
 
 
 def _axes(parts: list[str], x_lo, x_hi, y_lo, y_hi, xlabel, ylabel, title):
@@ -133,8 +138,9 @@ def grouped_bar_chart(categories: list[str], groups: list[tuple[str, list, list]
     """
     if not categories or not groups:
         raise ValueError("no data to plot")
-    tops = [m + s for _, ms, ss in groups for m, s in zip(ms, ss)]
-    y_lo, y_hi = 0.0, max(tops) * 1.08 if max(tops) > 0 else 1.0
+    top = max(m + s for _, ms, ss in groups for m, s in zip(ms, ss))
+    # [0, 1] where the tallest bar leaves too narrow a span for distinct ticks
+    y_lo, y_hi = _checked(0.0, top, (0.0, top * 1.08 if top * 1.08 >= _MIN_SPAN else 1.0))
 
     parts: list[str] = []
     sx, sy = _axes(parts, -0.5, len(categories) - 0.5, y_lo, y_hi, xlabel, ylabel, title)

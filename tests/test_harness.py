@@ -1,3 +1,4 @@
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -278,6 +279,26 @@ class TestSvg:
     def test_data_beyond_float_range_refused(self, ys):
         with pytest.raises(ValueError, match="cannot chart values"):
             line_chart([("s", [0.0, 1.0], ys)], xlabel="x", ylabel="y")
+
+    @pytest.mark.parametrize("top", [1.7e308, 9.5e306])
+    def test_bars_beyond_float_range_refused(self, top):
+        with pytest.raises(ValueError, match="cannot chart values from 0 to"):
+            grouped_bar_chart(["a"], [("g", [top], [0.0])], xlabel="x", ylabel="y")
+
+    @pytest.mark.parametrize("top", [5e-324, 1e-305])
+    def test_bars_too_low_for_ticks_chart_on_unit_axis(self, top):
+        svg = grouped_bar_chart(["a"], [("g", [top], [0.0])], xlabel="x", ylabel="y")
+        ET.fromstring(svg)
+        assert ">1</text>" in svg
+
+    def test_comparison_chart_bytes(self):
+        # pinned: the bar chart's y axis is 1.08 times the tallest bar + whisker
+        rows = [harness.ComparisonRow(DEG(b), 100.0 + b, 0.01 * b, 90.0 + b / 2, 0.5, 0.1)
+                for b in (15, 30, 45)]
+        rows.append(harness.ComparisonRow(DEG(60), None, None, 120.0, 0.0, None, "refused"))
+        svg = comparison_svg(harness.ComparisonTable(rows))
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "550db49f8bcf078dc67881b704a5461fd1fbbeb0aae4aca5a1768d6fc74f4358")
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):

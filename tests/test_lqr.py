@@ -114,6 +114,57 @@ class TestSolveCare:
         with pytest.raises(SynthesisError):
             solve_care(A, B, np.eye(2), np.eye(1))
 
+    def test_imaginary_axis_hamiltonian_refused(self):
+        # an undriven, unweighted oscillator: every eigenvalue of the
+        # Hamiltonian lies on the imaginary axis, so none is stable
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(SynthesisError, match="has 0 stable eigenvalues of 4, needs 2"):
+            solve_care(A, np.zeros((2, 1)), np.zeros((2, 2)), np.eye(1))
+
+    @given(beta_deg=st.floats(0.0, 89.0), spin=st.floats(0.0, 1.5),
+           m_p=st.floats(0.8, 1.2), k_T=st.floats(0.7, 1.3), tau_att=st.floats(0.8, 1.2))
+    @example(beta_deg=0.0, spin=0.0, m_p=1.0, k_T=1.0, tau_att=1.0)
+    @example(beta_deg=89.0, spin=1.5, m_p=1.2, k_T=0.7, tau_att=0.8)
+    def test_matches_scipy_over_envelope(self, beta_deg, spin, m_p, k_T, tau_att):
+        # m_p, k_T and tau_att are factors on the nominal values
+        params = SystemParams(m_p=m_p * P.m_p, k_T=k_T * P.k_T, tau_att=tau_att * P.tau_att)
+        beta = DEG(beta_deg)
+        spec, _, _ = build_equilibrium(beta, spin * omega_star(beta, params), params)
+        model = linearize(spec, params)
+        Q, R = default_weights()
+        ours = solve_care(model.A, model.B, Q, R)
+        reference = scipy.linalg.solve_continuous_are(model.A, model.B, Q, R)
+        assert_allclose(ours, reference, rtol=1e-9, atol=1e-9 * np.linalg.norm(reference))
+        assert abscissa(model.A - model.B @ np.linalg.solve(R, model.B.T @ ours)) < 0.0
+
+    def test_stiff_tether_residual_no_worse_than_scipy(self):
+        # at k_T = 1e10 N/m, A reaches 1e10 /s^2 and both solvers' residuals
+        # are rounding, measured in units of eps times the equation's scale
+        # ||Q|| + 2 ||A|| ||P|| + ||B R^-1 B'|| ||P||^2; which solver is
+        # lower at one point depends on the BLAS kernel, so the largest over
+        # the grid is compared
+        stiff = SystemParams(k_T=1e10, m_p=0.6, dt_physics=1e-7)
+        Q, R = default_weights()
+
+        def scaled_residual(solver, model):
+            P_sol = solver(model.A, model.B, Q, R)
+            norm_P = np.linalg.norm(P_sol)
+            G = model.B @ np.linalg.solve(R, model.B.T)
+            scale = (np.linalg.norm(Q) + 2.0 * np.linalg.norm(model.A) * norm_P
+                     + np.linalg.norm(G) * norm_P ** 2)
+            return care_residual_norm(model.A, model.B, Q, R, P_sol) / (np.finfo(float).eps * scale)
+
+        ours, reference = [], []
+        for beta_deg in (0, 30, 60, 85, 89):
+            for spin in (0.0, 1.0, 1.5):
+                beta = DEG(beta_deg)
+                spec, _, _ = build_equilibrium(beta, spin * omega_star(beta, stiff), stiff)
+                model = linearize(spec, stiff)
+                ours.append(scaled_residual(solve_care, model))
+                reference.append(scaled_residual(scipy.linalg.solve_continuous_are, model))
+        assert max(ours) < 100.0
+        assert max(ours) <= max(reference)
+
 
 class TestLinearize:
     def test_kinematic_identity_blocks(self):
