@@ -28,7 +28,8 @@ A and B come from central finite differences of this model; the gain solves
 the continuous-time LQR problem with position-only state weights
 Q_x = diag(5,5,5), Q_v = 0 per body and R = diag(1.2, 1.2, 1) per vehicle.
 The Riccati equation is solved from the ordered real Schur form of the
-balanced Hamiltonian (Laub 1979; Arnold & Laub 1984).
+balanced Hamiltonian (Laub 1979; Arnold & Laub 1984), calling LAPACK's
+``dgebal`` and ``dgees`` directly (Anderson et al., LAPACK Users' Guide, 1999).
 """
 
 from __future__ import annotations
@@ -89,16 +90,18 @@ class GainSet:
 
 def _c_frame_model(params: SystemParams):
     """Control-frame dynamics f(s, u, omega_c) of the 18-state design model:
-    sequences of 18 and 6 floats in, the 18-element derivative out.
+    sequences of 18 and 6 floats in, the derivative out as 18 floats in a list.
 
     Evaluated at theta = 0 (frame axes aligned with E), which is general
     because the physics is invariant under rotation about the vertical axis.
     The tests keep the model's numpy matrix form as a reference.
     """
-    rhs, _ = _make_rhs(replace(params, c_d_quad=0.0, c_d_payload=0.0))
+    if params.c_d_quad or params.c_d_payload:  # the design model is drag-free
+        params = replace(params, c_d_quad=0.0, c_d_payload=0.0)
+    rhs, _ = _make_rhs(params)
     no_command = (0.0,) * 6  # the lag rates are not part of the design model
 
-    def f(s, u, omega_c: float) -> np.ndarray:
+    def f(s, u, omega_c: float) -> list[float]:
         (xpx, xpy, xpz, vpx, vpy, vpz, x1x, x1y, x1z, v1x, v1y, v1z,
          x2x, x2y, x2z, v2x, v2y, v2z) = s
         w, mw = omega_c, -omega_c
@@ -107,13 +110,13 @@ def _c_frame_model(params: SystemParams):
                  x1x, x1y, x1z, v1x + x1y * mw, v1y + x1x * w, v1z,
                  x2x, x2y, x2z, v2x + x2y * mw, v2y + x2x * w, v2z, *u], no_command)
         # a_C = a_E - 2 w x v_C - w x (w x x_C), per body
-        return np.array([
+        return [
             vpx, vpy, vpz,
             a[3] - 2.0 * vpy * mw - xpx * w * mw, a[4] - 2.0 * vpx * w - xpy * mw * w, a[5],
             v1x, v1y, v1z,
             a[9] - 2.0 * v1y * mw - x1x * w * mw, a[10] - 2.0 * v1x * w - x1y * mw * w, a[11],
             v2x, v2y, v2z,
-            a[15] - 2.0 * v2y * mw - x2x * w * mw, a[16] - 2.0 * v2x * w - x2y * mw * w, a[17]])
+            a[15] - 2.0 * v2y * mw - x2x * w * mw, a[16] - 2.0 * v2x * w - x2y * mw * w, a[17]]
 
     return f
 
@@ -174,19 +177,31 @@ def solve_care(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
     """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0, symmetrized.
 
     Laub's Schur method on the Hamiltonian H = [[A, -B R^-1 B'], [-Q, -A']]:
-    H is balanced by a diagonal similarity D (without it a stiff tether
-    leaves P indefinite), its real Schur form is ordered with the stable
-    eigenvalues first, and with V = D U[:, :n] the first n scaled Schur
-    vectors, P = V_21 V_11^-1. A Hamiltonian without n stable eigenvalues
-    (some on the imaginary axis), a singular V_11 (as an unstabilizable pair
-    gives) or malformed input raises :class:`SynthesisError`;
-    :func:`synthesize` checks the closed loop on its own.
+    ``dgebal`` balances H by a diagonal similarity D (without it a stiff
+    tether leaves P indefinite), ``dgees`` orders its real Schur form with
+    the stable eigenvalues first, and with V = D U[:, :n] the first n scaled
+    Schur vectors, P = V_21 V_11^-1. Too few stable eigenvalues, a singular
+    V_11 (an unstabilizable pair), a LAPACK failure, NaN, inf or a mismatched
+    shape raises :class:`SynthesisError`; :func:`synthesize` tests A - BK.
     """
     n = A.shape[0]
     try:
-        H = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
-        H, (scale, _) = scipy.linalg.matrix_balance(H, permute=False, separate=True)
-        _, U, stable = scipy.linalg.schur(H, sort="lhp")
+        G = -B @ np.linalg.solve(R, B.T)
+        H = np.empty((2 * n, 2 * n))
+        H[:n, :n], H[:n, n:], H[n:, :n], H[n:, n:] = A, G, -Q, -A.T
+        # a slice assignment broadcasts, and LAPACK takes a NaN or inf unchecked
+        if not (n and A.shape == Q.shape == G.shape == (n, n) and np.isfinite(H).all()):
+            raise ValueError(f"need finite, nonempty n x n A, Q and B R^-1 B' (n = {n})")
+        H, _, _, scale, info = scipy.linalg.lapack.dgebal(H, scale=1, permute=0)
+        if not info:
+            _, stable, _, _, U, _, info = scipy.linalg.lapack.dgees(
+                lambda re, im: re < 0.0, H, sort_t=1)
+        if info:  # scipy.linalg.schur's messages
+            raise np.linalg.LinAlgError(
+                f"illegal value in {-info}-th argument of internal gebal/gees" if info < 0
+                else "Eigenvalues could not be separated for reordering." if info == 2 * n + 1
+                else "Leading eigenvalues do not satisfy sort condition." if info == 2 * n + 2
+                else "Schur form not found. Possibly ill-conditioned.")
         if stable != n:
             raise SynthesisError(f"Riccati solve failed: the Hamiltonian has {stable} "
                                  f"stable eigenvalues of {2 * n}, needs {n}")

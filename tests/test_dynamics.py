@@ -219,8 +219,8 @@ class TestTetherForce:
             expected = tether_only + drag_accelerations(p) if drag else tether_only
             d = rhs_at(state, zero_cmd(), p)
             assert_allclose(d[accel], expected, rtol=1e-12, atol=1e-12)
-            # the design model leaves drag out
-            d_c = _c_frame_model(p)(state[:18], state[18:], 0.0)
+            # the design model leaves drag out; it returns a list of floats
+            d_c = np.array(_c_frame_model(p)(state[:18], state[18:], 0.0))
             assert_allclose(d_c[accel], tether_only, rtol=1e-12, atol=1e-12)
 
     @given(state=near_formation_states(),

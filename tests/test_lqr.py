@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -62,6 +63,28 @@ def reference_linearize(eq, params):
     return J[:, :18].copy(), J[:, 18:].copy()
 
 
+def reference_solve_care(A, B, Q, R):
+    """``solve_care`` through scipy's wrappers: ``matrix_balance``, then
+    ``schur(sort="lhp")`` (workspace query included), then the same
+    V_21 V_11^-1 solve; the bitwise reference for the direct LAPACK calls."""
+    n = A.shape[0]
+    H = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
+    H, (scale, _) = scipy.linalg.matrix_balance(H, permute=False, separate=True)
+    _, U, stable = scipy.linalg.schur(H, sort="lhp")
+    assert stable == n
+    V = scale[:, None] * U[:, :n]
+    P = np.linalg.solve(V[:n].T, V[n:].T).T
+    return 0.5 * (P + P.T)
+
+
+def design_point(beta_deg, spin, params):
+    """A, B, Q, R at beta and spin * omega_star."""
+    beta = DEG(beta_deg)
+    spec, _, _ = build_equilibrium(beta, spin * omega_star(beta, params), params)
+    model = linearize(spec, params)
+    return (model.A, model.B, *default_weights())
+
+
 class TestSolveCare:
     def test_double_integrator_closed_form(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -120,6 +143,70 @@ class TestSolveCare:
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(SynthesisError, match="has 0 stable eigenvalues of 4, needs 2"):
             solve_care(A, np.zeros((2, 1)), np.zeros((2, 2)), np.eye(1))
+
+    # an infinity in B meets B's zeros in B R^-1 B' (inf * 0), which numpy
+    # reports as a RuntimeWarning before the NaN reaches the check
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["A", "B", "Q"])
+    def test_non_finite_input_refused(self, name, value):
+        args = {"A": np.array([[0.0, 1.0], [0.0, 0.0]]), "B": np.array([[0.0], [1.0]]),
+                "Q": np.eye(2), "R": np.eye(1)}
+        args[name][1, 0] = value
+        with pytest.raises(SynthesisError, match="need finite"):
+            solve_care(**args)
+
+    @pytest.mark.parametrize("n, n_Q", [(2, 1), (0, 0)])
+    def test_mismatched_or_empty_shape_refused(self, n, n_Q):
+        # a (1, 1) Q would broadcast into the (2, 2) block of H; a 0 x 0
+        # problem has no Hamiltonian for LAPACK to balance
+        with pytest.raises(SynthesisError, match="need finite, nonempty"):
+            solve_care(np.zeros((n, n)), np.ones((n, 1)), np.eye(n_Q), np.eye(1))
+
+    @pytest.mark.parametrize("info, message", [
+        (5, "Riccati solve failed: Eigenvalues could not be separated for reordering."),
+        (6, "Riccati solve failed: Leading eigenvalues do not satisfy sort condition."),
+        (3, "Riccati solve failed: Schur form not found. Possibly ill-conditioned."),
+        (-2, "Riccati solve failed: illegal value in 2-th argument of internal gebal/gees")])
+    def test_lapack_failure_refused(self, monkeypatch, info, message):
+        # dgees's info for the 4 x 4 Hamiltonian of a 2-state plant: its
+        # order plus 1 or plus 2 is a reordering failure, another positive
+        # value a QR failure
+        def dgees(select, a, sort_t):
+            return a, 2, None, None, np.eye(4), None, info
+
+        lapack = types.SimpleNamespace(dgebal=scipy.linalg.lapack.dgebal, dgees=dgees)
+        monkeypatch.setattr(lqr, "scipy", types.SimpleNamespace(
+            linalg=types.SimpleNamespace(lapack=lapack)))
+        with pytest.raises(SynthesisError) as refused:
+            solve_care(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]),
+                       np.eye(2), np.eye(1))
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_matches_wrapper_path_bitwise_random(self, n):
+        # up to n = 64 (H of order 128) LAPACK reduces H unblocked, so the
+        # minimal dgees workspace gives the bits of scipy's queried one
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        B = rng.standard_normal((n, max(1, n // 3)))
+        args = (A, B, np.eye(n), np.eye(B.shape[1]))
+        assert solve_care(*args).tobytes() == reference_solve_care(*args).tobytes()
+
+    @given(beta_deg=st.floats(0.0, 89.0), spin=st.floats(0.0, 1.5),
+           m_p=st.floats(0.8, 1.2), k_T=st.floats(0.7, 1.3), tau_att=st.floats(0.8, 1.2))
+    @example(beta_deg=0.0, spin=0.0, m_p=1.0, k_T=1.0, tau_att=1.0)
+    @example(beta_deg=89.0, spin=1.5, m_p=1.2, k_T=0.7, tau_att=0.8)
+    def test_matches_wrapper_path_bitwise(self, beta_deg, spin, m_p, k_T, tau_att):
+        # m_p, k_T and tau_att are factors on the nominal values
+        params = SystemParams(m_p=m_p * P.m_p, k_T=k_T * P.k_T, tau_att=tau_att * P.tau_att)
+        args = design_point(beta_deg, spin, params)
+        assert solve_care(*args).tobytes() == reference_solve_care(*args).tobytes()
+
+    @pytest.mark.parametrize("beta_deg, spin", [(0, 0.0), (60, 0.0), (60, 1.0)])
+    def test_stiff_tether_matches_wrapper_path_bitwise(self, beta_deg, spin):
+        args = design_point(beta_deg, spin, SystemParams(k_T=1e10, m_p=0.6, dt_physics=1e-7))
+        assert solve_care(*args).tobytes() == reference_solve_care(*args).tobytes()
 
     @given(beta_deg=st.floats(0.0, 89.0), spin=st.floats(0.0, 1.5),
            m_p=st.floats(0.8, 1.2), k_T=st.floats(0.7, 1.3), tau_att=st.floats(0.8, 1.2))
@@ -205,6 +292,18 @@ class TestLinearize:
         broken = dataclasses.replace(spec, u_bar=(spec.u_bar[0] + 0.5, *spec.u_bar[1:]))
         with pytest.raises(LinearizationError):
             linearize(broken, P)
+
+    @pytest.mark.parametrize("beta_deg, spin", [(30, 0.0), (60, 1.0), (85, 1.5)])
+    def test_design_model_drag_free(self, beta_deg, spin):
+        # drag acts on the truth model only: with both coefficients nonzero,
+        # A and B are those of the same params without drag
+        dragged = SystemParams(c_d_quad=0.05, c_d_payload=0.02)
+        beta = DEG(beta_deg)
+        spec, _, _ = build_equilibrium(beta, spin * omega_star(beta, dragged), dragged)
+        ours = linearize(spec, dragged)
+        reference = linearize(spec, dataclasses.replace(dragged, c_d_quad=0.0, c_d_payload=0.0))
+        assert ours.A.tobytes() == reference.A.tobytes()
+        assert ours.B.tobytes() == reference.B.tobytes()
 
     @pytest.mark.parametrize("beta_deg", [0, 60])
     def test_stiff_tether_equilibrium_accepted(self, beta_deg):
