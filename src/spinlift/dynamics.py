@@ -24,6 +24,8 @@ for both vehicles, and the payload's after them (see :func:`_make_rhs`).
 decimation, and builds the trajectory's arrays once at the end: states from
 the buffer, commands from the per-tick command buffer, and the tether-tension
 column with one array evaluation of :func:`tether_force` over all samples.
+:func:`trajectory_to_csv` renders one share of rows per CPU, each beyond the
+first in a forked child, and its text is the same whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import _BLOCK_ROWS, STATE_DIM, SystemParams, SystemState, csv_line, table_text
+from .model import _BLOCK_ROWS, STATE_DIM, SystemParams, SystemState, _shared_table_text, csv_line
 
 __all__ = [
     "DegenerateGeometryError",
@@ -406,10 +408,11 @@ _CSV_HEADER = (
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """Render the trajectory as CSV at full double precision: each block of
-    ``_BLOCK_ROWS`` rows is stacked and turned into Python floats by one
-    ``tolist``, and its :func:`model.csv_line` lines go to :func:`model.table_text`."""
+    """The trajectory as CSV at full double precision, one share of rows per CPU
+    (:func:`model._shared_table_text`), each block made Python floats by one ``tolist``."""
     columns = (traj.t, traj.states, traj.tether, traj.theta)
-    rows = (row for start in range(0, len(traj), _BLOCK_ROWS)
-            for row in np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns]).tolist())
-    return table_text(_CSV_HEADER, map(csv_line, rows))
+    def lines(start, stop):  # a share is whole blocks, the last one ending at len(traj)
+        return map(csv_line, (row for i in range(start, stop, _BLOCK_ROWS) for row in
+                              np.column_stack([c[i:i + _BLOCK_ROWS] for c in columns]).tolist()))
+
+    return _shared_table_text(_CSV_HEADER, len(traj), lines)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass, field, fields
 from itertools import islice
 
@@ -249,16 +250,56 @@ def csv_line(row) -> str:
     return ",".join(map(repr, row))
 
 
+def _blocks(lines):
+    """``lines`` read once, ``_BLOCK_ROWS`` at a time, each block joined into one string."""
+    lines = iter(lines)
+    while block := list(islice(lines, _BLOCK_ROWS)):
+        yield "\n".join(block)
+
+
 def table_text(header: str, lines) -> str:
     """The text of every CSV table: the header line, then ``lines`` (strings
-    without their newline, most often :func:`csv_line` of a row),
-    newline-terminated. ``lines`` is read once, one block of
-    ``_BLOCK_ROWS`` at a time, each block joined into one string before the
-    next is read: no list of every line exists, and the returned text is the
-    only full-size string."""
-    lines = iter(lines)
-    blocks = [header]
-    while block := list(islice(lines, _BLOCK_ROWS)):
-        blocks.append("\n".join(block))
-    blocks.append("")
-    return "\n".join(blocks)
+    without their newline, most often :func:`csv_line` of a row), newline-
+    terminated. No list of every line exists: the text is the only full-size string."""
+    return "\n".join([header, *_blocks(lines), ""])
+
+
+def _shared_table_text(header: str, n: int, lines) -> str:
+    """``table_text(header, lines(0, n))``, byte for byte (``lines(a, b)``: the lines
+    of rows a to b - 1), in contiguous shares of whole blocks, one per CPU this
+    process may run on: it renders share 0, and a forked child renders each other
+    share whole, then sends it length-prefixed over a pipe. A child's nonzero exit
+    raises RuntimeError naming its rows, unless this process is already raising."""
+    n_blocks = -(-n // _BLOCK_ROWS)
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    k = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, n_blocks))
+    edges = [min(n, i * n_blocks // k * _BLOCK_ROWS) for i in range(k + 1)]
+    readers, pids = [], []
+    try:
+        for start, stop in zip(edges[1:], edges[2:]):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            with open(w, "wb") as pipe:
+                if (pid := os.fork()) == 0:  # the child ends only through os._exit
+                    try:  # every read end, its own too, or its writes could never fail
+                        for reader in readers:
+                            reader.close()
+                        for block in [b.encode() for b in _blocks(lines(start, stop))]:
+                            pipe.write(b"%d\n%b" % (len(block), block))
+                        pipe.flush()
+                    except BaseException:
+                        os._exit(1)
+                    os._exit(0)
+            pids.append(pid)
+        blocks = [header, *_blocks(lines(0, edges[1]))]
+        for reader in readers:
+            while size := reader.readline():
+                blocks.append(reader.read(int(size)).decode())
+    finally:  # read ends first: a child blocked on a full pipe then dies
+        for reader in readers:
+            reader.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for code, start, stop in zip(codes, edges[1:], edges[2:]):
+        if code:
+            raise RuntimeError(f"rendering rows {start} to {stop - 1}: child exit status {code}")
+    return "\n".join([*blocks, ""])

@@ -5,7 +5,11 @@ Python loop, the way the writers did before they shared ``table_text``; the
 writers must produce exactly the same text.
 """
 
+import contextlib
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -123,12 +127,91 @@ def test_table_text_block_edges(n):
     assert table_text("a,b,c,i", map(csv_line, rows)) == expected
 
 
-def test_trajectory_csv_across_blocks():
-    n = 2 * B + 1
+def block_trajectory(t):
+    """A trajectory with the sample times ``t`` and edge values in its other cells."""
+    n = len(t)
     cells = np.resize(np.array(SPECIAL), n * 27).reshape(n, 27)
-    traj = Trajectory(t=np.arange(n) * 5e-4, states=cells[:, :24], commands=np.zeros((n, 6)),
+    return Trajectory(t=t, states=cells[:, :24], commands=np.zeros((n, 6)),
                       tether=cells[:, 25:27], theta=cells[:, 24])
-    assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError, rather than hang, when the block runs longer
+    than ``seconds``; a forked child inherits the handler but not the alarm."""
+    def overdue(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_trajectory_csv_across_blocks(monkeypatch):
+    # share edges on 1 to 4 CPUs: one share per CPU, at most one per block,
+    # every share beyond the first in a forked child
+    fork = os.fork
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for n in (B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B + 2):
+        traj = block_trajectory(np.arange(n) * 5e-4)
+        expected = reference_trajectory_csv(traj)
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            forks.clear()
+            with deadline(60):
+                text = trajectory_to_csv(traj)
+            assert text == expected, (n, cpus)
+            assert len(forks) == min(cpus, -(-n // B)) - 1, (n, cpus)
+    assert_no_child_left()
+
+
+def test_trajectory_csv_child_failure(monkeypatch):
+    # row 2B is rendered by the second of two shares, in a child
+    traj = block_trajectory(np.arange(2 * B + 1, dtype=float))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def failing_line(row):
+        if row[0] == 2 * B:
+            raise ValueError("cell out of range")
+        return csv_line(row)
+
+    monkeypatch.setattr(dynamics, "csv_line", failing_line)
+    with deadline(60), pytest.raises(
+            RuntimeError, match=f"^rendering rows {B} to {2 * B}: child exit status 1$"):
+        trajectory_to_csv(traj)
+    assert_no_child_left()
+
+
+def test_trajectory_csv_parent_failure(monkeypatch):
+    # the child's share of B + 1 rows is far beyond a 64 KB pipe buffer: it
+    # is blocked on its pipe when share 0, in this process, fails at its last
+    # row, and must die of the closed read end
+    traj = block_trajectory(np.arange(2 * B + 1, dtype=float))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    error = ValueError("share 0 failed")
+
+    def failing_line(row):
+        if row[0] == B - 1:
+            time.sleep(0.5)
+            raise error
+        return csv_line(row)
+
+    monkeypatch.setattr(dynamics, "csv_line", failing_line)
+    with deadline(60), pytest.raises(ValueError) as raised:
+        trajectory_to_csv(traj)
+    assert raised.value is error
+    assert_no_child_left()
 
 
 def test_trajectory_csv_of_flight(flight):
