@@ -27,9 +27,9 @@ around the compiled ``rhs``: a synthesis evaluates the model 49 times, and on
 A and B come from central finite differences of this model; the gain solves
 the continuous-time LQR problem with position-only state weights
 Q_x = diag(5,5,5), Q_v = 0 per body and R = diag(1.2, 1.2, 1) per vehicle.
-The Riccati equation is solved from the ordered real Schur form of the
-balanced Hamiltonian (Laub 1979; Arnold & Laub 1984), calling LAPACK's
-``dgebal`` and ``dgees`` directly (Anderson et al., LAPACK Users' Guide, 1999).
+The Riccati equation is solved by Potter's eigenvector method (Potter,
+"Matrix quadratic solutions", SIAM J. Appl. Math. 14, 1966) on numpy alone;
+:func:`solve_care` says which checks guard it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import _make_rhs
 from .model import EquilibriumSpec, SystemParams
@@ -53,6 +52,10 @@ __all__ = [
     "default_weights",
     "synthesize",
 ]
+
+# Unused here: kept because the benchmark tracer (``perfbench/tracing.py``)
+# swaps this name; nothing in this module reads it.
+scipy = None
 
 N_STATE = 18
 N_INPUT = 6
@@ -176,13 +179,17 @@ def solve_care(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
                R: np.ndarray) -> np.ndarray:
     """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0, symmetrized.
 
-    Laub's Schur method on the Hamiltonian H = [[A, -B R^-1 B'], [-Q, -A']]:
-    ``dgebal`` balances H by a diagonal similarity D (without it a stiff
-    tether leaves P indefinite), ``dgees`` orders its real Schur form with
-    the stable eigenvalues first, and with V = D U[:, :n] the first n scaled
-    Schur vectors, P = V_21 V_11^-1. Too few stable eigenvalues, a singular
-    V_11 (an unstabilizable pair), a LAPACK failure, NaN, inf or a mismatched
-    shape raises :class:`SynthesisError`; :func:`synthesize` tests A - BK.
+    Potter's eigenvector method on the Hamiltonian
+    H = [[A, -B R^-1 B'], [-Q, -A']]: ``numpy.linalg.eig`` calls LAPACK's
+    ``dgeev``, which balances H first (a stiff tether puts entries of 1e10
+    beside entries of order 1), and with V the eigenvectors of its n
+    eigenvalues of negative real part, P = Re(V_21 V_11^-1). Too few stable
+    eigenvalues, a singular V_11 (an unstabilizable pair), a LAPACK failure,
+    NaN, inf or a mismatched shape raises :class:`SynthesisError`.
+    Eigenvectors lose accuracy as H nears a defective matrix (Laub, IEEE TAC
+    24, 1979, whose Schur method the tests keep as the reference), so
+    :func:`synthesize` refuses a P that is not PSD or a K that does not make
+    A - BK Hurwitz, and reports the Riccati residual.
     """
     n = A.shape[0]
     try:
@@ -192,21 +199,14 @@ def solve_care(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
         # a slice assignment broadcasts, and LAPACK takes a NaN or inf unchecked
         if not (n and A.shape == Q.shape == G.shape == (n, n) and np.isfinite(H).all()):
             raise ValueError(f"need finite, nonempty n x n A, Q and B R^-1 B' (n = {n})")
-        H, _, _, scale, info = scipy.linalg.lapack.dgebal(H, scale=1, permute=0)
-        if not info:
-            _, stable, _, _, U, _, info = scipy.linalg.lapack.dgees(
-                lambda re, im: re < 0.0, H, sort_t=1)
-        if info:  # scipy.linalg.schur's messages
-            raise np.linalg.LinAlgError(
-                f"illegal value in {-info}-th argument of internal gebal/gees" if info < 0
-                else "Eigenvalues could not be separated for reordering." if info == 2 * n + 1
-                else "Leading eigenvalues do not satisfy sort condition." if info == 2 * n + 2
-                else "Schur form not found. Possibly ill-conditioned.")
-        if stable != n:
-            raise SynthesisError(f"Riccati solve failed: the Hamiltonian has {stable} "
+        eigenvalues, V = np.linalg.eig(H)
+        stable = eigenvalues.real < 0.0
+        if stable.sum() != n:
+            raise SynthesisError(f"Riccati solve failed: the Hamiltonian has {stable.sum()} "
                                  f"stable eigenvalues of {2 * n}, needs {n}")
-        V = scale[:, None] * U[:, :n]
-        P = np.linalg.solve(V[:n].T, V[n:].T).T
+        P = np.linalg.solve(V[:n, stable].T, V[n:, stable].T).T.real
+        if not np.isfinite(P).all():
+            raise np.linalg.LinAlgError("Singular matrix")
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SynthesisError(f"Riccati solve failed: {exc}") from exc
     return 0.5 * (P + P.T)

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import spinlift
 from spinlift import harness
 from spinlift.cli import main
 from spinlift.model import SystemParams, params_to_text
@@ -314,3 +319,37 @@ def test_compare_with_no_flown_angle_writes_nothing(command, tmp_path, capsys, m
 def test_compare_rejects_bad_grid(capsys):
     assert main(["compare", "--betas", "abc"]) == 1
     assert main(["compare", "--betas", ""]) == 1
+
+
+def _fresh_python(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports spinlift from this
+    source tree; returns the completed process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spinlift.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # a None entry in sys.modules makes every import of scipy, or of any of
+    # its submodules, raise ImportError
+    run = _fresh_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import spinlift\n"
+        "from spinlift.cli import main\n"
+        "print(main(['equilibrium', '--beta', '60']),\n"
+        "      main(['fly', '--mode', 'rotating', '--beta', '45', '--duration', '2']))\n",
+        tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 0"
+    assert (tmp_path / "trajectory_rotating_beta45.csv").exists()
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    run = _fresh_python(
+        "import sys\n"
+        "import spinlift.cli\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n",
+        tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
