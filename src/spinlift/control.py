@@ -198,17 +198,17 @@ def command_log_to_csv(traj: Trajectory, T_max: float) -> str:
     """Command log aligned with trajectory samples; ``saturated`` flags ticks
     whose commanded magnitude sits at the saturation limit.
 
-    Every sample of a hold repeats its command, so the seven command cells
-    are rendered once per run of bitwise-equal rows (``-0.0`` and ``0.0``
-    differ), and a generator feeds :func:`model.table_text` one line per
-    sample, its time and its hold's cells: no list of every line exists."""
+    Every sample of a hold repeats its command, so the seven command cells are
+    rendered once per run of bitwise-equal rows (``-0.0`` and ``0.0`` differ),
+    before :func:`model.table_text` forks, and each line is its sample's time
+    and its hold's cells."""
     bits = traj.commands.view(np.int64)
     t = traj.t.tolist()
-    changed = (bits[1:] != bits[:-1]).any(axis=1)
-    starts = [0, *(np.flatnonzero(changed) + 1).tolist()] if t else []
+    first = np.ones(len(t), dtype=bool)  # rows that start a run
+    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
     limit = T_max - 1e-9
     cells = ["," + csv_line([*u, int(math.hypot(*u[:3]) >= limit or math.hypot(*u[3:]) >= limit)])
-             for u in traj.commands[starts].tolist()]
-    lines = (repr(x) + hold for hold, start, stop in zip(cells, starts, starts[1:] + [len(t)])
-             for x in t[start:stop])
-    return table_text(_LOG_HEADER, lines)
+             for u in traj.commands[first].tolist()]
+    tails = [cells[h] for h in (np.cumsum(first) - 1).tolist()]  # each row's hold's cells
+    return table_text(_LOG_HEADER, len(t),
+                      lambda a, b: map(operator.add, map(repr, t[a:b]), tails[a:b]))

@@ -23,9 +23,9 @@ for both vehicles, and the payload's after them (see :func:`_make_rhs`).
 :func:`simulate` makes one stepper call per hold, whatever the output
 decimation, and builds the trajectory's arrays once at the end: states from
 the buffer, commands from the per-tick command buffer, and the tether-tension
-column with one array evaluation of :func:`tether_force` over all samples.
-:func:`trajectory_to_csv` renders one share of rows per CPU, each beyond the
-first in a forked child, and its text is the same whatever the number of CPUs.
+column with one array evaluation of :func:`tether_forces` over all samples.
+:func:`trajectory_to_csv` hands :func:`spinlift.model.table_text` one block of
+rows at a time, which renders them on every CPU the process may run on.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import _BLOCK_ROWS, STATE_DIM, SystemParams, SystemState, _shared_table_text, csv_line
+from .model import STATE_DIM, SystemParams, SystemState, csv_line, table_text
 
 __all__ = [
     "DegenerateGeometryError",
@@ -100,10 +100,12 @@ def tether_force(x_i, v_i, x_p, v_p,
 
 
 def tether_forces(state, params: SystemParams) -> tuple[tuple, tuple]:
-    """``((F_1, r_hat_1), (F_2, r_hat_2))`` of one flat 24-float state. Unused here:
-    kept because the benchmark tracer (``perfbench/tracing.py``) patches it by name."""
-    return (tether_force(state[6:9], state[9:12], state[0:3], state[3:6], params),
-            tether_force(state[12:15], state[15:18], state[0:3], state[3:6], params))
+    """``((F_1, r_hat_1), (F_2, r_hat_2))`` of one flat 24-float state, or of a
+    stack of them along the last axis (shape ``(..., 24)``), by :func:`tether_force`."""
+    y = np.asarray(state, dtype=float)
+    x_p, v_p = y[..., 0:3], y[..., 3:6]
+    return (tether_force(y[..., 6:9], y[..., 9:12], x_p, v_p, params),
+            tether_force(y[..., 12:15], y[..., 15:18], x_p, v_p, params))
 
 
 # Names of the 24 integrated scalars, in the flat layout of spinlift.model,
@@ -272,7 +274,7 @@ def _make_rhs(params: SystemParams):
     second copy for speed; a property test keeps the two in agreement.
 
     The tension column of a :class:`Trajectory` is not taken from here:
-    :func:`simulate` evaluates :func:`tether_force` once over all samples
+    :func:`simulate` evaluates :func:`tether_forces` once over all samples
     after the run.
     """
     return _compile_stepper(params.c_d_quad > 0.0 or params.c_d_payload > 0.0)(
@@ -391,9 +393,7 @@ def simulate(initial,
     states = np.frombuffer(samples).reshape(-1, STATE_DIM)
     commands = np.frombuffer(ticks).reshape(-1, 6)[np.maximum(steps - 1, 0) // steps_per_tick]
     theta = np.fromiter(map(frame_angle, t.tolist()), float, len(t))
-    x_p, v_p = states[:, 0:3], states[:, 3:6]
-    F_1, _ = tether_force(states[:, 6:9], states[:, 9:12], x_p, v_p, params)
-    F_2, _ = tether_force(states[:, 12:15], states[:, 15:18], x_p, v_p, params)
+    (F_1, _), (F_2, _) = tether_forces(states, params)
     return Trajectory(t=t, states=states, commands=commands,
                       tether=np.column_stack([F_1, F_2]), theta=theta)
 
@@ -408,11 +408,8 @@ _CSV_HEADER = (
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """The trajectory as CSV at full double precision, one share of rows per CPU
-    (:func:`model._shared_table_text`), each block made Python floats by one ``tolist``."""
+    """The trajectory as CSV at full double precision, by :func:`model.table_text`:
+    each block's rows made Python floats by one ``tolist``."""
     columns = (traj.t, traj.states, traj.tether, traj.theta)
-    def lines(start, stop):  # a share is whole blocks, the last one ending at len(traj)
-        return map(csv_line, (row for i in range(start, stop, _BLOCK_ROWS) for row in
-                              np.column_stack([c[i:i + _BLOCK_ROWS] for c in columns]).tolist()))
-
-    return _shared_table_text(_CSV_HEADER, len(traj), lines)
+    return table_text(_CSV_HEADER, len(traj), lambda a, b: map(
+        csv_line, np.column_stack([c[a:b] for c in columns]).tolist()))

@@ -255,8 +255,10 @@ _SWEEP_HEADER = "beta_deg,omega_rad_s,T_vehicle_N,P_vehicle_W,P_total_W,tilt_deg
 
 def sweep_to_csv(result: SweepResult, params: SystemParams) -> str:
     """CSV for sweep output, one row per successful grid point."""
-    rows = ((math.degrees(rep.beta), rep.omega_C, rep.T_per_vehicle, rep.P_per_vehicle,
-             rep.P_total, math.degrees(tilt_angle(rep.beta, rep.omega_C, params)),
-             tension_at_equilibrium(rep.beta, params))
-            for rep in result.reports)
-    return table_text(_SWEEP_HEADER, map(csv_line, rows))
+    def line(rep: PowerReport) -> str:
+        return csv_line((math.degrees(rep.beta), rep.omega_C, rep.T_per_vehicle, rep.P_per_vehicle,
+                         rep.P_total, math.degrees(tilt_angle(rep.beta, rep.omega_C, params)),
+                         tension_at_equilibrium(rep.beta, params)))
+
+    reports = result.reports
+    return table_text(_SWEEP_HEADER, len(reports), lambda a, b: map(line, reports[a:b]))

@@ -104,10 +104,11 @@ def _angle_from_vertical(vectors: np.ndarray) -> np.ndarray:
     return np.arccos(cosines)
 
 
-def _omega_series(traj: Trajectory, origin: np.ndarray) -> np.ndarray:
-    rel = traj.x_1 - origin
+def _omega_series(x_1: np.ndarray, v_1: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """Vehicle 1's angular rate [rad/s] about the vertical through ``origin``."""
+    rel = x_1 - origin
     r_sq = rel[:, 0] ** 2 + rel[:, 1] ** 2
-    num = rel[:, 0] * traj.v_1[:, 1] - rel[:, 1] * traj.v_1[:, 0]
+    num = rel[:, 0] * v_1[:, 1] - rel[:, 1] * v_1[:, 0]
     return np.where(r_sq > 1e-12, num / np.maximum(r_sq, 1e-12), 0.0)
 
 
@@ -165,26 +166,22 @@ def summarize(traj: Trajectory, params: SystemParams, window: tuple[float, float
     mask = (traj.t >= t0 - 1e-9) & (traj.t <= t1 + 1e-9)
     if not np.any(mask):
         raise ValueError("metering window contains no samples")
-    p_tot = (eqm.rotor_power(np.linalg.norm(traj.T_act_1, axis=1), params)
-             + eqm.rotor_power(np.linalg.norm(traj.T_act_2, axis=1), params))
+    states = traj.states[mask]  # the window's samples: every series below is row by row
+    x_p, x_1, v_1, T_act_1, T_act_2 = (states[:, i:i + 3] for i in (0, 6, 9, 18, 21))
+    p_tot = (eqm.rotor_power(np.linalg.norm(T_act_1, axis=1), params)
+             + eqm.rotor_power(np.linalg.norm(T_act_2, axis=1), params))
     origin = np.asarray(eqm.DEFAULT_PAYLOAD_POSITION, dtype=float)
 
-    tilt1 = _angle_from_vertical(traj.T_act_1)[mask]
-    tilt2 = _angle_from_vertical(traj.T_act_2)[mask]
-    deviation = np.linalg.norm(traj.x_p - origin, axis=1)[mask]
-    omega_meas = _omega_series(traj, origin)[mask]
-    beta_meas = _angle_from_vertical(traj.x_1 - traj.x_p)[mask]
-
     return RunSummary(
-        mean_P_total=float(np.mean(p_tot[mask])),
-        std_P_total=float(np.std(p_tot[mask])),
-        mean_tilt_1=float(np.mean(tilt1)),
-        mean_tilt_2=float(np.mean(tilt2)),
-        max_payload_deviation=float(np.max(deviation)),
-        mean_omega_achieved=float(np.mean(omega_meas)),
-        mean_beta_measured=float(np.mean(beta_meas)),
+        mean_P_total=float(np.mean(p_tot)),
+        std_P_total=float(np.std(p_tot)),
+        mean_tilt_1=float(np.mean(_angle_from_vertical(T_act_1))),
+        mean_tilt_2=float(np.mean(_angle_from_vertical(T_act_2))),
+        max_payload_deviation=float(np.max(np.linalg.norm(x_p - origin, axis=1))),
+        mean_omega_achieved=float(np.mean(_omega_series(x_1, v_1, origin))),
+        mean_beta_measured=float(np.mean(_angle_from_vertical(x_1 - x_p))),
         phase_durations=dict(durations),
-        n_samples=int(np.sum(mask)),
+        n_samples=len(states),
     )
 
 
@@ -242,9 +239,10 @@ def _comparison_line(row: ComparisonRow) -> str:
 
 
 def comparison_to_csv(table: ComparisonTable) -> str:
-    """``compare.csv``, by :func:`model.table_text`: per row its numbers, blank
-    where a flight failed, then its errors joined into one quoted cell."""
-    return table_text(_COMPARE_HEADER, map(_comparison_line, table.rows))
+    """``compare.csv``, by :func:`model.table_text` over slices of the rows: per row
+    its numbers, blank where a flight failed, then its errors in one quoted cell."""
+    rows = table.rows
+    return table_text(_COMPARE_HEADER, len(rows), lambda a, b: map(_comparison_line, rows[a:b]))
 
 
 def _power_series(label: str, result: eqm.SweepResult, x) -> tuple:

@@ -184,12 +184,14 @@ def solve_care(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
     ``dgeev``, which balances H first (a stiff tether puts entries of 1e10
     beside entries of order 1), and with V the eigenvectors of its n
     eigenvalues of negative real part, P = Re(V_21 V_11^-1). Too few stable
-    eigenvalues, a singular V_11 (an unstabilizable pair), a LAPACK failure,
-    NaN, inf or a mismatched shape raises :class:`SynthesisError`.
-    Eigenvectors lose accuracy as H nears a defective matrix (Laub, IEEE TAC
-    24, 1979, whose Schur method the tests keep as the reference), so
-    :func:`synthesize` refuses a P that is not PSD or a K that does not make
-    A - BK Hurwitz, and reports the Riccati residual.
+    eigenvalues, an exactly singular V_11, a LAPACK failure, NaN, inf or a
+    mismatched shape raises :class:`SynthesisError`; an unstabilizable pair
+    need not (an unreachable undamped oscillator that Q weighs gives a nearly
+    singular V_11 and a finite P of about 7e7). Eigenvectors lose accuracy as
+    H nears a defective matrix (Laub, IEEE TAC 24, 1979, whose Schur method
+    the tests keep as the reference), so :func:`synthesize` refuses a P that
+    is not PSD or a K that does not make A - BK Hurwitz (which refuses that
+    P), and reports the Riccati residual.
     """
     n = A.shape[0]
     try:

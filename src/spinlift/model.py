@@ -1,4 +1,5 @@
-"""Shared domain types: parameters, operating point, flat state layouts.
+"""Shared domain types: parameters, operating point, flat state layouts; and
+the one CSV table writer, :func:`table_text`, with its row format :func:`csv_line`.
 
 Conventions used throughout the package:
 
@@ -16,7 +17,6 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field, fields
-from itertools import islice
 
 __all__ = [
     "ParamError",
@@ -240,7 +240,7 @@ def default_thrust_limit(params: SystemParams) -> float:
     return 4.0 * params.m_q * params.g
 
 
-# Lines per block of table_text: about 2 MB of text at 28 full-precision cells.
+# Rows per block of table_text: about 2 MB of text at 28 full-precision cells.
 _BLOCK_ROWS = 4096
 
 
@@ -250,26 +250,22 @@ def csv_line(row) -> str:
     return ",".join(map(repr, row))
 
 
-def _blocks(lines):
-    """``lines`` read once, ``_BLOCK_ROWS`` at a time, each block joined into one string."""
-    lines = iter(lines)
-    while block := list(islice(lines, _BLOCK_ROWS)):
-        yield "\n".join(block)
+def table_text(header: str, n: int, lines) -> str:
+    """The text of every CSV table: the header line, then the lines of rows 0 to
+    n - 1, newline-terminated. ``lines(a, b)`` returns the lines of rows a to b - 1
+    (strings without their newline, most often :func:`csv_line` of a row); it is
+    called once per block of at most ``_BLOCK_ROWS`` rows, never on an empty range,
+    and each block is joined into one string, so no list of every line exists.
 
-
-def table_text(header: str, lines) -> str:
-    """The text of every CSV table: the header line, then ``lines`` (strings
-    without their newline, most often :func:`csv_line` of a row), newline-
-    terminated. No list of every line exists: the text is the only full-size string."""
-    return "\n".join([header, *_blocks(lines), ""])
-
-
-def _shared_table_text(header: str, n: int, lines) -> str:
-    """``table_text(header, lines(0, n))``, byte for byte (``lines(a, b)``: the lines
-    of rows a to b - 1), in contiguous shares of whole blocks, one per CPU this
+    The blocks are rendered in contiguous shares of whole blocks, one per CPU this
     process may run on: it renders share 0, and a forked child renders each other
-    share whole, then sends it length-prefixed over a pipe. A child's nonzero exit
-    raises RuntimeError naming its rows, unless this process is already raising."""
+    share whole, then sends it length-prefixed over a pipe. The text is the same
+    whatever the number of shares, and one share forks nothing. A child's nonzero
+    exit raises RuntimeError naming its rows, unless this process is already raising."""
+    def blocks(start, stop):
+        return ("\n".join(lines(a, min(a + _BLOCK_ROWS, stop)))
+                for a in range(start, stop, _BLOCK_ROWS))
+
     n_blocks = -(-n // _BLOCK_ROWS)
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     k = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, n_blocks))
@@ -284,17 +280,17 @@ def _shared_table_text(header: str, n: int, lines) -> str:
                     try:  # every read end, its own too, or its writes could never fail
                         for reader in readers:
                             reader.close()
-                        for block in [b.encode() for b in _blocks(lines(start, stop))]:
+                        for block in [b.encode() for b in blocks(start, stop)]:
                             pipe.write(b"%d\n%b" % (len(block), block))
                         pipe.flush()
                     except BaseException:
                         os._exit(1)
                     os._exit(0)
             pids.append(pid)
-        blocks = [header, *_blocks(lines(0, edges[1]))]
+        text = [header, *blocks(0, edges[1])]
         for reader in readers:
             while size := reader.readline():
-                blocks.append(reader.read(int(size)).decode())
+                text.append(reader.read(int(size)).decode())
     finally:  # read ends first: a child blocked on a full pipe then dies
         for reader in readers:
             reader.close()
@@ -302,4 +298,4 @@ def _shared_table_text(header: str, n: int, lines) -> str:
     for code, start, stop in zip(codes, edges[1:], edges[2:]):
         if code:
             raise RuntimeError(f"rendering rows {start} to {stop - 1}: child exit status {code}")
-    return "\n".join([*blocks, ""])
+    return "\n".join([*text, ""])

@@ -151,6 +151,20 @@ class TestSolveCare:
         with pytest.raises(SynthesisError, match="has 1 stable eigenvalues of 6, needs 3"):
             solve_care(A, np.zeros((3, 1)), np.zeros((3, 3)), np.eye(1))
 
+    def test_unreachable_weighted_oscillator_not_stabilizing(self):
+        # an undamped oscillator that B cannot reach but Q weighs: rounding can
+        # split the Hamiltonian's double eigenvalues +-i off the imaginary axis,
+        # leaving V_11 nearly but not exactly singular and P finite and huge
+        # (entries of about 7e7 on the default kernel); the solve refuses, or
+        # the closed loop it gives is not Hurwitz, which synthesize refuses
+        A = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        B = np.array([[0.0], [0.0], [1.0]])
+        try:
+            P = solve_care(A, B, np.eye(3), np.eye(1))
+        except SynthesisError:
+            return
+        assert abscissa(A - B @ B.T @ P) >= 0.0
+
     # an infinity in B meets B's zeros in B R^-1 B' (inf * 0), which numpy
     # reports as a RuntimeWarning before the NaN reaches the check
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")

@@ -2,7 +2,11 @@
 
 The reference formatters below write each cell with ``repr(float(v))`` in a
 Python loop, the way the writers did before they shared ``table_text``; the
-writers must produce exactly the same text.
+writers must produce exactly the same text. Every table goes through
+``model.table_text(header, n, lines)``, which asks ``lines`` for one block of
+rows at a time and renders the blocks in one share per CPU, each beyond the
+first in a forked child: the tests pin the text, the calls of ``lines`` and
+the number of forks on 1 to 4 CPUs.
 """
 
 import contextlib
@@ -111,30 +115,6 @@ def odd_trajectory():
                       commands=commands, tether=cells[:, 25:27], theta=cells[:, 24])
 
 
-def test_table_text_layout():
-    assert table_text("a,b", []) == "a,b\n"
-    assert table_text("a,b", map(csv_line, [[1.0, -0.0], [5e-324, 2]])) == \
-        "a,b\n1.0,-0.0\n5e-324,2\n"
-
-
-@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
-def test_table_text_block_edges(n):
-    # the last cell is the row index, so a block dropped, repeated or
-    # reordered at a boundary changes the text
-    rows = [[*(SPECIAL[(i + j) % len(SPECIAL)] for j in range(3)), float(i)] for i in range(n)]
-    expected = "\n".join(["a,b,c,i", *map(reference_line, rows), ""])
-    assert table_text("a,b,c,i", [csv_line(row) for row in rows]) == expected
-    assert table_text("a,b,c,i", map(csv_line, rows)) == expected
-
-
-def block_trajectory(t):
-    """A trajectory with the sample times ``t`` and edge values in its other cells."""
-    n = len(t)
-    cells = np.resize(np.array(SPECIAL), n * 27).reshape(n, 27)
-    return Trajectory(t=t, states=cells[:, :24], commands=np.zeros((n, 6)),
-                      tether=cells[:, 25:27], theta=cells[:, 24])
-
-
 @contextlib.contextmanager
 def deadline(seconds):
     """Fail with TimeoutError, rather than hang, when the block runs longer
@@ -157,23 +137,89 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_trajectory_csv_across_blocks(monkeypatch):
-    # share edges on 1 to 4 CPUs: one share per CPU, at most one per block,
-    # every share beyond the first in a forked child
+def block_lines(rows, calls):
+    """``lines`` for table_text over ``rows``: each line ends with the range (a, b)
+    of the call that rendered it, the calls this process makes are appended to
+    ``calls``, and an empty or out-of-range call fails."""
+    def lines(a, b):
+        if not 0 <= a < b <= len(rows):
+            raise AssertionError(f"lines({a}, {b}) of {len(rows)} rows")
+        calls.append((a, b))
+        return (f"{csv_line(row)},{a},{b}" for row in rows[a:b])
+
+    return lines
+
+
+def test_table_text_layout():
+    rows = [[1.0, -0.0], [5e-324, 2]]
+    calls = []
+    assert table_text("a,b", 0, block_lines([], calls)) == "a,b\n"
+    assert calls == []
+    assert table_text("a,b", 2, lambda a, b: map(csv_line, rows[a:b])) == \
+        "a,b\n1.0,-0.0\n5e-324,2\n"
+    assert table_text("a,b", 2, block_lines(rows, calls)) == \
+        "a,b\n1.0,-0.0,0,2\n5e-324,2,0,2\n"
+    assert calls == [(0, 2)]
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+def test_table_text_block_edges(n, monkeypatch):
+    # the row index and the rendering call's range close each line, so a
+    # block dropped, repeated, reordered or rendered by the wrong call changes
+    # the text; a child's empty call fails it, and the parent raises
+    rows = [[*(SPECIAL[(i + j) % len(SPECIAL)] for j in range(3)), float(i)] for i in range(n)]
+    expected = "\n".join(["a,b,c,i", *(f"{reference_line(row)},{i - i % B},{min(i - i % B + B, n)}"
+                                       for i, row in enumerate(rows)), ""])
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        calls = []
+        with deadline(60):
+            assert table_text("a,b,c,i", n, block_lines(rows, calls)) == expected, cpus
+        if cpus == 1:  # every call is made in this process: once per block
+            assert calls == [(a, min(a + B, n)) for a in range(0, n, B)]
+    assert_no_child_left()
+
+
+def block_trajectory(t):
+    """A trajectory with the sample times ``t`` and edge values in its other
+    cells; its command is held for 7 samples at a time, so holds straddle blocks."""
+    n = len(t)
+    cells = np.resize(np.array(SPECIAL), n * 27).reshape(n, 27)
+    holds = np.resize(np.array(SPECIAL), (-(-n // 7), 5))
+    commands = np.repeat(np.column_stack([holds, np.arange(len(holds))]), 7, axis=0)[:n]
+    return Trajectory(t=t, states=cells[:, :24], commands=commands,
+                      tether=cells[:, 25:27], theta=cells[:, 24])
+
+
+def assert_across_blocks(monkeypatch, write, reference):
+    """``write(traj)`` equals ``reference(traj)`` at the block edges on 1 to 4
+    CPUs: one share per CPU, at most one per block, every share beyond the
+    first in a forked child."""
     fork = os.fork
     forks = []
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     for n in (B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B + 2):
         traj = block_trajectory(np.arange(n) * 5e-4)
-        expected = reference_trajectory_csv(traj)
+        expected = reference(traj)
         for cpus in (1, 2, 3, 4):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
             forks.clear()
             with deadline(60):
-                text = trajectory_to_csv(traj)
+                text = write(traj)
             assert text == expected, (n, cpus)
             assert len(forks) == min(cpus, -(-n // B)) - 1, (n, cpus)
     assert_no_child_left()
+
+
+def test_trajectory_csv_across_blocks(monkeypatch):
+    assert_across_blocks(monkeypatch, trajectory_to_csv, reference_trajectory_csv)
+
+
+def test_command_log_across_blocks(monkeypatch):
+    # holds of 7 rows straddle the block and share edges; each hold's cells
+    # are rendered before the fork
+    assert_across_blocks(monkeypatch, lambda traj: command_log_to_csv(traj, T_MAX),
+                         lambda traj: reference_command_log(traj, T_MAX))
 
 
 def test_trajectory_csv_child_failure(monkeypatch):
