@@ -42,7 +42,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import STATE_DIM, SystemParams, SystemState, csv_line, table_text
+from .model import (STATE_DIM, STATE_PARTS, STATE_SLICES, SystemParams, SystemState,
+                    csv_line, table_text)
 
 __all__ = [
     "DegenerateGeometryError",
@@ -103,9 +104,9 @@ def tether_forces(state, params: SystemParams) -> tuple[tuple, tuple]:
     """``((F_1, r_hat_1), (F_2, r_hat_2))`` of one flat 24-float state, or of a
     stack of them along the last axis (shape ``(..., 24)``), by :func:`tether_force`."""
     y = np.asarray(state, dtype=float)
-    x_p, v_p = y[..., 0:3], y[..., 3:6]
-    return (tether_force(y[..., 6:9], y[..., 9:12], x_p, v_p, params),
-            tether_force(y[..., 12:15], y[..., 15:18], x_p, v_p, params))
+    x_p, v_p, x_1, v_1, x_2, v_2 = (y[..., STATE_SLICES[name]] for name in
+                                    ("x_p", "v_p", "x_1", "v_1", "x_2", "v_2"))
+    return tether_force(x_1, v_1, x_p, v_p, params), tether_force(x_2, v_2, x_p, v_p, params)
 
 
 # Names of the 24 integrated scalars, in the flat layout of spinlift.model,
@@ -287,9 +288,10 @@ def _make_rhs(params: SystemParams):
 class Trajectory:
     """Uniformly sampled simulation output.
 
-    ``states`` rows follow the flat layout in :mod:`spinlift.model`;
-    ``commands`` rows are [T_cmd_1, T_cmd_2]; ``tether`` rows are [F_1, F_2];
-    ``theta`` is the control-frame angle schedule at each sample time.
+    ``states`` rows follow :data:`spinlift.model.STATE_PARTS`: read a part as
+    ``states[:, STATE_SLICES[name]]``. ``commands`` rows are [T_cmd_1, T_cmd_2];
+    ``tether`` rows are [F_1, F_2]; ``theta`` is the control-frame angle
+    schedule at each sample time.
     """
 
     t: np.ndarray         # (n,) sample times [s]
@@ -300,38 +302,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    @property
-    def x_p(self) -> np.ndarray:
-        return self.states[:, 0:3]
-
-    @property
-    def v_p(self) -> np.ndarray:
-        return self.states[:, 3:6]
-
-    @property
-    def x_1(self) -> np.ndarray:
-        return self.states[:, 6:9]
-
-    @property
-    def v_1(self) -> np.ndarray:
-        return self.states[:, 9:12]
-
-    @property
-    def x_2(self) -> np.ndarray:
-        return self.states[:, 12:15]
-
-    @property
-    def v_2(self) -> np.ndarray:
-        return self.states[:, 15:18]
-
-    @property
-    def T_act_1(self) -> np.ndarray:
-        return self.states[:, 18:21]
-
-    @property
-    def T_act_2(self) -> np.ndarray:
-        return self.states[:, 21:24]
 
 
 def simulate(initial,
@@ -359,11 +329,11 @@ def simulate(initial,
 
     ``output_decimation`` is the number of physics steps between stored
     samples (default: one sample per control tick), an integer >= 1
-    (TypeError for a non-integer, which is not truncated). Hold boundaries
-    align with steps: :class:`SystemParams` guarantees that 1/(f_ctrl *
-    dt_physics) is an integer. Each hold is one stepper call, which appends
-    the samples that fall inside it to a flat buffer; the arrays are built
-    from it once, at the end. The command stored with a sample is the one
+    (TypeError for a bool or a non-integer, which is not truncated). Hold
+    boundaries align with steps: :class:`SystemParams` guarantees that
+    1/(f_ctrl * dt_physics) is an integer. Each hold is one stepper call,
+    which appends the samples that fall inside it to a flat buffer; the
+    arrays are built from it once, at the end. The command stored with a sample is the one
     held over the step that ends there (the first tick's for t = 0).
     """
     if not duration > 0.0:
@@ -373,6 +343,8 @@ def simulate(initial,
     n_steps = int(round(duration / dt))
     if n_steps < 1:
         raise ValueError("duration shorter than one physics step")
+    if isinstance(output_decimation, bool):
+        raise TypeError(f"output_decimation must be an integer, got {output_decimation!r}")
     dec = steps_per_tick if output_decimation is None else operator.index(output_decimation)
     if dec < 1:
         raise ValueError(f"output_decimation must be >= 1, got {dec}")
@@ -398,13 +370,8 @@ def simulate(initial,
                       tether=np.column_stack([F_1, F_2]), theta=theta)
 
 
-_CSV_HEADER = (
-    "t,x_p_x,x_p_y,x_p_z,v_p_x,v_p_y,v_p_z,"
-    "x_1_x,x_1_y,x_1_z,v_1_x,v_1_y,v_1_z,"
-    "x_2_x,x_2_y,x_2_z,v_2_x,v_2_y,v_2_z,"
-    "T_act_1_x,T_act_1_y,T_act_1_z,T_act_2_x,T_act_2_y,T_act_2_z,"
-    "F_1,F_2,theta"
-)
+_CSV_HEADER = ",".join(["t", *(f"{name}_{axis}" for name in STATE_PARTS for axis in "xyz"),
+                        "F_1", "F_2", "theta"])
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

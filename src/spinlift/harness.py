@@ -22,7 +22,7 @@ from . import equilibrium as eqm
 from .control import ControllerConfig, SpinProfile, _check_durations, control_step
 from .dynamics import IntegrationBlowupError, Trajectory, simulate
 from .lqr import LinearizationError, SynthesisError, synthesize
-from .model import _COUNT, _POSITIVE, SystemParams, _finite_number, table_text
+from .model import _COUNT, _POSITIVE, STATE_SLICES, SystemParams, _finite_number, table_text
 from .svgplot import grouped_bar_chart, line_chart
 
 __all__ = [
@@ -144,8 +144,8 @@ def run_scenario(spec: ScenarioSpec, params: SystemParams) -> tuple[Trajectory, 
     # both vehicles): displaces the payload from its setpoint while keeping
     # tethers at their equilibrium geometry (a payload-only shift would slam
     # one tether slack and snap-load the other)
-    for i in (0, 6, 12):
-        initial[i] += spec.perturb_payload
+    for name in ("x_p", "x_1", "x_2"):
+        initial[STATE_SLICES[name].start] += spec.perturb_payload
 
     try:
         traj = simulate(initial, lambda y, t: control_step(y, cfg, t),
@@ -167,7 +167,8 @@ def summarize(traj: Trajectory, params: SystemParams, window: tuple[float, float
     if not np.any(mask):
         raise ValueError("metering window contains no samples")
     states = traj.states[mask]  # the window's samples: every series below is row by row
-    x_p, x_1, v_1, T_act_1, T_act_2 = (states[:, i:i + 3] for i in (0, 6, 9, 18, 21))
+    x_p, x_1, v_1, T_act_1, T_act_2 = (states[:, STATE_SLICES[name]] for name in
+                                       ("x_p", "x_1", "v_1", "T_act_1", "T_act_2"))
     p_tot = (eqm.rotor_power(np.linalg.norm(T_act_1, axis=1), params)
              + eqm.rotor_power(np.linalg.norm(T_act_2, axis=1), params))
     origin = np.asarray(eqm.DEFAULT_PAYLOAD_POSITION, dtype=float)

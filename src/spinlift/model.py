@@ -203,21 +203,19 @@ class EquilibriumSpec:
             object.__setattr__(self, name, _finite_floats(getattr(self, name), size, name))
 
 
-# Flat state layout, the only form of a state in the package:
-#   [0:3]   x_p   payload position, E frame [m]
-#   [3:6]   v_p   payload velocity, E frame [m/s]
-#   [6:9]   x_1   vehicle 1 position [m]
-#   [9:12]  v_1   vehicle 1 velocity [m/s]
-#   [12:15] x_2   vehicle 2 position [m]
-#   [15:18] v_2   vehicle 2 velocity [m/s]
-#   [18:21] T_act_1  actual (lagged) thrust vector, vehicle 1, E frame [N]
-#   [21:24] T_act_2  actual thrust vector, vehicle 2 [N]
+# Flat state layout, the only form of a state in the package: the eight
+# 3-vectors of STATE_PARTS in that order, all in the E frame. x_p and v_p are
+# the payload's position [m] and velocity [m/s], x_i and v_i vehicle i's, and
+# T_act_i is vehicle i's actual (lagged) thrust vector [N]. The scalar hot
+# paths unpack a state by position, and tests pin them to this declaration.
 # The control-frame angle is not a state: it is the spin schedule's closed
 # form theta(t), and every flight starts at t = 0 with theta = 0.
 # Flat command layout, held by the simulator between control ticks:
 #   [0:3]   T_cmd_1  commanded thrust vector, vehicle 1, E frame [N]
 #   [3:6]   T_cmd_2  commanded thrust vector, vehicle 2, E frame [N]
-STATE_DIM = 24
+STATE_PARTS = ("x_p", "v_p", "x_1", "v_1", "x_2", "v_2", "T_act_1", "T_act_2")
+STATE_SLICES = {name: slice(3 * i, 3 * i + 3) for i, name in enumerate(STATE_PARTS)}
+STATE_DIM = 3 * len(STATE_PARTS)
 
 
 class SystemState(tuple):

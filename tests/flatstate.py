@@ -1,15 +1,14 @@
-"""Test helpers for the flat 24-float state of :mod:`spinlift.model`: a state
-made of its eight named 3-vectors, one 3-vector read or replaced by name, and
-the frame rotation that the control tests take as their reference."""
+"""Test helpers for the flat 24-float state of :mod:`spinlift.model`, by the
+names and slices that it declares (``STATE_PARTS``, ``STATE_SLICES``): a state
+made of its eight named 3-vectors, one 3-vector read (of one state or a stack
+of them) or replaced by name, and the frame rotation that the control tests
+take as their reference."""
 
 import math
 
 import numpy as np
 
-from spinlift.model import SystemState
-
-NAMES = ("x_p", "v_p", "x_1", "v_1", "x_2", "v_2", "T_act_1", "T_act_2")
-_SLICES = {name: slice(3 * i, 3 * i + 3) for i, name in enumerate(NAMES)}
+from spinlift.model import STATE_DIM, STATE_PARTS, STATE_SLICES, SystemState
 
 
 def vec3(x: float, y: float, z: float) -> np.ndarray:
@@ -17,23 +16,24 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
 
 
 def part(state, name: str) -> np.ndarray:
-    """The 3-vector ``name`` (one of :data:`NAMES`) of a flat state."""
-    return np.array(state[_SLICES[name]], dtype=float)
+    """The 3-vector ``name`` (one of ``STATE_PARTS``) of a flat state, or the
+    ``(n, 3)`` rows of it in a stack of states ``(n, 24)``."""
+    return np.asarray(state, dtype=float)[..., STATE_SLICES[name]]
 
 
 def replaced(state, **parts) -> SystemState:
     """The flat state with the named 3-vectors replaced."""
     y = list(state)
     for name, value in parts.items():
-        y[_SLICES[name]] = np.asarray(value, dtype=float).tolist()
+        y[STATE_SLICES[name]] = np.asarray(value, dtype=float).tolist()
     return SystemState.from_vector(y)
 
 
 def make_state(**parts) -> SystemState:
     """The flat state made of all eight named 3-vectors."""
-    if set(parts) != set(NAMES):
-        raise TypeError(f"a state needs exactly the 3-vectors {NAMES}")
-    return replaced([0.0] * 24, **parts)
+    if set(parts) != set(STATE_PARTS):
+        raise TypeError(f"a state needs exactly the 3-vectors {STATE_PARTS}")
+    return replaced([0.0] * STATE_DIM, **parts)
 
 
 def rotation_c_to_e(theta: float) -> np.ndarray:

@@ -162,7 +162,8 @@ def test_criterion_7_dynamics_oracles():
                            T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0))
     traj = simulate(drift_state, lambda y, t: cmd, lambda t: 0.0, p0,
                     duration=1.0, output_decimation=100)
-    momentum = p0.m_p * traj.v_p + p0.m_q * traj.v_1 + p0.m_q * traj.v_2
+    v_p, v_1, v_2 = (part(traj.states, name) for name in ("v_p", "v_1", "v_2"))
+    momentum = p0.m_p * v_p + p0.m_q * v_1 + p0.m_q * v_2
     mom_drift = float(np.linalg.norm(momentum - momentum[0], axis=1).max())
 
     # RK4 order by step halving
@@ -190,7 +191,7 @@ def test_criterion_8_regulation():
         spec = ScenarioSpec(mode=mode, beta=DEG(45), spin_up=0.0, hover=15.0,
                             spin_down=0.0, metering_window=5.0, perturb_payload=0.2)
         traj, _ = run_scenario(spec, P)
-        dev = np.linalg.norm(traj.x_p - ORIGIN, axis=1)
+        dev = np.linalg.norm(part(traj.states, "x_p") - ORIGIN, axis=1)
         settled = bool(np.all(dev[traj.t >= 10.0] < 0.02))
         t_max = 4.0 * P.m_q * P.g
         n1 = np.linalg.norm(traj.commands[:, 0:3], axis=1)

@@ -394,6 +394,39 @@ class TestDerivative:
                 assert abs(d_exchanged[k] - d[k]) <= 4.0 * math.ulp(scale)
 
 
+class TestStateLayout:
+    """The scalar paths that unpack a state by position (both steppers' rhs and
+    build_equilibrium) follow model.STATE_PARTS: were the declaration reordered
+    without them, these tests fail instead of the stepper silently reading the
+    wrong parts."""
+
+    # every component distinct, so a part read from the wrong place differs
+    DISTINCT = [1.0 + 0.37 * k + 0.011 * k * k for k in range(24)]
+    COMMAND = [0.5, -0.25, 9.0, -0.75, 0.125, 8.0]
+
+    @pytest.mark.parametrize("drag", [False, True])
+    def test_rhs_position_and_lag_rates(self, drag):
+        p = with_drag(drag)
+        y = self.DISTINCT
+        rate = rhs_at(y, self.COMMAND, p)
+        for body in ("p", "1", "2"):
+            assert part(rate, f"x_{body}").tolist() == part(y, f"v_{body}").tolist()
+        for i in (1, 2):
+            u_i = np.array(self.COMMAND[3 * i - 3:3 * i])
+            assert_allclose(part(rate, f"T_act_{i}"), (u_i - part(y, f"T_act_{i}")) / p.tau_att,
+                            rtol=1e-15)
+
+    @pytest.mark.parametrize("beta_deg, spin", [(30.0, False), (60.0, True)])
+    def test_build_equilibrium_parts(self, beta_deg, spin):
+        p = SystemParams()
+        beta = math.radians(beta_deg)
+        spec, state, _ = build_equilibrium(beta, omega_star(beta, p) if spin else 0.0, p)
+        for i in (1, 2):
+            tether = part(state, f"x_{i}") - part(state, "x_p")
+            assert np.linalg.norm(tether) == pytest.approx(spec.length, rel=1e-14)
+            assert part(state, f"T_act_{i}").tolist() == list(spec.u_bar[3 * i - 3:3 * i])
+
+
 class TestStep:
     def test_equilibrium_step_is_stationary(self):
         p = SystemParams()
@@ -502,7 +535,8 @@ class TestSimulate:
                          T_act_1=vec3(0, 0, 0), T_act_2=vec3(0, 0, 0))
         traj = simulate(state, lambda y, t: zero_cmd(), lambda t: 0.0, p,
                         duration=1.0, output_decimation=200)
-        momentum = (p.m_p * traj.v_p + p.m_q * traj.v_1 + p.m_q * traj.v_2)
+        v_p, v_1, v_2 = (part(traj.states, name) for name in ("v_p", "v_1", "v_2"))
+        momentum = p.m_p * v_p + p.m_q * v_1 + p.m_q * v_2
         drift = np.linalg.norm(momentum - momentum[0], axis=1)
         assert drift.max() < 1e-8
 
@@ -521,11 +555,11 @@ class TestSimulate:
         traj = simulate(state, lambda y, t: cmd, lambda t: w * t, p, duration=1.0,
                         output_decimation=100)
         mirror = np.diag([-1.0, -1.0, 1.0])
-        rel1 = traj.x_1 - ORIGIN
-        rel2 = traj.x_2 - ORIGIN
-        assert_allclose(rel2, rel1 @ mirror.T, atol=1e-10)
-        assert_allclose(traj.v_2, traj.v_1 @ mirror.T, atol=1e-10)
-        assert_allclose(traj.x_p[:, 0:2], np.zeros_like(traj.x_p[:, 0:2]), atol=1e-10)
+        x_p, x_1, v_1, x_2, v_2 = (part(traj.states, name)
+                                   for name in ("x_p", "x_1", "v_1", "x_2", "v_2"))
+        assert_allclose(x_2 - ORIGIN, (x_1 - ORIGIN) @ mirror.T, atol=1e-10)
+        assert_allclose(v_2, v_1 @ mirror.T, atol=1e-10)
+        assert_allclose(x_p[:, 0:2], np.zeros_like(x_p[:, 0:2]), atol=1e-10)
 
     def test_energy_audit(self):
         # drag off, both ropes taut throughout: d/dt(E) = thrust power -
@@ -537,22 +571,23 @@ class TestSimulate:
                         duration=1.0, output_decimation=1)
         assert traj.tether.min() > 0.0
         n = len(traj)
+        x_p, v_p, x_1, v_1, x_2, v_2, T_act_1, T_act_2 = (
+            part(traj.states, name)
+            for name in ("x_p", "v_p", "x_1", "v_1", "x_2", "v_2", "T_act_1", "T_act_2"))
         # kinetic, gravitational (z datum at 0) and spring energy
-        energies = 0.5 * (p.m_p * np.sum(traj.v_p ** 2, axis=1)
-                          + p.m_q * np.sum(traj.v_1 ** 2, axis=1)
-                          + p.m_q * np.sum(traj.v_2 ** 2, axis=1))
-        energies += p.g * (p.m_p * traj.x_p[:, 2] + p.m_q * traj.x_1[:, 2]
-                           + p.m_q * traj.x_2[:, 2])
-        for x_i in (traj.x_1, traj.x_2):
-            stretch = np.linalg.norm(x_i - traj.x_p, axis=1) - p.ell
+        energies = 0.5 * (p.m_p * np.sum(v_p ** 2, axis=1)
+                          + p.m_q * np.sum(v_1 ** 2, axis=1)
+                          + p.m_q * np.sum(v_2 ** 2, axis=1))
+        energies += p.g * (p.m_p * x_p[:, 2] + p.m_q * x_1[:, 2] + p.m_q * x_2[:, 2])
+        for x_i in (x_1, x_2):
+            stretch = np.linalg.norm(x_i - x_p, axis=1) - p.ell
             energies += 0.5 * p.k_T * stretch * stretch
-        thrust_power = (np.sum(traj.T_act_1 * traj.v_1, axis=1)
-                        + np.sum(traj.T_act_2 * traj.v_2, axis=1))
+        thrust_power = np.sum(T_act_1 * v_1, axis=1) + np.sum(T_act_2 * v_2, axis=1)
         damping = np.zeros(n)
-        for x_i, v_i in ((traj.x_1, traj.v_1), (traj.x_2, traj.v_2)):
-            rel = x_i - traj.x_p
+        for x_i, v_i in ((x_1, v_1), (x_2, v_2)):
+            rel = x_i - x_p
             dist = np.linalg.norm(rel, axis=1)
-            rate = np.sum((v_i - traj.v_p) * rel, axis=1) / dist
+            rate = np.sum((v_i - v_p) * rel, axis=1) / dist
             damping += p.c_T * rate ** 2
         work = simpson(thrust_power - damping, x=traj.t)
         defect = (energies[-1] - energies[0]) - work
@@ -615,8 +650,9 @@ class TestSimulate:
         for i in range(len(traj)):
             (F_1, _), (F_2, _) = tether_forces(traj.states[i], p)
             assert_allclose(traj.tether[i], [F_1, F_2], rtol=1e-12, atol=1e-9)
-        slack = np.stack([np.linalg.norm(traj.x_1 - traj.x_p, axis=1) < p.ell,
-                          np.linalg.norm(traj.x_2 - traj.x_p, axis=1) < p.ell], axis=1)
+        x_p = part(traj.states, "x_p")
+        slack = np.stack([np.linalg.norm(part(traj.states, x_i) - x_p, axis=1) < p.ell
+                          for x_i in ("x_1", "x_2")], axis=1)
         assert slack[0].all() and slack[-1].all() and not slack.all()
         assert np.all(traj.tether[slack] == 0.0)
         assert np.any(traj.tether[~slack] > 0.0)
@@ -630,7 +666,7 @@ class TestSimulate:
         with pytest.raises(ValueError, match="state vector must be 24 finite floats"):
             simulate(y, lambda y, t: cmd, lambda t: 0.0, p, duration=0.1)
 
-    @pytest.mark.parametrize("dec, error", [(2.5, TypeError), (0, ValueError)])
+    @pytest.mark.parametrize("dec, error", [(2.5, TypeError), (0, ValueError), (True, TypeError)])
     def test_output_decimation_not_truncated(self, dec, error):
         p = SystemParams()
         _, state, cmd = build_equilibrium(0.5, 0.0, p)

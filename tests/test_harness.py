@@ -16,6 +16,8 @@ from spinlift import svgplot
 from spinlift.svgplot import grouped_bar_chart, line_chart
 from spinlift.dynamics import trajectory_to_csv
 
+from flatstate import part, replaced, vec3
+
 P = SystemParams()
 DEG = math.radians
 
@@ -159,12 +161,11 @@ class TestRunScenario:
                           perturb_payload=0.2)
         traj, summary = run_scenario(spec, P)
         # the spawn is the equilibrium moved by exactly the offset in x, at
-        # the payload and both vehicles (flat indices 0, 6 and 12)
+        # the payload and both vehicles
         _, spawn, _ = build_equilibrium(DEG(45.0), 0.0, P)
-        offset = np.zeros(24)
-        offset[[0, 6, 12]] = 0.2
-        assert traj.states[0].tolist() == (np.array(spawn) + offset).tolist()
-        dev = np.linalg.norm(traj.x_p - np.array([0.0, 0.0, 1.5]), axis=1)
+        moved = {name: part(spawn, name) + vec3(0.2, 0.0, 0.0) for name in ("x_p", "x_1", "x_2")}
+        assert traj.states[0].tolist() == list(replaced(spawn, **moved))
+        dev = np.linalg.norm(part(traj.states, "x_p") - np.array([0.0, 0.0, 1.5]), axis=1)
         assert dev[0] == pytest.approx(0.2, abs=1e-12)
         assert dev[-1] < 0.02
 
