@@ -165,15 +165,17 @@ fd{b}x, fd{b}y, fd{b}z = s{b} * v{b}x{s}, s{b} * v{b}y{s}, s{b} * v{b}z{s}
 """
 
 
-def _derivative(s: str, drag: bool) -> str:
-    """The derivative block at the state names suffixed ``s``: the vehicle
-    block for vehicles 1 and 2, then the payload block. Instantiated once per
-    RK4 stage of ``advance`` and once for ``rhs``. Without drag it has no
-    drag block and no drag term ``fd*`` in its sums."""
+def _derivative(s: str, drag: bool, bodies: str = "12p", lag: bool = True) -> str:
+    """The derivative blocks of ``bodies`` at the state names suffixed ``s``:
+    the vehicle block for vehicles 1 and 2, then the payload block (p).
+    Instantiated once per RK4 stage of ``advance`` and once for ``rhs``, and
+    per body group by ``lqr``'s design pass. Without drag it has no drag
+    block and no drag term ``fd*`` in its sums; without ``lag``, no lag rates."""
     def fill(b, c):
         return _DRAG.format(b=b, c=c, s=s) if drag else ""
-    text = "".join(_VEHICLE.format(i=i, s=s, drag=fill(i, "c_dq")) for i in (1, 2))
-    text += _PAYLOAD.format(s=s, drag=fill("p", "c_dp"))
+    text = "".join(_VEHICLE.format(i=i, s=s, drag=fill(i, "c_dq")) for i in "12" if i in bodies)
+    text += _PAYLOAD.format(s=s, drag=fill("p", "c_dp")) if "p" in bodies else ""
+    text = text if lag else re.sub(r"(?m)^dT.*\n", "", text)
     return text if drag else re.sub(r"fd\w+ \+ | \+ fd\w+", "", text)
 
 
@@ -211,12 +213,8 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
 """
 
 
-@functools.cache
-def _compile_stepper(drag: bool):
-    """Expand the stepper template with or without drag and compile it;
-    return its ``bind`` factory. Cached: each stepper is compiled once per
-    process, on its first use, so every later :func:`_make_rhs` call
-    (``lqr.linearize`` makes one per synthesis) only binds parameters."""
+def _stepper(drag: bool) -> tuple[str, str]:
+    """File name and source of the stepper template, expanded with or without drag."""
     stages = [_derivative("", drag)]
     for k, step in ((2, "half"), (3, "half"), (4, "dt")):
         prev = "" if k == 2 else f"_{k - 1}"
@@ -224,12 +222,21 @@ def _compile_stepper(drag: bool):
         stages.append(_derivative(f"_{k}", drag))
     stages += [f"{q} += sixth * ({r} + 2.0 * ({r}_2 + {r}_3) + {r}_4)\n"
                for q, r in zip(_STATE, _RATE)]
-    source = _STEPPER.format(
+    return f"<spinlift.dynamics stepper, drag {'on' if drag else 'off'}>", _STEPPER.format(
         state=", ".join(_STATE), rate=", ".join(_RATE), state_sum=" + ".join(_STATE),
         rhs_derivative=textwrap.indent(_derivative("", drag), " " * 8),
         stages=textwrap.indent("".join(stages), " " * 12))
-    filename = f"<spinlift.dynamics stepper, drag {'on' if drag else 'off'}>"
-    # registered so that tracebacks through rhs and advance show their lines
+
+
+@functools.cache
+def _compile(expand: Callable[..., tuple[str, str]], *args):
+    """Compile the model source that ``expand(*args)`` returns with its file
+    name, and return its ``bind`` factory. Cached: each source is compiled
+    once per process, on its first use, so every later :func:`_make_rhs` or
+    ``lqr.linearize`` call only binds parameters. The source is registered
+    with :mod:`linecache`, so that tracebacks through the generated
+    functions show their lines."""
+    filename, source = expand(*args)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
                  "_COINCIDENT_TOL": _COINCIDENT_TOL,
@@ -245,7 +252,8 @@ def _make_rhs(params: SystemParams):
     thrusts).
 
     * ``rhs(y, u)`` is the full 24-element derivative over a flat float
-      list, for the design model and the tests.
+      list: the tests' hook into the stepper template, whose blocks
+      ``lqr``'s design pass expands too.
     * ``advance(y, u, i_first, n, dt, out=None, dec=1)`` integrates
       physics steps ``i_first .. i_first + n - 1`` of a run starting at
       t = 0 under the held command ``u`` and returns the final state as a
@@ -278,7 +286,7 @@ def _make_rhs(params: SystemParams):
     :func:`simulate` evaluates :func:`tether_forces` once over all samples
     after the run.
     """
-    return _compile_stepper(params.c_d_quad > 0.0 or params.c_d_payload > 0.0)(
+    return _compile(_stepper, params.c_d_quad > 0.0 or params.c_d_payload > 0.0)(
         ell=params.ell, g=params.g, k_T=params.k_T, c_T=params.c_T,
         inv_tau=1.0 / params.tau_att, inv_mq=1.0 / params.m_q, inv_mp=1.0 / params.m_p,
         c_dq=params.c_d_quad, c_dp=params.c_d_payload)

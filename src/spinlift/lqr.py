@@ -10,24 +10,28 @@ The regulator model lives in the rotating control frame C with state
 The operating point (s_bar, u_bar) is read from the
 :class:`~spinlift.model.EquilibriumSpec` that
 :func:`spinlift.equilibrium.build_equilibrium` made; this module does not
-rebuild any of its geometry. The earth-frame accelerations a_E come from the
-truth model's right-hand side (:mod:`spinlift.dynamics`), unilateral ropes
-included (taut at every design point), with two simplifications: commanded
-thrust is applied directly (the actuation lag is an inner-loop detail excluded
-from the design model) and drag is left out. They are mapped into the frame
-rotating at constant omega via
+rebuild any of its geometry. The earth-frame accelerations a_E are the truth
+model's (:mod:`spinlift.dynamics`), unilateral ropes included (taut at every
+design point), with two simplifications: commanded thrust is applied directly
+(the actuation lag is an inner-loop detail excluded from the design model)
+and drag is left out. They are mapped into the frame rotating at constant
+omega via
 
     v_E = v_C + w x x_C,
     a_C = a_E - 2 w x v_C - w x (w x x_C),        w = omega_C * z_hat,
 
-written out on Python floats as the nonzero terms of these cross products,
-around the compiled ``rhs``: a synthesis evaluates the model 49 times, and on
-3-vectors numpy's per-call overhead would cost twenty times the physics.
+written out on Python floats as the nonzero terms of these cross products.
 
-A and B come from central finite differences of this model; the gain solves
-the continuous-time LQR problem with position-only state weights
-Q_x = diag(5,5,5), Q_v = 0 per body and R = diag(1.2, 1.2, 1) per vehicle.
-The Riccati equation is solved by Potter's eigenvector method (Potter,
+A and B come from central finite differences of this model, whose 49
+evaluations (the base point, then +-``_FD_STEP`` in each of the 24
+coordinates) are one call of a design pass compiled from the stepper
+template's vehicle and payload blocks, without drag terms and lag rates. A
+perturbation recomputes only the blocks it reaches, its vehicle's for a
+vehicle's states and thrust and both for the payload's, and takes the rest
+from the base point: the rows are bit for bit those of the whole model.
+The gain solves the continuous-time LQR problem with position-only state
+weights Q_x = diag(5,5,5), Q_v = 0 per body and R = diag(1.2, 1.2, 1) per
+vehicle. The Riccati equation is solved by Potter's eigenvector method (Potter,
 "Matrix quadratic solutions", SIAM J. Appl. Math. 14, 1966) on numpy alone;
 :func:`solve_care` says which checks guard it.
 """
@@ -35,11 +39,12 @@ The Riccati equation is solved by Potter's eigenvector method (Potter,
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+import textwrap
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _make_rhs
+from .dynamics import _compile, _derivative
 from .model import EquilibriumSpec, SystemParams
 
 __all__ = [
@@ -58,7 +63,6 @@ __all__ = [
 scipy = None
 
 N_STATE = 18
-N_INPUT = 6
 
 _EQ_RESIDUAL_TOL = 1e-6
 _EQ_ROUNDING_MARGIN = 16.0
@@ -91,37 +95,53 @@ class GainSet:
     care_residual: float     # Frobenius norm of the Riccati defect
 
 
-def _c_frame_model(params: SystemParams):
-    """Control-frame dynamics f(s, u, omega_c) of the 18-state design model:
-    sequences of 18 and 6 floats in, the derivative out as 18 floats in a list.
+# The design pass: rows[0] is the derivative at z = (s, u), rows 1 + 2j and
+# 2 + 2j those at z +- h e_j. Perturbed points use the names suffixed _d; the
+# loop over each group of columns first sets them, and both pulls, to their
+# base values. It is evaluated at theta = 0 (C axes along E's), which is
+# general because the physics is invariant under rotation about the vertical.
+_DESIGN = """\
+def bind(ell, g, k_T, c_T, inv_mq, inv_mp):
+    def design(s, u, w, h):
+        {state} = s
+        {thrust} = u
+        mw = -w
+{base}
+        rows = [bp + b1 + b2] + [None] * 48
+        base = {names}, f1x, f1y, f1z, f2x, f2y, f2z
+{groups}
+        return rows
 
-    Evaluated at theta = 0 (frame axes aligned with E), which is general
-    because the physics is invariant under rotation about the vertical axis.
-    The tests keep the model's numpy matrix form as a reference.
-    """
-    if params.c_d_quad or params.c_d_payload:  # the design model is drag-free
-        params = replace(params, c_d_quad=0.0, c_d_payload=0.0)
-    rhs, _ = _make_rhs(params)
-    no_command = (0.0,) * 6  # the lag rates are not part of the design model
+    return design
+"""
+# Earth-frame velocity and C-frame derivative of body b, written out.
+_VELOCITY = ("v{b}x{s} = c{b}x{s} + x{b}y{s} * mw\n"
+             "v{b}y{s} = c{b}y{s} + x{b}x{s} * w\nv{b}z{s} = c{b}z{s}\n")
+_RATES = ("c{b}x{s}, c{b}y{s}, c{b}z{s}, a{b}x{s} - 2.0 * c{b}y{s} * mw - x{b}x{s} * w * mw, "
+          "a{b}y{s} - 2.0 * c{b}x{s} * w - x{b}y{s} * mw * w, a{b}z{s}")
+_Z_NAMES = ([f"{q}{b}{a}" for b in "p12" for q in "xc" for a in "xyz"]
+            + [f"T{i}{a}" for i in "12" for a in "xyz"])
 
-    def f(s, u, omega_c: float) -> list[float]:
-        (xpx, xpy, xpz, vpx, vpy, vpz, x1x, x1y, x1z, v1x, v1y, v1z,
-         x2x, x2y, x2z, v2x, v2y, v2z) = s
-        w, mw = omega_c, -omega_c
-        # earth-frame velocities v_C + w x x_C; u stands in for the actual thrusts
-        a = rhs([xpx, xpy, xpz, vpx + xpy * mw, vpy + xpx * w, vpz,
-                 x1x, x1y, x1z, v1x + x1y * mw, v1y + x1x * w, v1z,
-                 x2x, x2y, x2z, v2x + x2y * mw, v2y + x2x * w, v2z, *u], no_command)
-        # a_C = a_E - 2 w x v_C - w x (w x x_C), per body
-        return [
-            vpx, vpy, vpz,
-            a[3] - 2.0 * vpy * mw - xpx * w * mw, a[4] - 2.0 * vpx * w - xpy * mw * w, a[5],
-            v1x, v1y, v1z,
-            a[9] - 2.0 * v1y * mw - x1x * w * mw, a[10] - 2.0 * v1x * w - x1y * mw * w, a[11],
-            v2x, v2y, v2z,
-            a[15] - 2.0 * v2y * mw - x2x * w * mw, a[16] - 2.0 * v2x * w - x2y * mw * w, a[17]]
 
-    return f
+def _design_pass() -> tuple[str, str]:
+    """File name and source of the design pass."""
+    z = _Z_NAMES
+    names = [f"{q}{b}{a}" for b in "p12" for q in "xcv" for a in "xyz"] + z[N_STATE:]
+    base = "".join(_VELOCITY.format(b=b, s="") for b in "p12") + _derivative("", False, lag=False)
+    base += "bp, b1, b2 = " + ", ".join(f"[{_RATES.format(b=b, s='')}]" for b in "p12") + "\n"
+    groups = ""
+    for moved, bodies in (("1", "1p"), ("2", "2p"), ("p", "12p")):
+        cols = [j for j, name in enumerate(z) if name[1] == moved]
+        points = "".join(f"    ({row}, {', '.join(z[k] + op * (k == j) for k in cols)}),\n"
+                         for j in cols for row, op in ((1 + 2 * j, " + h"), (2 + 2 * j, " - h")))
+        rows = ", ".join(_RATES.format(b=b, s="_d") if b in bodies else f"*b{b}" for b in "p12")
+        groups += (f"{', '.join(n + '_d' for n in names)}, f1x, f1y, f1z, f2x, f2y, f2z = base\n"
+                   f"for j, {', '.join(z[k] + '_d' for k in cols)} in (\n{points}):\n"
+                   + textwrap.indent(_VELOCITY.format(b=moved, s="_d") + _derivative(
+                       "_d", False, bodies, lag=False) + f"rows[j] = [{rows}]\n", "    "))
+    return "<spinlift.lqr design pass>", _DESIGN.format(
+        state=", ".join(z[:N_STATE]), thrust=", ".join(z[N_STATE:]), names=", ".join(names),
+        base=textwrap.indent(base, " " * 8), groups=textwrap.indent(groups, " " * 8))
 
 
 def _equilibrium_tolerance(eq: EquilibriumSpec, params: SystemParams) -> float:
@@ -136,31 +156,22 @@ def _equilibrium_tolerance(eq: EquilibriumSpec, params: SystemParams) -> float:
 
 
 def linearize(eq: EquilibriumSpec, params: SystemParams) -> LinearModel:
-    """Central-difference A, B of the control-frame model at the equilibrium.
+    """Central-difference A, B of the control-frame model at the equilibrium,
+    from the 49 rows of one call of the design pass.
 
     Refuses to linearize if the supplied point is not a fixed point of the
     model: residual above :func:`_equilibrium_tolerance`.
     """
-    w = eq.omega_C
-    f = _c_frame_model(params)
-    residual = float(np.linalg.norm(f(eq.s_bar, eq.u_bar, w)))
+    design = _compile(_design_pass)(ell=params.ell, g=params.g, k_T=params.k_T, c_T=params.c_T,
+                                    inv_mq=1.0 / params.m_q, inv_mp=1.0 / params.m_p)
+    rows = np.array(design(eq.s_bar, eq.u_bar, eq.omega_C, _FD_STEP))
+    residual = float(np.linalg.norm(rows[0]))
     tol = _equilibrium_tolerance(eq, params)
     if residual > tol:
         raise LinearizationError(
             f"operating point is not an equilibrium: derivative norm "
             f"{residual:.3e} exceeds {tol:.3g}")
-
-    step = _FD_STEP
-    z_bar = [*eq.s_bar, *eq.u_bar]
-    plus, minus = [], []
-    for j in range(N_STATE + N_INPUT):
-        zp = z_bar.copy()
-        zm = z_bar.copy()
-        zp[j] += step
-        zm[j] -= step
-        plus.append(f(zp[:N_STATE], zp[N_STATE:], w))
-        minus.append(f(zm[:N_STATE], zm[N_STATE:], w))
-    J_t = (np.array(plus) - np.array(minus)) / (2.0 * step)  # row j: column j of J
+    J_t = (rows[1::2] - rows[2::2]) / (2.0 * _FD_STEP)  # row j: column j of J
     return LinearModel(A=J_t[:N_STATE].T.copy(), B=J_t[N_STATE:].T.copy())
 
 

@@ -8,10 +8,10 @@ from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
 from spinlift.dynamics import (DegenerateGeometryError, IntegrationBlowupError,
-                               _make_rhs, simulate, tether_force, tether_forces,
+                               _compile, _make_rhs, simulate, tether_force, tether_forces,
                                trajectory_to_csv)
 from spinlift.equilibrium import build_equilibrium, omega_star, tension_at_equilibrium
-from spinlift.lqr import _c_frame_model
+from spinlift import lqr
 from spinlift.model import ParamError, SystemParams, SystemState
 
 from flatstate import make_state, part, replaced, vec3
@@ -219,8 +219,11 @@ class TestTetherForce:
             expected = tether_only + drag_accelerations(p) if drag else tether_only
             d = rhs_at(state, zero_cmd(), p)
             assert_allclose(d[accel], expected, rtol=1e-12, atol=1e-12)
-            # the design model leaves drag out; it returns a list of floats
-            d_c = np.array(_c_frame_model(p)(state[:18], state[18:], 0.0))
+            # lqr's design pass leaves drag out: row 0 is the derivative at
+            # the point, bound by parameters that have drag as linearize binds them
+            design = _compile(lqr._design_pass)(ell=p.ell, g=p.g, k_T=p.k_T, c_T=p.c_T,
+                                                inv_mq=1.0 / p.m_q, inv_mp=1.0 / p.m_p)
+            d_c = np.array(design(state[:18], state[18:], 0.0, lqr._FD_STEP)[0])
             assert_allclose(d_c[accel], tether_only, rtol=1e-12, atol=1e-12)
 
     @given(state=near_formation_states(),
@@ -474,8 +477,7 @@ class TestStep:
 
     def test_parameters_bound_without_compiling(self):
         # each stepper source is compiled once per process: _make_rhs then
-        # only picks the stepper of the drag setting and binds parameters,
-        # since lqr.linearize calls it on every synthesis
+        # only picks the stepper of the drag setting and binds parameters
         codes = []
         for drag in (False, True):
             light, heavy = with_drag(drag), with_drag(drag, m_p=0.9)
@@ -488,6 +490,15 @@ class TestStep:
             assert not np.array_equal(rhs_at(state, zero_cmd(), light),
                                       rhs_at(state, zero_cmd(), heavy))
         assert codes[0] is not codes[1]
+        # lqr's design pass goes through the same cache: compiled on first
+        # use, then each synthesis only binds its parameters
+        specs = [(build_equilibrium(DEG(60), 1.0, p)[0], p) for p in (light, heavy)]
+        lqr.linearize(*specs[0])
+        before = _compile.cache_info()
+        for spec, p in specs:
+            lqr.linearize(spec, p)
+        after = _compile.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
     @pytest.mark.parametrize("drag", [False, True])
     @pytest.mark.parametrize("vehicle", ["x_1", "x_2"])

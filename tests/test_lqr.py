@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from spinlift.dynamics import _make_rhs
+from spinlift.dynamics import DegenerateGeometryError, _compile, _make_rhs
 from spinlift.equilibrium import build_equilibrium, omega_star
 from spinlift import lqr
-from spinlift.lqr import (LinearizationError, SynthesisError, _c_frame_model,
-                          care_residual_norm, default_weights, linearize,
-                          solve_care, synthesize)
+from spinlift.lqr import (LinearizationError, SynthesisError, care_residual_norm,
+                          default_weights, linearize, solve_care, synthesize)
 from spinlift.model import SystemParams
 
 P = SystemParams()
@@ -26,8 +26,8 @@ def abscissa(M):
 
 def reference_c_frame_model(params):
     """The design model in numpy matrix form, W_t being the transpose of the
-    cross-product matrix of w = omega_c z_hat: the reference for the float
-    form of ``lqr._c_frame_model``."""
+    cross-product matrix of w = omega_c z_hat: the reference for the rows of
+    ``lqr``'s design pass."""
     rhs, _ = _make_rhs(dataclasses.replace(params, c_d_quad=0.0, c_d_payload=0.0))
 
     def f(s, u, omega_c):
@@ -42,6 +42,15 @@ def reference_c_frame_model(params):
         return np.stack([v_c, a_c], axis=1).ravel()
 
     return f
+
+
+def design_residual(s, u, omega_c, params):
+    """Norm of row 0 of ``lqr``'s design pass, bound as ``linearize`` binds
+    it: the derivative of the drag-free control-frame model at (s, u)."""
+    design = _compile(lqr._design_pass)(
+        ell=params.ell, g=params.g, k_T=params.k_T, c_T=params.c_T,
+        inv_mq=1.0 / params.m_q, inv_mp=1.0 / params.m_p)
+    return np.linalg.norm(design(s, u, omega_c, lqr._FD_STEP)[0])
 
 
 def reference_linearize(eq, params):
@@ -351,22 +360,53 @@ class TestLinearize:
         # residual of an exact equilibrium above 1e-6 (3.2e-6 at 0 deg)
         stiff = SystemParams(k_T=1e10, m_p=0.6, dt_physics=1e-7)
         spec, _, _ = build_equilibrium(DEG(beta_deg), 0.0, stiff)
-        assert np.linalg.norm(_c_frame_model(stiff)(spec.s_bar, spec.u_bar, 0.0)) > 1e-6
+        assert design_residual(spec.s_bar, spec.u_bar, 0.0, stiff) > 1e-6
         assert np.all(np.isfinite(synthesize(spec, stiff).K))  # stabilizing, or it raises
+
+    @pytest.mark.parametrize("beta_deg", [0, 60])
+    @pytest.mark.parametrize("spin", [0.0, 1.0])
+    def test_stiff_tether_matches_numpy_reference_bitwise(self, beta_deg, spin):
+        # at k_T = 1e10 N/m each rope stretches by less than the difference
+        # step, so the perturbed points that shorten a rope find it slack:
+        # the clamp branch of the tether law is in the pass's rows
+        stiff = SystemParams(k_T=1e10, m_p=0.6, dt_physics=1e-7)
+        beta = DEG(beta_deg)
+        spec, _, _ = build_equilibrium(beta, spin * omega_star(beta, stiff), stiff)
+        s_bar = np.array(spec.s_bar)
+        for x_i in (s_bar[6:9], s_bar[12:15]):
+            assert 0.0 < np.linalg.norm(x_i - s_bar[0:3]) - stiff.ell < 1e-3 * lqr._FD_STEP
+        A_ref, B_ref = reference_linearize(spec, stiff)
+        model = linearize(spec, stiff)
+        assert model.A.tobytes() == A_ref.tobytes()
+        assert model.B.tobytes() == B_ref.tobytes()
+
+    @pytest.mark.parametrize("vehicle", [1, 2])
+    def test_vehicle_on_payload_refused_in_generated_line(self, vehicle):
+        # a hand-built operating point with a vehicle on the payload: the
+        # design pass refuses it, and the traceback shows its generated line
+        spec, _, _ = build_equilibrium(DEG(30), 0.0, P)
+        s_bar = list(spec.s_bar)
+        s_bar[6 * vehicle:6 * vehicle + 3] = s_bar[0:3]
+        message = f"vehicle {vehicle} coincides with the payload"
+        with pytest.raises(DegenerateGeometryError, match=message) as excinfo:
+            linearize(dataclasses.replace(spec, s_bar=tuple(s_bar)), P)
+        frame = traceback.extract_tb(excinfo.tb)[-1]
+        assert frame.filename == "<spinlift.lqr design pass>"
+        assert frame.line == f'raise DegenerateGeometryError("{message}")'
 
     def test_residual_at_equilibrium(self):
         for beta_deg, w_scale in ((30, 0.0), (60, 1.0)):
             beta = DEG(beta_deg)
             w = w_scale * omega_star(beta, P)
             spec, _, _ = build_equilibrium(beta, w, P)
-            assert np.linalg.norm(_c_frame_model(P)(spec.s_bar, spec.u_bar, w)) < 1e-6
+            assert design_residual(spec.s_bar, spec.u_bar, w, P) < 1e-6
 
     def test_linearization_consistency_second_order(self):
         beta = DEG(45)
         w = omega_star(beta, P)
         spec, _, _ = build_equilibrium(beta, w, P)
         model = linearize(spec, P)
-        f = _c_frame_model(P)
+        f = reference_c_frame_model(P)
         rng = np.random.default_rng(23)
         ds = rng.standard_normal(18)
         ds /= np.linalg.norm(ds)
