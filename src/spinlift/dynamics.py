@@ -35,6 +35,7 @@ import linecache
 import math
 import operator
 import re
+import struct
 import textwrap
 from array import array
 from dataclasses import dataclass
@@ -205,7 +206,7 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
             if not isfinite({state_sum}):
                 raise IntegrationBlowupError((i + 1) * dt)
             if i == store:
-                out.extend(({state}))
+                out.frombytes(pack({state}))
                 store += dec
         return [{state}]
 
@@ -239,6 +240,7 @@ def _compile(expand: Callable[..., tuple[str, str]], *args):
     filename, source = expand(*args)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
+                 "pack": struct.Struct(f"{len(_STATE)}d").pack,
                  "_COINCIDENT_TOL": _COINCIDENT_TOL,
                  "DegenerateGeometryError": DegenerateGeometryError,
                  "IntegrationBlowupError": IntegrationBlowupError}
@@ -260,7 +262,8 @@ def _make_rhs(params: SystemParams):
       list. Given ``out`` (an ``array('d')``), it appends the 24 floats of
       the state after each step whose global count ``i + 1`` is a multiple
       of ``dec``, from inside its loop: a stored sample costs one
-      ``extend``, not a return to the caller.
+      ``struct`` pack of the 24 floats in the buffer's native layout and one
+      ``frombytes``, not a return to the caller.
       The RK4 stages live in local variables; the float operations are those
       of a textbook RK4 over ``rhs``, in the same order. Raises
       :class:`IntegrationBlowupError` with the time of the first step whose

@@ -31,9 +31,16 @@ vehicle's states and thrust and both for the payload's, and takes the rest
 from the base point: the rows are bit for bit those of the whole model.
 The gain solves the continuous-time LQR problem with position-only state
 weights Q_x = diag(5,5,5), Q_v = 0 per body and R = diag(1.2, 1.2, 1) per
-vehicle. The Riccati equation is solved by Potter's eigenvector method (Potter,
-"Matrix quadratic solutions", SIAM J. Appl. Math. 14, 1966) on numpy alone;
-:func:`solve_care` says which checks guard it.
+vehicle. The vehicles sit diametrically opposite on the spin circle, so the
+mirror map ``S`` (rotation by pi about the spin axis with the vehicles
+swapped; ``S_U`` on the thrusts) commutes with A, B, Q and R. In its
+symmetric and antisymmetric coordinates the problem splits into an 8-state
+and a 10-state one (Massioni & Verhaegen, "Distributed control for identical
+dynamically coupled systems: a decomposition approach", IEEE TAC 54, 2009).
+Each block's Riccati equation is solved by Potter's eigenvector method
+(Potter, "Matrix quadratic solutions", SIAM J. Appl. Math. 14, 1966) on numpy
+alone; :func:`solve_care` says which checks guard it, and :func:`synthesize`
+how the blocks are joined.
 """
 
 from __future__ import annotations
@@ -56,6 +63,8 @@ __all__ = [
     "solve_care",
     "default_weights",
     "synthesize",
+    "S",
+    "S_U",
 ]
 
 # Unused here: kept because the benchmark tracer (``perfbench/tracing.py``)
@@ -233,19 +242,75 @@ def default_weights() -> tuple[np.ndarray, np.ndarray]:
     return Q, R
 
 
+# The mirror map: the rotation by pi about the spin axis (x, y -> -x, -y) with
+# the vehicles swapped, on the state (S) and on the thrusts (S_U). At the
+# rotating equilibrium the vehicles sit diametrically opposite, so S maps the
+# operating point to itself and A S = S A, B S_U = S B.
+_ROTATE_PI = np.diag([-1.0, -1.0, 1.0])
+S = np.kron([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], np.kron(np.eye(2), _ROTATE_PI))
+S_U = np.kron([[0.0, 1.0], [1.0, 0.0]], _ROTATE_PI)
+
+
+def _mirror_basis(mirror: np.ndarray) -> tuple[np.ndarray, int]:
+    """Orthonormal rows spanning the signed permutation's +1 eigenspace, then
+    its -1 eigenspace, and the number of +1 rows. Row i of I + mirror (of
+    I - mirror) is e_i plus (minus) its image: each kept row is the first of
+    its pair, and a coordinate that the map sends to minus (plus) itself has
+    none."""
+    eye = np.eye(len(mirror))
+    rows = [row / np.linalg.norm(row) for block in (eye + mirror, eye - mirror)
+            for i, row in enumerate(block) if row.any() and np.flatnonzero(row)[0] == i]
+    return np.array(rows), round((len(mirror) + np.trace(mirror)) / 2)
+
+
+# Symmetric coordinates: the payload's z position and velocity and the sums of
+# vehicle 1's coordinates and those of vehicle 2's mirror image (8 states, 3
+# inputs); antisymmetric: the payload's x and y and the differences (10
+# states, 3 inputs). Q and R commute with the map too, so in these
+# coordinates each weight is block-diagonal.
+_T, _N_SYM = _mirror_basis(S)
+_T_U, _N_SYM_U = _mirror_basis(S_U)
+_BLOCKS = ((slice(0, _N_SYM), slice(0, _N_SYM_U)), (slice(_N_SYM, None), slice(_N_SYM_U, None)))
+_Q, _R = default_weights()
+_Q_BAR, _R_BAR = _T @ _Q @ _T.T, _T_U @ _R @ _T_U.T
+
+
 def synthesize(eq: EquilibriumSpec, params: SystemParams) -> GainSet:
     """Linearize at the operating point and solve for the LQR gain with the
-    :func:`default_weights` (velocity weights exactly zero)."""
+    :func:`default_weights` (velocity weights exactly zero).
+
+    The design model must commute exactly with the mirror map (``S A ==
+    A S`` and ``S B == B S_U``, compared by value), or
+    :class:`SynthesisError` names the largest entry of the commutator. The
+    Riccati equation is then solved in the orthonormal symmetric and
+    antisymmetric coordinates, where it splits into an 8-state and a 10-state
+    problem: two :func:`solve_care` calls, on a 16 x 16 and a 20 x 20
+    Hamiltonian. P is mapped back, and K, the residual and the PSD and
+    Hurwitz checks are those of the full 18-state problem.
+    """
     model = linearize(eq, params)
-    Q, R = default_weights()
-    P = solve_care(model.A, model.B, Q, R)
-    K = np.linalg.solve(R, model.B.T @ P)
-    residual = care_residual_norm(model.A, model.B, Q, R, P)
+    A, B = model.A, model.B
+    # ndarray.dot and count_nonzero: about half the call overhead of @ and
+    # any() on these small matrices; a signed permutation's products are exact
+    for name, defect in (("S A - A S", S.dot(A) - A.dot(S)),
+                         ("S B - B S_U", S.dot(B) - B.dot(S_U))):
+        if np.count_nonzero(defect):
+            i, j = np.unravel_index(np.abs(defect).argmax(), defect.shape)
+            raise SynthesisError(f"design model breaks the mirror symmetry: "
+                                 f"{name} is {defect[i, j]:.3e} at ({i}, {j})")
+    A_bar, B_bar = _T.dot(A).dot(_T.T), _T.dot(B).dot(_T_U.T)
+    P_bar = np.zeros((N_STATE, N_STATE))
+    for x, u in _BLOCKS:
+        P_bar[x, x] = solve_care(A_bar[x, x], B_bar[x, u], _Q_BAR[x, x], _R_BAR[u, u])
+    P = _T.T.dot(P_bar).dot(_T)
+    P = 0.5 * (P + P.T)
+    K = np.linalg.solve(_R, B.T @ P)
+    residual = care_residual_norm(A, B, _Q, _R, P)
 
     eigs_P = np.linalg.eigvalsh(P)
     if eigs_P.min() < -1e-10:
         raise SynthesisError(f"Riccati solution not PSD (min eig {eigs_P.min():.3e})")
-    abscissa = _spectral_abscissa(model.A - model.B @ K)
+    abscissa = _spectral_abscissa(A - B @ K)
     if abscissa >= 0.0:
         raise SynthesisError(f"closed loop not Hurwitz (abscissa {abscissa:.3e})")
     return GainSet(K=K, P=P, care_residual=residual)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import traceback
 
 import numpy as np
@@ -443,6 +444,28 @@ class TestLinearize:
         assert model.A.tobytes() == A_ref.tobytes()
         assert model.B.tobytes() == B_ref.tobytes()
 
+    @given(m_q=st.floats(0.1, 5.0), m_p=st.floats(0.1, 5.0), ell=st.floats(0.2, 5.0),
+           log_k_T=st.floats(math.log10(50.0), 10.0), c_T=st.floats(0.0, 50.0),
+           beta_deg=st.floats(0.0, 89.0), spin=st.floats(0.0, 1.5))
+    @example(m_q=0.7, m_p=0.6, ell=1.0, log_k_T=10.0, c_T=10.0, beta_deg=60.0, spin=1.0)
+    @example(m_q=5.0, m_p=0.1, ell=0.2, log_k_T=math.log10(50.0), c_T=0.0, beta_deg=89.0, spin=1.5)
+    def test_commutes_with_mirror_map(self, m_q, m_p, ell, log_k_T, c_T, beta_deg, spin):
+        # the premise of synthesize's split into mirror blocks: the
+        # difference quotients of the two vehicles' points are mirror images
+        # bit for bit, so S A = A S and S B = B S_U hold exactly, not to a
+        # tolerance; dt_physics is the largest whole fraction of the control
+        # period within half the stiff-tether guard 2 / sqrt(k_T / m_red)
+        k_T = 10.0 ** log_k_T
+        limit = 2.0 / math.sqrt(k_T * (m_q + m_p) / (m_q * m_p))
+        steps = math.ceil(2.0 / (P.f_ctrl * limit))
+        params = SystemParams(m_q=m_q, m_p=m_p, ell=ell, k_T=k_T, c_T=c_T,
+                              dt_physics=1.0 / (P.f_ctrl * steps))
+        beta = DEG(beta_deg)
+        spec, _, _ = build_equilibrium(beta, spin * omega_star(beta, params), params)
+        model = linearize(spec, params)
+        assert (lqr.S @ model.A == model.A @ lqr.S).all()
+        assert (lqr.S @ model.B == model.B @ lqr.S_U).all()
+
 
 class TestSynthesize:
     def test_weights_assembled_exactly(self):
@@ -483,21 +506,72 @@ class TestSynthesize:
     def test_gain_mirror_symmetry(self):
         # conjugating by the 180-degree rotation about the spin axis and the
         # vehicle swap leaves the gain invariant
-        mirror = np.diag([-1.0, -1.0, 1.0])
-        Pi_s = np.zeros((18, 18))
-        Pi_s[0:3, 0:3] = mirror
-        Pi_s[3:6, 3:6] = mirror
-        Pi_s[6:9, 12:15] = mirror
-        Pi_s[9:12, 15:18] = mirror
-        Pi_s[12:15, 6:9] = mirror
-        Pi_s[15:18, 9:12] = mirror
-        Pi_u = np.zeros((6, 6))
-        Pi_u[0:3, 3:6] = mirror
-        Pi_u[3:6, 0:3] = mirror
         beta = DEG(60)
         spec, _, _ = build_equilibrium(beta, omega_star(beta, P), P)
         g = synthesize(spec, P)
-        assert np.linalg.norm(g.K @ Pi_s - Pi_u @ g.K) < 1e-8 * np.linalg.norm(g.K)
+        assert np.linalg.norm(g.K @ lqr.S - lqr.S_U @ g.K) < 1e-8 * np.linalg.norm(g.K)
+
+    @pytest.mark.parametrize("params, tol", [
+        (P, 1e-11),
+        # at k_T = 1e10 N/m the Riccati solution is rounding-limited (both
+        # solvers' residuals are about 1e-4 ||P||, see TestSolveCare), and the
+        # two blocks' Hamiltonians round differently from the whole one:
+        # measured up to 1.1e-4
+        (SystemParams(k_T=1e10, m_p=0.6, dt_physics=1e-7), 1e-3),
+    ], ids=["nominal", "stiff"])
+    def test_split_matches_full_solve(self, params, tol):
+        # K and P of the two mirror blocks against solve_care and the Schur
+        # reference on the whole 18-state problem, relative to the largest
+        # entry; measured up to 8.6e-13 at the nominal parameters
+        Q, R = default_weights()
+        for beta_deg in (0, 30, 60, 83):
+            for spin in (0.0, 1.0, 1.5):
+                beta = DEG(beta_deg)
+                spec, _, _ = build_equilibrium(beta, spin * omega_star(beta, params), params)
+                model = linearize(spec, params)
+                g = synthesize(spec, params)
+                for solver in (solve_care, reference_solve_care):
+                    P_ref = solver(model.A, model.B, Q, R)
+                    K_ref = np.linalg.solve(R, model.B.T @ P_ref)
+                    assert_allclose(g.P, P_ref, rtol=0, atol=tol * np.abs(P_ref).max())
+                    assert_allclose(g.K, K_ref, rtol=0, atol=tol * np.abs(K_ref).max())
+
+    def test_solves_one_8_and_one_10_state_block(self, monkeypatch):
+        sizes = []
+
+        def counted(A, B, Q, R):
+            sizes.append((A.shape, B.shape, Q.shape, R.shape))
+            return solve_care(A, B, Q, R)
+
+        monkeypatch.setattr(lqr, "solve_care", counted)
+        beta = DEG(60)
+        synthesize(build_equilibrium(beta, omega_star(beta, P), P)[0], P)
+        assert sizes == [((8, 8), (8, 3), (8, 8), (3, 3)), ((10, 10), (10, 3), (10, 10), (3, 3))]
+
+    @pytest.mark.parametrize("matrix, entry, name", [
+        ("A", (3, 7), "S A - A S"), ("A", (0, 2), "S A - A S"), ("B", (11, 4), "S B - B S_U")])
+    def test_broken_mirror_symmetry_refused_before_any_solve(self, monkeypatch, matrix, entry, name):
+        # one entry moved by one part in 1e12 (at a zero entry, by 1e-12)
+        # breaks the exact commutation that the split into blocks rests on;
+        # the commutator's largest entry is that change, up to rounding
+        beta = DEG(60)
+        spec, _, _ = build_equilibrium(beta, omega_star(beta, P), P)
+        model = linearize(spec, P)
+        M = getattr(model, matrix).copy()
+        step = 1e-12 * max(abs(M[entry]), 1.0)
+        M[entry] += step
+
+        def no_solve(*args):
+            raise AssertionError("solve_care called")
+
+        monkeypatch.setattr(lqr, "linearize",
+                            lambda eq, params: dataclasses.replace(model, **{matrix: M}))
+        monkeypatch.setattr(lqr, "solve_care", no_solve)
+        with pytest.raises(SynthesisError) as refused:
+            synthesize(spec, P)
+        found = re.fullmatch(rf"design model breaks the mirror symmetry: {name} is (\S+) "
+                             r"at \(\d+, \d+\)", str(refused.value))
+        assert found and abs(float(found[1])) == pytest.approx(step, rel=1e-2)
 
     @given(beta_deg=st.floats(0.0, 89.0), spin=st.floats(0.0, 1.5))
     def test_envelope_closed_loop_hurwitz(self, beta_deg, spin):
