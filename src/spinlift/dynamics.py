@@ -19,7 +19,10 @@ is scalar Python: a stepper that integrates a whole control hold in one call
 with every RK4 stage held in local variables, appending each stored sample's
 24 floats to a flat buffer inside its loop. The stepper is generated from a
 source template that writes one vehicle's equations once, as a block expanded
-for both vehicles, and the payload's after them (see :func:`_make_rhs`).
+for both vehicles, and the payload's after them (see :func:`_make_rhs`). Its
+stages evaluate the mechanical derivative only: the thrust lag is linear under
+the held command, so RK4 steps it in closed form, each thrust moving to
+u + (T - u) * R(-dt/tau) with R RK4's stability function.
 :func:`simulate` makes one stepper call per hold, whatever the output
 decimation, and builds the trajectory's arrays once at the end: states from
 the buffer, commands from the per-tick command buffer, and the tether-tension
@@ -181,12 +184,15 @@ def _derivative(s: str, drag: bool, bodies: str = "12p", lag: bool = True) -> st
 
 
 # rhs and advance over the parameters bound by _make_rhs. In advance, stage
-# k = 2, 3, 4 evaluates the derivative at y + c_k * dt * (stage k-1
-# derivative), with its state names suffixed _k (stage 1 is y itself); the
-# update y + dt/6 * (k1 + 2 (k2 + k3) + k4) then runs in layout order, so each
-# position is updated while its velocity still holds the stage-1 value. Given
-# a buffer out, advance appends the state after every global step that is a
-# multiple of dec; store is the index i of the next such step (-1 without out).
+# k = 2, 3, 4 evaluates the derivative without lag rates at the positions and
+# velocities y + a * (stage k-1 rates), a = half, half, dt, with its state
+# names suffixed _k (stage 1 is y itself); the update
+# y + sixth * (k1 + 2 (k2 + k3) + k4) then runs in layout order, so each
+# position is updated while its velocity still holds the stage-1 value. Each
+# thrust T takes u + eT * c, eT = T - u, with c = c2, c3, c4 at the stages
+# and c5 for the update (RK4 on the linear lag, see _make_rhs). Given a buffer
+# out, advance appends the state after every global step that is a multiple
+# of dec; store is the index i of the next such step (-1 without out).
 _STEPPER = """\
 def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
     def rhs(y, u):
@@ -200,6 +206,10 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
         u1x, u1y, u1z, u2x, u2y, u2z = u
         half = 0.5 * dt
         sixth = dt / 6.0
+        c2 = 1.0 - half * inv_tau
+        c3 = 1.0 - half * inv_tau * c2
+        c4 = 1.0 - dt * inv_tau * c3
+        c5 = 1.0 - sixth * inv_tau * (1.0 + 2.0 * (c2 + c3) + c4)
         store = (i_first + dec) // dec * dec - 1 if out is not None else -1
         for i in range(i_first, i_first + n):
 {stages}
@@ -216,13 +226,16 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
 
 def _stepper(drag: bool) -> tuple[str, str]:
     """File name and source of the stepper template, expanded with or without drag."""
-    stages = [_derivative("", drag)]
+    moving = [(q, r) for q, r in zip(_STATE, _RATE) if not q.startswith("T")]
+    lag = [(q, "u" + q[1:]) for q in _STATE if q.startswith("T")]  # thrust T1x lags command u1x
+    stages = [f"e{q} = {q} - {u}\n" for q, u in lag] + [_derivative("", drag, lag=False)]
     for k, step in ((2, "half"), (3, "half"), (4, "dt")):
         prev = "" if k == 2 else f"_{k - 1}"
-        stages += [f"{q}_{k} = {q} + {step} * {r}{prev}\n" for q, r in zip(_STATE, _RATE)]
-        stages.append(_derivative(f"_{k}", drag))
-    stages += [f"{q} += sixth * ({r} + 2.0 * ({r}_2 + {r}_3) + {r}_4)\n"
-               for q, r in zip(_STATE, _RATE)]
+        stages += [f"{q}_{k} = {q} + {step} * {r}{prev}\n" for q, r in moving]
+        stages += [f"{q}_{k} = {u} + e{q} * c{k}\n" for q, u in lag]
+        stages.append(_derivative(f"_{k}", drag, lag=False))
+    stages += [f"{q} += sixth * ({r} + 2.0 * ({r}_2 + {r}_3) + {r}_4)\n" for q, r in moving]
+    stages += [f"{q} = {u} + e{q} * c5\n" for q, u in lag]
     return f"<spinlift.dynamics stepper, drag {'on' if drag else 'off'}>", _STEPPER.format(
         state=", ".join(_STATE), rate=", ".join(_RATE), state_sum=" + ".join(_STATE),
         rhs_derivative=textwrap.indent(_derivative("", drag), " " * 8),
@@ -264,8 +277,18 @@ def _make_rhs(params: SystemParams):
       of ``dec``, from inside its loop: a stored sample costs one
       ``struct`` pack of the 24 floats in the buffer's native layout and one
       ``frombytes``, not a return to the caller.
-      The RK4 stages live in local variables; the float operations are those
-      of a textbook RK4 over ``rhs``, in the same order. Raises
+      The RK4 stages live in local variables. The positions and velocities
+      take the float operations of a textbook RK4 over ``rhs``, in the same
+      order. The thrust lag T' = (u - T) / tau is linear and u is held, so
+      RK4 moves each thrust to u + (T - u) * c, exactly in real arithmetic:
+      with h = dt / tau, the stage values take c2 = 1 - h/2,
+      c3 = 1 - (h/2) c2 and c4 = 1 - h c3, and the update
+      c5 = 1 - (h/6)(1 + 2 (c2 + c3) + c4), RK4's stability function at -h.
+      These are RK4's own stages and update on e' = -e / tau from e = 1,
+      computed once per call. A step makes no lag rates, 66 float
+      operations fewer, and differs from a textbook RK4 over ``rhs`` only
+      by rounding (a property test bounds the difference); ``rhs`` alone
+      keeps the lag rates. Raises
       :class:`IntegrationBlowupError` with the time of the first step whose
       result is not finite (one left-to-right sum of the 24 scalars, the
       order of the builtin ``sum``).
@@ -273,9 +296,10 @@ def _make_rhs(params: SystemParams):
     Both are closures over the parameters, as floats, of one of two
     steppers compiled from the source templates: the derivative block (one
     vehicle block per vehicle, then the payload block) written out inline in
-    each of the four RK4 stages and in ``rhs``, so a physics step calls only
-    ``sqrt`` and ``isfinite``, where a shared acceleration function would
-    cost four calls of 24 arguments and a 9-tuple return per step.
+    each of the four RK4 stages (without lag rates) and in ``rhs``, so a
+    physics step calls only ``sqrt`` and ``isfinite``, where a shared
+    acceleration function would cost four calls of 24 arguments and a
+    9-tuple return per step.
     The drag coefficients pick the stepper, so neither branches on them:
     with either nonzero, drag forces come first in each acceleration sum;
     with both zero, there are no drag terms. The only arithmetic difference

@@ -37,15 +37,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-import numpy as np  # noqa: E402
+import numpy as np
 
-from spinlift import cli  # noqa: E402
-from spinlift.control import ControllerConfig, SpinProfile, control_step  # noqa: E402
-from spinlift.dynamics import simulate  # noqa: E402
-from spinlift.equilibrium import build_equilibrium, omega_star  # noqa: E402
-from spinlift.harness import ScenarioSpec  # noqa: E402
-from spinlift.lqr import synthesize  # noqa: E402
-from spinlift.model import SystemParams, params_to_text  # noqa: E402
+from spinlift import cli
+from spinlift.control import ControllerConfig, SpinProfile, control_step
+from spinlift.dynamics import simulate
+from spinlift.equilibrium import build_equilibrium, omega_star
+from spinlift.harness import ScenarioSpec
+from spinlift.lqr import synthesize
+from spinlift.model import SystemParams, params_to_text
 
 FILE = ROOT / "FINGERPRINT.json"
 
