@@ -4,7 +4,7 @@ control, and hover-power analysis."""
 from .model import (ConfigError, EquilibriumSpec, ParamError, SystemParams,
                     SystemState, load_params, params_to_text)
 from .dynamics import (DegenerateGeometryError, IntegrationBlowupError,
-                       Trajectory, simulate, tether_force, tether_forces,
+                       Trajectory, simulate, tether_forces,
                        trajectory_to_csv)
 from .equilibrium import (PowerReport, SingularityError, SweepResult,
                           build_equilibrium, omega_star, power, sweep_beta,

@@ -22,11 +22,13 @@ source template that writes one vehicle's equations once, as a block expanded
 for both vehicles, and the payload's after them (see :func:`_make_rhs`). Its
 stages evaluate the mechanical derivative only: the thrust lag is linear under
 the held command, so RK4 steps it in closed form, each thrust moving to
-u + (T - u) * R(-dt/tau) with R RK4's stability function.
+u + (T - u) * R(-dt/tau) with R RK4's stability function. The tether law is
+written once, in that vehicle block: the stepper records each stored
+sample's two tensions from the first RK4 stage of the step that starts
+there, and :func:`tether_forces` expands the same block for one state.
 :func:`simulate` makes one stepper call per hold, whatever the output
-decimation, and builds the trajectory's arrays once at the end: states from
-the buffer, commands from the per-tick command buffer, and the tether-tension
-column with one array evaluation of :func:`tether_forces` over all samples.
+decimation, and builds the trajectory's arrays once at the end: states and
+tensions from their buffers, commands from the per-tick command buffer.
 :func:`trajectory_to_csv` hands :func:`spinlift.model.table_text` one block of
 rows at a time, which renders them on every CPU the process may run on.
 """
@@ -46,14 +48,13 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (STATE_DIM, STATE_PARTS, STATE_SLICES, SystemParams, SystemState,
-                    csv_line, table_text)
+from .model import (STATE_DIM, STATE_PARTS, SystemParams, SystemState, csv_line,
+                    table_text)
 
 __all__ = [
     "DegenerateGeometryError",
     "IntegrationBlowupError",
     "Trajectory",
-    "tether_force",
     "tether_forces",
     "simulate",
     "trajectory_to_csv",
@@ -74,43 +75,14 @@ class IntegrationBlowupError(RuntimeError):
         self.t = t
 
 
-def tether_force(x_i, v_i, x_p, v_p,
-                 params: SystemParams) -> tuple[float | np.ndarray, np.ndarray]:
-    """Tension magnitude and unit vector (payload -> vehicle) for one tether.
-
-    Returns ``(F, r_hat)`` with F = k_T*(|r| - ell) + c_T * d|r|/dt, where the
-    length rate is the relative velocity projected on r_hat. The rope is
-    unilateral: no force while |r| < ell, and the total force is floored at
-    zero.
-
-    The inputs may be stacks of 3-vectors, shape ``(..., 3)``: F then has
-    shape ``(...)`` and r_hat ``(..., 3)``. For single ``(3,)`` vectors F is a
-    Python float.
-    """
-    x_p = np.asarray(x_p, dtype=float)
-    r = np.asarray(x_i, dtype=float) - x_p
-    dist = np.linalg.norm(r, axis=-1)
-    if np.any(dist < _COINCIDENT_TOL):
-        raise DegenerateGeometryError(
-            "vehicle and payload positions coincide "
-            f"(separation {np.min(dist):.3e} m)")
-    r_hat = r / dist[..., np.newaxis]
-    rel_v = np.asarray(v_i, dtype=float) - np.asarray(v_p, dtype=float)
-    length_rate = np.sum(rel_v * r_hat, axis=-1)
-    force = params.k_T * (dist - params.ell) + params.c_T * length_rate
-    force = np.where((dist < params.ell) | (force < 0.0), 0.0, force)
-    if np.ndim(force) == 0:
-        return float(force), r_hat
-    return force, r_hat
-
-
 def tether_forces(state, params: SystemParams) -> tuple[tuple, tuple]:
-    """``((F_1, r_hat_1), (F_2, r_hat_2))`` of one flat 24-float state, or of a
-    stack of them along the last axis (shape ``(..., 24)``), by :func:`tether_force`."""
-    y = np.asarray(state, dtype=float)
-    x_p, v_p, x_1, v_1, x_2, v_2 = (y[..., STATE_SLICES[name]] for name in
-                                    ("x_p", "v_p", "x_1", "v_1", "x_2", "v_2"))
-    return tether_force(x_1, v_1, x_p, v_p, params), tether_force(x_2, v_2, x_p, v_p, params)
+    """``((F_1, r_hat_1), (F_2, r_hat_2))`` of one flat 24-float state: each
+    tether's tension, by the module docstring's rope law, and its unit vector
+    from the payload to the vehicle, evaluated by the stepper's own vehicle
+    blocks (:class:`DegenerateGeometryError` where they coincide)."""
+    (F_1, r_hat_1), (F_2, r_hat_2) = _make_rhs(params)[2](
+        np.asarray(state, dtype=float).tolist())
+    return (F_1, np.array(r_hat_1)), (F_2, np.array(r_hat_2))
 
 
 # Names of the 24 integrated scalars, in the flat layout of spinlift.model,
@@ -172,9 +144,10 @@ fd{b}x, fd{b}y, fd{b}z = s{b} * v{b}x{s}, s{b} * v{b}y{s}, s{b} * v{b}z{s}
 def _derivative(s: str, drag: bool, bodies: str = "12p", lag: bool = True) -> str:
     """The derivative blocks of ``bodies`` at the state names suffixed ``s``:
     the vehicle block for vehicles 1 and 2, then the payload block (p).
-    Instantiated once per RK4 stage of ``advance`` and once for ``rhs``, and
-    per body group by ``lqr``'s design pass. Without drag it has no drag
-    block and no drag term ``fd*`` in its sums; without ``lag``, no lag rates."""
+    Instantiated once per RK4 stage of ``advance``, once for ``rhs``, for
+    the vehicles alone by ``tensions``, and per body group by ``lqr``'s
+    design pass. Without drag it has no drag block and no drag term ``fd*``
+    in its sums; without ``lag``, no lag rates."""
     def fill(b, c):
         return _DRAG.format(b=b, c=c, s=s) if drag else ""
     text = "".join(_VEHICLE.format(i=i, s=s, drag=fill(i, "c_dq")) for i in "12" if i in bodies)
@@ -183,16 +156,20 @@ def _derivative(s: str, drag: bool, bodies: str = "12p", lag: bool = True) -> st
     return text if drag else re.sub(r"fd\w+ \+ | \+ fd\w+", "", text)
 
 
-# rhs and advance over the parameters bound by _make_rhs. In advance, stage
-# k = 2, 3, 4 evaluates the derivative without lag rates at the positions and
-# velocities y + a * (stage k-1 rates), a = half, half, dt, with its state
-# names suffixed _k (stage 1 is y itself); the update
+# rhs, advance and tensions over the parameters bound by _make_rhs. In
+# advance, stage k = 2, 3, 4 evaluates the derivative without lag rates at the
+# positions and velocities y + a * (stage k-1 rates), a = half, half, dt, with
+# its state names suffixed _k (stage 1 is y itself); the update
 # y + sixth * (k1 + 2 (k2 + k3) + k4) then runs in layout order, so each
 # position is updated while its velocity still holds the stage-1 value. Each
 # thrust T takes u + eT * c, eT = T - u, with c = c2, c3, c4 at the stages
 # and c5 for the update (RK4 on the linear lag, see _make_rhs). Given a buffer
 # out, advance appends the state after every global step that is a multiple
-# of dec; store is the index i of the next such step (-1 without out).
+# of dec; store is the index i of the next such step (-1 without out). Given
+# a buffer tension, it writes stage 1's F1 and F2 of every step i that starts
+# from a stored state (i a multiple of dec) to that sample's two slots;
+# record is the next such i (-1 without tension). tensions evaluates the
+# vehicle blocks at one state.
 _STEPPER = """\
 def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
     def rhs(y, u):
@@ -201,7 +178,12 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
 {rhs_derivative}
         return [{rate}]
 
-    def advance(y, u, i_first, n, dt, out=None, dec=1):
+    def tensions(y):
+        {state} = y
+{vehicle_derivative}
+        return (F1, (h1x, h1y, h1z)), (F2, (h2x, h2y, h2z))
+
+    def advance(y, u, i_first, n, dt, out=None, dec=1, tension=None):
         {state} = y
         u1x, u1y, u1z, u2x, u2y, u2z = u
         half = 0.5 * dt
@@ -211,6 +193,7 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
         c4 = 1.0 - dt * inv_tau * c3
         c5 = 1.0 - sixth * inv_tau * (1.0 + 2.0 * (c2 + c3) + c4)
         store = (i_first + dec) // dec * dec - 1 if out is not None else -1
+        record = -(-i_first // dec) * dec if tension is not None else -1
         for i in range(i_first, i_first + n):
 {stages}
             if not isfinite({state_sum}):
@@ -220,7 +203,7 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
                 store += dec
         return [{state}]
 
-    return rhs, advance
+    return rhs, advance, tensions
 """
 
 
@@ -229,6 +212,8 @@ def _stepper(drag: bool) -> tuple[str, str]:
     moving = [(q, r) for q, r in zip(_STATE, _RATE) if not q.startswith("T")]
     lag = [(q, "u" + q[1:]) for q in _STATE if q.startswith("T")]  # thrust T1x lags command u1x
     stages = [f"e{q} = {q} - {u}\n" for q, u in lag] + [_derivative("", drag, lag=False)]
+    stages.append("if i == record:\n    j = i // dec * 2\n"
+                  "    tension[j], tension[j + 1] = F1, F2\n    record += dec\n")
     for k, step in ((2, "half"), (3, "half"), (4, "dt")):
         prev = "" if k == 2 else f"_{k - 1}"
         stages += [f"{q}_{k} = {q} + {step} * {r}{prev}\n" for q, r in moving]
@@ -239,6 +224,7 @@ def _stepper(drag: bool) -> tuple[str, str]:
     return f"<spinlift.dynamics stepper, drag {'on' if drag else 'off'}>", _STEPPER.format(
         state=", ".join(_STATE), rate=", ".join(_RATE), state_sum=" + ".join(_STATE),
         rhs_derivative=textwrap.indent(_derivative("", drag), " " * 8),
+        vehicle_derivative=textwrap.indent(_derivative("", drag, "12", lag=False), " " * 8),
         stages=textwrap.indent("".join(stages), " " * 12))
 
 
@@ -262,21 +248,26 @@ def _compile(expand: Callable[..., tuple[str, str]], *args):
 
 
 def _make_rhs(params: SystemParams):
-    """Build ``(rhs, advance)``, the scalarized model and its RK4 stepper,
-    over the 24 physical state scalars (positions, velocities, actual
-    thrusts).
+    """Build ``(rhs, advance, tensions)``, the scalarized model, its RK4
+    stepper and its rope law, over the 24 physical state scalars (positions,
+    velocities, actual thrusts).
 
     * ``rhs(y, u)`` is the full 24-element derivative over a flat float
       list: the tests' hook into the stepper template, whose blocks
       ``lqr``'s design pass expands too.
-    * ``advance(y, u, i_first, n, dt, out=None, dec=1)`` integrates
+    * ``advance(y, u, i_first, n, dt, out=None, dec=1, tension=None)`` integrates
       physics steps ``i_first .. i_first + n - 1`` of a run starting at
       t = 0 under the held command ``u`` and returns the final state as a
       list. Given ``out`` (an ``array('d')``), it appends the 24 floats of
       the state after each step whose global count ``i + 1`` is a multiple
       of ``dec``, from inside its loop: a stored sample costs one
       ``struct`` pack of the 24 floats in the buffer's native layout and one
-      ``frombytes``, not a return to the caller.
+      ``frombytes``, not a return to the caller. Given ``tension`` (an
+      ``array('d')`` of two slots per stored sample of the run), it writes
+      F_1 and F_2 of each stored state, that of step ``i_first`` included,
+      to its sample's slots, from the first RK4 stage of the step that
+      starts there; the state a call ends on is recorded by the next call,
+      or by ``tensions``.
       The RK4 stages live in local variables. The positions and velocities
       take the float operations of a textbook RK4 over ``rhs``, in the same
       order. The thrust lag T' = (u - T) / tau is linear and u is held, so
@@ -292,8 +283,11 @@ def _make_rhs(params: SystemParams):
       :class:`IntegrationBlowupError` with the time of the first step whose
       result is not finite (one left-to-right sum of the 24 scalars, the
       order of the builtin ``sum``).
+    * ``tensions(y)`` is ``((F_1, r_hat_1), (F_2, r_hat_2))`` at one flat
+      state, r_hat_i as a 3-tuple, from the vehicle blocks that the stages
+      run: the same floats as ``advance`` records at that state.
 
-    Both are closures over the parameters, as floats, of one of two
+    All three are closures over the parameters, as floats, of one of two
     steppers compiled from the source templates: the derivative block (one
     vehicle block per vehicle, then the payload block) written out inline in
     each of the four RK4 stages (without lag rates) and in ``rhs``, so a
@@ -306,12 +300,8 @@ def _make_rhs(params: SystemParams):
     this makes is the sign of a zero: without drag terms, an acceleration sum
     that comes to -0.0 (all its terms zero, such as both pulls of slack
     ropes) keeps that sign, where adding a 0.0 drag force would make it
-    +0.0. The tether law is the one of :func:`tether_force`, kept as a
-    second copy for speed; a property test keeps the two in agreement.
-
-    The tension column of a :class:`Trajectory` is not taken from here:
-    :func:`simulate` evaluates :func:`tether_forces` once over all samples
-    after the run.
+    +0.0. The tether law is written only here, in the vehicle block; the
+    tests' plain-float right-hand side is its reference.
     """
     return _compile(_stepper, params.c_d_quad > 0.0 or params.c_d_payload > 0.0)(
         ell=params.ell, g=params.g, k_T=params.k_T, c_T=params.c_T,
@@ -367,9 +357,12 @@ def simulate(initial,
     (TypeError for a bool or a non-integer, which is not truncated). Hold
     boundaries align with steps: :class:`SystemParams` guarantees that
     1/(f_ctrl * dt_physics) is an integer. Each hold is one stepper call,
-    which appends the samples that fall inside it to a flat buffer; the
-    arrays are built from it once, at the end. The command stored with a sample is the one
-    held over the step that ends there (the first tick's for t = 0).
+    which appends the samples that fall inside it to a flat buffer, and
+    writes the tensions of the samples its steps start from to another; the
+    final state's tensions, when it is stored, take one more evaluation of
+    the same rope law. The arrays are built from the buffers once, at the end.
+    The command stored with a sample is the one held over the step that ends
+    there (the first tick's for t = 0).
     """
     if not duration > 0.0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -386,23 +379,28 @@ def simulate(initial,
     # any hold or decimation past the flight's end acts alike; capped, both fit int64
     steps_per_tick, dec = min(steps_per_tick, n_steps + 1), min(dec, n_steps + 1)
 
-    _, advance = _make_rhs(params)
+    _, advance, tensions = _make_rhs(params)
     y = list(SystemState.from_vector(initial))
     samples = array("d", y)  # the stored states, flat; advance appends the rest
+    # F_1, F_2 of each stored state, zeroed from bytes and sized once: grown per
+    # sample, or made by repetition, it left the dense export's peak memory
+    # varying from run to run by 10 to 45 MB
+    tension = array("d", bytes(16 * (n_steps // dec + 1)))
     ticks = array("d")       # the six commands of each tick, flat
     for i in range(0, n_steps, steps_per_tick):
         u = controller(y, i * dt)
         ticks.extend(u)
-        y = advance(y, u, i, min(steps_per_tick, n_steps - i), dt, samples, dec)
+        y = advance(y, u, i, min(steps_per_tick, n_steps - i), dt, samples, dec, tension)
+    if n_steps % dec == 0:  # the final state is stored, and no step starts there
+        (tension[-2], _), (tension[-1], _) = tensions(y)
 
     steps = np.arange(0, n_steps + 1, dec)
     t = steps * dt
     states = np.frombuffer(samples).reshape(-1, STATE_DIM)
     commands = np.frombuffer(ticks).reshape(-1, 6)[np.maximum(steps - 1, 0) // steps_per_tick]
     theta = np.fromiter(map(frame_angle, t.tolist()), float, len(t))
-    (F_1, _), (F_2, _) = tether_forces(states, params)
     return Trajectory(t=t, states=states, commands=commands,
-                      tether=np.column_stack([F_1, F_2]), theta=theta)
+                      tether=np.frombuffer(tension).reshape(-1, 2), theta=theta)
 
 
 _CSV_HEADER = ",".join(["t", *(f"{name}_{axis}" for name in STATE_PARTS for axis in "xyz"),

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
 from spinlift.dynamics import (DegenerateGeometryError, IntegrationBlowupError,
-                               _compile, _make_rhs, simulate, tether_force, tether_forces,
-                               trajectory_to_csv)
+                               _compile, _make_rhs, simulate, tether_forces, trajectory_to_csv)
 from spinlift.equilibrium import build_equilibrium, omega_star, tension_at_equilibrium
 from spinlift import lqr
 from spinlift.model import STATE_PARTS, ParamError, SystemParams, SystemState
@@ -33,13 +33,13 @@ def zero_cmd():
 
 def rhs_at(state, cmd, params):
     """The integrator's right-hand side at one state, in the flat layout."""
-    rhs, _ = _make_rhs(params)
+    rhs, _, _ = _make_rhs(params)
     return np.asarray(rhs(list(state), cmd))
 
 
 def advance_from(state, cmd, params, dt, n):
     """The flat state after n RK4 steps of size dt under a held command."""
-    _, advance = _make_rhs(params)
+    _, advance, _ = _make_rhs(params)
     return advance(list(state), cmd, 0, n, dt)
 
 
@@ -72,24 +72,33 @@ def near_formation_states(draw):
                       T_act_1=vec(-5.0, 20.0), T_act_2=vec(-5.0, 20.0))
 
 
+def reference_tension(x_i, v_i, x_p, v_p, params):
+    """The module docstring's rope law on plain floats, in the stepper's
+    operation order: ``(F, r_hat)`` of the tether from the payload at
+    ``x_p`` to the vehicle at ``x_i``. The coincident-body check is left
+    out. It is the second copy of the law, which the library writes once."""
+    r = [a - b for a, b in zip(x_i, x_p)]
+    d = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
+    inv_d = 1.0 / d
+    h = [c * inv_d for c in r]
+    rate = ((v_i[0] - v_p[0]) * h[0] + (v_i[1] - v_p[1]) * h[1]
+            + (v_i[2] - v_p[2]) * h[2])
+    F = params.k_T * (d - params.ell) + params.c_T * rate
+    if d < params.ell or F < 0.0:
+        F = 0.0
+    return F, h
+
+
 def reference_rhs(y, u, params):
     """The module docstring's equations of motion on plain floats, one body
     at a time, in the stepper's operation order: each pull F_i * r_hat_i
-    once, accelerations as force sums times the reciprocal mass, and the
-    drag force first in each sum only when a drag coefficient is nonzero. The
-    coincident-body check is left out."""
+    once, by :func:`reference_tension`, accelerations as force sums times the
+    reciprocal mass, and the drag force first in each sum only when a drag
+    coefficient is nonzero. The coincident-body check is left out."""
     x_p, v_p = y[0:3], y[3:6]
     pulls = []
     for x_i, v_i in ((y[6:9], y[9:12]), (y[12:15], y[15:18])):
-        r = [a - b for a, b in zip(x_i, x_p)]
-        d = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
-        inv_d = 1.0 / d
-        h = [c * inv_d for c in r]
-        rate = ((v_i[0] - v_p[0]) * h[0] + (v_i[1] - v_p[1]) * h[1]
-                + (v_i[2] - v_p[2]) * h[2])
-        F = params.k_T * (d - params.ell) + params.c_T * rate
-        if d < params.ell or F < 0.0:
-            F = 0.0
+        F, h = reference_tension(x_i, v_i, x_p, v_p, params)
         pulls.append([F * c for c in h])
     f_1, f_2 = pulls
     T_1, T_2 = y[18:21], y[21:24]
@@ -115,6 +124,13 @@ def reference_rhs(y, u, params):
         a[2] -= params.g
     lag = [(c - T) * inv_tau for c, T in zip(u, y[18:24])]
     return [*v_p, *a_p, *y[9:12], *a_1, *y[15:18], *a_2, *lag]
+
+
+def assert_taut(tension, dt):
+    """Fail, naming the rope and the step, if a flat [F_1, F_2, ...] tension
+    record of steps of size dt holds a slack rope (F = 0)."""
+    slack = np.argwhere(np.frombuffer(tension).reshape(-1, 2) <= 0.0)
+    assert not len(slack), f"rope {slack[0][1] + 1} slack at step {slack[0][0]} of dt = {dt}"
 
 
 def bits(values):
@@ -166,7 +182,7 @@ def rk4_reference(rhs, y, u, dt, tau):
 def reference_simulate(initial, controller, params, duration):
     """simulate's closed loop taken one reference RK4 step at a time. Returns
     the time, state and held command after every step (row 0: the start)."""
-    rhs, _ = _make_rhs(params)
+    rhs, _, _ = _make_rhs(params)
     dt = params.dt_physics
     hold = round(1.0 / (params.f_ctrl * dt))
     y = list(initial)
@@ -185,11 +201,24 @@ def reference_simulate(initial, controller, params, duration):
     return np.array(t), np.array(states), np.array(commands)
 
 
+def tension_1(x_1, v_1, params):
+    """Tether 1's ``(F, r_hat)`` by :func:`tether_forces`, with the payload at
+    rest at the origin and vehicle 2 at rest length beside it, after checking
+    that the reference rope law gives the same bits."""
+    origin = vec3(0, 0, 0)
+    state = make_state(x_p=origin, v_p=origin, x_1=x_1, v_1=v_1, x_2=vec3(0, 1.0, 0),
+                       v_2=origin, T_act_1=origin, T_act_2=origin)
+    (F, r_hat), _ = tether_forces(state, params)
+    assert type(F) is float and r_hat.shape == (3,)
+    F_ref, h_ref = reference_tension(x_1, v_1, origin, origin, params)
+    assert bits([F, *r_hat]) == bits([F_ref, *h_ref])
+    return F, r_hat
+
+
 class TestTetherForce:
     def test_rest_length_zero_force(self):
         p = SystemParams()
-        F, r_hat = tether_force(vec3(0, 0, 1.0), vec3(0, 0, 0),
-                                vec3(0, 0, 0), vec3(0, 0, 0), p)
+        F, r_hat = tension_1(vec3(0, 0, 1.0), vec3(0, 0, 0), p)
         assert F == 0.0
         assert_allclose(r_hat, [0, 0, 1], atol=1e-15)
 
@@ -197,23 +226,20 @@ class TestTetherForce:
         # stretch carrying the beta=60 deg tension: oracle m_p*g/(2 cos 60)
         p = SystemParams()
         expected = p.m_p * p.g / (2.0 * math.cos(math.radians(60)))
-        F, _ = tether_force(vec3(0, 0, 1.002943), vec3(0, 0, 0),
-                            vec3(0, 0, 0), vec3(0, 0, 0), p)
+        F, _ = tension_1(vec3(0, 0, 1.002943), vec3(0, 0, 0), p)
         assert expected == pytest.approx(5.886, abs=1e-9)
         assert F == pytest.approx(expected, abs=1e-6)
 
     def test_slack_clamp(self):
         p = SystemParams()
-        F, _ = tether_force(vec3(0, 0, 0.99), vec3(0, 0, 0),
-                            vec3(0, 0, 0), vec3(0, 0, 0), p)
+        F, _ = tension_1(vec3(0, 0, 0.99), vec3(0, 0, 0), p)
         assert F == 0.0
 
     def test_slack_rope_does_not_pull(self):
         # 1 mm short of the rest length and extending at 0.5 m/s: the
         # spring-damper sum is +3 N, but a slack rope carries no tension
         p = SystemParams()
-        F, _ = tether_force(vec3(0, 0, 0.999), vec3(0, 0, 0.5),
-                            vec3(0, 0, 0), vec3(0, 0, 0), p)
+        F, _ = tension_1(vec3(0, 0, 0.999), vec3(0, 0, 0.5), p)
         assert F == 0.0
         state = replaced(
             slack_state(p), x_1=ORIGIN + vec3(0, 0, 0.999), v_1=vec3(0, 0, 0.5),
@@ -222,8 +248,9 @@ class TestTetherForce:
 
     @given(state=near_formation_states())
     def test_rhs_copy_matches_tether_forces(self, state):
-        # the inline tether law of both steppers, and the design model built
-        # on it, agree with tether_forces on taut and slack tethers alike
+        # the one rope law, that of the vehicle block, gives the reference's
+        # tensions bit for bit, and both steppers' rhs and the design model
+        # built on it pull with them, on taut and slack tethers alike
         def accelerations(pair, p):
             (F_1, r_hat_1), (F_2, r_hat_2) = pair
             pull_1, pull_2 = F_1 * r_hat_1, F_2 * r_hat_2
@@ -241,9 +268,14 @@ class TestTetherForce:
                                    drag(p.c_d_quad, part(state, "v_2")) / p.m_q])
 
         accel = [3, 4, 5, 9, 10, 11, 15, 16, 17]
+        y = list(state)
         for drag in (False, True):
             p = with_drag(drag)
-            tether_only = accelerations(tether_forces(state, p), p)
+            pair = tether_forces(state, p)
+            for (F, r_hat), (x_i, v_i) in zip(pair, ((y[6:9], y[9:12]), (y[12:15], y[15:18]))):
+                F_ref, h_ref = reference_tension(x_i, v_i, y[0:3], y[3:6], p)
+                assert bits([F, *r_hat]) == bits([F_ref, *h_ref])
+            tether_only = accelerations(pair, p)
             expected = tether_only + drag_accelerations(p) if drag else tether_only
             d = rhs_at(state, zero_cmd(), p)
             assert_allclose(d[accel], expected, rtol=1e-12, atol=1e-12)
@@ -260,7 +292,7 @@ class TestTetherForce:
         # each stepper's rhs is the reference's arithmetic, sign of zero included
         for drag in (False, True):
             p = with_drag(drag)
-            rhs, _ = _make_rhs(p)
+            rhs, _, _ = _make_rhs(p)
             assert bits(rhs(list(state), u)) == bits(reference_rhs(list(state), u, p))
 
     @pytest.mark.parametrize("drag", [False, True])
@@ -276,43 +308,23 @@ class TestTetherForce:
         assert bits(d) == bits(reference_rhs(list(state), zero_cmd(), p))
         assert bits([d[3], d[10]]) == bits([-0.0, -0.0])
 
-    def test_stacked_vectors(self):
-        # (3,) input keeps the scalar contract; (n, 3) gives one force per row
-        p = SystemParams()
-        F, r_hat = tether_force(vec3(0, 0, 1.001), vec3(0, 0, 0),
-                                vec3(0, 0, 0), vec3(0, 0, 0), p)
-        assert type(F) is float
-        assert r_hat.shape == (3,)
-        x_i = np.array([[0, 0, 1.001], [0, 0, 0.9], [0, 1.002, 0]])
-        v_i = np.array([[0, 0, 0], [0, 0, 0], [0, 0.1, 0]])
-        F, r_hat = tether_force(x_i, v_i, np.zeros(3), np.zeros(3), p)
-        assert F.shape == (3,) and r_hat.shape == (3, 3)
-        for row in range(3):
-            F_row, r_row = tether_force(x_i[row], v_i[row], vec3(0, 0, 0),
-                                        vec3(0, 0, 0), p)
-            assert F[row] == pytest.approx(F_row, rel=1e-15)
-            assert_allclose(r_hat[row], r_row, rtol=1e-15)
-        assert F[1] == 0.0
-        x_i[2] = 0.0
-        with pytest.raises(DegenerateGeometryError):
-            tether_force(x_i, v_i, np.zeros(3), np.zeros(3), p)
-
     def test_damping_term(self):
         p = SystemParams()
-        F, _ = tether_force(vec3(0, 0, 1.0), vec3(0, 0, 0.2),
-                            vec3(0, 0, 0), vec3(0, 0, 0), p)
+        F, _ = tension_1(vec3(0, 0, 1.0), vec3(0, 0, 0.2), p)
         assert F == pytest.approx(p.c_T * 0.2, rel=1e-12)
 
     def test_coincident_positions_rejected(self):
-        p = SystemParams()
-        with pytest.raises(DegenerateGeometryError):
-            tether_force(vec3(1, 2, 3), vec3(0, 0, 0), vec3(1, 2, 3),
-                         vec3(0, 0, 0), p)
+        for drag in (False, True):
+            p = with_drag(drag)
+            state = replaced(slack_state(p), x_2=ORIGIN)
+            with pytest.raises(DegenerateGeometryError, match="vehicle 2 coincides"):
+                tether_forces(state, p)
 
     def test_pairwise_evaluation(self):
         p = SystemParams()
         _, state, _ = build_equilibrium(DEG(60), 0.0, p)
         (F_1, r_hat_1), (F_2, r_hat_2) = tether_forces(state, p)
+        assert type(F_1) is float and r_hat_1.shape == (3,)
         assert F_1 == pytest.approx(5.886, abs=1e-9)
         assert F_1 == F_2
         assert np.linalg.norm(r_hat_1) == pytest.approx(1.0, abs=1e-9)
@@ -389,9 +401,10 @@ class TestDerivative:
     def test_coefficients_pick_the_stepper(self, c_d_quad, c_d_payload, stepper):
         # drag acts on each body whose coefficient is nonzero
         p = SystemParams(c_d_quad=c_d_quad, c_d_payload=c_d_payload)
-        rhs, advance = _make_rhs(p)
+        rhs, advance, tensions = _make_rhs(p)
         assert rhs.__code__.co_filename == f"<spinlift.dynamics stepper, {stepper}>"
         assert advance.__code__.co_filename == rhs.__code__.co_filename
+        assert tensions.__code__.co_filename == rhs.__code__.co_filename
         state = replaced(slack_state(p), v_p=vec3(2.0, 0, 0), v_1=vec3(0, 2.0, 0))
         d = rhs_at(state, zero_cmd(), p)
         assert d[3] == pytest.approx(-c_d_payload * 4.0 / p.m_p, rel=1e-12)
@@ -408,7 +421,7 @@ class TestDerivative:
         y = list(state)
         for drag in (False, True):
             p = with_drag(drag)
-            rhs, _ = _make_rhs(p)
+            rhs, _, _ = _make_rhs(p)
             d, d_exchanged = rhs(y, u), rhs(exchange(y), u[3:] + u[:3])
             assert bits(d_exchanged[6:]) == bits(exchange(d)[6:])
             if not drag:  # f1 + f2 commutes
@@ -475,15 +488,22 @@ class TestStep:
     def test_rk4_convergence_order(self):
         p = SystemParams()
         _, state0, cmd = build_equilibrium(math.radians(45), 0.0, p)
-        # payload sag keeps both tethers taut; smooth nontrivial motion. The
-        # thrusts start 10% above their commands, so the lag's closed form
-        # is in the check (from the commands, a wrong c3, c4 or c5 passes
-        # it); 10% below would let the ropes go slack
+        # payload sag keeps both tethers taut (at least 0.51 N); smooth
+        # nontrivial motion. The thrusts start 10% above their commands, so
+        # the lag's closed form is in the check (from the commands, a wrong
+        # c3, c4 or c5 passes it); 10% below would let the ropes go slack,
+        # which fails the premise by name and not as an order of 1.15
         state0 = replaced(state0, x_p=part(state0, "x_p") + vec3(0, 0, -0.005),
                           T_act_1=1.1 * np.array(cmd[0:3]), T_act_2=1.1 * np.array(cmd[3:6]))
+        _, advance, tensions = _make_rhs(p)
 
         def integrate(dt, t_final=0.25):
-            return np.array(advance_from(state0, cmd, p, dt, int(round(t_final / dt))))
+            steps = int(round(t_final / dt))
+            tension = array("d", [0.0]) * (2 * (steps + 1))
+            y = advance(list(state0), cmd, 0, steps, dt, None, 1, tension)
+            (tension[-2], _), (tension[-1], _) = tensions(y)
+            assert_taut(tension, dt)
+            return np.array(y)
 
         ref = integrate(1.25e-4)
         e1 = np.linalg.norm(integrate(1e-3) - ref)
@@ -508,7 +528,7 @@ class TestStep:
         _, state, _ = build_equilibrium(beta, spin * omega_star(beta, p), p)
         y = list(replaced(state, T_act_1=thrusts[0:3], T_act_2=thrusts[3:6]))
         u = thrusts[6:]
-        rhs, advance = _make_rhs(p)
+        rhs, advance, _ = _make_rhs(p)
         expected = y
         for _ in range(steps):
             expected = textbook_rk4(rhs, expected, u, dt)
@@ -541,8 +561,8 @@ class TestStep:
         codes = []
         for drag in (False, True):
             light, heavy = with_drag(drag), with_drag(drag, m_p=0.9)
-            rhs_light, advance_light = _make_rhs(light)
-            rhs_heavy, advance_heavy = _make_rhs(heavy)
+            rhs_light, advance_light, _ = _make_rhs(light)
+            rhs_heavy, advance_heavy, _ = _make_rhs(heavy)
             assert rhs_light.__code__ is rhs_heavy.__code__
             assert advance_light.__code__ is advance_heavy.__code__
             codes.append(advance_light.__code__)
@@ -565,10 +585,12 @@ class TestStep:
     def test_coincident_bodies_rejected_by_the_stepper(self, vehicle, drag):
         p = with_drag(drag)
         state = list(replaced(slack_state(p), **{vehicle: ORIGIN}))
-        rhs, advance = _make_rhs(p)
+        rhs, advance, tensions = _make_rhs(p)
         message = f"vehicle {vehicle[-1]} coincides with the payload"
         with pytest.raises(DegenerateGeometryError, match=message):
             rhs(state, zero_cmd())
+        with pytest.raises(DegenerateGeometryError, match=message):
+            tensions(state)
         with pytest.raises(DegenerateGeometryError, match=message):
             advance(state, zero_cmd(), 0, 1, p.dt_physics)
 
@@ -672,7 +694,10 @@ class TestSimulate:
     def test_matches_reference_integrator(self, state, thrusts, w, drag):
         # 62 steps at 20 steps per hold: three command changes, a
         # decimation of 7 that puts stored samples inside holds and one of
-        # 45 whose stores skip whole holds
+        # 45 whose stores skip whole holds. The tension column is the rope
+        # law at each stored state, bit for bit: recorded by the step that
+        # starts there, or evaluated after the run for the final state,
+        # which only a decimation of 1 stores here
         p = with_drag(drag, f_ctrl=100.0)
         def controller(y, t):
             return thrusts[round(t * p.f_ctrl)]
@@ -681,6 +706,7 @@ class TestSimulate:
             return w * t * (1.0 + 5.0 * t)
 
         t, states, cmds = reference_simulate(state, controller, p, 0.031)
+        tensions = [[F for F, _ in tether_forces(y, p)] for y in states]
         for dec in (1, 7, 20, 45):
             traj = simulate(state, controller, frame_angle, p, 0.031,
                             output_decimation=dec)
@@ -688,6 +714,7 @@ class TestSimulate:
             assert np.array_equal(traj.states, states[::dec])
             assert np.array_equal(traj.commands, cmds[::dec])
             assert traj.theta.tolist() == [frame_angle(x) for x in t[::dec].tolist()]
+            assert bits(traj.tether.ravel().tolist()) == bits(sum(tensions[::dec], []))
 
     @pytest.mark.parametrize("thrust", [1e300, 1e160, math.nan])
     def test_blowup_time_matches_reference(self, thrust):
@@ -713,20 +740,42 @@ class TestSimulate:
 
     def test_tension_column_matches_tether_forces(self):
         # slack vehicles thrust upward away from the falling payload until
-        # the ropes snap taut and throw them back: slack, taut, slack again
+        # the ropes snap taut and throw them back: slack, taut, slack again.
+        # 0.5 s is 1000 steps, so the last sample is the final state, whose
+        # tensions no step records; every row is the rope law at its state,
+        # the library's and the reference's, bit for bit
         p = SystemParams()
         lift = [0.0, 0.0, 2.0 * p.m_q * p.g] * 2
         traj = simulate(slack_state(p), lambda y, t: lift, lambda t: 0.0, p,
                         duration=0.5, output_decimation=5)
+        assert traj.t[-1] == 1000 * p.dt_physics
         for i in range(len(traj)):
-            (F_1, _), (F_2, _) = tether_forces(traj.states[i], p)
-            assert_allclose(traj.tether[i], [F_1, F_2], rtol=1e-12, atol=1e-9)
+            y = traj.states[i].tolist()
+            expected = [F for F, _ in tether_forces(y, p)]
+            assert bits(traj.tether[i].tolist()) == bits(expected)
+            assert bits(expected) == bits(
+                [reference_tension(y[6:9], y[9:12], y[0:3], y[3:6], p)[0],
+                 reference_tension(y[12:15], y[15:18], y[0:3], y[3:6], p)[0]])
         x_p = part(traj.states, "x_p")
         slack = np.stack([np.linalg.norm(part(traj.states, x_i) - x_p, axis=1) < p.ell
                           for x_i in ("x_1", "x_2")], axis=1)
         assert slack[0].all() and slack[-1].all() and not slack.all()
         assert np.all(traj.tether[slack] == 0.0)
         assert np.any(traj.tether[~slack] > 0.0)
+
+    @pytest.mark.parametrize("drag", [False, True])
+    def test_final_sample_tension(self, drag):
+        # a perturbed 60 deg hover, both ropes taut: 0.1 s is 200 steps, so
+        # at a decimation of 20 the last sample is the final state, which no
+        # step starts from, and simulate evaluates its tensions after the run
+        p = with_drag(drag)
+        _, state, cmd = build_equilibrium(DEG(60), 0.0, p)
+        state = replaced(state, x_p=part(state, "x_p") + vec3(0.002, 0.0, -0.004))
+        traj = simulate(state, lambda y, t: cmd, lambda t: 0.0, p, 0.1, output_decimation=20)
+        assert len(traj) == 11 and traj.t[-1] == 200 * p.dt_physics
+        assert traj.tether.min() > 1.0
+        for y, row in zip(traj.states.tolist(), traj.tether.tolist()):
+            assert bits(row) == bits([F for F, _ in tether_forces(y, p)])
 
     @pytest.mark.parametrize("defect", ["short", math.nan, math.inf])
     def test_initial_state_checked(self, defect):

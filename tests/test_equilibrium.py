@@ -213,7 +213,7 @@ class TestBuildEquilibrium:
         _, state, cmd = build_equilibrium(beta, w, P)
         assert list(feedforward(spec.beta, w, P, spec.length)) == cmd
 
-        rhs, _ = _make_rhs(P)
+        rhs, _, _ = _make_rhs(P)
         d = rhs(list(state), cmd)
         tension = tension_at_equilibrium(beta, P)
         # the forces are of the size of the tension; rounding leaves at most

@@ -29,7 +29,7 @@ def reference_c_frame_model(params):
     """The design model in numpy matrix form, W_t being the transpose of the
     cross-product matrix of w = omega_c z_hat: the reference for the rows of
     ``lqr``'s design pass."""
-    rhs, _ = _make_rhs(dataclasses.replace(params, c_d_quad=0.0, c_d_payload=0.0))
+    rhs, _, _ = _make_rhs(dataclasses.replace(params, c_d_quad=0.0, c_d_payload=0.0))
 
     def f(s, u, omega_c):
         bodies = np.asarray(s, dtype=float).reshape(3, 2, 3)  # (p, 1, 2) x (x, v)
