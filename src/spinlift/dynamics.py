@@ -18,14 +18,16 @@ The comparison harness integrates ~1e6 RK4 steps per run set, so the hot path
 is scalar Python: a stepper that integrates a whole control hold in one call
 with every RK4 stage held in local variables, appending each stored sample's
 24 floats to a flat buffer inside its loop. The stepper is generated from a
-source template that writes one vehicle's equations once, as a block expanded
-for both vehicles, and the payload's after them (see :func:`_make_rhs`). Its
-stages evaluate the mechanical derivative only: the thrust lag is linear under
-the held command, so RK4 steps it in closed form, each thrust moving to
-u + (T - u) * R(-dt/tau) with R RK4's stability function. The tether law is
-written once, in that vehicle block: the stepper records each stored
-sample's two tensions from the first RK4 stage of the step that starts
-there, and :func:`tether_forces` expands the same block for one state.
+source template that writes one tether's rope law and one vehicle's
+equations once, as blocks expanded for both vehicles, and the payload's after
+them (see :func:`_bind`); the template generates only what :func:`simulate`
+and :func:`tether_forces` run. Its stages evaluate the mechanical derivative
+only: the thrust lag is linear under the held command, so RK4 steps it in
+closed form, each thrust moving to u + (T - u) * R(-dt/tau) with R RK4's
+stability function. The tether law is written once, in the rope block: the
+stepper records each stored sample's two tensions from the first RK4 stage
+of the step that starts there, and :func:`tether_forces` expands the rope
+block alone for one state.
 :func:`simulate` makes one stepper call per hold, whatever the output
 decimation, and builds the trajectory's arrays once at the end: states and
 tensions from their buffers, commands from the per-tick command buffer.
@@ -78,27 +80,29 @@ class IntegrationBlowupError(RuntimeError):
 def tether_forces(state, params: SystemParams) -> tuple[tuple, tuple]:
     """``((F_1, r_hat_1), (F_2, r_hat_2))`` of one flat 24-float state: each
     tether's tension, by the module docstring's rope law, and its unit vector
-    from the payload to the vehicle, evaluated by the stepper's own vehicle
-    blocks (:class:`DegenerateGeometryError` where they coincide)."""
-    (F_1, r_hat_1), (F_2, r_hat_2) = _make_rhs(params)[2](
-        np.asarray(state, dtype=float).tolist())
+    from the payload to the vehicle, evaluated by the stepper's own rope
+    blocks. The state is checked by :meth:`SystemState.from_vector`
+    (ValueError on a wrong length or a non-finite entry);
+    :class:`DegenerateGeometryError` where a vehicle and the payload
+    coincide."""
+    (F_1, r_hat_1), (F_2, r_hat_2) = _bind(params)[1](SystemState.from_vector(state))
     return (F_1, np.array(r_hat_1)), (F_2, np.array(r_hat_2))
 
 
 # Names of the 24 integrated scalars, in the flat layout of spinlift.model,
-# and of their time derivatives in the same order: positions move with the
-# velocities, velocities with the accelerations a*, actual thrusts with the
-# lag rates dT*. Suffix p is the payload, 1 and 2 the vehicles.
+# and of the time derivatives of the 18 moving ones in the same order:
+# positions move with the velocities, velocities with the accelerations a*.
+# The actual thrusts T* have no rate names: the stepper moves them in closed
+# form. Suffix p is the payload, 1 and 2 the vehicles.
 _STATE = ("xpx xpy xpz vpx vpy vpz x1x x1y x1z v1x v1y v1z "
           "x2x x2y x2z v2x v2y v2z T1x T1y T1z T2x T2y T2z").split()
 _RATE = ("vpx vpy vpz apx apy apz v1x v1y v1z a1x a1y a1z "
-         "v2x v2y v2z a2x a2y a2z dT1x dT1y dT1z dT2x dT2y dT2z").split()
+         "v2x v2y v2z a2x a2y a2z").split()
 
-# One vehicle's share of the derivative at the state whose names end in {s},
-# written once and expanded for i = 1, 2: its tether law, its pull
-# f{i}* = F{i} * r_hat_{i}, its drag force fd{i}* in {drag}, its acceleration
-# a{i}*{s} and its lag rates dT{i}*{s} under the held command u{i}*.
-_VEHICLE = """\
+# Tether i's rope law at the state whose names end in {s}, written once and
+# expanded for i = 1, 2: its length d{i}, its unit vector h{i}* from the
+# payload to vehicle i, its extension rate and its tension F{i}.
+_ROPE = """\
 r{i}x = x{i}x{s} - xpx{s}
 r{i}y = x{i}y{s} - xpy{s}
 r{i}z = x{i}z{s} - xpz{s}
@@ -113,6 +117,12 @@ rate{i} = (v{i}x{s} - vpx{s}) * h{i}x + (v{i}y{s} - vpy{s}) * h{i}y + (v{i}z{s} 
 F{i} = k_T * (d{i} - ell) + c_T * rate{i}
 if d{i} < ell or F{i} < 0.0:
     F{i} = 0.0
+"""
+
+# The rest of vehicle i's share of the derivative, after its rope law: its
+# pull f{i}* = F{i} * h{i}*, its drag force fd{i}* in {drag} and its
+# acceleration a{i}*{s}.
+_VEHICLE = """\
 f{i}x = F{i} * h{i}x
 f{i}y = F{i} * h{i}y
 f{i}z = F{i} * h{i}z
@@ -120,9 +130,6 @@ f{i}z = F{i} * h{i}z
 a{i}x{s} = (T{i}x{s} + fd{i}x - f{i}x) * inv_mq
 a{i}y{s} = (T{i}y{s} + fd{i}y - f{i}y) * inv_mq
 a{i}z{s} = (T{i}z{s} + fd{i}z - f{i}z) * inv_mq - g
-dT{i}x{s} = (u{i}x - T{i}x{s}) * inv_tau
-dT{i}y{s} = (u{i}y - T{i}y{s}) * inv_tau
-dT{i}z{s} = (u{i}z - T{i}z{s}) * inv_tau
 """
 
 # The payload's share: its drag force fdp* in {drag} and its acceleration,
@@ -141,49 +148,41 @@ fd{b}x, fd{b}y, fd{b}z = s{b} * v{b}x{s}, s{b} * v{b}y{s}, s{b} * v{b}z{s}
 """
 
 
-def _derivative(s: str, drag: bool, bodies: str = "12p", lag: bool = True) -> str:
+def _derivative(s: str, drag: bool, bodies: str = "12p") -> str:
     """The derivative blocks of ``bodies`` at the state names suffixed ``s``:
-    the vehicle block for vehicles 1 and 2, then the payload block (p).
-    Instantiated once per RK4 stage of ``advance``, once for ``rhs``, for
-    the vehicles alone by ``tensions``, and per body group by ``lqr``'s
-    design pass. Without drag it has no drag block and no drag term ``fd*``
-    in its sums; without ``lag``, no lag rates."""
+    the rope law and the vehicle block for vehicles 1 and 2, then the payload
+    block (p). Instantiated once per RK4 stage of ``advance``, and per body
+    group by ``lqr``'s design pass. Without drag it has no drag block and no
+    drag term ``fd*`` in its sums."""
     def fill(b, c):
         return _DRAG.format(b=b, c=c, s=s) if drag else ""
-    text = "".join(_VEHICLE.format(i=i, s=s, drag=fill(i, "c_dq")) for i in "12" if i in bodies)
+    text = "".join(_ROPE.format(i=i, s=s) + _VEHICLE.format(i=i, s=s, drag=fill(i, "c_dq"))
+                   for i in "12" if i in bodies)
     text += _PAYLOAD.format(s=s, drag=fill("p", "c_dp")) if "p" in bodies else ""
-    text = text if lag else re.sub(r"(?m)^dT.*\n", "", text)
     return text if drag else re.sub(r"fd\w+ \+ | \+ fd\w+", "", text)
 
 
-# rhs, advance and tensions over the parameters bound by _make_rhs. In
-# advance, stage k = 2, 3, 4 evaluates the derivative without lag rates at the
-# positions and velocities y + a * (stage k-1 rates), a = half, half, dt, with
-# its state names suffixed _k (stage 1 is y itself); the update
+# advance and tensions over the parameters bound by _bind. In advance, stage
+# k = 2, 3, 4 evaluates the derivative at the positions and velocities
+# y + a * (stage k-1 rates), a = half, half, dt, with its state names
+# suffixed _k (stage 1 is y itself); the update
 # y + sixth * (k1 + 2 (k2 + k3) + k4) then runs in layout order, so each
 # position is updated while its velocity still holds the stage-1 value. Each
 # thrust T takes u + eT * c, eT = T - u, with c = c2, c3, c4 at the stages
-# and c5 for the update (RK4 on the linear lag, see _make_rhs). Given a buffer
-# out, advance appends the state after every global step that is a multiple
-# of dec; store is the index i of the next such step (-1 without out). Given
-# a buffer tension, it writes stage 1's F1 and F2 of every step i that starts
-# from a stored state (i a multiple of dec) to that sample's two slots;
-# record is the next such i (-1 without tension). tensions evaluates the
-# vehicle blocks at one state.
+# and c5 for the update (RK4 on the linear lag, see _bind). advance appends
+# to out the state after every global step that is a multiple of dec; store
+# is the index i of the next such step. It writes stage 1's F1 and F2 of
+# every step i that starts from a stored state (i a multiple of dec) to that
+# sample's two slots of tension; record is the next such i. tensions
+# evaluates the rope law alone at one state.
 _STEPPER = """\
 def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
-    def rhs(y, u):
-        {state} = y
-        u1x, u1y, u1z, u2x, u2y, u2z = u
-{rhs_derivative}
-        return [{rate}]
-
     def tensions(y):
         {state} = y
-{vehicle_derivative}
+{rope}
         return (F1, (h1x, h1y, h1z)), (F2, (h2x, h2y, h2z))
 
-    def advance(y, u, i_first, n, dt, out=None, dec=1, tension=None):
+    def advance(y, u, i_first, n, dt, out, dec, tension):
         {state} = y
         u1x, u1y, u1z, u2x, u2y, u2z = u
         half = 0.5 * dt
@@ -192,8 +191,8 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
         c3 = 1.0 - half * inv_tau * c2
         c4 = 1.0 - dt * inv_tau * c3
         c5 = 1.0 - sixth * inv_tau * (1.0 + 2.0 * (c2 + c3) + c4)
-        store = (i_first + dec) // dec * dec - 1 if out is not None else -1
-        record = -(-i_first // dec) * dec if tension is not None else -1
+        store = (i_first + dec) // dec * dec - 1
+        record = -(-i_first // dec) * dec
         for i in range(i_first, i_first + n):
 {stages}
             if not isfinite({state_sum}):
@@ -203,28 +202,27 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
                 store += dec
         return [{state}]
 
-    return rhs, advance, tensions
+    return advance, tensions
 """
 
 
 def _stepper(drag: bool) -> tuple[str, str]:
     """File name and source of the stepper template, expanded with or without drag."""
-    moving = [(q, r) for q, r in zip(_STATE, _RATE) if not q.startswith("T")]
+    moving = list(zip(_STATE, _RATE))
     lag = [(q, "u" + q[1:]) for q in _STATE if q.startswith("T")]  # thrust T1x lags command u1x
-    stages = [f"e{q} = {q} - {u}\n" for q, u in lag] + [_derivative("", drag, lag=False)]
+    stages = [f"e{q} = {q} - {u}\n" for q, u in lag] + [_derivative("", drag)]
     stages.append("if i == record:\n    j = i // dec * 2\n"
                   "    tension[j], tension[j + 1] = F1, F2\n    record += dec\n")
     for k, step in ((2, "half"), (3, "half"), (4, "dt")):
         prev = "" if k == 2 else f"_{k - 1}"
         stages += [f"{q}_{k} = {q} + {step} * {r}{prev}\n" for q, r in moving]
         stages += [f"{q}_{k} = {u} + e{q} * c{k}\n" for q, u in lag]
-        stages.append(_derivative(f"_{k}", drag, lag=False))
+        stages.append(_derivative(f"_{k}", drag))
     stages += [f"{q} += sixth * ({r} + 2.0 * ({r}_2 + {r}_3) + {r}_4)\n" for q, r in moving]
     stages += [f"{q} = {u} + e{q} * c5\n" for q, u in lag]
     return f"<spinlift.dynamics stepper, drag {'on' if drag else 'off'}>", _STEPPER.format(
-        state=", ".join(_STATE), rate=", ".join(_RATE), state_sum=" + ".join(_STATE),
-        rhs_derivative=textwrap.indent(_derivative("", drag), " " * 8),
-        vehicle_derivative=textwrap.indent(_derivative("", drag, "12", lag=False), " " * 8),
+        state=", ".join(_STATE), state_sum=" + ".join(_STATE),
+        rope=textwrap.indent("".join(_ROPE.format(i=i, s="") for i in "12"), " " * 8),
         stages=textwrap.indent("".join(stages), " " * 12))
 
 
@@ -232,7 +230,7 @@ def _stepper(drag: bool) -> tuple[str, str]:
 def _compile(expand: Callable[..., tuple[str, str]], *args):
     """Compile the model source that ``expand(*args)`` returns with its file
     name, and return its ``bind`` factory. Cached: each source is compiled
-    once per process, on its first use, so every later :func:`_make_rhs` or
+    once per process, on its first use, so every later :func:`_bind` or
     ``lqr.linearize`` call only binds parameters. The source is registered
     with :mod:`linecache`, so that tracebacks through the generated
     functions show their lines."""
@@ -247,61 +245,55 @@ def _compile(expand: Callable[..., tuple[str, str]], *args):
     return namespace["bind"]
 
 
-def _make_rhs(params: SystemParams):
-    """Build ``(rhs, advance, tensions)``, the scalarized model, its RK4
-    stepper and its rope law, over the 24 physical state scalars (positions,
+def _bind(params: SystemParams):
+    """Build ``(advance, tensions)``, the RK4 stepper of the scalarized model
+    and its rope law, over the 24 physical state scalars (positions,
     velocities, actual thrusts).
 
-    * ``rhs(y, u)`` is the full 24-element derivative over a flat float
-      list: the tests' hook into the stepper template, whose blocks
-      ``lqr``'s design pass expands too.
-    * ``advance(y, u, i_first, n, dt, out=None, dec=1, tension=None)`` integrates
+    * ``advance(y, u, i_first, n, dt, out, dec, tension)`` integrates
       physics steps ``i_first .. i_first + n - 1`` of a run starting at
       t = 0 under the held command ``u`` and returns the final state as a
-      list. Given ``out`` (an ``array('d')``), it appends the 24 floats of
-      the state after each step whose global count ``i + 1`` is a multiple
-      of ``dec``, from inside its loop: a stored sample costs one
-      ``struct`` pack of the 24 floats in the buffer's native layout and one
-      ``frombytes``, not a return to the caller. Given ``tension`` (an
-      ``array('d')`` of two slots per stored sample of the run), it writes
-      F_1 and F_2 of each stored state, that of step ``i_first`` included,
-      to its sample's slots, from the first RK4 stage of the step that
-      starts there; the state a call ends on is recorded by the next call,
-      or by ``tensions``.
+      list. It appends to ``out`` (an ``array('d')``) the 24 floats of the
+      state after each step whose global count ``i + 1`` is a multiple of
+      ``dec``, from inside its loop: a stored sample costs one ``struct``
+      pack of the 24 floats in the buffer's native layout and one
+      ``frombytes``, not a return to the caller. It writes F_1 and F_2 of
+      each stored state, that of step ``i_first`` included, to its sample's
+      two slots of ``tension`` (an ``array('d')`` of two slots per stored
+      sample of the run), from the first RK4 stage of the step that starts
+      there; the state a call ends on is recorded by the next call, or by
+      ``tensions``.
       The RK4 stages live in local variables. The positions and velocities
-      take the float operations of a textbook RK4 over ``rhs``, in the same
-      order. The thrust lag T' = (u - T) / tau is linear and u is held, so
-      RK4 moves each thrust to u + (T - u) * c, exactly in real arithmetic:
-      with h = dt / tau, the stage values take c2 = 1 - h/2,
-      c3 = 1 - (h/2) c2 and c4 = 1 - h c3, and the update
-      c5 = 1 - (h/6)(1 + 2 (c2 + c3) + c4), RK4's stability function at -h.
-      These are RK4's own stages and update on e' = -e / tau from e = 1,
-      computed once per call. A step makes no lag rates, 66 float
-      operations fewer, and differs from a textbook RK4 over ``rhs`` only
-      by rounding (a property test bounds the difference); ``rhs`` alone
-      keeps the lag rates. Raises
-      :class:`IntegrationBlowupError` with the time of the first step whose
-      result is not finite (one left-to-right sum of the 24 scalars, the
-      order of the builtin ``sum``).
+      take the float operations of a textbook RK4 over the module
+      docstring's equations, in the same order. The thrust lag
+      T' = (u - T) / tau is linear and u is held, so RK4 moves each thrust to
+      u + (T - u) * c, exactly in real arithmetic: with h = dt / tau, the
+      stage values take c2 = 1 - h/2, c3 = 1 - (h/2) c2 and c4 = 1 - h c3,
+      and the update c5 = 1 - (h/6)(1 + 2 (c2 + c3) + c4), RK4's stability
+      function at -h. These are RK4's own stages and update on e' = -e / tau
+      from e = 1, computed once per call. A step makes no lag rates, and
+      differs from a textbook RK4 with them only by rounding (a property
+      test bounds the difference). Raises :class:`IntegrationBlowupError`
+      with the time of the first step whose result is not finite (one
+      left-to-right sum of the 24 scalars, the order of the builtin ``sum``).
     * ``tensions(y)`` is ``((F_1, r_hat_1), (F_2, r_hat_2))`` at one flat
-      state, r_hat_i as a 3-tuple, from the vehicle blocks that the stages
-      run: the same floats as ``advance`` records at that state.
+      state, r_hat_i as a 3-tuple, from the rope law that the stages run:
+      the same floats as ``advance`` records at that state.
 
-    All three are closures over the parameters, as floats, of one of two
-    steppers compiled from the source templates: the derivative block (one
-    vehicle block per vehicle, then the payload block) written out inline in
-    each of the four RK4 stages (without lag rates) and in ``rhs``, so a
-    physics step calls only ``sqrt`` and ``isfinite``, where a shared
-    acceleration function would cost four calls of 24 arguments and a
-    9-tuple return per step.
-    The drag coefficients pick the stepper, so neither branches on them:
-    with either nonzero, drag forces come first in each acceleration sum;
-    with both zero, there are no drag terms. The only arithmetic difference
-    this makes is the sign of a zero: without drag terms, an acceleration sum
-    that comes to -0.0 (all its terms zero, such as both pulls of slack
-    ropes) keeps that sign, where adding a 0.0 drag force would make it
-    +0.0. The tether law is written only here, in the vehicle block; the
-    tests' plain-float right-hand side is its reference.
+    Both are closures over the parameters, as floats, of one of two
+    steppers compiled from the source templates: the derivative block (the
+    rope law and the vehicle block per vehicle, then the payload block)
+    written out inline in each of the four RK4 stages, so a physics step
+    calls only ``sqrt`` and ``isfinite``, where a shared acceleration
+    function would cost four calls of 24 arguments and a 9-tuple return per
+    step. The drag coefficients pick the stepper, so neither branches on
+    them: with either nonzero, drag forces come first in each acceleration
+    sum; with both zero, there are no drag terms. The only arithmetic
+    difference this makes is the sign of a zero: without drag terms, an
+    acceleration sum that comes to -0.0 (all its terms zero, such as both
+    pulls of slack ropes) keeps that sign, where adding a 0.0 drag force
+    would make it +0.0. The tether law is written only here, in the rope
+    block; the tests' plain-float reference model is its second copy.
     """
     return _compile(_stepper, params.c_d_quad > 0.0 or params.c_d_payload > 0.0)(
         ell=params.ell, g=params.g, k_T=params.k_T, c_T=params.c_T,
@@ -364,8 +356,8 @@ def simulate(initial,
     The command stored with a sample is the one held over the step that ends
     there (the first tick's for t = 0).
     """
-    if not duration > 0.0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     dt = params.dt_physics
     steps_per_tick = round(1.0 / (params.f_ctrl * dt))
     n_steps = int(round(duration / dt))
@@ -379,7 +371,7 @@ def simulate(initial,
     # any hold or decimation past the flight's end acts alike; capped, both fit int64
     steps_per_tick, dec = min(steps_per_tick, n_steps + 1), min(dec, n_steps + 1)
 
-    _, advance, tensions = _make_rhs(params)
+    advance, tensions = _bind(params)
     y = list(SystemState.from_vector(initial))
     samples = array("d", y)  # the stored states, flat; advance appends the rest
     # F_1, F_2 of each stored state, zeroed from bytes and sized once: grown per

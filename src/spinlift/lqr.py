@@ -25,7 +25,7 @@ written out on Python floats as the nonzero terms of these cross products.
 A and B come from central finite differences of this model, whose 49
 evaluations (the base point, then +-``_FD_STEP`` in each of the 24
 coordinates) are one call of a design pass compiled from the stepper
-template's vehicle and payload blocks, without drag terms and lag rates. A
+template's rope, vehicle and payload blocks, without drag terms. A
 perturbation recomputes only the blocks it reaches, its vehicle's for a
 vehicle's states and thrust and both for the payload's, and takes the rest
 from the base point: the rows are bit for bit those of the whole model.
@@ -136,7 +136,7 @@ def _design_pass() -> tuple[str, str]:
     """File name and source of the design pass."""
     z = _Z_NAMES
     names = [f"{q}{b}{a}" for b in "p12" for q in "xcv" for a in "xyz"] + z[N_STATE:]
-    base = "".join(_VELOCITY.format(b=b, s="") for b in "p12") + _derivative("", False, lag=False)
+    base = "".join(_VELOCITY.format(b=b, s="") for b in "p12") + _derivative("", False)
     base += "bp, b1, b2 = " + ", ".join(f"[{_RATES.format(b=b, s='')}]" for b in "p12") + "\n"
     groups = ""
     for moved, bodies in (("1", "1p"), ("2", "2p"), ("p", "12p")):
@@ -147,7 +147,7 @@ def _design_pass() -> tuple[str, str]:
         groups += (f"{', '.join(n + '_d' for n in names)}, f1x, f1y, f1z, f2x, f2y, f2z = base\n"
                    f"for j, {', '.join(z[k] + '_d' for k in cols)} in (\n{points}):\n"
                    + textwrap.indent(_VELOCITY.format(b=moved, s="_d") + _derivative(
-                       "_d", False, bodies, lag=False) + f"rows[j] = [{rows}]\n", "    "))
+                       "_d", False, bodies) + f"rows[j] = [{rows}]\n", "    "))
     return "<spinlift.lqr design pass>", _DESIGN.format(
         state=", ".join(z[:N_STATE]), thrust=", ".join(z[N_STATE:]), names=", ".join(names),
         base=textwrap.indent(base, " " * 8), groups=textwrap.indent(groups, " " * 8))

@@ -6,12 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from spinlift.dynamics import _make_rhs
 from spinlift.equilibrium import (SingularityError, build_equilibrium,
                                   feedforward, omega_star, power, sweep_beta,
                                   sweep_omega, sweep_to_csv, tension_at_equilibrium,
                                   thrust_components, thrust_magnitude, tilt_angle)
 from spinlift.model import SystemParams, SystemState
+
+from reference import reference_rhs
 
 P = SystemParams()
 DEG = math.radians
@@ -213,8 +214,7 @@ class TestBuildEquilibrium:
         _, state, cmd = build_equilibrium(beta, w, P)
         assert list(feedforward(spec.beta, w, P, spec.length)) == cmd
 
-        rhs, _, _ = _make_rhs(P)
-        d = rhs(list(state), cmd)
+        d = reference_rhs(list(state), cmd, P)
         tension = tension_at_equilibrium(beta, P)
         # the forces are of the size of the tension; rounding leaves at most
         # about 1.2e-12 m/s^2 of imbalance per newton of tension

@@ -10,12 +10,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from spinlift.dynamics import DegenerateGeometryError, _compile, _make_rhs
+from spinlift.dynamics import DegenerateGeometryError, _compile
 from spinlift.equilibrium import build_equilibrium, omega_star
 from spinlift import lqr
 from spinlift.lqr import (LinearizationError, SynthesisError, care_residual_norm,
                           default_weights, linearize, solve_care, synthesize)
 from spinlift.model import SystemParams
+
+from reference import reference_rhs
 
 P = SystemParams()
 DEG = math.radians
@@ -29,7 +31,7 @@ def reference_c_frame_model(params):
     """The design model in numpy matrix form, W_t being the transpose of the
     cross-product matrix of w = omega_c z_hat: the reference for the rows of
     ``lqr``'s design pass."""
-    rhs, _, _ = _make_rhs(dataclasses.replace(params, c_d_quad=0.0, c_d_payload=0.0))
+    drag_free = dataclasses.replace(params, c_d_quad=0.0, c_d_payload=0.0)
 
     def f(s, u, omega_c):
         bodies = np.asarray(s, dtype=float).reshape(3, 2, 3)  # (p, 1, 2) x (x, v)
@@ -38,7 +40,7 @@ def reference_c_frame_model(params):
         v_e = v_c + x_c @ W_t  # earth-frame velocity v_C + w x x_C, one body per row
         y = np.concatenate([np.stack([x_c, v_e], axis=1).ravel(),
                             np.asarray(u, dtype=float)])
-        a_e = np.reshape(rhs(y.tolist(), (0.0,) * 6)[:18], (3, 2, 3))[:, 1]
+        a_e = np.reshape(reference_rhs(y.tolist(), (0.0,) * 6, drag_free)[:18], (3, 2, 3))[:, 1]
         a_c = a_e - 2.0 * v_c @ W_t - x_c @ W_t @ W_t
         return np.stack([v_c, a_c], axis=1).ravel()
 
