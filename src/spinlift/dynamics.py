@@ -43,6 +43,7 @@ import math
 import operator
 import re
 import struct
+import sys
 import textwrap
 from array import array
 from dataclasses import dataclass
@@ -363,6 +364,9 @@ def simulate(initial,
     n_steps = int(round(duration / dt))
     if n_steps < 1:
         raise ValueError("duration shorter than one physics step")
+    if 16 * (n_steps + 1) > sys.maxsize:  # the tension buffer's bytes at one sample per step
+        raise ValueError(f"duration {duration:g} s is {n_steps:.3g} physics steps, more "
+                         f"than the sample buffers can index")
     if isinstance(output_decimation, bool):
         raise TypeError(f"output_decimation must be an integer, got {output_decimation!r}")
     dec = steps_per_tick if output_decimation is None else operator.index(output_decimation)

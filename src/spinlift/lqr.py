@@ -39,17 +39,30 @@ and a 10-state one (Massioni & Verhaegen, "Distributed control for identical
 dynamically coupled systems: a decomposition approach", IEEE TAC 54, 2009).
 Each block's Riccati equation is solved by Potter's eigenvector method
 (Potter, "Matrix quadratic solutions", SIAM J. Appl. Math. 14, 1966) on numpy
-alone; :func:`solve_care` says which checks guard it, and :func:`synthesize`
-how the blocks are joined.
+alone, and the gain's PSD and Hurwitz checks run on the blocks too. Every
+LAPACK call goes to the gufunc behind the public numpy.linalg function
+(``eig``, ``solve``, ``eigvalsh``, ``eigvals``) without that function's
+Python wrapper; :func:`solve_care` says which checks guard the solve, and
+:func:`synthesize` how the blocks are joined.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import textwrap
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+# numpy.linalg's eig, eigvals, eigvalsh and solve wrap these LAPACK gufuncs
+# in 4 to 15 us of Python per call (dtype and shape checks, an errstate with
+# a raising callback, result casts), and a synthesis makes twelve calls. This
+# module calls the gufuncs with the wrappers' signatures and refuses their
+# NaN-filled failures itself; tests/test_lqr.py pins each call bit for bit
+# against its public counterpart, so a numpy that changes the private module
+# fails there.
+from numpy.linalg import _umath_linalg
 
 from .dynamics import _compile, _derivative
 from .model import EquilibriumSpec, SystemParams
@@ -173,7 +186,8 @@ def linearize(eq: EquilibriumSpec, params: SystemParams) -> LinearModel:
     """
     design = _compile(_design_pass)(ell=params.ell, g=params.g, k_T=params.k_T, c_T=params.c_T,
                                     inv_mq=1.0 / params.m_q, inv_mp=1.0 / params.m_p)
-    rows = np.array(design(eq.s_bar, eq.u_bar, eq.omega_C, _FD_STEP))
+    rows = np.fromiter(chain.from_iterable(design(eq.s_bar, eq.u_bar, eq.omega_C, _FD_STEP)),
+                       float, 49 * N_STATE).reshape(49, N_STATE)
     residual = float(np.linalg.norm(rows[0]))
     tol = _equilibrium_tolerance(eq, params)
     if residual > tol:
@@ -184,15 +198,30 @@ def linearize(eq: EquilibriumSpec, params: SystemParams) -> LinearModel:
     return LinearModel(A=J_t[:N_STATE].T.copy(), B=J_t[N_STATE:].T.copy())
 
 
-def _spectral_abscissa(M: np.ndarray) -> float:
-    return float(np.max(np.real(np.linalg.eigvals(M))))
+# The gufuncs, under names the tests can replace. Each runs LAPACK in double
+# precision, as numpy.linalg does. On a LAPACK failure it fills its outputs
+# with NaN and raises the floating-point invalid flag: the callers below
+# ignore the flag under an errstate and refuse the NaN themselves.
+_eig, _eigvals, _eigvalsh = _umath_linalg.eig, _umath_linalg.eigvals, _umath_linalg.eigvalsh_lo
+_solve = _umath_linalg.solve
+
+
+def _singular(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether LAPACK refused the solve a x = b as exactly singular: the
+    gufunc then fills x with NaN, and for finite a and b only then."""
+    return bool(x.size and np.isnan(x).all() and np.isfinite(a).all() and np.isfinite(b).all())
 
 
 def care_residual_norm(A, B, Q, R, P) -> float:
-    """Frobenius norm of A'P + PA - P B R^-1 B' P + Q."""
-    RiBt = np.linalg.solve(R, B.T)
-    defect = A.T @ P + P @ A - P @ B @ RiBt @ P + Q
-    return float(np.linalg.norm(defect, "fro"))
+    """Frobenius norm of A'P + PA - P B R^-1 B' P + Q; an exactly singular R
+    raises ``numpy.linalg.LinAlgError``."""
+    with np.errstate(all="ignore"):
+        RiBt = _solve(R, B.T, signature="dd->d")
+        defect = A.T @ P + P @ A - P @ B @ RiBt @ P + Q
+    residual = float(np.linalg.norm(defect, "fro"))
+    if math.isnan(residual) and _singular(RiBt, R, B.T):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return residual
 
 
 def solve_care(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
@@ -200,33 +229,45 @@ def solve_care(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
     """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0, symmetrized.
 
     Potter's eigenvector method on the Hamiltonian
-    H = [[A, -B R^-1 B'], [-Q, -A']]: ``numpy.linalg.eig`` calls LAPACK's
-    ``dgeev``, which balances H first (a stiff tether puts entries of 1e10
-    beside entries of order 1), and with V the eigenvectors of its n
-    eigenvalues of negative real part, P = Re(V_21 V_11^-1). Too few stable
-    eigenvalues, an exactly singular V_11, a LAPACK failure, NaN, inf or a
-    mismatched shape raises :class:`SynthesisError`; an unstabilizable pair
-    need not (an unreachable undamped oscillator that Q weighs gives a nearly
-    singular V_11 and a finite P of about 7e7). Eigenvectors lose accuracy as
-    H nears a defective matrix (Laub, IEEE TAC 24, 1979, whose Schur method
-    the tests keep as the reference), so :func:`synthesize` refuses a P that
-    is not PSD or a K that does not make A - BK Hurwitz (which refuses that
-    P), and reports the Riccati residual.
+    H = [[A, -B R^-1 B'], [-Q, -A']]: LAPACK's ``dgeev``, through the gufunc
+    behind ``numpy.linalg.eig``, balances H first (a stiff tether puts
+    entries of 1e10 beside entries of order 1), and with V the eigenvectors
+    of its n eigenvalues of negative real part, P = Re(V_21 V_11^-1), from
+    the gufunc behind ``numpy.linalg.solve``. As ``numpy.linalg.eig`` does,
+    the eigenvectors are taken as real when every eigenvalue is, so that
+    the real solve runs. Too few stable eigenvalues, an exactly singular
+    V_11 or R, a LAPACK failure, NaN, inf or a mismatched shape raises
+    :class:`SynthesisError`, with numpy's messages for the failures
+    ("Singular matrix", "Eigenvalues did not converge"); an unstabilizable
+    pair need not (an unreachable undamped oscillator that Q weighs gives a
+    nearly singular V_11 and a finite P of about 7e7). Eigenvectors lose
+    accuracy as H nears a defective matrix (Laub, IEEE TAC 24, 1979, whose
+    Schur method the tests keep as the reference), so :func:`synthesize`
+    refuses a P that is not PSD or a K that does not make A - BK Hurwitz
+    (which refuses that P), and reports the Riccati residual.
     """
     n = A.shape[0]
     try:
-        G = -B @ np.linalg.solve(R, B.T)
-        H = np.empty((2 * n, 2 * n))
-        H[:n, :n], H[:n, n:], H[n:, :n], H[n:, n:] = A, G, -Q, -A.T
-        # a slice assignment broadcasts, and LAPACK takes a NaN or inf unchecked
-        if not (n and A.shape == Q.shape == G.shape == (n, n) and np.isfinite(H).all()):
-            raise ValueError(f"need finite, nonempty n x n A, Q and B R^-1 B' (n = {n})")
-        eigenvalues, V = np.linalg.eig(H)
-        stable = eigenvalues.real < 0.0
-        if stable.sum() != n:
-            raise SynthesisError(f"Riccati solve failed: the Hamiltonian has {stable.sum()} "
-                                 f"stable eigenvalues of {2 * n}, needs {n}")
-        P = np.linalg.solve(V[:n, stable].T, V[n:, stable].T).T.real
+        with np.errstate(all="ignore"):
+            RiBt = _solve(R, B.T, signature="dd->d")
+            G = -B @ RiBt
+            H = np.empty((2 * n, 2 * n))
+            H[:n, :n], H[:n, n:], H[n:, :n], H[n:, n:] = A, G, -Q, -A.T
+            # a slice assignment broadcasts, and LAPACK takes a NaN or inf unchecked
+            if not (n and A.shape == Q.shape == G.shape == (n, n) and np.isfinite(H).all()):
+                if _singular(RiBt, R, B.T):
+                    raise np.linalg.LinAlgError("Singular matrix")
+                raise ValueError(f"need finite, nonempty n x n A, Q and B R^-1 B' (n = {n})")
+            eigenvalues, V = _eig(H, signature="d->DD")
+            if np.isnan(eigenvalues[0]):  # a failed dgeev fills both outputs with NaN
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            if not eigenvalues.imag.any():  # real arrays, as numpy.linalg.eig returns them
+                eigenvalues, V = eigenvalues.real, V.real
+            stable = eigenvalues.real < 0.0
+            if stable.sum() != n:
+                raise SynthesisError(f"Riccati solve failed: the Hamiltonian has {stable.sum()} "
+                                     f"stable eigenvalues of {2 * n}, needs {n}")
+            P = _solve(V[:n, stable].T, V[n:, stable].T).T.real
         if not np.isfinite(P).all():
             raise np.linalg.LinAlgError("Singular matrix")
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -285,8 +326,12 @@ def synthesize(eq: EquilibriumSpec, params: SystemParams) -> GainSet:
     Riccati equation is then solved in the orthonormal symmetric and
     antisymmetric coordinates, where it splits into an 8-state and a 10-state
     problem: two :func:`solve_care` calls, on a 16 x 16 and a 20 x 20
-    Hamiltonian. P is mapped back, and K, the residual and the PSD and
-    Hurwitz checks are those of the full 18-state problem.
+    Hamiltonian. P is mapped back, and K and the residual are those of the
+    full 18-state problem. A - BK commutes with the map too, so both checks
+    run on the blocks, through the gufuncs behind ``numpy.linalg.eigvalsh``
+    and ``eigvals``: P is PSD when the two blocks of P's image have no
+    eigenvalue below -1e-10, and A - BK is Hurwitz when the diagonal blocks
+    of ``_T (A - BK) _T'`` are. A NaN (a failed LAPACK call) fails either.
     """
     model = linearize(eq, params)
     A, B = model.A, model.B
@@ -304,13 +349,16 @@ def synthesize(eq: EquilibriumSpec, params: SystemParams) -> GainSet:
         P_bar[x, x] = solve_care(A_bar[x, x], B_bar[x, u], _Q_BAR[x, x], _R_BAR[u, u])
     P = _T.T.dot(P_bar).dot(_T)
     P = 0.5 * (P + P.T)
-    K = np.linalg.solve(_R, B.T @ P)
-    residual = care_residual_norm(A, B, _Q, _R, P)
-
-    eigs_P = np.linalg.eigvalsh(P)
-    if eigs_P.min() < -1e-10:
-        raise SynthesisError(f"Riccati solution not PSD (min eig {eigs_P.min():.3e})")
-    abscissa = _spectral_abscissa(A - B @ K)
-    if abscissa >= 0.0:
+    with np.errstate(all="ignore"):
+        K = _solve(_R, B.T @ P, signature="dd->d")
+        residual = care_residual_norm(A, B, _Q, _R, P)
+        closed_loop = _T.dot(A - B.dot(K)).dot(_T.T)
+        min_eig = np.concatenate([_eigvalsh(P_bar[x, x], signature="d->d")
+                                  for x, _ in _BLOCKS]).min()
+        abscissa = np.concatenate([_eigvals(closed_loop[x, x], signature="d->D")
+                                   for x, _ in _BLOCKS]).real.max()
+    if not min_eig >= -1e-10:
+        raise SynthesisError(f"Riccati solution not PSD (min eig {min_eig:.3e})")
+    if not abscissa < 0.0:
         raise SynthesisError(f"closed loop not Hurwitz (abscissa {abscissa:.3e})")
     return GainSet(K=K, P=P, care_residual=residual)

@@ -235,6 +235,15 @@ def test_fly_nonfinite_duration_is_model_error(tmp_path, capsys):
     assert "hover must be finite" in capsys.readouterr().err
 
 
+def test_fly_duration_beyond_an_index_is_model_error(tmp_path, capsys):
+    # 1e30 s is 2e33 physics steps: refused with the reason, no traceback
+    code = main(["fly", "--mode", "static", "--beta", "30",
+                 "--duration", "1e30", "--out", str(tmp_path)])
+    assert code == 2
+    assert "2e+33 physics steps, more than the sample buffers can index" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fly_static_thrust_limit(tmp_path, capsys):
     # the static thrust at 84 deg exceeds the 4 m_q g limit; at 83 deg it fits
     code = main(["fly", "--mode", "static", "--beta", "84", "--out", str(tmp_path)])

@@ -697,6 +697,17 @@ class TestSimulate:
         with pytest.raises(ValueError, match="duration must be positive and finite"):
             simulate(state, lambda y, t: cmd, lambda t: 0.0, p, duration)
 
+    @pytest.mark.parametrize("duration, steps", [(1e30, "2e+33"), (1e300, "2e+303")])
+    def test_step_count_beyond_an_index_refused(self, duration, steps):
+        # a finite duration of more physics steps than the sample buffers can
+        # index is refused before any buffer is sized, not by an OverflowError
+        p = SystemParams()
+        _, state, cmd = build_equilibrium(0.5, 0.0, p)
+        with pytest.raises(ValueError) as refused:
+            simulate(state, lambda y, t: cmd, lambda t: 0.0, p, duration)
+        assert str(refused.value) == (f"duration {duration:g} s is {steps} physics steps, "
+                                      "more than the sample buffers can index")
+
     @pytest.mark.parametrize("dec, error", [(2.5, TypeError), (0, ValueError), (True, TypeError)])
     def test_output_decimation_not_truncated(self, dec, error):
         p = SystemParams()

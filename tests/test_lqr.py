@@ -6,6 +6,7 @@ import traceback
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -97,6 +98,25 @@ def design_point(beta_deg, spin, params):
     return (model.A, model.B, *default_weights())
 
 
+# lqr's LAPACK gufuncs and the public numpy.linalg functions that wrap them
+PUBLIC = {"_eig": np.linalg.eig, "_eigvals": np.linalg.eigvals,
+          "_eigvalsh": np.linalg.eigvalsh, "_solve": np.linalg.solve}
+
+
+def record_gufunc_calls(monkeypatch):
+    """Replace each of lqr's gufuncs by a wrapper that appends (name,
+    arguments, outputs) of every call to the returned list."""
+    calls = []
+    for name in PUBLIC:
+        def recorded(*args, _gufunc=getattr(lqr, name), _name=name, **kwargs):
+            out = _gufunc(*args, **kwargs)
+            calls.append((_name, args, out if isinstance(out, tuple) else (out,)))
+            return out
+
+        monkeypatch.setattr(lqr, name, recorded)
+    return calls
+
+
 class TestSolveCare:
     def test_double_integrator_closed_form(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -177,9 +197,8 @@ class TestSolveCare:
             return
         assert abscissa(A - B @ B.T @ P) >= 0.0
 
-    # an infinity in B meets B's zeros in B R^-1 B' (inf * 0), which numpy
-    # reports as a RuntimeWarning before the NaN reaches the check
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    # an infinity in B meets B's zeros in B R^-1 B' (inf * 0): the NaN, not
+    # a RuntimeWarning, reaches the check
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["A", "B", "Q"])
     def test_non_finite_input_refused(self, name, value):
@@ -201,20 +220,31 @@ class TestSolveCare:
         eigenvalues = np.array([-1.0, -2.0, 1.0, 2.0], dtype=complex)
         V = np.diag([1e-300, 1.0, 1e300, 1.0]).astype(complex)
         V[2, 0] = 1e300
-        monkeypatch.setattr(np.linalg, "eig", lambda a: (eigenvalues, V))
+        monkeypatch.setattr(lqr, "_eig", lambda a, signature: (eigenvalues, V))
         with pytest.raises(SynthesisError) as refused:
             solve_care(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
         assert str(refused.value) == "Riccati solve failed: Singular matrix"
 
     def test_eig_failure_refused(self, monkeypatch):
-        def eig(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # a failed dgeev: the gufunc fills both outputs with NaN
+        def eig(a, signature):
+            return np.full(len(a), np.nan, complex), np.full(a.shape, np.nan, complex)
 
-        monkeypatch.setattr(np.linalg, "eig", eig)
+        monkeypatch.setattr(lqr, "_eig", eig)
         with pytest.raises(SynthesisError) as refused:
             solve_care(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]),
                        np.eye(2), np.eye(1))
         assert str(refused.value) == "Riccati solve failed: Eigenvalues did not converge"
+
+    def test_singular_input_weight_refused(self):
+        # LAPACK refuses R = 0 as singular, as numpy.linalg.solve reports it
+        args = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]), np.eye(2),
+                np.zeros((1, 1)))
+        with pytest.raises(SynthesisError) as refused:
+            solve_care(*args)
+        assert str(refused.value) == "Riccati solve failed: Singular matrix"
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            care_residual_norm(*args, np.eye(2))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 64])
     def test_matches_schur_reference_random(self, n):
@@ -303,6 +333,53 @@ class TestSolveCare:
                 reference.append(scaled_residual(scipy.linalg.solve_continuous_are, model))
         assert max(ours) < 100.0
         assert max(ours) <= max(reference)
+
+
+class TestLapackGufuncs:
+    """``lqr`` calls the LAPACK gufuncs behind numpy.linalg's public
+    functions directly; every call it makes returns what the public function
+    returns on the same arguments, bit for bit. A numpy release that changes
+    the private module fails here."""
+
+    @staticmethod
+    def assert_calls_match_numpy(calls):
+        for name, args, outs in calls:
+            public = PUBLIC[name](*args)
+            public = tuple(public) if isinstance(public, tuple) else (public,)
+            if name in ("_eig", "_eigvals") and not outs[0].imag.any():
+                # numpy.linalg returns real arrays when every eigenvalue is real
+                outs = tuple(out.real for out in outs)
+            for out, expected in zip(outs, public, strict=True):
+                assert out.dtype == expected.dtype, name
+                assert out.tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize("beta_deg, spin, params", [
+        (0, 0.0, P), (60, 1.0, P), (89, 1.5, P),
+        (60, 1.0, SystemParams(k_T=1e10, m_p=0.6, dt_physics=1e-7))],
+        ids=["static-0", "rotating-60", "rotating-89-fast", "stiff-60"])
+    def test_synthesis_calls_match_numpy(self, monkeypatch, beta_deg, spin, params):
+        beta = DEG(beta_deg)
+        spec, _, _ = build_equilibrium(beta, spin * omega_star(beta, params), params)
+        calls = record_gufunc_calls(monkeypatch)
+        synthesize(spec, params)
+        # per block: R^-1 B', the Hamiltonian, V_21 V_11^-1; then K, the
+        # residual's R^-1 B', and each check once per block
+        assert [name for name, _, _ in calls] == ["_solve", "_eig", "_solve"] * 2 + [
+            "_solve", "_solve", "_eigvalsh", "_eigvalsh", "_eigvals", "_eigvals"]
+        self.assert_calls_match_numpy(calls)
+
+    def test_all_real_hamiltonian_takes_the_real_solve(self, monkeypatch):
+        # A = 0, B = 1, Q = 4, R = 1: H = [[0, -1], [-4, 0]] has eigenvalues
+        # +-2, so numpy.linalg.eig returns real eigenvectors and the solve
+        # for P is the real one; the design model's Hamiltonians have complex
+        # eigenvalues, and take the complex solve
+        calls = record_gufunc_calls(monkeypatch)
+        P_sol = solve_care(np.zeros((1, 1)), np.ones((1, 1)), 4.0 * np.ones((1, 1)), np.ones((1, 1)))
+        assert P_sol.dtype == np.float64
+        (_, _, (eigenvalues, _)), (_, arguments, _) = calls[1:]
+        assert not eigenvalues.imag.any()
+        assert all(a.dtype == np.float64 for a in arguments)
+        self.assert_calls_match_numpy(calls)
 
 
 class TestLinearize:
@@ -583,3 +660,48 @@ class TestSynthesize:
         model = linearize(spec, P)
         assert abscissa(model.A - model.B @ g.K) < 0.0
         assert g.care_residual < 1e-8
+
+    @given(beta_deg=st.floats(0.0, 89.0), spin=st.floats(0.0, 1.5),
+           m_p=st.floats(0.8, 1.2), k_T=st.floats(0.7, 1.3), tau_att=st.floats(0.8, 1.2))
+    @example(beta_deg=0.0, spin=0.0, m_p=1.0, k_T=1.0, tau_att=1.0)
+    @example(beta_deg=89.0, spin=1.5, m_p=1.2, k_T=0.7, tau_att=0.8)
+    def test_block_checks_match_full_matrices(self, beta_deg, spin, m_p, k_T, tau_att):
+        # the PSD and Hurwitz checks run on the mirror blocks: the union of
+        # the blocks' closed-loop spectra is that of A - BK, and the blocks'
+        # smallest P eigenvalue is P's. Over 9000 draws on the default,
+        # Sandybridge and Prescott OpenBLAS kernels, eigenvalues matched
+        # within 5.4e-14 of the largest |eigenvalue| and the smallest P
+        # eigenvalue within 5.2e-16 of P's largest
+        params = SystemParams(m_p=m_p * P.m_p, k_T=k_T * P.k_T, tau_att=tau_att * P.tau_att)
+        beta = DEG(beta_deg)
+        spec, _, _ = build_equilibrium(beta, spin * omega_star(beta, params), params)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = record_gufunc_calls(monkeypatch)
+            g = synthesize(spec, params)
+        blocks = {name: np.concatenate([outs[0] for n, _, outs in calls if n == name])
+                  for name in ("_eigvals", "_eigvalsh")}
+        model = linearize(spec, params)
+        spectrum = np.linalg.eigvals(model.A - model.B @ g.K)
+        distance = np.abs(spectrum[:, None] - blocks["_eigvals"][None, :])
+        assert distance[linear_sum_assignment(distance)].max() <= 2e-13 * np.abs(spectrum).max()
+        eigs_P = np.linalg.eigvalsh(g.P)
+        assert abs(blocks["_eigvalsh"].min() - eigs_P.min()) <= 4e-15 * eigs_P.max()
+
+    @pytest.mark.parametrize("name, message", [
+        ("_eigvalsh", "Riccati solution not PSD (min eig nan)"),
+        ("_eigvals", "closed loop not Hurwitz (abscissa nan)")])
+    def test_failed_check_refused(self, monkeypatch, name, message):
+        # a failed LAPACK call fills its output with NaN, here the 10-state
+        # block's: the check refuses it, the other block's finite values
+        # notwithstanding
+        gufunc = getattr(lqr, name)
+
+        def failing(a, signature):
+            out = gufunc(a, signature=signature)
+            return np.full_like(out, np.nan) if len(a) == 10 else out
+
+        monkeypatch.setattr(lqr, name, failing)
+        beta = DEG(60)
+        with pytest.raises(SynthesisError) as refused:
+            synthesize(build_equilibrium(beta, omega_star(beta, P), P)[0], P)
+        assert str(refused.value) == message
