@@ -28,6 +28,18 @@ stability function. The tether law is written once, in the rope block: the
 stepper records each stored sample's two tensions from the first RK4 stage
 of the step that starts there, and :func:`tether_forces` expands the rope
 block alone for one state.
+
+Every flight that spawns at an operating point is mirror-symmetric: vehicle 2
+is vehicle 1 rotated by pi about the spin axis, and the payload sits on the
+axis. The equations, the rope law and the controller (whose gain
+:func:`spinlift.lqr.synthesize` makes exactly equivariant) commute with that
+map, and IEEE arithmetic is symmetric in sign, so such a flight stays on the
+mirror subspace, value for value (Golubitsky, Stewart & Schaeffer,
+Singularities and Groups in Bifurcation Theory II, 1988, ch. XIII). The
+template expands the same blocks into a second stepper for it, which
+integrates 11 scalars instead of 24 and writes the rest from them;
+:func:`simulate` takes it for each hold whose state and command are mirror
+images, and the full stepper for any other hold.
 :func:`simulate` makes one stepper call per hold, whatever the output
 decimation, and builds the trajectory's arrays once at the end: states and
 tensions from their buffers, commands from the per-tick command buffer.
@@ -47,7 +59,7 @@ import sys
 import textwrap
 from array import array
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,7 +98,7 @@ def tether_forces(state, params: SystemParams) -> tuple[tuple, tuple]:
     (ValueError on a wrong length or a non-finite entry);
     :class:`DegenerateGeometryError` where a vehicle and the payload
     coincide."""
-    (F_1, r_hat_1), (F_2, r_hat_2) = _bind(params)[1](SystemState.from_vector(state))
+    (F_1, r_hat_1), (F_2, r_hat_2) = _bind(params).tensions(SystemState.from_vector(state))
     return (F_1, np.array(r_hat_1)), (F_2, np.array(r_hat_2))
 
 
@@ -145,7 +157,9 @@ apz{s} = (fdpz + f1z + f2z) * inv_mp - g
 # The velocity-squared drag force fd{b}* of body b, with coefficient c.
 _DRAG = """\
 s{b} = -{c} * sqrt(v{b}x{s} * v{b}x{s} + v{b}y{s} * v{b}y{s} + v{b}z{s} * v{b}z{s})
-fd{b}x, fd{b}y, fd{b}z = s{b} * v{b}x{s}, s{b} * v{b}y{s}, s{b} * v{b}z{s}
+fd{b}x = s{b} * v{b}x{s}
+fd{b}y = s{b} * v{b}y{s}
+fd{b}z = s{b} * v{b}z{s}
 """
 
 
@@ -163,19 +177,21 @@ def _derivative(s: str, drag: bool, bodies: str = "12p") -> str:
     return text if drag else re.sub(r"fd\w+ \+ | \+ fd\w+", "", text)
 
 
-# advance and tensions over the parameters bound by _bind. In advance, stage
-# k = 2, 3, 4 evaluates the derivative at the positions and velocities
-# y + a * (stage k-1 rates), a = half, half, dt, with its state names
-# suffixed _k (stage 1 is y itself); the update
-# y + sixth * (k1 + 2 (k2 + k3) + k4) then runs in layout order, so each
-# position is updated while its velocity still holds the stage-1 value. Each
-# thrust T takes u + eT * c, eT = T - u, with c = c2, c3, c4 at the stages
-# and c5 for the update (RK4 on the linear lag, see _bind). advance appends
-# to out the state after every global step that is a multiple of dec; store
-# is the index i of the next such step. It writes stage 1's F1 and F2 of
-# every step i that starts from a stored state (i a multiple of dec) to that
-# sample's two slots of tension; record is the next such i. tensions
-# evaluates the rope law alone at one state.
+def _mirror_derivative(s: str, drag: bool) -> str:
+    """:func:`_derivative` on the mirror subspace, where the payload's x and
+    y positions and velocities are 0 and tether 2 pulls as tether 1's mirror
+    image: vehicle 1's blocks and the payload's z lines, with each term of a
+    payload x or y dropped (a - 0.0 is a, and 0.0 * 0.0 + b is b) and f2z
+    read as f1z."""
+    axis = rf"[xv]p[xy]{s}\b"
+    text = re.sub(rf" - {axis}|{axis} \* {axis} \+ ", "",
+                  _derivative(s, drag, "1p").replace("f2z", "f1z"))
+    return "".join(line for line in text.splitlines(True) if not re.match(r"(a|fd)p[xy]", line))
+
+
+# The stepper's source, over the parameters bound by _bind: the rope law
+# alone at one state (tensions), the mirror test of a hold (on_mirror) and
+# the two steppers (_ADVANCE), each an inner function of bind.
 _STEPPER = """\
 def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
     def tensions(y):
@@ -183,7 +199,28 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
 {rope}
         return (F1, (h1x, h1y, h1z)), (F2, (h2x, h2y, h2z))
 
-    def advance(y, u, i_first, n, dt, out, dec, tension):
+    def on_mirror(y, u):
+        {state} = y
+        u1x, u1y, u1z, u2x, u2y, u2z = u
+        return {on_mirror}
+{advance}{advance_mirror}
+    return advance, tensions, on_mirror, advance_mirror
+"""
+
+# One stepper. Stage k = 2, 3, 4 evaluates the derivative at the positions
+# and velocities y + a * (stage k-1 rates), a = half, half, dt, with its
+# state names suffixed _k (stage 1 is y itself); the update
+# y + sixth * (k1 + 2 (k2 + k3) + k4) then runs in layout order, so each
+# position is updated while its velocity still holds the stage-1 value. Each
+# thrust T takes u + eT * c, eT = T - u, with c = c2, c3, c4 at the stages
+# and c5 for the update (RK4 on the linear lag, see _bind). It appends to
+# out the state after every global step that is a multiple of dec; store is
+# the index i of the next such step. It writes stage 1's two tensions of
+# every step i that starts from a stored state (i a multiple of dec) to that
+# sample's two slots of tension; record is the next such i.
+_ADVANCE = """\
+
+    def {name}(y, u, i_first, n, dt, out, dec, tension):
         {state} = y
         u1x, u1y, u1z, u2x, u2y, u2z = u
         half = 0.5 * dt
@@ -199,32 +236,74 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
             if not isfinite({state_sum}):
                 raise IntegrationBlowupError((i + 1) * dt)
             if i == store:
-                out.frombytes(pack({state}))
+                out.frombytes(pack({sample}))
                 store += dec
-        return [{state}]
-
-    return advance, tensions
+        return [{sample}]
 """
 
 
-def _stepper(drag: bool) -> tuple[str, str]:
-    """File name and source of the stepper template, expanded with or without drag."""
-    moving = list(zip(_STATE, _RATE))
-    lag = [(q, "u" + q[1:]) for q in _STATE if q.startswith("T")]  # thrust T1x lags command u1x
-    stages = [f"e{q} = {q} - {u}\n" for q, u in lag] + [_derivative("", drag)]
-    stages.append("if i == record:\n    j = i // dec * 2\n"
-                  "    tension[j], tension[j + 1] = F1, F2\n    record += dec\n")
+def _advance(name: str, names, derivative: Callable[[str], str], pulls: str, sample) -> str:
+    """The source of one stepper, ``name``, that integrates the scalars of
+    ``_STATE`` in ``names`` with the derivative text ``derivative(suffix)``,
+    records the tensions ``pulls`` and stores the 24 expressions ``sample``.
+    Its finite check is the left-to-right sum of the 24 stored scalars, each
+    read as written in ``sample`` (a term 0.0 dropped, + (0.0 - a) as - a):
+    non-finite at the same steps as the sum over the 24 names."""
+    moving = [(q, r) for q, r in zip(_STATE, _RATE) if q in names]
+    lag = [(q, "u" + q[1:]) for q in _STATE if q.startswith("T") and q in names]  # T1x lags u1x
+    stages = [f"e{q} = {q} - {u}\n" for q, u in lag] + [derivative("")]
+    stages.append(f"if i == record:\n    j = i // dec * 2\n"
+                  f"    tension[j], tension[j + 1] = {pulls}\n    record += dec\n")
     for k, step in ((2, "half"), (3, "half"), (4, "dt")):
         prev = "" if k == 2 else f"_{k - 1}"
         stages += [f"{q}_{k} = {q} + {step} * {r}{prev}\n" for q, r in moving]
         stages += [f"{q}_{k} = {u} + e{q} * c{k}\n" for q, u in lag]
-        stages.append(_derivative(f"_{k}", drag))
+        stages.append(derivative(f"_{k}"))
     stages += [f"{q} += sixth * ({r} + 2.0 * ({r}_2 + {r}_3) + {r}_4)\n" for q, r in moving]
     stages += [f"{q} = {u} + e{q} * c5\n" for q, u in lag]
+    state_sum = " + ".join(q for q in sample if q != "0.0").replace("+ 0.0 - ", "- ")
+    return _ADVANCE.format(name=name, state=", ".join(_STATE), sample=", ".join(sample),
+                           state_sum=state_sum, stages=textwrap.indent("".join(stages), " " * 12))
+
+
+# The mirror map on the state names: the rotation by pi about the spin axis
+# with the vehicles exchanged. The payload's x and y positions and velocities
+# are 0 on the mirror subspace (it sits on the axis).
+_AXIS = ("xpx", "xpy", "vpx", "vpy")
+
+
+def _mirror_image(q: str) -> str:
+    """Scalar ``q`` of ``_STATE`` or of the command (u1x .. u2z) on the mirror
+    subspace, in the free scalars: 0.0 for the payload's x and y, vehicle 1's
+    same-named scalar for vehicle 2's, as ``0.0 - a`` along x and y (which
+    writes a zero as +0.0, the sign the full stepper leaves it after a step,
+    where -a would write -0.0), and ``q`` itself otherwise."""
+    if q in _AXIS:
+        return "0.0"
+    if q[1] != "2":
+        return q
+    image = q[0] + "1" + q[2]
+    return f"0.0 - {image}" if q[2] in "xy" else image
+
+
+def _stepper(drag: bool) -> tuple[str, str]:
+    """File name and source of the stepper template, expanded with or without
+    drag: the full stepper over all 24 scalars, and the mirror stepper over
+    the 11 that the mirror subspace leaves free (vehicle 1's position,
+    velocity and thrust and the payload's z position and velocity)."""
+    mirrored = [q for q in [*_STATE, "u2x", "u2y", "u2z"] if q[1] == "2"]
+    free = [q for q in _STATE if q[1] == "1" or q in ("xpz", "vpz")]
+    # a vehicle at height 0.0 is refused: level with a payload at 0.0, its
+    # rope's unit vector takes the sign of the zero height, which the mirror
+    # by value does not fix, and the payload's z pull sums two of them
+    on_mirror = [" == ".join([*_AXIS, "0.0"]), "x1z != 0.0"]
+    on_mirror += [f"{q} == {_mirror_image(q)}" for q in mirrored]
     return f"<spinlift.dynamics stepper, drag {'on' if drag else 'off'}>", _STEPPER.format(
-        state=", ".join(_STATE), state_sum=" + ".join(_STATE),
+        state=", ".join(_STATE), on_mirror=" and ".join(on_mirror),
         rope=textwrap.indent("".join(_ROPE.format(i=i, s="") for i in "12"), " " * 8),
-        stages=textwrap.indent("".join(stages), " " * 12))
+        advance=_advance("advance", _STATE, lambda s: _derivative(s, drag), "F1, F2", _STATE),
+        advance_mirror=_advance("advance_mirror", free, lambda s: _mirror_derivative(s, drag),
+                                "F1, F1", [_mirror_image(q) for q in _STATE]))
 
 
 @functools.cache
@@ -246,10 +325,18 @@ def _compile(expand: Callable[..., tuple[str, str]], *args):
     return namespace["bind"]
 
 
-def _bind(params: SystemParams):
-    """Build ``(advance, tensions)``, the RK4 stepper of the scalarized model
-    and its rope law, over the 24 physical state scalars (positions,
-    velocities, actual thrusts).
+class _Stepper(NamedTuple):
+    advance: Callable
+    tensions: Callable
+    on_mirror: Callable
+    advance_mirror: Callable
+
+
+def _bind(params: SystemParams) -> _Stepper:
+    """Build ``(advance, tensions, on_mirror, advance_mirror)``: the RK4
+    stepper of the scalarized model over the 24 physical state scalars
+    (positions, velocities, actual thrusts), its rope law, the mirror test of
+    a hold and the stepper of the mirror subspace.
 
     * ``advance(y, u, i_first, n, dt, out, dec, tension)`` integrates
       physics steps ``i_first .. i_first + n - 1`` of a run starting at
@@ -271,18 +358,42 @@ def _bind(params: SystemParams):
       u + (T - u) * c, exactly in real arithmetic: with h = dt / tau, the
       stage values take c2 = 1 - h/2, c3 = 1 - (h/2) c2 and c4 = 1 - h c3,
       and the update c5 = 1 - (h/6)(1 + 2 (c2 + c3) + c4), RK4's stability
-      function at -h. These are RK4's own stages and update on e' = -e / tau
-      from e = 1, computed once per call. A step makes no lag rates, and
-      differs from a textbook RK4 with them only by rounding (a property
-      test bounds the difference). Raises :class:`IntegrationBlowupError`
-      with the time of the first step whose result is not finite (one
-      left-to-right sum of the 24 scalars, the order of the builtin ``sum``).
+      function at -h (:func:`spinlift.model.rk4_gain`). These are RK4's own
+      stages and update on e' = -e / tau from e = 1, computed once per call.
+      A step makes no lag rates, and differs from a textbook RK4 with them
+      only by rounding (a property test bounds the difference). Raises
+      :class:`IntegrationBlowupError` with the time of the first step whose
+      result is not finite (one left-to-right sum of the 24 scalars, the
+      order of the builtin ``sum``).
     * ``tensions(y)`` is ``((F_1, r_hat_1), (F_2, r_hat_2))`` at one flat
       state, r_hat_i as a 3-tuple, from the rope law that the stages run:
       the same floats as ``advance`` records at that state.
+    * ``on_mirror(y, u)`` is whether the state and the held command lie on
+      the mirror subspace, compared by value (17 comparisons): the payload's
+      x and y positions and velocities are 0, vehicle 2's position, velocity,
+      thrust and command are vehicle 1's with x and y negated, and vehicle
+      1 is not at height 0.0 (where a level rope's zero-signed z would reach
+      the payload's z pull).
+    * ``advance_mirror`` is ``advance`` on that subspace, with the same
+      arguments, buffers and result. It integrates vehicle 1's position,
+      velocity and thrust and the payload's z position and velocity by the
+      same float operations, tether 2 pulling as tether 1's mirror image, so
+      the payload's z acceleration sums f1z + f1z and its x and y
+      accelerations are exactly 0. It records F_1 in both tension slots,
+      stores and returns all 24 scalars, vehicle 2's x and y entries as
+      ``0.0 - a`` of vehicle 1's (a zero as +0.0) and the payload's x and y
+      as 0.0, and its finite check is the full stepper's sum read off the
+      mirror. From a state and command that ``on_mirror`` accepts, its
+      samples, tension slots, final state and blow-up step are those of
+      ``advance``, bit for bit, zero signs included: after one step the full
+      stepper leaves no -0.0 in those entries, whatever the zero signs it
+      started from, and it holds each value exactly mirrored because IEEE
+      rounding is symmetric in sign. An entry so small (subnormal) that a
+      product underflows makes a zero whose sign follows its factors; there
+      the two agree by value. Property tests pin both.
 
-    Both are closures over the parameters, as floats, of one of two
-    steppers compiled from the source templates: the derivative block (the
+    All four are closures over the parameters, as floats, of one of two
+    sources compiled from the templates: the derivative block (the
     rope law and the vehicle block per vehicle, then the payload block)
     written out inline in each of the four RK4 stages, so a physics step
     calls only ``sqrt`` and ``isfinite``, where a shared acceleration
@@ -296,10 +407,10 @@ def _bind(params: SystemParams):
     would make it +0.0. The tether law is written only here, in the rope
     block; the tests' plain-float reference model is its second copy.
     """
-    return _compile(_stepper, params.c_d_quad > 0.0 or params.c_d_payload > 0.0)(
+    return _Stepper(*_compile(_stepper, params.c_d_quad > 0.0 or params.c_d_payload > 0.0)(
         ell=params.ell, g=params.g, k_T=params.k_T, c_T=params.c_T,
         inv_tau=1.0 / params.tau_att, inv_mq=1.0 / params.m_q, inv_mp=1.0 / params.m_p,
-        c_dq=params.c_d_quad, c_dp=params.c_d_payload)
+        c_dq=params.c_d_quad, c_dp=params.c_d_payload))
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,6 +465,10 @@ def simulate(initial,
     writes the tensions of the samples its steps start from to another; the
     final state's tensions, when it is stored, take one more evaluation of
     the same rope law. The arrays are built from the buffers once, at the end.
+    A hold whose state and command are mirror images by value (see
+    :func:`_bind`'s ``on_mirror``) takes the mirror stepper, which writes the
+    full stepper's bytes on half the arithmetic; every other hold, such as
+    those of a perturbed flight, takes the full stepper.
     The command stored with a sample is the one held over the step that ends
     there (the first tick's for t = 0).
     """
@@ -375,7 +490,7 @@ def simulate(initial,
     # any hold or decimation past the flight's end acts alike; capped, both fit int64
     steps_per_tick, dec = min(steps_per_tick, n_steps + 1), min(dec, n_steps + 1)
 
-    advance, tensions = _bind(params)
+    stepper = _bind(params)
     y = list(SystemState.from_vector(initial))
     samples = array("d", y)  # the stored states, flat; advance appends the rest
     # F_1, F_2 of each stored state, zeroed from bytes and sized once: grown per
@@ -386,9 +501,10 @@ def simulate(initial,
     for i in range(0, n_steps, steps_per_tick):
         u = controller(y, i * dt)
         ticks.extend(u)
+        advance = stepper.advance_mirror if stepper.on_mirror(y, u) else stepper.advance
         y = advance(y, u, i, min(steps_per_tick, n_steps - i), dt, samples, dec, tension)
     if n_steps % dec == 0:  # the final state is stored, and no step starts there
-        (tension[-2], _), (tension[-1], _) = tensions(y)
+        (tension[-2], _), (tension[-1], _) = stepper.tensions(y)
 
     steps = np.arange(0, n_steps + 1, dec)
     t = steps * dt

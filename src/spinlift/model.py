@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import os
@@ -26,6 +27,7 @@ __all__ = [
     "SystemState",
     "load_params",
     "params_to_text",
+    "rk4_gain",
     "csv_line",
     "table_text",
 ]
@@ -117,6 +119,16 @@ class SystemParams:
                 f"dt_physics={self.dt_physics} exceeds the stiff-tether stability "
                 f"guard 2/sqrt(k_T/m_red) = {dt_limit:.6g} s"
             )
+        for mode, rate in self.linear_modes:
+            gain = abs(rk4_gain(self.dt_physics * rate))
+            if not gain <= 1.0:
+                lam = f"{rate.real:.6g}" + (f" +- {abs(rate.imag):.6g}i" if rate.imag else "")
+                rope = "" if mode == "thrust-lag mode" else (
+                    " (the bound does not depend on the tether angle beta: no angle is accepted)")
+                raise ParamError(
+                    f"dt_physics={self.dt_physics} makes RK4 amplify the {mode}, "
+                    f"lambda = {lam} 1/s, by |R(dt_physics * lambda)| = {gain:.6g} per step; "
+                    f"the largest accepted value is 1{rope}")
         # a control period spans a whole number of physics steps; dividing in
         # turn cannot divide by zero, whereas f_ctrl*dt_physics can underflow
         steps = 1.0 / self.f_ctrl / self.dt_physics
@@ -136,9 +148,39 @@ class SystemParams:
         return 2.0 / math.sqrt(self.k_T / self.m_red)
 
     @property
+    def linear_modes(self) -> list:
+        """``(name, lambda)`` of each linear mode e' = lambda e that the
+        parameters alone fix, lambda complex [1/s]: the thrust lag, -1/tau_att,
+        and both roots of m s^2 + c_T s + k_T, the damped stretch of a rope,
+        for m = m_red (one vehicle and the payload) and for
+        m = 1/(1/m_q + 2/m_p) (both ropes stretching together at beta = 0, the
+        smallest effective mass at any tether angle)."""
+        modes = [("thrust-lag mode", complex(-1.0 / self.tau_att))]
+        for name, m in (("tether-stretch mode at m = m_red", self.m_red),
+                        ("tether-stretch mode at m = 1/(1/m_q + 2/m_p)",
+                         1.0 / (1.0 / self.m_q + 2.0 / self.m_p))):
+            root = cmath.sqrt(self.c_T * self.c_T - 4.0 * m * self.k_T)
+            modes += [(name, (-self.c_T + sign * root) / (2.0 * m)) for sign in (1.0, -1.0)]
+        return modes
+
+    @property
     def rotor_constant(self) -> float:
         """r_p * sqrt(2 pi rho N_p), the actuator-disk power law's divisor [kg^0.5 m^-0.5]."""
         return self.r_p * math.sqrt(2.0 * math.pi * self.rho * self.N_p)
+
+
+def rk4_gain(z: complex) -> complex:
+    """RK4's stability function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: the
+    factor by which one step of size dt multiplies a linear mode
+    e' = lambda e, at z = dt * lambda. Evaluated as RK4's own stages on that
+    mode from e = 1, in the form in which the stepper computes its thrust-lag
+    factor c5 at z = -dt/tau_att (:func:`spinlift.dynamics._bind`). The step
+    leaves the mode bounded where |R(z)| <= 1: on the negative real axis for
+    -2.785 <= z <= 0 (Hairer & Wanner, Solving ODEs II, sec. IV.2)."""
+    c2 = 1.0 + 0.5 * z
+    c3 = 1.0 + 0.5 * z * c2
+    c4 = 1.0 + z * c3
+    return 1.0 + z / 6.0 * (1.0 + 2.0 * (c2 + c3) + c4)
 
 
 def load_params(config_text: str) -> SystemParams:

@@ -1,8 +1,10 @@
 """Test helpers for the flat 24-float state of :mod:`spinlift.model`, by the
 names and slices that it declares (``STATE_PARTS``, ``STATE_SLICES``): a state
 made of its eight named 3-vectors, one 3-vector read (of one state or a stack
-of them) or replaced by name, and the frame rotation that the control tests
-take as their reference."""
+of them) or replaced by name, the mirror-symmetric state made from one
+vehicle and the check that a trajectory stays mirror-symmetric, and the
+frame rotation that the control tests take as their
+reference."""
 
 import math
 
@@ -34,6 +36,31 @@ def make_state(**parts) -> SystemState:
     if set(parts) != set(STATE_PARTS):
         raise TypeError(f"a state needs exactly the 3-vectors {STATE_PARTS}")
     return replaced([0.0] * STATE_DIM, **parts)
+
+
+def mirrored(state) -> SystemState:
+    """The state with the payload moved onto the spin axis (the x and y of
+    its position and velocity 0.0) and vehicle 2 made vehicle 1's mirror
+    image: its position, velocity and thrust rotated by pi about the axis,
+    x and y negated."""
+    flip = np.array([-1.0, -1.0, 1.0])
+    axis = np.array([0.0, 0.0, 1.0])
+    return replaced(state, x_p=axis * part(state, "x_p"), v_p=axis * part(state, "v_p"),
+                    **{f"{q}_2": flip * part(state, f"{q}_1") for q in ("x", "v", "T_act")})
+
+
+def assert_mirror_images(traj):
+    """Fail unless every stored sample is on the mirror subspace by value:
+    the payload's x and y positions and velocities 0, vehicle 2's position,
+    velocity and thrust vehicle 1's rotated by pi about the spin axis, and
+    the two tensions equal; likewise each stored command."""
+    flip = np.array([-1.0, -1.0, 1.0])
+    assert not part(traj.states, "x_p")[:, 0:2].any()
+    assert not part(traj.states, "v_p")[:, 0:2].any()
+    for q in ("x", "v", "T_act"):
+        assert np.array_equal(part(traj.states, f"{q}_2"), flip * part(traj.states, f"{q}_1"))
+    assert np.array_equal(traj.commands[:, 3:6], flip * traj.commands[:, 0:3])
+    assert np.array_equal(traj.tether[:, 1], traj.tether[:, 0])
 
 
 def rotation_c_to_e(theta: float) -> np.ndarray:

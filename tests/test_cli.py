@@ -102,6 +102,28 @@ def test_rotor_constant_out_of_range_refused(argv, config, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", ["tau_att = 1.7e-4", "tau_att = 1e-4", "c_T = 1250",
+                                    "c_T = 1500", "c_T = 3000", "c_T = 10000"])
+def test_rk4_unstable_mode_refused(config, tmp_path, capsys):
+    # each of these flew a static 30 deg hover before it was refused: the two
+    # lags blew up (exit 3), c_T = 1500 and 3000 wrote a wrong tension column
+    # and c_T = 10000 blew up; c_T = 1250 flew at 30 deg but its rope mode is
+    # unstable at 0 deg, and the bound does not depend on the angle
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text(config + "\n")
+    out = tmp_path / "out"
+    assert main(["fly", "--mode", "static", "--beta", "30", "--duration", "1",
+                 "--params", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    mode = "thrust-lag mode" if config.startswith("tau_att") else "tether-stretch mode"
+    assert f"makes RK4 amplify the {mode}" in captured.err
+    assert "|R(dt_physics * lambda)|" in captured.err
+    assert "largest accepted value is 1" in captured.err
+    rope = "does not depend on the tether angle beta" in captured.err
+    assert rope == (mode != "thrust-lag mode")
+    assert captured.out == "" and not out.exists()
+
+
 def test_control_period_longer_than_metering_window_refused(tmp_path, capsys):
     # 1/(1e-16 Hz * 0.5 ms) = 2e19 steps per control period: the flight
     # would run open loop and meter one sample (simulate's int64 path is

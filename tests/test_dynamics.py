@@ -14,7 +14,7 @@ from spinlift.equilibrium import build_equilibrium, omega_star, tension_at_equil
 from spinlift import lqr
 from spinlift.model import STATE_PARTS, ParamError, SystemParams, SystemState
 
-from flatstate import make_state, part, replaced, vec3
+from flatstate import assert_mirror_images, make_state, mirrored, part, replaced, vec3
 from reference import (reference_rhs, reference_tension, reference_tensions, rk4_reference,
                        textbook_rk4)
 
@@ -42,7 +42,7 @@ def advance_from(state, cmd, params, dt, n):
     """The flat state after n steps of the stepper of size dt under a held
     command, and the flat [F_1, F_2, ...] tension record of every state on
     the way, the final one included."""
-    advance, tensions = _bind(params)
+    advance, tensions = _bind(params)[:2]
     tension = array("d", bytes(16 * (n + 1)))
     y = advance(list(state), cmd, 0, n, dt, array("d"), 1, tension)
     (tension[-2], _), (tension[-1], _) = tensions(y)
@@ -81,6 +81,47 @@ def near_formation_states(draw):
                       x_1=vehicles[0], v_1=vec(-1.0, 1.0),
                       x_2=vehicles[1], v_2=vec(-1.0, 1.0),
                       T_act_1=vec(-5.0, 20.0), T_act_2=vec(-5.0, 20.0))
+
+
+ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def mirror_holds(draw, subnormal=False):
+    """``(y, u)``: a state on the mirror subspace and a mirrored command. The
+    payload sits on the spin axis, its x and y positions and velocities zeros
+    of drawn signs; vehicle 1 is on a rope 2% slack to 1% taut, above the
+    payload or below it by up to 0.3 of the rope, and each of its entries and commands is
+    drawn as a float or as a zero of either sign. Vehicle 2's entries and
+    commands are vehicle 1's mirror image by value, each zero of a drawn
+    sign. With ``subnormal``, entries may also be drawn subnormal."""
+    finite = st.floats(-1e-307, 1e-307) if subnormal else st.nothing()
+
+    def entry(lo, hi):
+        return draw(st.one_of(st.floats(lo, hi, allow_subnormal=False), ZEROS, finite))
+
+    def image(a, negate):
+        return draw(ZEROS) if a == 0.0 else -a if negate else a
+
+    z_p = draw(st.floats(1.5, 2.0))  # the vehicles stay above height 0.49 m
+    up = draw(st.one_of(st.floats(-0.3, -0.1), st.floats(0.1, 1.0)))
+    direction = np.array([entry(-1.0, 1.0), entry(-1.0, 1.0), up])
+    length = draw(st.floats(0.98, 1.01))  # rest length ell = 1 m
+    x_1 = (length * direction / np.linalg.norm(direction) + [0.0, 0.0, z_p]).tolist()
+    v_1, T_1, u_1 = ([entry(lo, hi) for _ in range(3)] for lo, hi in
+                     ((-1.0, 1.0), (-5.0, 20.0), (-5.0, 20.0)))
+    x_2, v_2, T_2, u_2 = ([image(a, k < 2) for k, a in enumerate(q)] for q in (x_1, v_1, T_1, u_1))
+    x_p = [draw(ZEROS), draw(ZEROS), z_p]
+    v_p = [draw(ZEROS), draw(ZEROS), entry(-1.0, 1.0)]
+    return [*x_p, *v_p, *x_1, *v_1, *x_2, *v_2, *T_1, *T_2], u_1 + u_2
+
+
+def hold(advance, y, u, p, i_first, n, dec):
+    """A stepper call's bytes: its stored samples, its tension slots and the
+    final state (``advance`` called as simulate calls it)."""
+    out, tension = array("d"), array("d", bytes(16 * ((i_first + n) // dec + 1)))
+    final = advance(list(y), u, i_first, n, p.dt_physics, out, dec, tension)
+    return out.tobytes(), tension.tobytes(), array("d", final).tobytes()
 
 
 def assert_taut(tension, dt):
@@ -312,7 +353,7 @@ class TestDerivative:
         # drag acts on each body whose coefficient is nonzero, in the
         # reference and, bit for bit, in a step of the stepper they pick
         p = SystemParams(c_d_quad=c_d_quad, c_d_payload=c_d_payload)
-        advance, tensions = _bind(p)
+        advance, tensions = _bind(p)[:2]
         assert advance.__code__.co_filename == f"<spinlift.dynamics stepper, {stepper}>"
         assert tensions.__code__.co_filename == advance.__code__.co_filename
         state = replaced(slack_state(p), v_p=vec3(2.0, 0, 0), v_1=vec3(0, 2.0, 0))
@@ -468,8 +509,8 @@ class TestStep:
         codes = []
         for drag in (False, True):
             light, heavy = with_drag(drag), with_drag(drag, m_p=0.9)
-            advance_light, _ = _bind(light)
-            advance_heavy, _ = _bind(heavy)
+            advance_light = _bind(light).advance
+            advance_heavy = _bind(heavy).advance
             assert advance_light.__code__ is advance_heavy.__code__
             codes.append(advance_light.__code__)
             _, state, _ = build_equilibrium(DEG(60), 0.0, light)  # taut ropes
@@ -491,12 +532,112 @@ class TestStep:
     def test_coincident_bodies_rejected_by_the_stepper(self, vehicle, drag):
         p = with_drag(drag)
         state = list(replaced(slack_state(p), **{vehicle: ORIGIN}))
-        _, tensions = _bind(p)
+        tensions = _bind(p).tensions
         message = f"vehicle {vehicle[-1]} coincides with the payload"
         with pytest.raises(DegenerateGeometryError, match=message):
             tensions(state)
         with pytest.raises(DegenerateGeometryError, match=message):
             advance_from(state, zero_cmd(), p, p.dt_physics, 1)
+
+
+
+class TestMirrorStepper:
+    """The mirror stepper integrates the 11 scalars that the mirror subspace
+    leaves free and writes the other 13 from them; simulate takes it for
+    each hold whose state and command are mirror images by value."""
+
+    @given(hold_args=mirror_holds(), drag=st.booleans(), g=st.sampled_from([9.81, 0.0]),
+           tau=st.sampled_from([0.05, 2.5e-4, 1.8e-4]), i_first=st.integers(0, 45),
+           n=st.integers(1, 30), dec=st.integers(1, 40))
+    def test_matches_full_stepper_bitwise(self, hold_args, drag, g, tau, i_first, n, dec):
+        # stored samples, tension slots and final state are the full
+        # stepper's bytes, zero signs included. g = 0 lets a payload's z
+        # velocity keep a -0.0 through slack-rope steps; tau = 2.5e-4 s makes
+        # c2 exactly 0 and 1.8e-4 s makes it negative, near RK4's lag limit
+        y, u = hold_args
+        p = with_drag(drag, g=g, tau_att=tau)
+        stepper = _bind(p)
+        assert stepper.on_mirror(y, u)
+        args = (y, u, p, i_first, n, dec)
+        assert hold(stepper.advance_mirror, *args) == hold(stepper.advance, *args)
+
+    @given(hold_args=mirror_holds(subnormal=True), drag=st.booleans(),
+           n=st.integers(1, 30), dec=st.integers(1, 40))
+    def test_subnormal_entries_match_by_value(self, hold_args, drag, n, dec):
+        # a subnormal entry's product can underflow to a zero whose sign
+        # follows its factors, so the full stepper may leave vehicle 2 a -0.0
+        # that the mirror stepper writes +0.0: the two agree by value there
+        y, u = hold_args
+        p = with_drag(drag)
+        stepper = _bind(p)
+        assert stepper.on_mirror(y, u)
+        got, expected = (hold(advance, y, u, p, 0, n, dec)
+                         for advance in (stepper.advance_mirror, stepper.advance))
+        for a, b in zip(got, expected):
+            assert np.array_equal(np.frombuffer(a), np.frombuffer(b))
+
+    @pytest.mark.parametrize("thrust", [1e300, 1e160, math.inf])
+    def test_blowup_at_the_full_steppers_step(self, thrust):
+        # both vehicles thrust out and up alike: the mirror stepper's finite
+        # check is the full stepper's sum read off the mirror, so both raise
+        # at the end of the same step
+        p = SystemParams()
+        _, state, _ = build_equilibrium(0.5, 0.0, p)
+        bomb = [thrust, 0.0, thrust, -thrust, 0.0, thrust]
+        stepper = _bind(p)
+        assert stepper.on_mirror(list(state), bomb)
+        times = []
+        for advance in (stepper.advance, stepper.advance_mirror):
+            with pytest.raises(IntegrationBlowupError) as blowup:
+                hold(advance, state, bomb, p, 0, 100, 7)
+            times.append(blowup.value.t)
+        assert times[0] == times[1]
+
+    def test_sum_overflow_at_the_full_steppers_step(self):
+        # the three bodies at rest 6e307 m up without gravity, the ropes
+        # slack: every entry stays finite, but the full stepper's sum of the
+        # 24 scalars, three heights among them, overflows at the first step,
+        # and the mirror stepper's sum, with vehicle 1's height twice, too
+        p = SystemParams(g=0.0)
+        y = [0.0, 0.0, 6e307, *[0.0] * 3, 0.5, 0.0, 6e307, *[0.0] * 3,
+             -0.5, 0.0, 6e307, *[0.0] * 9]
+        stepper = _bind(p)
+        assert stepper.on_mirror(y, [0.0] * 6)
+        for advance in (stepper.advance, stepper.advance_mirror):
+            with pytest.raises(IntegrationBlowupError) as blowup:
+                hold(advance, y, [0.0] * 6, p, 0, 3, 1)
+            assert blowup.value.t == p.dt_physics
+
+    def test_level_rope_at_height_zero_takes_the_full_stepper(self):
+        # vehicle 1 at height -0.0 and vehicle 2 at +0.0, level with the
+        # payload at +0.0, are mirror images by value, but their ropes' unit
+        # vectors differ in the sign of a zero z: with g = 0 and slack ropes
+        # the full stepper's payload z velocity leaves -0.0 for +0.0, where
+        # the mirror stepper, pulling twice with rope 1, keeps -0.0. A
+        # vehicle at height 0 is therefore refused by on_mirror
+        p = SystemParams(g=0.0)
+        y = [0.0, 0.0, 0.0, 0.0, 0.0, -0.0, 0.5, 0.0, -0.0, 0.0, 0.0, -1.0,
+             -0.5, 0.0, 0.0, 0.0, 0.0, -1.0, *[0.0] * 6]
+        stepper = _bind(p)
+        assert not stepper.on_mirror(y, [0.0] * 6)
+        full, half = (np.frombuffer(hold(advance, y, [0.0] * 6, p, 0, 1, 1)[2])
+                      for advance in (stepper.advance, stepper.advance_mirror))
+        assert np.array_equal(full, half)
+        assert bits([full[5], half[5]]) == bits([0.0, -0.0])
+
+    @pytest.mark.parametrize("defect", ["x_p", "v_p", "x_2", "v_2", "T_act_2", "command"])
+    def test_asymmetric_hold_takes_the_full_stepper(self, defect):
+        # one entry off the mirror subspace by 1e-12 fails the hold check
+        p = SystemParams()
+        beta = DEG(60)
+        _, state, cmd = build_equilibrium(beta, omega_star(beta, p), p)
+        stepper = _bind(p)
+        assert stepper.on_mirror(list(state), cmd)
+        if defect == "command":
+            cmd = [*cmd[:4], cmd[4] + 1e-12, cmd[5]]
+        else:
+            state = replaced(state, **{defect: part(state, defect) + vec3(0.0, 1e-12, 0.0)})
+        assert not stepper.on_mirror(list(state), cmd)
 
 
 class TestSimulate:
@@ -538,7 +679,8 @@ class TestSimulate:
         assert drift.max() < 1e-8
 
     def test_mirror_symmetry_preserved(self):
-        # 180-degree rotation about the spin axis maps the system to itself
+        # 180-degree rotation about the spin axis maps the system to itself,
+        # exactly: IEEE arithmetic is symmetric in sign
         p = SystemParams()
         beta = math.radians(50)
         w = omega_star(beta, p)
@@ -549,14 +691,10 @@ class TestSimulate:
             x_2=part(state, "x_2") + vec3(-0.03, -0.01, -0.02),
             v_p=vec3(0, 0, 0.05),
         )
+        assert _bind(p).on_mirror(list(state), cmd)  # every hold takes the mirror stepper
         traj = simulate(state, lambda y, t: cmd, lambda t: w * t, p, duration=1.0,
                         output_decimation=100)
-        mirror = np.diag([-1.0, -1.0, 1.0])
-        x_p, x_1, v_1, x_2, v_2 = (part(traj.states, name)
-                                   for name in ("x_p", "x_1", "v_1", "x_2", "v_2"))
-        assert_allclose(x_2 - ORIGIN, (x_1 - ORIGIN) @ mirror.T, atol=1e-10)
-        assert_allclose(v_2, v_1 @ mirror.T, atol=1e-10)
-        assert_allclose(x_p[:, 0:2], np.zeros_like(x_p[:, 0:2]), atol=1e-10)
+        assert_mirror_images(traj)
 
     def test_energy_audit(self):
         # drag off, both ropes taut throughout: d/dt(E) = thrust power -
@@ -594,15 +732,21 @@ class TestSimulate:
     @given(state=near_formation_states(),
            thrusts=st.lists(st.lists(st.floats(-5.0, 20.0), min_size=6, max_size=6),
                             min_size=4, max_size=4),
-           w=st.floats(0.0, 4.0), drag=st.booleans())
-    def test_matches_reference_integrator(self, state, thrusts, w, drag):
+           w=st.floats(0.0, 4.0), drag=st.booleans(), symmetric=st.booleans())
+    def test_matches_reference_integrator(self, state, thrusts, w, drag, symmetric):
         # 62 steps at 20 steps per hold: three command changes, a
         # decimation of 7 that puts stored samples inside holds and one of
         # 45 whose stores skip whole holds. The tension column is the
         # reference's rope law at each stored state, bit for bit: recorded
         # by the step that starts there, or evaluated after the run for the
-        # final state, which only a decimation of 1 stores here
+        # final state, which only a decimation of 1 stores here. A symmetric
+        # start (the payload on the spin axis, vehicle 2 and each command
+        # vehicle 1's mirror image) flies every hold on the mirror stepper
         p = with_drag(drag, f_ctrl=100.0)
+        if symmetric:
+            state = mirrored(state)
+            thrusts = [u[:3] + [-u[0], -u[1], u[2]] for u in thrusts]
+            assert all(_bind(p).on_mirror(list(state), u) for u in thrusts)
         def controller(y, t):
             return thrusts[round(t * p.f_ctrl)]
 
@@ -622,12 +766,22 @@ class TestSimulate:
 
     @pytest.mark.parametrize("thrust", [1e300, 1e160, math.nan])
     def test_blowup_time_matches_reference(self, thrust):
+        self.blowup_time_matches_reference([0.0, 0.0, thrust, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("thrust", [1e300, 1e160])
+    def test_mirrored_blowup_time_matches_reference(self, thrust):
+        # the bomb on both vehicles keeps the flight mirror-symmetric, and
+        # the mirror stepper raises it
+        self.blowup_time_matches_reference([0.0, 0.0, thrust, 0.0, 0.0, thrust])
+
+    @staticmethod
+    def blowup_time_matches_reference(bomb):
         # the bomb is issued at the 0.04 s tick; 1e300 N and a NaN command
         # blow up in the next step, 1e160 N fourteen steps later, all inside
         # the hold
+        thrust = bomb[2]
         p = SystemParams()
         _, state, cmd = build_equilibrium(0.5, 0.0, p)
-        bomb = [0.0, 0.0, thrust, 0.0, 0.0, 0.0]
 
         def controller(y, t):
             return bomb if t >= 0.03 else cmd

@@ -4,6 +4,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinlift import harness
 from spinlift.equilibrium import (build_equilibrium, omega_star, power, sweep_beta,
@@ -16,7 +18,7 @@ from spinlift import svgplot
 from spinlift.svgplot import grouped_bar_chart, line_chart
 from spinlift.dynamics import trajectory_to_csv
 
-from flatstate import part, replaced, vec3
+from flatstate import assert_mirror_images, part, replaced, vec3
 
 P = SystemParams()
 DEG = math.radians
@@ -90,6 +92,24 @@ class TestRunScenario:
         assert summary.std_P_total >= 0.0
         assert summary.n_samples > 0
         assert summary.phase_durations["hover"] == 12.0
+
+    @given(beta_deg=st.floats(0.0, 89.0, exclude_max=True),
+           mode=st.sampled_from(["static", "rotating"]), drag=st.booleans())
+    def test_unperturbed_flight_stays_mirror_symmetric(self, beta_deg, mode, drag):
+        # the gain is exactly equivariant and every other step of the loop
+        # commutes with the mirror map in IEEE arithmetic, so a flight that
+        # spawns on the mirror subspace stays on it: every stored state, its
+        # command and its tensions, over a short protocol stored at every
+        # step. Angles whose thrust exceeds T_max are refused before flying
+        p = SystemParams(c_d_quad=0.05, c_d_payload=0.02) if drag else P
+        spec = ScenarioSpec(mode=mode, beta=DEG(beta_deg), spin_up=0.1, hover=0.2,
+                            spin_down=0.1, metering_window=0.1, output_decimation=1)
+        try:
+            traj, _ = run_scenario(spec, p)
+        except ValueError as refused:
+            assert "operating point unreachable" in str(refused)
+            return
+        assert_mirror_images(traj)
 
     @pytest.mark.parametrize("ramp", [8.0, 0.0])
     def test_steep_rotating_flight_refused(self, ramp):

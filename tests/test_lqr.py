@@ -1,4 +1,5 @@
 import dataclasses
+import cmath
 import math
 import re
 import traceback
@@ -533,9 +534,14 @@ class TestLinearize:
         # difference quotients of the two vehicles' points are mirror images
         # bit for bit, so S A = A S and S B = B S_U hold exactly, not to a
         # tolerance; dt_physics is the largest whole fraction of the control
-        # period within half the stiff-tether guard 2 / sqrt(k_T / m_red)
+        # period within half the stiff-tether guard 2 / sqrt(k_T / m_red) and
+        # within half of 2.5 / |lambda| at the fastest rope mode, a root of
+        # m s^2 + c_T s + k_T at m = 1/(1/m_q + 2/m_p) (RK4 is stable on the
+        # left half-disk of radius 2.5)
         k_T = 10.0 ** log_k_T
-        limit = 2.0 / math.sqrt(k_T * (m_q + m_p) / (m_q * m_p))
+        m = 1.0 / (1.0 / m_q + 2.0 / m_p)
+        fastest = abs((-c_T - cmath.sqrt(c_T * c_T - 4.0 * m * k_T)) / (2.0 * m))
+        limit = min(2.0 / math.sqrt(k_T * (m_q + m_p) / (m_q * m_p)), 2.5 / fastest)
         steps = math.ceil(2.0 / (P.f_ctrl * limit))
         params = SystemParams(m_q=m_q, m_p=m_p, ell=ell, k_T=k_T, c_T=c_T,
                               dt_physics=1.0 / (P.f_ctrl * steps))
@@ -584,11 +590,15 @@ class TestSynthesize:
 
     def test_gain_mirror_symmetry(self):
         # conjugating by the 180-degree rotation about the spin axis and the
-        # vehicle swap leaves the gain invariant
-        beta = DEG(60)
-        spec, _, _ = build_equilibrium(beta, omega_star(beta, P), P)
-        g = synthesize(spec, P)
-        assert np.linalg.norm(g.K @ lqr.S - lqr.S_U @ g.K) < 1e-8 * np.linalg.norm(g.K)
+        # vehicle swap leaves the gain invariant, exactly: synthesize averages
+        # K with its image, and the map is a signed permutation and an
+        # involution, so the average is its own image bit for bit
+        for beta_deg in (0.0, 30.0, 60.0, 83.0):
+            for spin in (0.0, 1.0):
+                beta = DEG(beta_deg)
+                spec, _, _ = build_equilibrium(beta, spin * omega_star(beta, P), P)
+                K = synthesize(spec, P).K
+                assert np.array_equal(lqr.S_U.T @ K @ lqr.S, K), (beta_deg, spin)
 
     @pytest.mark.parametrize("params, tol", [
         (P, 1e-11),

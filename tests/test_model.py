@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinlift.model import (ConfigError, ParamError, SystemParams, SystemState,
-                            load_params, params_to_text)
+                            load_params, params_to_text, rk4_gain)
 
 from flatstate import rotation_c_to_e
 
@@ -33,15 +33,18 @@ def _float_field(lo, hi):
 @st.composite
 def valid_params(draw):
     """SystemParams inside every cross-field rule. The ranges keep the default
-    dt_physics under the stability guard, and the control period spans a
-    drawn whole number of steps."""
+    dt_physics under the stability guard and RK4 stable on every linear mode;
+    the drawn dt_physics is below the guard and within 2.5 / |lambda| of each
+    mode (RK4 is stable on the left half-disk of radius 2.5), and the
+    control period spans a drawn whole number of steps."""
     values = {name: draw(_float_field(lo, hi)) for name, (lo, hi) in {
         "m_q": (0.1, 5.0), "m_p": (0.1, 5.0), "ell": (0.1, 10.0), "g": (0.0, 20.0),
         "r_p": (0.01, 1.0), "rho": (0.1, 10.0), "k_T": (1.0, 1e4), "c_T": (0.0, 100.0),
         "tau_att": (0.01, 1.0), "c_d_quad": (0.0, 1.0), "c_d_payload": (0.0, 1.0),
         "f_ctrl": (1.0, 1000.0)}.items()}
     values["N_p"] = draw(st.integers(1, 8))
-    limit = SystemParams(**{**values, "f_ctrl": 50.0}).dt_stability_limit
+    p = SystemParams(**{**values, "f_ctrl": 50.0})
+    limit = min([p.dt_stability_limit] + [2.5 / abs(rate) for _, rate in p.linear_modes])
     steps = draw(st.integers(2, 100)) + math.floor(1.0 / (values["f_ctrl"] * limit))
     kind = draw(st.sampled_from([float, np.float64]))
     return SystemParams(**values, dt_physics=kind(1.0 / values["f_ctrl"] / steps))
@@ -122,6 +125,60 @@ class TestSystemParams:
         SystemParams(dt_physics=0.01, f_ctrl=50.0)
         with pytest.raises(ParamError, match="dt_physics"):
             SystemParams(dt_physics=0.03)
+
+    @given(h=st.floats(0.0, 10.0))
+    def test_rk4_gain_is_the_steppers_lag_factor(self, h):
+        # on the real axis, the stepper's c5 (reference.rk4_reference, from
+        # RK4's stages on the lag) and the polynomial 1 + z + ... + z^4/24,
+        # to rounding; |R(-h)| <= 1 up to h = 2.7853, RK4's real-axis limit
+        c2 = 1.0 - 0.5 * h
+        c3 = 1.0 - 0.5 * h * c2
+        c4 = 1.0 - h * c3
+        c5 = 1.0 - h / 6.0 * (1.0 + 2.0 * (c2 + c3) + c4)
+        R = rk4_gain(complex(-h))
+        assert R.imag == 0.0
+        assert R.real == pytest.approx(c5, rel=1e-12, abs=1e-15)
+        taylor = 1 - h + h**2 / 2 - h**3 / 6 + h**4 / 24
+        assert R.real == pytest.approx(taylor, rel=1e-12, abs=1e-13)
+        assert (abs(R) <= 1.0) == (h <= 2.7852935634)
+
+    def test_rk4_gain_on_the_imaginary_axis(self):
+        # |R(iy)|^2 = 1 - y^6/72 + y^8/576: at most 1 up to y = 2 sqrt(2)
+        for y in (0.5, 1.0, 2.0, 2.8):
+            assert abs(rk4_gain(1j * y)) ** 2 == pytest.approx(1 - y**6 / 72 + y**8 / 576,
+                                                               rel=1e-12)
+        assert abs(rk4_gain(2.83j)) > 1.0
+
+    @pytest.mark.parametrize("values, mode", [
+        ({"tau_att": 1.7e-4}, "thrust-lag mode"),
+        ({"tau_att": 1e-4}, "thrust-lag mode"),
+        ({"c_T": 1250.0}, "tether-stretch mode at m = 1/(1/m_q + 2/m_p)"),
+        ({"c_T": 1500.0}, "tether-stretch mode at m = 1/(1/m_q + 2/m_p)"),
+        ({"c_T": 3000.0}, "tether-stretch mode at m = m_red"),
+        ({"c_T": 10000.0}, "tether-stretch mode at m = m_red"),
+    ])
+    def test_rk4_unstable_mode_refused(self, values, mode):
+        # a thrust lag or a rope damping at which RK4's step at dt_physics
+        # grows the mode: refused with the mode, its |R| and the bound. The
+        # rope's bound holds at every tether angle, so c_T = 1250, which
+        # flew at 30 deg, is refused too: its mode is unstable at 0 deg
+        with pytest.raises(ParamError) as refused:
+            SystemParams(**values)
+        message = str(refused.value)
+        found = re.search(r"amplify the (.+), lambda = (\S+) 1/s, by \|R\(dt_physics \* lambda\)\| "
+                          r"= (\S+) per step; the largest accepted value is 1", message)
+        assert found and found[1] == mode
+        dt = SystemParams().dt_physics
+        assert float(found[3]) == pytest.approx(abs(rk4_gain(dt * float(found[2]))), rel=1e-5)
+        assert float(found[3]) > 1.0
+        assert ("tether angle beta" in message) == (mode != "thrust-lag mode")
+
+    @pytest.mark.parametrize("values", [{}, {"tau_att": 2e-4}, {"c_T": 1100.0}, {"c_T": 0.0}])
+    def test_rk4_stable_modes_accepted(self, values):
+        # the defaults, the shortest lag of the measured table that flew, a
+        # damping just inside the bound at every angle, and no damping
+        p = SystemParams(**values)
+        assert all(abs(rk4_gain(p.dt_physics * rate)) <= 1.0 for _, rate in p.linear_modes)
 
     def test_control_rate_guard(self):
         with pytest.raises(ParamError, match="f_ctrl"):
