@@ -64,7 +64,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .model import (STATE_DIM, STATE_PARTS, SystemParams, SystemState, csv_line,
-                    table_text)
+                    rk4_stages, table_text)
 
 __all__ = [
     "DegenerateGeometryError",
@@ -213,7 +213,7 @@ def bind(ell, g, k_T, c_T, inv_tau, inv_mq, inv_mp, c_dq, c_dp):
 # y + sixth * (k1 + 2 (k2 + k3) + k4) then runs in layout order, so each
 # position is updated while its velocity still holds the stage-1 value. Each
 # thrust T takes u + eT * c, eT = T - u, with c = c2, c3, c4 at the stages
-# and c5 for the update (RK4 on the linear lag, see _bind). It appends to
+# and c5 for the update (RK4 on the linear lag, rk4_stages). It appends to
 # out the state after every global step that is a multiple of dec; store is
 # the index i of the next such step. It writes stage 1's two tensions of
 # every step i that starts from a stored state (i a multiple of dec) to that
@@ -225,10 +225,7 @@ _ADVANCE = """\
         u1x, u1y, u1z, u2x, u2y, u2z = u
         half = 0.5 * dt
         sixth = dt / 6.0
-        c2 = 1.0 - half * inv_tau
-        c3 = 1.0 - half * inv_tau * c2
-        c4 = 1.0 - dt * inv_tau * c3
-        c5 = 1.0 - sixth * inv_tau * (1.0 + 2.0 * (c2 + c3) + c4)
+        c2, c3, c4, c5 = rk4_stages(dt, -inv_tau)
         store = (i_first + dec) // dec * dec - 1
         record = -(-i_first // dec) * dec
         for i in range(i_first, i_first + n):
@@ -316,7 +313,7 @@ def _compile(expand: Callable[..., tuple[str, str]], *args):
     functions show their lines."""
     filename, source = expand(*args)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
+    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite, "rk4_stages": rk4_stages,
                  "pack": struct.Struct(f"{len(_STATE)}d").pack,
                  "_COINCIDENT_TOL": _COINCIDENT_TOL,
                  "DegenerateGeometryError": DegenerateGeometryError,
@@ -355,11 +352,11 @@ def _bind(params: SystemParams) -> _Stepper:
       take the float operations of a textbook RK4 over the module
       docstring's equations, in the same order. The thrust lag
       T' = (u - T) / tau is linear and u is held, so RK4 moves each thrust to
-      u + (T - u) * c, exactly in real arithmetic: with h = dt / tau, the
-      stage values take c2 = 1 - h/2, c3 = 1 - (h/2) c2 and c4 = 1 - h c3,
-      and the update c5 = 1 - (h/6)(1 + 2 (c2 + c3) + c4), RK4's stability
-      function at -h (:func:`spinlift.model.rk4_gain`). These are RK4's own
-      stages and update on e' = -e / tau from e = 1, computed once per call.
+      u + (T - u) * c, exactly in real arithmetic: c2, c3 and c4 at the
+      stages and c5, RK4's stability function at -dt / tau, for the update,
+      RK4's own stages on e' = -e / tau from e = 1, computed once per call by
+      :func:`spinlift.model.rk4_stages`, the function whose c5 bounds the
+      step in :class:`SystemParams`.
       A step makes no lag rates, and differs from a textbook RK4 with them
       only by rounding (a property test bounds the difference). Raises
       :class:`IntegrationBlowupError` with the time of the first step whose

@@ -27,7 +27,7 @@ __all__ = [
     "SystemState",
     "load_params",
     "params_to_text",
-    "rk4_gain",
+    "rk4_stages",
     "csv_line",
     "table_text",
 ]
@@ -113,14 +113,8 @@ class SystemParams:
         if not (0.0 < rotor < math.inf and 1.0 / rotor < math.inf):
             raise ParamError(f"r_p, rho and N_p give the rotor constant r_p*sqrt(2*pi*rho*N_p) "
                              f"= {rotor:.6g}; it and its reciprocal must be finite and positive")
-        dt_limit = self.dt_stability_limit
-        if not self.dt_physics < dt_limit:
-            raise ParamError(
-                f"dt_physics={self.dt_physics} exceeds the stiff-tether stability "
-                f"guard 2/sqrt(k_T/m_red) = {dt_limit:.6g} s"
-            )
         for mode, rate in self.linear_modes:
-            gain = abs(rk4_gain(self.dt_physics * rate))
+            gain = abs(rk4_stages(self.dt_physics, rate)[3])
             if not gain <= 1.0:
                 lam = f"{rate.real:.6g}" + (f" +- {abs(rate.imag):.6g}i" if rate.imag else "")
                 rope = "" if mode == "thrust-lag mode" else (
@@ -139,13 +133,9 @@ class SystemParams:
 
     @property
     def m_red(self) -> float:
-        """Reduced mass of the vehicle/payload pair [kg]."""
+        """Reduced mass of the vehicle/payload pair [kg], one of the masses
+        of :attr:`linear_modes`."""
         return self.m_q * self.m_p / (self.m_q + self.m_p)
-
-    @property
-    def dt_stability_limit(self) -> float:
-        """Upper bound on dt_physics from the stiff tether stretch mode [s]."""
-        return 2.0 / math.sqrt(self.k_T / self.m_red)
 
     @property
     def linear_modes(self) -> list:
@@ -169,18 +159,20 @@ class SystemParams:
         return self.r_p * math.sqrt(2.0 * math.pi * self.rho * self.N_p)
 
 
-def rk4_gain(z: complex) -> complex:
-    """RK4's stability function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: the
-    factor by which one step of size dt multiplies a linear mode
-    e' = lambda e, at z = dt * lambda. Evaluated as RK4's own stages on that
-    mode from e = 1, in the form in which the stepper computes its thrust-lag
-    factor c5 at z = -dt/tau_att (:func:`spinlift.dynamics._bind`). The step
-    leaves the mode bounded where |R(z)| <= 1: on the negative real axis for
-    -2.785 <= z <= 0 (Hairer & Wanner, Solving ODEs II, sec. IV.2)."""
-    c2 = 1.0 + 0.5 * z
-    c3 = 1.0 + 0.5 * z * c2
-    c4 = 1.0 + z * c3
-    return 1.0 + z / 6.0 * (1.0 + 2.0 * (c2 + c3) + c4)
+def rk4_stages(dt: float, rate: complex) -> tuple:
+    """RK4's stages ``(c2, c3, c4, c5)`` on a linear mode e' = rate * e from
+    e = 1 over one step of size dt: the stage values c2, c3 and c4 and the
+    update c5 = R(dt * rate), with R RK4's stability function
+    1 + z + z^2/2 + z^3/6 + z^4/24, the factor by which one step multiplies
+    the mode. The stepper moves each thrust by these at rate -1/tau_att
+    (:func:`spinlift.dynamics._bind`), and :class:`SystemParams` refuses a
+    step at which |c5| > 1 on any of its :attr:`~SystemParams.linear_modes`:
+    on the negative real axis the step is stable for -2.785 <= dt * rate <= 0
+    (Hairer & Wanner, Solving ODEs II, sec. IV.2)."""
+    c2 = 1.0 + 0.5 * dt * rate
+    c3 = 1.0 + 0.5 * dt * rate * c2
+    c4 = 1.0 + dt * rate * c3
+    return c2, c3, c4, 1.0 + dt / 6.0 * rate * (1.0 + 2.0 * (c2 + c3) + c4)
 
 
 def load_params(config_text: str) -> SystemParams:

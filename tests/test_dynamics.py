@@ -489,10 +489,10 @@ class TestStep:
 
     def test_invalid_dt_rejected(self):
         # the integrator steps at params.dt_physics, which is refused when
-        # nonpositive or beyond the stiff-tether stability guard
+        # nonpositive or where RK4 would amplify a linear mode
         with pytest.raises(ParamError, match="dt_physics"):
             SystemParams(dt_physics=0.0)
-        with pytest.raises(ParamError, match="stability guard"):
+        with pytest.raises(ParamError, match="makes RK4 amplify the tether-stretch mode"):
             SystemParams(dt_physics=0.1)
 
     def test_blowup_carries_time(self):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinlift import harness
+from spinlift import dynamics, harness
 from spinlift.equilibrium import (build_equilibrium, omega_star, power, sweep_beta,
                                   sweep_omega, thrust_magnitude)
 from spinlift.harness import (ScenarioSpec, SimulationFailed, compare_modes,
@@ -110,6 +111,32 @@ class TestRunScenario:
             assert "operating point unreachable" in str(refused)
             return
         assert_mirror_images(traj)
+
+    @pytest.mark.parametrize("mode", ["static", "rotating"])
+    @pytest.mark.parametrize("perturb, path", [(0.0, "advance_mirror"), (0.01, "advance")])
+    def test_every_hold_on_its_stepper(self, monkeypatch, mode, perturb, path):
+        # an unperturbed flight spawns on the mirror subspace and stays there,
+        # so every hold takes the mirror stepper; a perturbed one never lies
+        # on it, so every hold takes the full stepper. Counted by wrapping
+        # the steppers that dynamics._bind returns, as tools/hold_paths.py does
+        counts, bind = Counter(), dynamics._bind
+
+        def counting(params):
+            stepper = bind(params)
+
+            def counted(name):
+                def call(*args):
+                    counts[name] += 1
+                    return getattr(stepper, name)(*args)
+                return call
+            return stepper._replace(advance=counted("advance"),
+                                    advance_mirror=counted("advance_mirror"))
+
+        monkeypatch.setattr(dynamics, "_bind", counting)
+        spec = short_spec(mode, 60.0, spin_up=1.0 if mode == "rotating" else 0.0, hover=2.0,
+                          metering_window=1.0, perturb_payload=perturb)
+        run_scenario(spec, P)
+        assert counts == {path: round((spec.spin_up + spec.hover) * P.f_ctrl)}
 
     @pytest.mark.parametrize("ramp", [8.0, 0.0])
     def test_steep_rotating_flight_refused(self, ramp):

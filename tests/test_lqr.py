@@ -533,16 +533,15 @@ class TestLinearize:
         # the premise of synthesize's split into mirror blocks: the
         # difference quotients of the two vehicles' points are mirror images
         # bit for bit, so S A = A S and S B = B S_U hold exactly, not to a
-        # tolerance; dt_physics is the largest whole fraction of the control
-        # period within half the stiff-tether guard 2 / sqrt(k_T / m_red) and
-        # within half of 2.5 / |lambda| at the fastest rope mode, a root of
-        # m s^2 + c_T s + k_T at m = 1/(1/m_q + 2/m_p) (RK4 is stable on the
-        # left half-disk of radius 2.5)
+        # tolerance; dt_physics, which the model does not read, is the
+        # largest whole fraction of the control period within half of
+        # 2.5 / |lambda| at the fastest rope mode, a root of
+        # m s^2 + c_T s + k_T at m = 1/(1/m_q + 2/m_p), so that SystemParams'
+        # RK4 rule accepts it (RK4 is stable on the left half-disk of radius 2.5)
         k_T = 10.0 ** log_k_T
         m = 1.0 / (1.0 / m_q + 2.0 / m_p)
         fastest = abs((-c_T - cmath.sqrt(c_T * c_T - 4.0 * m * k_T)) / (2.0 * m))
-        limit = min(2.0 / math.sqrt(k_T * (m_q + m_p) / (m_q * m_p)), 2.5 / fastest)
-        steps = math.ceil(2.0 / (P.f_ctrl * limit))
+        steps = math.ceil(2.0 / (P.f_ctrl * 2.5 / fastest))
         params = SystemParams(m_q=m_q, m_p=m_p, ell=ell, k_T=k_T, c_T=c_T,
                               dt_physics=1.0 / (P.f_ctrl * steps))
         beta = DEG(beta_deg)

@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spinlift.dynamics import simulate
+from spinlift.equilibrium import build_equilibrium, tension_at_equilibrium
 from spinlift.model import (ConfigError, ParamError, SystemParams, SystemState,
-                            load_params, params_to_text, rk4_gain)
+                            load_params, params_to_text, rk4_stages)
 
 from flatstate import rotation_c_to_e
 
@@ -30,22 +32,34 @@ def _float_field(lo, hi):
     return st.one_of(floats, st.integers(math.ceil(lo), math.floor(hi)), floats.map(np.float64))
 
 
+def rk4_dt_bound(p):
+    """The largest dt_physics at which RK4 keeps every linear mode of ``p``
+    bounded, |c5| <= 1 of :func:`rk4_stages`, by bisection to 1e-12 relative:
+    for each mode the accepted steps are one interval from 0, and no step
+    past 3 / |lambda| is accepted (RK4's stability region lies inside
+    |z| < 2.96)."""
+    rates = [rate for _, rate in p.linear_modes]
+    lo, hi = 0.0, 3.0 / max(map(abs, rates))
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if all(abs(rk4_stages(mid, r)[3]) <= 1.0 for r in rates) else (lo, mid)
+    return lo
+
+
 @st.composite
-def valid_params(draw):
+def valid_params(draw, finer=100):
     """SystemParams inside every cross-field rule. The ranges keep the default
-    dt_physics under the stability guard and RK4 stable on every linear mode;
-    the drawn dt_physics is below the guard and within 2.5 / |lambda| of each
-    mode (RK4 is stable on the left half-disk of radius 2.5), and the
-    control period spans a drawn whole number of steps."""
+    dt_physics RK4 stable on every linear mode; the drawn dt_physics is a
+    whole fraction of the drawn control period, from the largest one within
+    RK4's bound (:func:`rk4_dt_bound`) to one ``finer`` steps per period finer."""
     values = {name: draw(_float_field(lo, hi)) for name, (lo, hi) in {
         "m_q": (0.1, 5.0), "m_p": (0.1, 5.0), "ell": (0.1, 10.0), "g": (0.0, 20.0),
         "r_p": (0.01, 1.0), "rho": (0.1, 10.0), "k_T": (1.0, 1e4), "c_T": (0.0, 100.0),
         "tau_att": (0.01, 1.0), "c_d_quad": (0.0, 1.0), "c_d_payload": (0.0, 1.0),
         "f_ctrl": (1.0, 1000.0)}.items()}
     values["N_p"] = draw(st.integers(1, 8))
-    p = SystemParams(**{**values, "f_ctrl": 50.0})
-    limit = min([p.dt_stability_limit] + [2.5 / abs(rate) for _, rate in p.linear_modes])
-    steps = draw(st.integers(2, 100)) + math.floor(1.0 / (values["f_ctrl"] * limit))
+    limit = rk4_dt_bound(SystemParams(**{**values, "f_ctrl": 50.0})) * (1.0 - 1e-9)
+    steps = draw(st.integers(0, finer)) + math.ceil(1.0 / (values["f_ctrl"] * limit))
     kind = draw(st.sampled_from([float, np.float64]))
     return SystemParams(**values, dt_physics=kind(1.0 / values["f_ctrl"] / steps))
 
@@ -117,37 +131,45 @@ class TestSystemParams:
         assert SystemParams().rotor_constant == 0.1 * math.sqrt(2.0 * math.pi * 1.225 * 4)
 
     def test_stiff_tether_stability_guard(self):
-        # limit = 2 / sqrt(k_T / m_red) = 0.02542 s at the default stiffness
-        p = SystemParams()
-        assert_allclose(p.dt_stability_limit,
-                        2.0 / math.sqrt(2000.0 / (0.42 / 1.3)), rtol=1e-12)
-        # evaluating the guard: dt = 0.01 < 0.0254 passes, dt = 0.03 fails
-        SystemParams(dt_physics=0.01, f_ctrl=50.0)
-        with pytest.raises(ParamError, match="dt_physics"):
+        # the one step rule at the defaults: RK4 keeps every linear mode
+        # bounded up to dt = 0.029747 s; dt = 0.03 grows the stretch of both
+        # ropes together at m = 1/(1/m_q + 2/m_p) by |R| = 1.0547 per step
+        assert rk4_dt_bound(SystemParams()) == pytest.approx(0.029747, abs=5e-7)
+        SystemParams(dt_physics=0.028, f_ctrl=1.0 / 0.028)
+        with pytest.raises(ParamError, match=r"^dt_physics=0\.03 makes RK4 amplify the "
+                           r"tether-stretch mode at m = 1/\(1/m_q \+ 2/m_p\), .* = 1\.05473 "):
             SystemParams(dt_physics=0.03)
 
+    @given(dt=st.floats(1e-6, 0.1), tau=st.floats(1e-4, 1.0))
+    def test_rk4_stages_are_the_steppers_lag_factors(self, dt, tau):
+        # the stepper's thrust-lag factors rk4_stages(dt, -1/tau) are, bit for
+        # bit, RK4's stages on the lag as reference.rk4_reference writes them,
+        # with 1/tau subtracted: negating a product is exact
+        inv_tau = 1.0 / tau
+        c2 = 1.0 - 0.5 * dt * inv_tau
+        c3 = 1.0 - 0.5 * dt * inv_tau * c2
+        c4 = 1.0 - dt * inv_tau * c3
+        c5 = 1.0 - dt / 6.0 * inv_tau * (1.0 + 2.0 * (c2 + c3) + c4)
+        assert rk4_stages(dt, -inv_tau) == (c2, c3, c4, c5)
+
     @given(h=st.floats(0.0, 10.0))
-    def test_rk4_gain_is_the_steppers_lag_factor(self, h):
-        # on the real axis, the stepper's c5 (reference.rk4_reference, from
-        # RK4's stages on the lag) and the polynomial 1 + z + ... + z^4/24,
-        # to rounding; |R(-h)| <= 1 up to h = 2.7853, RK4's real-axis limit
-        c2 = 1.0 - 0.5 * h
-        c3 = 1.0 - 0.5 * h * c2
-        c4 = 1.0 - h * c3
-        c5 = 1.0 - h / 6.0 * (1.0 + 2.0 * (c2 + c3) + c4)
-        R = rk4_gain(complex(-h))
+    def test_rk4_stages_update_is_the_stability_function(self, h):
+        # on the real axis c5 is the polynomial 1 + z + ... + z^4/24 at
+        # z = -h, to rounding, and the same float in real or complex
+        # arithmetic; |R(-h)| <= 1 up to h = 2.7853, RK4's real-axis limit
+        R = rk4_stages(h, complex(-1.0))[3]
         assert R.imag == 0.0
-        assert R.real == pytest.approx(c5, rel=1e-12, abs=1e-15)
+        assert R.real == rk4_stages(h, -1.0)[3]
         taylor = 1 - h + h**2 / 2 - h**3 / 6 + h**4 / 24
         assert R.real == pytest.approx(taylor, rel=1e-12, abs=1e-13)
         assert (abs(R) <= 1.0) == (h <= 2.7852935634)
 
-    def test_rk4_gain_on_the_imaginary_axis(self):
+    def test_rk4_stages_on_the_imaginary_axis(self):
         # |R(iy)|^2 = 1 - y^6/72 + y^8/576: at most 1 up to y = 2 sqrt(2)
         for y in (0.5, 1.0, 2.0, 2.8):
-            assert abs(rk4_gain(1j * y)) ** 2 == pytest.approx(1 - y**6 / 72 + y**8 / 576,
-                                                               rel=1e-12)
-        assert abs(rk4_gain(2.83j)) > 1.0
+            assert abs(rk4_stages(y, 1j)[3]) ** 2 == pytest.approx(1 - y**6 / 72 + y**8 / 576,
+                                                                   rel=1e-12)
+        assert abs(rk4_stages(2.83, 1j)[3]) > 1.0
 
     @pytest.mark.parametrize("values, mode", [
         ({"tau_att": 1.7e-4}, "thrust-lag mode"),
@@ -169,7 +191,7 @@ class TestSystemParams:
                           r"= (\S+) per step; the largest accepted value is 1", message)
         assert found and found[1] == mode
         dt = SystemParams().dt_physics
-        assert float(found[3]) == pytest.approx(abs(rk4_gain(dt * float(found[2]))), rel=1e-5)
+        assert float(found[3]) == pytest.approx(abs(rk4_stages(dt, float(found[2]))[3]), rel=1e-5)
         assert float(found[3]) > 1.0
         assert ("tether angle beta" in message) == (mode != "thrust-lag mode")
 
@@ -178,7 +200,25 @@ class TestSystemParams:
         # the defaults, the shortest lag of the measured table that flew, a
         # damping just inside the bound at every angle, and no damping
         p = SystemParams(**values)
-        assert all(abs(rk4_gain(p.dt_physics * rate)) <= 1.0 for _, rate in p.linear_modes)
+        assert all(abs(rk4_stages(p.dt_physics, rate)[3]) <= 1.0 for _, rate in p.linear_modes)
+
+    @given(params=valid_params(finer=1), beta_deg=st.floats(0.0, 85.0))
+    def test_accepted_params_hover_at_equilibrium_tension(self, params, beta_deg):
+        # the premise of the RK4 rule: under any accepted parameters, up to
+        # its bound on dt_physics, a 1 s static hover under the held
+        # feedforward command keeps each stored tension at its equilibrium
+        # value, at beta = 0 (the smallest effective mass of the stretch) and
+        # at a drawn angle. The tolerance scales with F + k_T * ell, a
+        # nonzero force where g = 0 makes F = 0: the rope's rounding is
+        # k_T times a position's. Measured at most 1.8e-15 over 100 draws;
+        # at c_T = 1500, which the rule refuses, this hover at 30 deg ends at
+        # 0.35 N for F = 3.40 N, a departure of 1.5e-3. Drawn up to one step
+        # per control period finer than the bound, to keep a flight short.
+        for beta in (0.0, math.radians(beta_deg)):
+            _, state, command = build_equilibrium(beta, 0.0, params)
+            traj = simulate(state, lambda y, t: command, lambda t: 0.0, params, 1.0)
+            F = tension_at_equilibrium(beta, params)
+            assert np.abs(traj.tether - F).max() <= 1e-12 * (F + params.k_T * params.ell)
 
     def test_control_rate_guard(self):
         with pytest.raises(ParamError, match="f_ctrl"):
