@@ -13,9 +13,14 @@ Each entry is the SHA-256 of one output:
 * ``params_to_text(SystemParams())``;
 * one rotating flight at 60 deg with the default protocol (8 s ramps, 40 s
   hover), every physics step stored: the trajectory's t, states, commands,
-  tension and theta arrays. The gain is synthesized and then rounded to
-  1e-6, so that the flight does not depend on the last bits that the BLAS
-  kernel leaves in it.
+  tension and theta arrays, and the text of its trajectory CSV and its
+  command-log CSV. It never leaves the mirror subspace;
+* the first 3 s of the same flight with the formation shifted 0.1 m along x,
+  as ``fly --perturb 0.1`` does: its arrays and its trajectory CSV. Every
+  hold takes the full stepper, and no column of the CSV repeats another.
+
+Both flights fly a gain that is synthesized and then rounded to 1e-6, so
+that they do not depend on the last bits that the BLAS kernel leaves in it.
 
 The check exits 1 when an output's hash moved. A change that moves outputs
 on purpose rewrites the file, and its diff then names what moved.
@@ -40,12 +45,12 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np
 
 from spinlift import cli
-from spinlift.control import ControllerConfig, SpinProfile, control_step
-from spinlift.dynamics import simulate
+from spinlift.control import ControllerConfig, SpinProfile, command_log_to_csv, control_step
+from spinlift.dynamics import simulate, trajectory_to_csv
 from spinlift.equilibrium import build_equilibrium, omega_star
 from spinlift.harness import ScenarioSpec
 from spinlift.lqr import synthesize
-from spinlift.model import SystemParams, params_to_text
+from spinlift.model import STATE_SLICES, SystemParams, default_thrust_limit, params_to_text
 
 FILE = ROOT / "FINGERPRINT.json"
 
@@ -77,8 +82,12 @@ def sweep_hashes() -> dict[str, str]:
     return hashes
 
 
-def flight_hash() -> str:
-    """The dense rotating flight at 60 deg under the rounded gain."""
+def flight_hashes(name: str, duration: float | None, perturb: float,
+                  command_log: bool) -> dict[str, str]:
+    """A dense rotating flight at 60 deg under the rounded gain, for
+    ``duration`` seconds (None: the whole protocol) with the formation
+    shifted ``perturb`` metres along x: its arrays, its trajectory CSV and,
+    with ``command_log``, its command-log CSV."""
     params = SystemParams()
     beta = math.radians(60.0)
     spec = ScenarioSpec(mode="rotating", beta=beta)
@@ -89,18 +98,28 @@ def flight_hash() -> str:
     gains = dataclasses.replace(gains, K=np.round(gains.K, 6))
     cfg = ControllerConfig(gain=gains, eq=eq_spec, params=params, profile=profile)
     _, spawn, _ = build_equilibrium(beta, profile.omega(0.0), params)
-    traj = simulate(spawn, lambda y, t: control_step(y, cfg, t), profile.theta, params,
-                    profile.duration, output_decimation=1)
+    initial = list(spawn)
+    for part in ("x_p", "x_1", "x_2"):
+        initial[STATE_SLICES[part].start] += perturb
+    traj = simulate(initial, lambda y, t: control_step(y, cfg, t), profile.theta, params,
+                    duration or profile.duration, output_decimation=1)
     digest = hashlib.sha256()
     for column in (traj.t, traj.states, traj.commands, traj.tether, traj.theta):
         digest.update(np.ascontiguousarray(column, dtype=float).tobytes())
-    return digest.hexdigest()
+    hashes = {name: digest.hexdigest(),
+              f"{name}.trajectory_csv": sha256(trajectory_to_csv(traj).encode())}
+    if command_log:
+        hashes[f"{name}.command_log_csv"] = sha256(
+            command_log_to_csv(traj, default_thrust_limit(params)).encode())
+    return hashes
 
 
 def fingerprint() -> dict[str, str]:
     return {**sweep_hashes(),
             "params_to_text": sha256(params_to_text(SystemParams()).encode()),
-            "simulate_rotating_60_dense": flight_hash()}
+            **flight_hashes("simulate_rotating_60_dense", None, 0.0, command_log=True),
+            **flight_hashes("simulate_rotating_60_perturbed_dense", 3.0, 0.1,
+                            command_log=False)}
 
 
 def main(argv=None) -> int:
