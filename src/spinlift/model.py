@@ -1,5 +1,6 @@
 """Shared domain types: parameters, operating point, flat state layouts; and
-the one CSV table writer, :func:`table_text`, with its row format :func:`csv_line`.
+the one CSV table writer, :func:`table_text`, with its row format :func:`csv_line`
+and its block renderer :func:`column_lines`.
 
 Conventions used throughout the package:
 
@@ -19,6 +20,8 @@ import operator
 import os
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 __all__ = [
     "ParamError",
     "ConfigError",
@@ -29,6 +32,7 @@ __all__ = [
     "params_to_text",
     "rk4_stages",
     "csv_line",
+    "column_lines",
     "table_text",
 ]
 
@@ -282,12 +286,38 @@ def csv_line(row) -> str:
     return ",".join(map(repr, row))
 
 
+def column_lines(block):
+    """The CSV lines of the rows of ``block``, a 2-D float array, each cell the
+    ``repr`` of its Python float, with each distinct column rendered once. A
+    column is keyed by its bytes: one equal to an earlier column takes that
+    column's strings; one equal to an earlier column's negation, holding no
+    NaN, takes them with the sign flipped, which is ``repr(-x)`` for every x
+    but NaN (whose ``repr`` shows no sign); one constant in bits takes one
+    ``repr``, repeated; any other takes a ``repr`` per cell. The matches
+    compare bits, so the text is that of a ``repr`` per cell whatever the
+    block holds."""
+    keys = [column.tobytes() for column in block.T]
+    rendered = {}  # column bytes -> its cells
+    for key, column in zip(keys, block.T):
+        if key in rendered:
+            continue
+        image = rendered.get((-column).tobytes())
+        if image is not None and not np.isnan(column).any():
+            rendered[key] = [s[1:] if s[0] == "-" else "-" + s for s in image]
+        elif key == key[:8] * len(column):
+            rendered[key] = [repr(column[0].item())] * len(column)
+        else:
+            rendered[key] = list(map(repr, column.tolist()))
+    return map(",".join, zip(*map(rendered.get, keys)))
+
+
 def table_text(header: str, n: int, lines) -> str:
     """The text of every CSV table: the header line, then the lines of rows 0 to
     n - 1, newline-terminated. ``lines(a, b)`` returns the lines of rows a to b - 1
-    (strings without their newline, most often :func:`csv_line` of a row); it is
-    called once per block of at most ``_BLOCK_ROWS`` rows, never on an empty range,
-    and each block is joined into one string, so no list of every line exists.
+    (strings without their newline: :func:`csv_line` of each row, or
+    :func:`column_lines` of the block); it is called once per block of at most
+    ``_BLOCK_ROWS`` rows, never on an empty range, and each block is joined into
+    one string, so no list of every line exists.
 
     The blocks are rendered in contiguous shares of whole blocks, one per CPU this
     process may run on: it renders share 0, and a forked child renders each other

@@ -17,8 +17,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spinlift import dynamics, equilibrium, harness
+from spinlift import dynamics, equilibrium, harness, model
 from spinlift.control import (ControllerConfig, SpinProfile, _LOG_HEADER,
                               command_log_to_csv, control_step)
 from spinlift.dynamics import Trajectory, simulate, trajectory_to_csv
@@ -26,8 +28,8 @@ from spinlift.equilibrium import (build_equilibrium, omega_star, sweep_beta,
                                   sweep_omega, sweep_to_csv)
 from spinlift.harness import ComparisonRow, ComparisonTable, comparison_to_csv
 from spinlift.lqr import synthesize
-from spinlift.model import (_BLOCK_ROWS, SystemParams, csv_line, default_thrust_limit,
-                            table_text)
+from spinlift.model import (_BLOCK_ROWS, SystemParams, column_lines, csv_line,
+                            default_thrust_limit, table_text)
 
 from flatstate import part, replaced, vec3
 
@@ -96,6 +98,19 @@ def flight():
                            profile=SpinProfile(omega_target=w, t_hover=10.0))
     start = replaced(state, x_p=part(state, "x_p") + vec3(0.05, 0.0, 0.0))
     return simulate(start, lambda y, t: control_step(y, cfg, t), cfg.profile.theta, P,
+                    duration=0.1, output_decimation=1)
+
+
+@pytest.fixture(scope="module")
+def mirror_flight():
+    """0.1 s of the same flight from the operating point itself, every step
+    stored: it stays on the mirror subspace."""
+    beta = DEG(45.0)
+    w = omega_star(beta, P)
+    spec, state, _ = build_equilibrium(beta, w, P)
+    cfg = ControllerConfig(gain=synthesize(spec, P), eq=spec, params=P,
+                           profile=SpinProfile(omega_target=w, t_hover=10.0))
+    return simulate(state, lambda y, t: control_step(y, cfg, t), cfg.profile.theta, P,
                     duration=0.1, output_decimation=1)
 
 
@@ -227,12 +242,12 @@ def test_trajectory_csv_child_failure(monkeypatch):
     traj = block_trajectory(np.arange(2 * B + 1, dtype=float))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
-    def failing_line(row):
-        if row[0] == 2 * B:
+    def failing_lines(block):
+        if 2 * B in block[:, 0]:
             raise ValueError("cell out of range")
-        return csv_line(row)
+        return column_lines(block)
 
-    monkeypatch.setattr(dynamics, "csv_line", failing_line)
+    monkeypatch.setattr(dynamics, "column_lines", failing_lines)
     with deadline(60), pytest.raises(
             RuntimeError, match=f"^rendering rows {B} to {2 * B}: child exit status 1$"):
         trajectory_to_csv(traj)
@@ -241,19 +256,19 @@ def test_trajectory_csv_child_failure(monkeypatch):
 
 def test_trajectory_csv_parent_failure(monkeypatch):
     # the child's share of B + 1 rows is far beyond a 64 KB pipe buffer: it
-    # is blocked on its pipe when share 0, in this process, fails at its last
-    # row, and must die of the closed read end
+    # is blocked on its pipe when share 0, in this process, fails on its
+    # block, and must die of the closed read end
     traj = block_trajectory(np.arange(2 * B + 1, dtype=float))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     error = ValueError("share 0 failed")
 
-    def failing_line(row):
-        if row[0] == B - 1:
+    def failing_lines(block):
+        if B - 1 in block[:, 0]:
             time.sleep(0.5)
             raise error
-        return csv_line(row)
+        return column_lines(block)
 
-    monkeypatch.setattr(dynamics, "csv_line", failing_line)
+    monkeypatch.setattr(dynamics, "column_lines", failing_lines)
     with deadline(60), pytest.raises(ValueError) as raised:
         trajectory_to_csv(traj)
     assert raised.value is error
@@ -262,6 +277,74 @@ def test_trajectory_csv_parent_failure(monkeypatch):
 
 def test_trajectory_csv_of_flight(flight):
     assert trajectory_to_csv(flight) == reference_trajectory_csv(flight)
+
+
+def test_trajectory_csv_of_mirror_flight(mirror_flight, monkeypatch):
+    # one block of 201 rows on the mirror subspace; of its 28 columns, 17 take
+    # a repr per cell: t, the payload's z position and velocity, vehicle 1's
+    # nine, the y columns of vehicle 2's position, velocity and thrust (their
+    # first row is 0.0, as vehicle 1's, not its negation), F_1 and theta.
+    # The payload's x position is constant (one repr); its y position and
+    # both horizontal velocities, vehicle 2's z columns and F_2 are copies,
+    # and vehicle 2's x columns are negations of vehicle 1's
+    calls = []
+    monkeypatch.setattr(model, "repr", lambda x: calls.append(1) or repr(x), raising=False)
+    assert trajectory_to_csv(mirror_flight) == reference_trajectory_csv(mirror_flight)
+    assert len(calls) == 17 * len(mirror_flight) + 1
+
+
+# the cells of a drawn column: any float, and the edges of the sign flip:
+# zeros, subnormals, infinities and NaNs of both sign bits
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf,
+               math.nan, -math.nan, 1.0 / 3.0, -2.5, 1e300)
+CELLS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats())
+
+
+@st.composite
+def repeating_columns(draw):
+    """A block of 28 columns, each drawn cells repeated to the length, a value
+    and its negation in drawn rows (equal under ``==`` for zeros, the same
+    ``repr`` for NaNs), a constant, a constant that changes value at a drawn
+    row, or a bitwise copy, ``-a`` or ``0.0 - a`` image (``0.0 - a`` makes
+    both zeros +0.0) of an earlier column."""
+    n = draw(st.integers(1, 30))
+    columns = []
+    for _ in range(28):
+        kind = draw(st.sampled_from(["cells", "signs", "constant", "step", "copy", "-a",
+                                     "0.0 - a"] if columns else ["cells", "signs", "constant"]))
+        if kind == "cells":
+            column = np.resize(np.array(draw(st.lists(CELLS, min_size=1, max_size=n))), n)
+        elif kind == "signs":
+            x = draw(CELLS)
+            column = np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)), x, -x)
+        elif kind == "constant":
+            column = np.full(n, draw(CELLS))
+        elif kind == "step":
+            column = np.full(n, draw(CELLS))
+            column[draw(st.integers(0, n)):] = draw(CELLS)
+        else:
+            a = columns[draw(st.integers(0, len(columns) - 1))]
+            column = {"copy": a.copy(), "-a": -a, "0.0 - a": 0.0 - a}[kind]
+        columns.append(column)
+    return np.column_stack(columns)
+
+
+@given(cells=repeating_columns(), block_rows=st.integers(1, 8))
+def test_trajectory_csv_of_repeating_columns(cells, block_rows):
+    # blocks of a few rows, so that a column's matches change from block to
+    # block: the text is the reference's on one CPU and on two
+    traj = Trajectory(t=cells[:, 0], states=cells[:, 1:25], commands=np.zeros((len(cells), 6)),
+                      tether=cells[:, 25:27], theta=cells[:, 27])
+    expected = reference_trajectory_csv(traj)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_BLOCK_ROWS", block_rows)
+        for cpus in (1, 2):
+            mp.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            with deadline(60):
+                text = trajectory_to_csv(traj)
+            assert text == expected, cpus
+            assert "-nan" not in text
+    assert_no_child_left()
 
 
 def test_trajectory_csv_of_edge_values(odd_trajectory):
