@@ -30,8 +30,8 @@ import numpy as np
 from .dynamics import Trajectory
 from .equilibrium import DEFAULT_PAYLOAD_POSITION, feedforward
 from .lqr import GainSet
-from .model import (_NONNEGATIVE, EquilibriumSpec, SystemParams, csv_line, default_thrust_limit,
-                    table_text)
+from .model import (_NONNEGATIVE, EquilibriumSpec, SystemParams, column_lines,
+                    default_thrust_limit, table_text)
 
 __all__ = [
     "SpinProfile",
@@ -198,17 +198,19 @@ def command_log_to_csv(traj: Trajectory, T_max: float) -> str:
     """Command log aligned with trajectory samples; ``saturated`` flags ticks
     whose commanded magnitude sits at the saturation limit.
 
-    Every sample of a hold repeats its command, so the seven command cells are
+    Every sample of a hold repeats its command, so the six command cells are
     rendered once per run of bitwise-equal rows (``-0.0`` and ``0.0`` differ),
-    before :func:`model.table_text` forks, and each line is its sample's time
-    and its hold's cells."""
+    by :func:`model.column_lines` over the holds, and closed by the hold's
+    flag, ``0`` or ``1``, before :func:`model.table_text` forks; each line is
+    its sample's time and its hold's cells."""
     bits = traj.commands.view(np.int64)
     t = traj.t.tolist()
     first = np.ones(len(t), dtype=bool)  # rows that start a run
     first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    holds = traj.commands[first]
     limit = T_max - 1e-9
-    cells = ["," + csv_line([*u, int(math.hypot(*u[:3]) >= limit or math.hypot(*u[3:]) >= limit)])
-             for u in traj.commands[first].tolist()]
+    cells = [f",{line},{int(math.hypot(*u[:3]) >= limit or math.hypot(*u[3:]) >= limit)}"
+             for line, u in zip(column_lines(holds), holds.tolist())]
     tails = [cells[h] for h in (np.cumsum(first) - 1).tolist()]  # each row's hold's cells
     return table_text(_LOG_HEADER, len(t),
                       lambda a, b: map(operator.add, map(repr, t[a:b]), tails[a:b]))

@@ -106,15 +106,14 @@ def tether_forces(state, params: SystemParams) -> tuple[tuple, tuple]:
     return (F_1, np.array(r_hat_1)), (F_2, np.array(r_hat_2))
 
 
-# Names of the 24 integrated scalars, in the flat layout of spinlift.model,
-# and of the time derivatives of the 18 moving ones in the same order:
-# positions move with the velocities, velocities with the accelerations a*.
-# The actual thrusts T* have no rate names: the stepper moves them in closed
-# form. Suffix p is the payload, 1 and 2 the vehicles.
-_STATE = ("xpx xpy xpz vpx vpy vpz x1x x1y x1z v1x v1y v1z "
-          "x2x x2y x2z v2x v2y v2z T1x T1y T1z T2x T2y T2z").split()
-_RATE = ("vpx vpy vpz apx apy apz v1x v1y v1z a1x a1y a1z "
-         "v2x v2y v2z a2x a2y a2z").split()
+# Names of the 24 integrated scalars, in the flat layout of spinlift.model
+# (each part's first and last letter and the axis: xpx .. T2z), and of the
+# time derivatives of the 18 moving ones in the same order: positions move
+# with the velocities, velocities with the accelerations a*. The actual
+# thrusts T* have no rate names: the stepper moves them in closed form.
+# Suffix p is the payload, 1 and 2 the vehicles.
+_STATE = [part[0] + part[-1] + axis for part in STATE_PARTS for axis in "xyz"]
+_RATE = [{"x": "v", "v": "a"}[q[0]] + q[1:] for q in _STATE[:18]]
 
 # Tether i's rope law at the state whose names end in {s}, written once and
 # expanded for i = 1, 2: its length d{i}, its unit vector h{i}* from the

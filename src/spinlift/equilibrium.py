@@ -39,7 +39,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import EquilibriumSpec, SystemParams, SystemState, csv_line, table_text
+import numpy as np
+
+from .model import EquilibriumSpec, SystemParams, SystemState, column_lines, table_text
 
 __all__ = [
     "SingularityError",
@@ -265,11 +267,9 @@ _SWEEP_HEADER = "beta_deg,omega_rad_s,T_vehicle_N,P_vehicle_W,P_total_W,tilt_deg
 
 
 def sweep_to_csv(result: SweepResult, params: SystemParams) -> str:
-    """CSV for sweep output, one row per successful grid point."""
-    def line(rep: PowerReport) -> str:
-        return csv_line((math.degrees(rep.beta), rep.omega_C, rep.T_per_vehicle, rep.P_per_vehicle,
-                         rep.P_total, math.degrees(tilt_angle(rep.beta, rep.omega_C, params)),
-                         tension_at_equilibrium(rep.beta, params)))
-
-    reports = result.reports
-    return table_text(_SWEEP_HEADER, len(reports), lambda a, b: map(line, reports[a:b]))
+    """CSV for sweep output, one row per successful grid point, its seven
+    values rendered by :func:`model.column_lines`."""
+    rows = np.array([(math.degrees(rep.beta), rep.omega_C, rep.T_per_vehicle, rep.P_per_vehicle,
+                      rep.P_total, math.degrees(tilt_angle(rep.beta, rep.omega_C, params)),
+                      tension_at_equilibrium(rep.beta, params)) for rep in result.reports])
+    return table_text(_SWEEP_HEADER, len(rows), lambda a, b: column_lines(rows[a:b]))

@@ -64,7 +64,7 @@ import numpy as np
 # fails there.
 from numpy.linalg import _umath_linalg
 
-from .dynamics import _compile, _derivative
+from .dynamics import _STATE, _compile, _derivative
 from .model import EquilibriumSpec, SystemParams
 
 __all__ = [
@@ -141,8 +141,8 @@ _VELOCITY = ("v{b}x{s} = c{b}x{s} + x{b}y{s} * mw\n"
              "v{b}y{s} = c{b}y{s} + x{b}x{s} * w\nv{b}z{s} = c{b}z{s}\n")
 _RATES = ("c{b}x{s}, c{b}y{s}, c{b}z{s}, a{b}x{s} - 2.0 * c{b}y{s} * mw - x{b}x{s} * w * mw, "
           "a{b}y{s} - 2.0 * c{b}x{s} * w - x{b}y{s} * mw * w, a{b}z{s}")
-_Z_NAMES = ([f"{q}{b}{a}" for b in "p12" for q in "xc" for a in "xyz"]
-            + [f"T{i}{a}" for i in "12" for a in "xyz"])
+# The design model's 24 inputs: the stepper's names, C-frame velocities c* for v*.
+_Z_NAMES = [q.replace("v", "c", 1) for q in _STATE]
 
 
 def _design_pass() -> tuple[str, str]:

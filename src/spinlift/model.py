@@ -1,6 +1,6 @@
 """Shared domain types: parameters, operating point, flat state layouts; and
-the one CSV table writer, :func:`table_text`, with its row format :func:`csv_line`
-and its block renderer :func:`column_lines`.
+the one CSV table writer, :func:`table_text`, with the one renderer of its float
+cells, :func:`column_lines`.
 
 Conventions used throughout the package:
 
@@ -31,7 +31,6 @@ __all__ = [
     "load_params",
     "params_to_text",
     "rk4_stages",
-    "csv_line",
     "column_lines",
     "table_text",
 ]
@@ -280,12 +279,6 @@ def default_thrust_limit(params: SystemParams) -> float:
 _BLOCK_ROWS = 4096
 
 
-def csv_line(row) -> str:
-    """One CSV line of Python numbers, each cell its ``repr`` (full precision;
-    under numpy 2 a numpy scalar's ``repr`` names its type)."""
-    return ",".join(map(repr, row))
-
-
 def column_lines(block):
     """The CSV lines of the rows of ``block``, a 2-D float array, each cell the
     ``repr`` of its Python float, with each distinct column rendered once. A
@@ -305,7 +298,7 @@ def column_lines(block):
         if image is not None and not np.isnan(column).any():
             rendered[key] = [s[1:] if s[0] == "-" else "-" + s for s in image]
         elif key == key[:8] * len(column):
-            rendered[key] = [repr(column[0].item())] * len(column)
+            rendered[key] = list(map(repr, column[:1].tolist())) * len(column)
         else:
             rendered[key] = list(map(repr, column.tolist()))
     return map(",".join, zip(*map(rendered.get, keys)))
@@ -314,10 +307,10 @@ def column_lines(block):
 def table_text(header: str, n: int, lines) -> str:
     """The text of every CSV table: the header line, then the lines of rows 0 to
     n - 1, newline-terminated. ``lines(a, b)`` returns the lines of rows a to b - 1
-    (strings without their newline: :func:`csv_line` of each row, or
-    :func:`column_lines` of the block); it is called once per block of at most
-    ``_BLOCK_ROWS`` rows, never on an empty range, and each block is joined into
-    one string, so no list of every line exists.
+    (strings without their newline, such as :func:`column_lines` of the block);
+    it is called once per block of at most ``_BLOCK_ROWS`` rows, never on an
+    empty range, and each block is joined into one string, so no list of every
+    line exists.
 
     The blocks are rendered in contiguous shares of whole blocks, one per CPU this
     process may run on: it renders share 0, and a forked child renders each other

@@ -28,8 +28,8 @@ from spinlift.equilibrium import (build_equilibrium, omega_star, sweep_beta,
                                   sweep_omega, sweep_to_csv)
 from spinlift.harness import ComparisonRow, ComparisonTable, comparison_to_csv
 from spinlift.lqr import synthesize
-from spinlift.model import (_BLOCK_ROWS, SystemParams, column_lines, csv_line,
-                            default_thrust_limit, table_text)
+from spinlift.model import (_BLOCK_ROWS, SystemParams, column_lines, default_thrust_limit,
+                            table_text)
 
 from flatstate import part, replaced, vec3
 
@@ -42,6 +42,11 @@ B = _BLOCK_ROWS
 
 def reference_line(row):
     return ",".join(repr(float(v)) for v in row)
+
+
+def repr_line(row):
+    """The line of ``row``'s cells as they are, each its ``repr``."""
+    return ",".join(map(repr, row))
 
 
 def reference_trajectory_csv(traj):
@@ -160,7 +165,7 @@ def block_lines(rows, calls):
         if not 0 <= a < b <= len(rows):
             raise AssertionError(f"lines({a}, {b}) of {len(rows)} rows")
         calls.append((a, b))
-        return (f"{csv_line(row)},{a},{b}" for row in rows[a:b])
+        return (f"{repr_line(row)},{a},{b}" for row in rows[a:b])
 
     return lines
 
@@ -170,7 +175,7 @@ def test_table_text_layout():
     calls = []
     assert table_text("a,b", 0, block_lines([], calls)) == "a,b\n"
     assert calls == []
-    assert table_text("a,b", 2, lambda a, b: map(csv_line, rows[a:b])) == \
+    assert table_text("a,b", 2, lambda a, b: map(repr_line, rows[a:b])) == \
         "a,b\n1.0,-0.0\n5e-324,2\n"
     assert table_text("a,b", 2, block_lines(rows, calls)) == \
         "a,b\n1.0,-0.0,0,2\n5e-324,2,0,2\n"
@@ -347,6 +352,12 @@ def test_trajectory_csv_of_repeating_columns(cells, block_rows):
     assert_no_child_left()
 
 
+def test_column_lines_of_no_rows():
+    # every column of an empty block is constant in bits: it still gives no line
+    for columns in (0, 1, 3, 28):
+        assert list(column_lines(np.empty((0, columns)))) == []
+
+
 def test_trajectory_csv_of_edge_values(odd_trajectory):
     text = trajectory_to_csv(odd_trajectory)
     assert text == reference_trajectory_csv(odd_trajectory)
@@ -356,6 +367,23 @@ def test_trajectory_csv_of_edge_values(odd_trajectory):
 
 def test_command_log_of_flight(flight):
     assert command_log_to_csv(flight, T_MAX) == reference_command_log(flight, T_MAX)
+
+
+def test_command_log_of_mirror_flight(mirror_flight, monkeypatch):
+    # 201 rows in 5 holds on the mirror subspace: of the six command cells,
+    # vehicle 1's three take a repr per hold, vehicle 2's x and y are their
+    # negations and its z a copy, and the flag takes none
+    assert len(np.unique(mirror_flight.commands, axis=0)) == 5
+    calls = []
+    monkeypatch.setattr(model, "repr", lambda x: calls.append(1) or repr(x), raising=False)
+    assert command_log_to_csv(mirror_flight, T_MAX) == reference_command_log(mirror_flight, T_MAX)
+    assert len(calls) == 3 * 5
+
+
+def test_command_log_of_no_samples():
+    traj = Trajectory(t=np.empty(0), states=np.empty((0, 24)), commands=np.empty((0, 6)),
+                      tether=np.empty((0, 2)), theta=np.empty(0))
+    assert command_log_to_csv(traj, T_MAX) == _LOG_HEADER + "\n"
 
 
 def test_command_log_saturation_edge(odd_trajectory):
